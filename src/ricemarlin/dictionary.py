@@ -793,8 +793,8 @@ class DictionarySet:
         k, o = self.dictionaries[0].k, self.dictionaries[0].o
         if any(d.k != k or d.o != o for d in self.dictionaries):
             raise BuildError("all dictionaries in a set must share (K, O)")
-        self._cost_matrix: np.ndarray | None = None
-        self._cost_block_n = -1
+        # quick_select cost tables keyed by escape-location width in bytes
+        self._cost_tables: dict[int, np.ndarray] = {}
 
     @property
     def k(self) -> int:
@@ -826,21 +826,27 @@ class DictionarySet:
         the quotient against the training model, scaled by the dictionary's
         trained coding efficiency, plus reminder and escape costs).
         """
-        if self._cost_matrix is None or self._cost_block_n != block_n:
-            self._cost_matrix = _cost_matrix(self, block_n)
-            self._cost_block_n = block_n
-        scores = self._cost_matrix @ counts
-        return int(np.argmin(scores))
+        lb = loc_bytes(block_n)
+        table = self._cost_tables.get(lb)
+        if table is None:
+            table = self._cost_tables[lb] = _cost_matrix(self, lb)
+        return int(np.argmin(table @ counts))
 
 
-def _cost_matrix(dset: DictionarySet, block_n: int) -> np.ndarray:
+def _cost_matrix(dset: DictionarySet, loc_width: int) -> np.ndarray:
+    """Per-byte bit costs, one row per dictionary, for ``loc_width``-byte escapes.
+
+    The block size enters only through the escape cost, so one table serves
+    every block size with the same :func:`loc_bytes` width.
+    """
     rows = []
-    esc_bits = 8.0 * (1 + loc_bytes(block_n))
+    esc_bits = 8.0 * (1 + loc_width)
     for dct in dset.dictionaries:
         cost = np.full(ALPHABET_SIZE, float(dct.shift))
+        rank = dct.alphabet.rank_lut()
+        escaped = rank < 0
         if dct.empty_quotient:
-            excl = np.array([b in dct.alphabet.excluded for b in range(ALPHABET_SIZE)])
-            cost[excl] += esc_bits
+            cost[escaped] += esc_bits
             rows.append(cost)
             continue
         coding = dct.alphabet.coding_probs
@@ -849,13 +855,7 @@ def _cost_matrix(dset: DictionarySet, block_n: int) -> np.ndarray:
         with np.errstate(divide="ignore"):
             qbits = np.where(coding > 0, -np.log2(np.maximum(coding, 1e-300)), 64.0)
         qbits = np.minimum(qbits / max(eta_q, 1e-9), 64.0)
-        rank_lut = dct.alphabet.rank_lut()
-        for b in range(ALPHABET_SIZE):
-            r = rank_lut[b]
-            if r < 0:
-                cost[b] += esc_bits + qbits[0]
-            else:
-                cost[b] += qbits[r]
+        cost += np.where(escaped, esc_bits + qbits[0], qbits[rank])
         rows.append(cost)
     return np.array(rows)
 

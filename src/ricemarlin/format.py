@@ -24,6 +24,7 @@ from .dictionary import (
 from .encoder import CompressedBlock, build_encoder_matrix, encode_block
 from .decoder import decode_block
 from .errors import CorruptBlockError, FormatError
+from .image import BLOCK_EDGE, block_geometry
 from .source import SymbolDistribution
 
 CONTAINER_MAGIC = b"RMC1"
@@ -322,17 +323,38 @@ class ContainerHeader:
             raise CorruptBlockError("not a compressed container")
         if version != VERSION:
             raise CorruptBlockError(f"unsupported container version {version}")
+        if block_size == 0:
+            raise CorruptBlockError("container block size is 0")
         hdr = cls(
             k=k, o=o, block_size=block_size, total_size=total, flags=flags,
             width=w, height=h, digest=digest,
         )
+        if flags & FLAG_IMAGE and total != w * h:
+            raise CorruptBlockError(
+                f"image container holds {total} bytes, geometry {w}x{h} implies {w * h}"
+            )
+        implied = hdr.block_count()
+        if implied != nb:
+            raise CorruptBlockError(
+                f"container lists {nb} blocks, geometry implies {implied}"
+            )
+        # every block takes at least a 4-byte length and a 1-byte body
+        if nb * 5 > len(buf) - size:
+            raise CorruptBlockError(
+                f"container lists {nb} blocks, but only {len(buf) - size} bytes "
+                f"follow the header at offset {size}"
+            )
         return hdr, nb, size
+
+    def block_count(self) -> int:
+        """Number of blocks the header implies, computed without listing them."""
+        if self.flags & FLAG_IMAGE:
+            return -(-self.width // BLOCK_EDGE) * -(-self.height // BLOCK_EDGE)
+        return -(-self.total_size // self.block_size)
 
     def block_sizes(self) -> list[int]:
         """Original size of every block, derived from the header alone."""
         if self.flags & FLAG_IMAGE:
-            from .image import block_geometry
-
             return [bw * bh for bw, bh in block_geometry(self.width, self.height)]
         if self.total_size == 0:
             return []
@@ -405,18 +427,13 @@ def compress_bytes(
 
 def decompress_bytes(buf: bytes, dset: DictionarySet) -> bytes:
     """Decompress a container produced by :func:`compress_bytes`."""
-    header, n_blocks, pos = ContainerHeader.unpack(buf)
+    header, _, pos = ContainerHeader.unpack(buf)
     if header.digest != dictset_digest(dset):
         raise FormatError(
             "container was compressed with a different dictionary set"
         )
-    sizes = header.block_sizes()
-    if len(sizes) != n_blocks:
-        raise CorruptBlockError(
-            f"container lists {n_blocks} blocks, geometry implies {len(sizes)}"
-        )
     out = bytearray()
-    for n in sizes:
+    for n in header.block_sizes():
         if pos + 4 > len(buf):
             raise CorruptBlockError("container truncated at a block header")
         (clen,) = struct.unpack_from("<I", buf, pos)
@@ -427,6 +444,10 @@ def decompress_bytes(buf: bytes, dset: DictionarySet) -> bytes:
         pos += clen
         block = parse_block(payload, n, dset)
         out += decode_block(dset, block, n)
+    if pos != len(buf):
+        raise CorruptBlockError(
+            f"{len(buf) - pos} trailing bytes after the last block at offset {pos}"
+        )
     if len(out) != header.total_size:
         raise CorruptBlockError(
             f"decoded {len(out)} bytes, header promised {header.total_size}"

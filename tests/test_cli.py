@@ -60,6 +60,26 @@ def test_decompress_corrupt_container_exit_code(tmp_path, set_path):
     assert rc == EXIT_CORRUPT
 
 
+@pytest.mark.parametrize("damage", ["zero-block-size", "appended-junk"])
+def test_decompress_bad_container_exits_corrupt(tmp_path, set_path, capsys, damage):
+    src = tmp_path / "x.bin"
+    src.write_bytes(bytes(range(256)) * 20)
+    comp = tmp_path / "x.rm"
+    assert main(["compress", str(src), str(comp), "--set", str(set_path)]) == EXIT_OK
+    blob = bytearray(comp.read_bytes())
+    if damage == "zero-block-size":
+        blob[8:12] = bytes(4)  # the header's little-endian uint32 block size
+    else:
+        blob += b"junk"
+    comp.write_bytes(bytes(blob))
+    capsys.readouterr()
+    rc = main(["decompress", str(comp), str(tmp_path / "y"), "--set", str(set_path)])
+    err = capsys.readouterr().err
+    assert rc == EXIT_CORRUPT
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
 def test_decompress_wrong_set_exit_code(tmp_path, set_path):
     other = tmp_path / "other.rmds"
     assert main(

@@ -508,3 +508,95 @@ def test_build_is_deterministic(abcd_dist):
     assert d1.levels == d2.levels
     for c in range(d1.n_chapters):
         assert d1.chapter_words(c) == d2.chapter_words(c)
+
+
+# ---------------------------------------------------------------------------
+# quick_select cost tables
+
+
+def _scalar_cost_matrix(dset: DictionarySet, block_n: int) -> np.ndarray:
+    """The original per-byte loop, kept as the oracle for the numpy tables."""
+    from ricemarlin.bitpack import loc_bytes
+    from ricemarlin.dictionary import ALPHABET_SIZE, entropy
+
+    rows = []
+    esc_bits = 8.0 * (1 + loc_bytes(block_n))
+    for dct in dset.dictionaries:
+        cost = np.full(ALPHABET_SIZE, float(dct.shift))
+        if dct.empty_quotient:
+            excl = np.array([b in dct.alphabet.excluded for b in range(ALPHABET_SIZE)])
+            cost[excl] += esc_bits
+            rows.append(cost)
+            continue
+        coding = dct.alphabet.coding_probs
+        hq = entropy(coding)
+        eta_q = min(1.0, hq / dct.quotient_bits) if dct.quotient_bits > 0 else 1.0
+        with np.errstate(divide="ignore"):
+            qbits = np.where(coding > 0, -np.log2(np.maximum(coding, 1e-300)), 64.0)
+        qbits = np.minimum(qbits / max(eta_q, 1e-9), 64.0)
+        rank_lut = dct.alphabet.rank_lut()
+        for b in range(ALPHABET_SIZE):
+            r = rank_lut[b]
+            if r < 0:
+                cost[b] += esc_bits + qbits[0]
+            else:
+                cost[b] += qbits[r]
+        rows.append(cost)
+    return np.array(rows)
+
+
+# one representative block size per escape-location width (1, 2 and 4 bytes)
+WIDTH_SIZES = {1: 256, 2: 4096, 4: 65537}
+MIXED_SIZES = [4096, 100, 4096, 3000, 64, 256, 257, 65536, 65537]
+
+
+@pytest.fixture(scope="module")
+def table_set(small_set):
+    """small_set plus both kinds of empty-quotient row: with and without escapes."""
+    lap = make_distribution(SyntheticFamily("laplacian", 0.3))
+    escaping = MarlinDictionary.build(lap, k=8, o=4, shift=4, threshold=0.5)
+    plain = MarlinDictionary.build(uniform(), k=8, o=4, shift=8, threshold=0.0)
+    assert escaping.empty_quotient and escaping.alphabet.excluded
+    assert plain.empty_quotient and not plain.alphabet.excluded
+    return DictionarySet(list(small_set.dictionaries) + [escaping, plain])
+
+
+def _mixed_counts(n: int, i: int) -> np.ndarray:
+    frac = (0.05, 0.3, 0.6, 0.95)[i % 4]
+    data = make_distribution(SyntheticFamily("laplacian", frac)).sample(n, seed=i)
+    return np.bincount(np.frombuffer(data, np.uint8), minlength=256)
+
+
+@pytest.mark.parametrize("width", sorted(WIDTH_SIZES))
+def test_cost_tables_match_scalar_oracle(table_set, width):
+    from ricemarlin.dictionary import _cost_matrix
+
+    oracle = _scalar_cost_matrix(table_set, WIDTH_SIZES[width])
+    assert np.array_equal(_cost_matrix(table_set, width), oracle)
+
+
+def test_quick_select_matches_oracle_over_mixed_sizes(table_set):
+    dset = DictionarySet(list(table_set.dictionaries))
+    oracles = {n: _scalar_cost_matrix(dset, n) for n in set(MIXED_SIZES)}
+    for i, n in enumerate(MIXED_SIZES * 3):
+        counts = _mixed_counts(n, i)
+        assert dset.quick_select(counts, n) == int(np.argmin(oracles[n] @ counts))
+
+
+def test_quick_select_builds_one_table_per_width(table_set, monkeypatch):
+    import ricemarlin.dictionary as dictionary
+
+    built = []
+    real = dictionary._cost_matrix
+
+    def counting(dset, width):
+        built.append(width)
+        return real(dset, width)
+
+    monkeypatch.setattr(dictionary, "_cost_matrix", counting)
+    dset = DictionarySet(list(table_set.dictionaries))
+    counts = {n: _mixed_counts(n, i) for i, n in enumerate(MIXED_SIZES)}
+    for i in range(200):
+        n = MIXED_SIZES[i % len(MIXED_SIZES)]
+        dset.quick_select(counts[n], n)
+    assert sorted(built) == [1, 2, 4]

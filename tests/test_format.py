@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -21,7 +23,7 @@ from ricemarlin import (
 )
 from ricemarlin.dictionary import DictionarySet
 from ricemarlin.encoder import CompressedBlock
-from ricemarlin.format import ContainerHeader, dictset_digest
+from ricemarlin.format import FLAG_IMAGE, ContainerHeader, dictset_digest
 
 
 @pytest.fixture(scope="module")
@@ -210,8 +212,15 @@ def test_container_detects_truncation(tiny_set):
 def test_container_header_derives_block_sizes():
     hdr = ContainerHeader(k=8, o=4, block_size=4096, total_size=10000)
     assert hdr.block_sizes() == [4096, 4096, 1808]
+    assert hdr.block_count() == 3
     empty = ContainerHeader(k=8, o=4, block_size=4096, total_size=0)
     assert empty.block_sizes() == []
+    assert empty.block_count() == 0
+    img = ContainerHeader(
+        k=8, o=4, block_size=4096, total_size=130 * 65, flags=FLAG_IMAGE,
+        width=130, height=65,
+    )
+    assert img.block_count() == len(img.block_sizes()) == 6
 
 
 def test_container_exact_selection_roundtrip(tiny_set):
@@ -219,3 +228,60 @@ def test_container_exact_selection_roundtrip(tiny_set):
     data = dist.sample(20000, seed=9)
     comp = compress_bytes(data, tiny_set, exact_select=True)
     assert decompress_bytes(comp, tiny_set) == data
+
+
+# ---------------------------------------------------------------------------
+# container header validation
+
+
+def _valid_container(dset) -> bytes:
+    data = make_distribution(SyntheticFamily("laplacian", 0.5)).sample(9000, seed=4)
+    return compress_bytes(data, dset)
+
+
+def _with_header(comp: bytes, n_blocks: int, **fields) -> bytes:
+    """``comp`` with its header rewritten; ``fields`` override header fields."""
+    hdr, _, size = ContainerHeader.unpack(comp)
+    return dataclasses.replace(hdr, **fields).pack(n_blocks) + comp[size:]
+
+
+def test_container_rejects_zero_block_size(tiny_set):
+    comp = _with_header(_valid_container(tiny_set), 3, block_size=0)
+    with pytest.raises(CorruptBlockError, match="block size is 0"):
+        decompress_bytes(comp, tiny_set)
+
+
+def test_container_rejects_more_blocks_than_the_file_holds(tiny_set):
+    comp = _valid_container(tiny_set)
+    n = 10_000_000  # consistent with total_size, but 5 bytes each do not fit
+    with pytest.raises(CorruptBlockError, match="bytes follow the header"):
+        decompress_bytes(_with_header(comp, n, block_size=1, total_size=n), tiny_set)
+    side = 64 * 1000
+    image = _with_header(
+        comp, 1000 * 1000, flags=FLAG_IMAGE, width=side, height=side,
+        total_size=side * side,
+    )
+    with pytest.raises(CorruptBlockError, match="bytes follow the header"):
+        decompress_bytes(image, tiny_set)
+
+
+def test_container_rejects_image_size_mismatch(tiny_set):
+    comp = _with_header(
+        _valid_container(tiny_set), 1, flags=FLAG_IMAGE, width=64, height=64,
+    )
+    with pytest.raises(CorruptBlockError, match="geometry 64x64 implies 4096"):
+        decompress_bytes(comp, tiny_set)
+
+
+@pytest.mark.parametrize("n_blocks", [2, 4, 2**32 - 1])
+def test_container_rejects_block_count_mismatch(tiny_set, n_blocks):
+    comp = _with_header(_valid_container(tiny_set), n_blocks)
+    with pytest.raises(CorruptBlockError, match="geometry implies 3"):
+        decompress_bytes(comp, tiny_set)
+
+
+def test_container_rejects_trailing_bytes(tiny_set):
+    comp = _valid_container(tiny_set)
+    assert decompress_bytes(comp, tiny_set)
+    with pytest.raises(CorruptBlockError, match=f"trailing bytes .* offset {len(comp)}$"):
+        decompress_bytes(comp + b"junk", tiny_set)
