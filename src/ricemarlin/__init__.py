@@ -20,7 +20,7 @@ from .dictionary import (
     shift_efficiency_bound,
     split_alphabet,
 )
-from .decoder import DecoderTable, build_decoder_table, decode_block, decode_quotients
+from .decoder import DecoderTable, decode_block, decode_quotients
 from .encoder import (
     CompressedBlock,
     EncoderMatrix,
@@ -70,7 +70,6 @@ __all__ = [
     "abr_estimate",
     "assign_codewords",
     "best_dictionary_for",
-    "build_decoder_table",
     "build_dictionary_set",
     "build_encoder_matrix",
     "compress_bytes",

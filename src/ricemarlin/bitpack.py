@@ -39,9 +39,39 @@ def unpack_units(buf: bytes, width: int, count: int) -> np.ndarray:
         )
     if width == 8:
         return np.frombuffer(buf, dtype=np.uint8, count=count).astype(np.uint32)
-    bits = np.unpackbits(np.frombuffer(buf, dtype=np.uint8))[: count * width]
-    weights = (1 << np.arange(width - 1, -1, -1, dtype=np.uint32))
-    return bits.reshape(count, width).astype(np.uint32) @ weights
+    if width < 8:
+        return _unpack_narrow(buf, width, count).astype(np.uint32)
+    return _unpack_wide(buf, width, count)
+
+
+def _unpack_narrow(buf: bytes, width: int, count: int) -> np.ndarray:
+    """``count`` MSB-first fields of 1 <= ``width`` <= 7 bits, as uint8.
+
+    Every 8 fields fill exactly ``width`` bytes.  Each such group is placed
+    right-aligned in an 8-byte big-endian word, and one broadcast shift pulls
+    all 8 fields out of every word.
+    """
+    groups = -(-count // 8)
+    size = groups * width
+    src = np.frombuffer(bytes(buf[:size]).ljust(size, b"\0"), dtype=np.uint8)
+    rows = np.zeros((groups, 8), dtype=np.uint8)
+    rows[:, 8 - width :] = src.reshape(groups, width)
+    shifts = np.arange(7 * width, -1, -width, dtype=np.uint64)
+    fields = (rows.view(">u8") >> shifts).astype(np.uint8)
+    return fields.reshape(-1)[:count] & np.uint8((1 << width) - 1)
+
+
+def _unpack_wide(buf: bytes, width: int, count: int) -> np.ndarray:
+    """``count`` MSB-first fields of 9 <= ``width`` <= 25 bits, as uint32.
+
+    Such a field spans at most 4 bytes, so each is cut from the big-endian
+    32-bit window that starts at its first byte.
+    """
+    starts = np.arange(count, dtype=np.int64) * width
+    b = np.frombuffer(bytes(buf) + b"\0\0\0", dtype=np.uint8).astype(np.uint32)
+    windows = (b[:-3] << 24) | (b[1:-2] << 16) | (b[2:-1] << 8) | b[3:]
+    drop = (32 - width - (starts & 7)).astype(np.uint32)
+    return (windows[starts >> 3] >> drop) & np.uint32((1 << width) - 1)
 
 
 def pack_low_bits(message: np.ndarray, s: int) -> bytes:
@@ -65,7 +95,4 @@ def unpack_low_bits(buf: bytes, s: int, n: int) -> np.ndarray:
         )
     if s == 8:
         return np.frombuffer(buf, dtype=np.uint8, count=n).copy()
-    bits = np.unpackbits(np.frombuffer(buf, dtype=np.uint8))[: n * s]
-    weights = (1 << np.arange(s - 1, -1, -1, dtype=np.uint16)).astype(np.uint16)
-    vals = bits.reshape(n, s).astype(np.uint16) @ weights
-    return vals.astype(np.uint8)
+    return _unpack_narrow(buf, s, n)

@@ -1,12 +1,14 @@
 """Table-driven block decoder.
 
 Each step peeks N = K + O bits (the O-bit window carried from the previous
-codeword plus K fresh bits), copies the table word for that codeword, and
-keeps only the low O bits as the next window.  Reminders and escape pairs
-are merged afterwards.
+codeword plus K fresh bits) and keeps only the low O bits as the next
+window.  A block's symbols then come out of the flat word table in one
+gather.  Reminders and escape pairs are merged afterwards.
 """
 
 from __future__ import annotations
+
+from itertools import chain
 
 import numpy as np
 
@@ -21,46 +23,44 @@ class DecoderTable:
 
     def __init__(self, dct: MarlinDictionary):
         self.dct = dct
-        self.max_word_len = dct.max_word_len()
-        n = dct.n_codewords
-        self.words = np.zeros((n, self.max_word_len), dtype=np.uint8)
-        self.lengths = np.zeros(n, dtype=np.int64)
+        self.max_word_len = width = dct.max_word_len()
         values = np.asarray(dct.alphabet.values, dtype=np.uint8)
-        for cw in range(n):
-            w = dct.word_at(cw)
-            self.lengths[cw] = len(w)
-            self.words[cw, : len(w)] = values[list(w)]
+        # chapters that share a word-set key share their words at every offset,
+        # so one (2^K, width) block per key, gathered in chapter order, is the table
+        keys = sorted(set(dct.levels))
+        blocks, lengths = [], []
+        for key in keys:
+            lw = dct.level_sets[key]
+            words = [lw.words[i] for i in dct.level_layout[key]]
+            lens = np.fromiter(map(len, words), dtype=np.int64, count=len(words))
+            ranks = np.fromiter(chain.from_iterable(words), dtype=np.intp)
+            block = np.zeros((len(words), width), dtype=np.uint8)
+            block[np.arange(width) < lens[:, None]] = values[ranks]
+            blocks.append(block)
+            lengths.append(lens)
+        chapter_key = np.searchsorted(keys, dct.levels)
+        self.words = np.stack(blocks)[chapter_key].reshape(dct.n_codewords, width)
+        self.lengths = np.stack(lengths)[chapter_key].reshape(dct.n_codewords)
 
-    def entry(self, codeword: int) -> tuple[tuple[int, ...], int]:
-        length = int(self.lengths[codeword])
-        return tuple(int(v) for v in self.words[codeword, :length]), length
 
+def decode_quotients(table: DecoderTable, stream: bytes, n: int) -> np.ndarray:
+    """Decode the ``n`` quotient values of one block's quotient section.
 
-def build_decoder_table(dct: MarlinDictionary) -> DecoderTable:
-    return DecoderTable(dct)
-
-
-def decode_quotients(
-    table: DecoderTable, stream: bytes, n: int, check_exact: bool = False
-) -> np.ndarray:
-    """Decode quotient values until ``n`` symbols are produced.
-
-    The window starts at zero.  Units remaining in the byte-padded stream
-    after the target count is reached are padding and stay untouched.
+    The window starts at zero.  A valid section ends exactly on a word
+    boundary at symbol ``n`` and is exactly ``ceil(used * K / 8)`` bytes long
+    for the ``used`` codewords it holds; anything else is corrupt.
     """
     if n == 0:
+        if stream:
+            raise CorruptBlockError("quotient section present for an empty block")
         return np.zeros(0, dtype=np.uint8)
     dct = table.dct
-    k, o = dct.k, dct.o
+    k = dct.k
     avail = (len(stream) * 8) // k
     if avail == 0:
         raise CorruptBlockError("quotient stream exhausted before any symbol")
-    units = unpack_units(stream, k, avail)
-    windows = np.empty_like(units)
-    windows[0] = 0
-    omask = np.uint32(dct.n_chapters - 1)
-    np.bitwise_and(units[:-1], omask, out=windows[1:])
-    codewords = (windows.astype(np.int64) << k) | units
+    codewords = unpack_units(stream, k, avail).astype(np.intp)
+    codewords[1:] |= (codewords[:-1] & (dct.n_chapters - 1)) << k
     lens = table.lengths[codewords]
     total = np.cumsum(lens)
     if total[-1] < n:
@@ -68,12 +68,18 @@ def decode_quotients(
             f"quotient stream exhausted after {int(total[-1])} of {n} symbols"
         )
     used = int(np.searchsorted(total, n, side="left")) + 1
-    rows = table.words[codewords[:used]]
-    mask = np.arange(table.max_word_len) < lens[:used, None]
-    out = rows[mask][:n]
-    if check_exact and int(total[used - 1]) != n:
+    if int(total[used - 1]) != n:
         raise CorruptBlockError("final word overruns the block boundary")
-    return out
+    if len(stream) != (used * k + 7) // 8:
+        raise CorruptBlockError(
+            f"quotient section is {len(stream)} bytes, its {used} codewords "
+            f"need {(used * k + 7) // 8}"
+        )
+    lens = lens[:used]
+    # symbol j of word i sits at cw_i * width + j in the flat table and at
+    # total_i - len_i + j in the output
+    starts = codewords[:used] * table.max_word_len - (total[:used] - lens)
+    return table.words.reshape(-1)[np.repeat(starts, lens) + np.arange(n)]
 
 
 def decode_block(dset: DictionarySet | MarlinDictionary, block: CompressedBlock, n: int) -> bytes:
@@ -93,8 +99,7 @@ def decode_block(dset: DictionarySet | MarlinDictionary, block: CompressedBlock,
     else:
         table = _table_for(dct)
         quotients = decode_quotients(table, block.quotient_stream, n)
-    reminders = unpack_low_bits(block.reminders, shift, n)
-    out = ((quotients.astype(np.uint16) << shift) | reminders).astype(np.uint8)
+    out = (quotients << shift) | unpack_low_bits(block.reminders, shift, n)
     if block.escapes:
         locs = np.array([loc for loc, _ in block.escapes])
         if (locs >= n).any() or (locs < 0).any():

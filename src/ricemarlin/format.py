@@ -15,6 +15,7 @@ import numpy as np
 
 from .bitpack import loc_bytes
 from .dictionary import (
+    MAX_CODE_BITS,
     RAW_INDEX,
     DictionarySet,
     LevelWords,
@@ -184,36 +185,51 @@ def dictset_digest(dset: DictionarySet) -> bytes:
     return dset._digest
 
 
+class _Reader:
+    """Bounds-checked cursor over the bytes of a set file or one of its parts."""
+
+    def __init__(self, buf: bytes, what: str):
+        self.buf, self.pos, self.what = buf, 0, what
+
+    def take(self, n: int) -> bytes:
+        if self.pos + n > len(self.buf):
+            raise FormatError(f"{self.what} truncated at byte {self.pos}")
+        self.pos += n
+        return self.buf[self.pos - n : self.pos]
+
+    def unpack(self, fmt: str) -> tuple:
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
+
+    def finish(self) -> None:
+        if self.pos != len(self.buf):
+            raise FormatError(
+                f"{self.what} has {len(self.buf) - self.pos} bytes after its end"
+            )
+
+
 def _parse_dict(table: bytes, meta: bytes, k: int, o: int) -> MarlinDictionary:
-    pos = 0
-    shift, empty_q, nq = struct.unpack_from("<BBH", table, pos)
-    pos += 4
-    values = tuple(table[pos : pos + nq])
-    pos += nq
-    (n_excl,) = struct.unpack_from("<H", table, pos)
-    pos += 2
-    excl_q = set(table[pos : pos + n_excl])
-    pos += n_excl
-    placeholder = table[pos]
-    pos += 1
+    t = _Reader(table, "dictionary table")
+    shift, empty_q, nq = t.unpack("<BBH")
+    if shift > 8:
+        raise FormatError(f"shift {shift} exceeds 8")
+    values = tuple(t.take(nq))
+    (n_excl,) = t.unpack("<H")
+    excl_q = set(t.take(n_excl))
+    (placeholder,) = t.take(1)
     levels: tuple[int, ...] = ()
     level_sets: dict[int, LevelWords] = {}
     level_layout: dict[int, list[int]] = {}
     if not empty_q:
-        n_chapters = 1 << o
-        levels = tuple(table[pos : pos + n_chapters])
-        pos += n_chapters
-        (n_keys,) = struct.unpack_from("<H", table, pos)
-        pos += 2
+        levels = tuple(t.take(1 << o))
+        (n_keys,) = t.unpack("<H")
         for _ in range(n_keys):
-            key, lvl = struct.unpack_from("<HB", table, pos)
-            pos += 3
+            key, lvl = t.unpack("<HB")
             words = []
             for _ in range(1 << k):
-                (wl,) = struct.unpack_from("<H", table, pos)
-                pos += 2
-                words.append(tuple(table[pos : pos + wl]))
-                pos += wl
+                (wl,) = t.unpack("<H")
+                words.append(tuple(t.take(wl)))
+            if any(r >= nq for w in words for r in w):
+                raise FormatError(f"word set {key} uses a rank outside the alphabet")
             kvals = []
             index = {w: i for i, w in enumerate(words)}
             for w in words:
@@ -225,13 +241,18 @@ def _parse_dict(table: bytes, meta: bytes, k: int, o: int) -> MarlinDictionary:
                 level=lvl, words=words, kvals=kvals, raws=[0.0] * len(words)
             )
             level_layout[key] = list(range(len(words)))
-    p_escape, abr, qbits, thr, block_n = struct.unpack_from("<ddddI", meta, 0)
-    mpos = 8 * 4 + 4
-    (sid_len,) = struct.unpack_from("<H", meta, mpos)
-    mpos += 2
-    source_id = meta[mpos : mpos + sid_len].decode("utf-8")
-    mpos += sid_len
-    probs = np.frombuffer(meta, dtype="<f8", count=nq, offset=mpos)
+        if not set(levels) <= set(level_sets):
+            raise FormatError("a chapter names a word set the table does not hold")
+    t.finish()
+    m = _Reader(meta, "dictionary metadata")
+    p_escape, abr, qbits, thr, block_n = m.unpack("<ddddI")
+    (sid_len,) = m.unpack("<H")
+    try:
+        source_id = m.take(sid_len).decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError("dictionary source id is not UTF-8") from exc
+    probs = np.frombuffer(m.take(8 * nq), dtype="<f8")
+    m.finish()
     qspace = 256 >> shift if shift < 8 else 1
     excluded_bytes = frozenset(
         b for b in range(256) if (b >> shift) in excl_q
@@ -258,32 +279,33 @@ def _parse_dict(table: bytes, meta: bytes, k: int, o: int) -> MarlinDictionary:
 
 
 def load_dictset(buf: bytes) -> DictionarySet:
-    """Parse and digest-verify a serialized dictionary set."""
+    """Parse and digest-verify a serialized dictionary set.
+
+    Every malformed input, truncated or not, raises :class:`FormatError`.
+    """
+    r = _Reader(bytes(buf), "dictionary-set file")
     if buf[:4] != DICTSET_MAGIC:
         raise FormatError("not a dictionary-set file")
-    version, k, o, count = struct.unpack_from("<BBBB", buf, 4)
+    r.take(4)
+    version, k, o, count = r.unpack("<BBBB")
     if version != VERSION:
         raise FormatError(f"unsupported dictionary-set version {version}")
     if count == 0:
         raise FormatError("a dictionary set must contain at least one dictionary")
-    pos = 8
+    if k < 1 or o > k or k + o > MAX_CODE_BITS:
+        raise FormatError(f"unsupported code geometry K={k}, O={o}")
     digest = hashlib.sha256()
     digest.update(struct.pack("<BBB", k, o, count))
-    dicts = []
+    parts = []
     for _ in range(count):
-        tlen, mlen = struct.unpack_from("<II", buf, pos)
-        pos += 8
-        table = buf[pos : pos + tlen]
-        pos += tlen
-        meta = buf[pos : pos + mlen]
-        pos += mlen
-        if len(table) != tlen or len(meta) != mlen:
-            raise FormatError("dictionary-set file truncated")
+        tlen, mlen = r.unpack("<II")
+        table, meta = r.take(tlen), r.take(mlen)
         digest.update(table)
-        dicts.append(_parse_dict(bytes(table), bytes(meta), k, o))
-    stored = buf[pos : pos + 32]
-    if len(stored) != 32 or stored != digest.digest():
+        parts.append((table, meta))
+    if r.take(32) != digest.digest():
         raise FormatError("dictionary-set digest mismatch")
+    r.finish()
+    dicts = [_parse_dict(table, meta, k, o) for table, meta in parts]
     return DictionarySet(dicts, metadata={"k": k, "o": o})
 
 

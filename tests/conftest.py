@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from ricemarlin import MarlinDictionary, SymbolDistribution, split_alphabet
+from ricemarlin import (
+    MarlinDictionary,
+    SymbolDistribution,
+    SyntheticFamily,
+    build_dictionary_set,
+    make_distribution,
+    split_alphabet,
+)
 
 # Four-symbol alphabet used across the worked-example tests: bytes 0..3
 # stand in for a..d, most probable first.
@@ -58,3 +65,26 @@ def skewed_distribution(top: float = 0.9) -> SymbolDistribution:
     p = np.full(256, (1.0 - top) / 255)
     p[0] = top
     return SymbolDistribution(p / p.sum(), source_id="skewed")
+
+
+# The acceptance grid: 27 synthetic sources, one dictionary each, and the
+# message sizes every grid source is coded at.
+FAMILIES = ("laplacian", "poisson", "exponential")
+FRACTIONS = tuple(round(0.1 * i, 1) for i in range(1, 10))
+GRID_SIZES = (0, 1, 255, 256, 4095, 4096, 65536)
+
+
+@pytest.fixture(scope="session")
+def grid_distributions():
+    return {
+        (fam, frac): make_distribution(SyntheticFamily(fam, frac))
+        for fam in FAMILIES
+        for frac in FRACTIONS
+    }
+
+
+@pytest.fixture(scope="session")
+def grid_set(grid_distributions):
+    return build_dictionary_set(
+        {"grid": list(grid_distributions), "k": 8, "o": 4, "block_n": 4096}
+    )

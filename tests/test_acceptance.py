@@ -9,13 +9,13 @@ import time
 import numpy as np
 import pytest
 
-from conftest import A, B, C
+from conftest import GRID_SIZES, A, B, C
 from ricemarlin import (
+    DecoderTable,
     MarlinDictionary,
     SymbolDistribution,
     SyntheticFamily,
     best_dictionary_for,
-    build_decoder_table,
     build_dictionary_set,
     build_encoder_matrix,
     compress_bytes,
@@ -32,35 +32,15 @@ from ricemarlin.bench import (
 )
 from ricemarlin.source import uniform
 
-FAMILIES = ("laplacian", "poisson", "exponential")
-FRACTIONS = tuple(round(0.1 * i, 1) for i in range(1, 10))
-SIZES = (0, 1, 255, 256, 4095, 4096, 65536)
-
-
 def _report(num: int, text: str) -> None:
     print(f"\nACCEPTANCE {num}: PASS: {text}")
-
-
-@pytest.fixture(scope="module")
-def grid_distributions():
-    return {
-        (fam, frac): make_distribution(SyntheticFamily(fam, frac))
-        for fam in FAMILIES
-        for frac in FRACTIONS
-    }
-
-
-@pytest.fixture(scope="module")
-def grid_set(grid_distributions):
-    grid = [(fam, frac) for fam in FAMILIES for frac in FRACTIONS]
-    return build_dictionary_set({"grid": grid, "k": 8, "o": 4, "block_n": 4096})
 
 
 def test_criterion_1_roundtrip_exactness(grid_distributions, grid_set):
     start = time.perf_counter()
     checked = 0
     for (fam, frac), dist in grid_distributions.items():
-        for i, n in enumerate(SIZES):
+        for i, n in enumerate(GRID_SIZES):
             data = dist.sample(n, seed=1000 + i)
             assert decompress_bytes(compress_bytes(data, grid_set), grid_set) == data
             checked += 1
@@ -83,7 +63,7 @@ def test_criterion_1_roundtrip_exactness(grid_distributions, grid_set):
 
 
 def test_criterion_2_worked_decoding_example(worked_dictionary):
-    table = build_decoder_table(worked_dictionary)
+    table = DecoderTable(worked_dictionary)
     stream = bytes([0b10100110, 0b10000000])  # units 101 001 101, zero window
     out = decode_quotients(table, stream, 6)
     assert list(out) == [A, A, A, B, A, C]  # "aaabac"

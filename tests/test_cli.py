@@ -93,6 +93,18 @@ def test_decompress_wrong_set_exit_code(tmp_path, set_path):
     assert rc == EXIT_CORRUPT
 
 
+@pytest.mark.parametrize("keep", [10, 600])
+def test_compress_truncated_set_exits_corrupt(tmp_path, set_path, capsys, keep):
+    bad = tmp_path / "truncated.rmds"
+    bad.write_bytes(set_path.read_bytes()[:keep])
+    src = tmp_path / "t.bin"
+    src.write_bytes(b"\x02" * 3000)
+    rc = main(["compress", str(src), str(tmp_path / "t.rm"), "--set", str(bad)])
+    assert rc == EXIT_CORRUPT
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_image_mode_roundtrip(tmp_path, set_path):
     rng = np.random.default_rng(3)
     base = np.add.outer(

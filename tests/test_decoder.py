@@ -4,17 +4,19 @@ import pytest
 from conftest import A, B, C, D
 from ricemarlin import (
     CorruptBlockError,
+    DecoderTable,
     MarlinDictionary,
     SymbolDistribution,
     SyntheticFamily,
-    build_decoder_table,
     build_encoder_matrix,
     decode_block,
     decode_quotients,
     encode_block,
     make_distribution,
 )
+from ricemarlin.dictionary import DictionarySet
 from ricemarlin.encoder import CompressedBlock
+from ricemarlin.format import parse_block, serialize_block
 from ricemarlin.source import uniform
 
 
@@ -27,11 +29,17 @@ def test_quotient_reminder_identity_exhaustive():
 
 
 def test_table_entries_worked_dictionary(worked_dictionary):
-    table = build_decoder_table(worked_dictionary)
-    assert table.entry(0b0101) == ((A, A, A), 3)
-    assert table.entry(0b1000) == ((B, A, A, A), 4)
-    assert table.entry(0b0000) == ((A, A, A, A), 4)
-    assert table.entry(0b1111) == ((B,), 1)
+    table = DecoderTable(worked_dictionary)
+    assert worked_dictionary.word_at(0b0101) == (A, A, A)
+    assert worked_dictionary.word_at(0b1000) == (B, A, A, A)
+    assert worked_dictionary.word_at(0b0000) == (A, A, A, A)
+    assert worked_dictionary.word_at(0b1111) == (B,)
+    values = worked_dictionary.alphabet.values
+    for cw in range(worked_dictionary.n_codewords):
+        word = tuple(values[r] for r in worked_dictionary.word_at(cw))
+        assert table.lengths[cw] == len(word)
+        assert tuple(table.words[cw, : len(word)]) == word
+        assert not table.words[cw, len(word) :].any()
 
 
 def test_table_near_identity_dictionary():
@@ -39,35 +47,60 @@ def test_table_near_identity_dictionary():
     p = np.zeros(256)
     p[:3] = (0.5, 0.3, 0.2)
     dct = MarlinDictionary.build(SymbolDistribution(p), k=2, o=0, shift=0, threshold=2**-16)
-    table = build_decoder_table(dct)
+    table = DecoderTable(dct)
     assert sorted(table.lengths.tolist()) == [1, 1, 1, 2]
 
 
 def test_decode_worked_bitstream(worked_dictionary):
-    table = build_decoder_table(worked_dictionary)
+    table = DecoderTable(worked_dictionary)
     stream = bytes([0b10100110, 0b10000000])  # 101 001 101 zero-initialized
     out = decode_quotients(table, stream, 6)
     assert list(out) == [A, A, A, B, A, C]
 
 
 def test_decode_zero_symbols_consumes_nothing(worked_dictionary):
-    table = build_decoder_table(worked_dictionary)
+    table = DecoderTable(worked_dictionary)
     assert len(decode_quotients(table, b"", 0)) == 0
 
 
 def test_decode_exhaustion_raises(worked_dictionary):
-    table = build_decoder_table(worked_dictionary)
+    table = DecoderTable(worked_dictionary)
     with pytest.raises(CorruptBlockError):
         decode_quotients(table, bytes([0b10100110]), 100)
     with pytest.raises(CorruptBlockError):
         decode_quotients(table, b"", 1)
 
 
+def test_decode_rejects_overrun_and_extra_units(worked_dictionary):
+    table = DecoderTable(worked_dictionary)
+    stream = bytes([0b10100110, 0b10000000])  # three words, six symbols
+    with pytest.raises(CorruptBlockError, match="overruns"):
+        decode_quotients(table, stream, 4)  # the second word ends at symbol 5
+    with pytest.raises(CorruptBlockError, match="3 bytes"):
+        decode_quotients(table, stream + b"\x00", 6)
+    with pytest.raises(CorruptBlockError):
+        decode_quotients(table, b"\x00", 0)
+
+
+def test_inserted_quotient_byte_is_corrupt():
+    dist = make_distribution(SyntheticFamily("laplacian", 0.5))
+    dct = MarlinDictionary.build(dist, k=8, o=4, shift=2, threshold=2**-10)
+    msg = dist.sample(4096, seed=8)
+    buf = serialize_block(encode_block(dct, None, msg), 4096)
+    assert buf[0] == 0  # not raw: the quotient section starts at byte 2
+    dset = DictionarySet([dct])
+    assert decode_block(dset, parse_block(buf, 4096, dset), 4096) == msg
+    for at in (2, 3, 40):  # first, second and a middle quotient byte
+        bad = buf[:at] + bytes([buf[at]]) + buf[at:]
+        with pytest.raises(CorruptBlockError):
+            decode_block(dset, parse_block(bad, 4096, dset), 4096)
+
+
 def test_decode_quotients_matches_encoder_stage_one():
     dist = make_distribution(SyntheticFamily("laplacian", 0.5))
     dct = MarlinDictionary.build(dist, k=8, o=4, shift=2, threshold=2**-10)
     matrix = build_encoder_matrix(dct)
-    table = build_decoder_table(dct)
+    table = DecoderTable(dct)
     rank_lut = dct.alphabet.rank_lut()
     values = np.asarray(dct.alphabet.values, dtype=np.uint8)
     rng = np.random.default_rng(11)
@@ -79,7 +112,7 @@ def test_decode_quotients_matches_encoder_stage_one():
             continue
         ranks = rank_lut[np.frombuffer(msg, np.uint8)]
         expected = values[np.where(ranks < 0, 0, ranks)]
-        got = decode_quotients(table, block.quotient_stream, n, check_exact=True)
+        got = decode_quotients(table, block.quotient_stream, n)
         assert np.array_equal(got, expected)
 
 

@@ -5,11 +5,11 @@ import pytest
 
 from ricemarlin import (
     CorruptBlockError,
+    DecoderTable,
     FormatError,
     MarlinDictionary,
     SymbolDistribution,
     SyntheticFamily,
-    build_decoder_table,
     build_dictionary_set,
     build_encoder_matrix,
     compress_bytes,
@@ -134,7 +134,7 @@ def test_dictset_roundtrip_reproduces_tables(tiny_set):
         assert a.shift == b.shift
         assert a.levels == b.levels
         assert a.abr == pytest.approx(b.abr, rel=1e-12)
-        ta, tb = build_decoder_table(a), build_decoder_table(b)
+        ta, tb = DecoderTable(a), DecoderTable(b)
         assert np.array_equal(ta.words, tb.words)
         assert np.array_equal(ta.lengths, tb.lengths)
         ma, mb = build_encoder_matrix(a), build_encoder_matrix(b)
@@ -169,6 +169,30 @@ def test_dictset_corrupted_table_rejected(tiny_set):
 def test_dictset_rejects_wrong_magic():
     with pytest.raises(FormatError):
         load_dictset(b"NOPE" + b"\x00" * 64)
+
+
+def test_dictset_mutations_raise_format_error_or_load(tiny_set):
+    # truncations, bit flips and byte insertions anywhere in the file
+    data = save_dictset(tiny_set)
+    msg = make_distribution(SyntheticFamily("laplacian", 0.5)).sample(1500, seed=6)
+    rng = np.random.default_rng(2026)
+    loaded_count = 0
+    for i in range(300):
+        buf = bytearray(data)
+        at = int(rng.integers(0, len(buf)))
+        if i % 3 == 0:
+            del buf[at:]
+        elif i % 3 == 1:
+            buf[at] ^= 1 << int(rng.integers(0, 8))
+        else:
+            buf.insert(at, int(rng.integers(0, 256)))
+        try:
+            loaded = load_dictset(bytes(buf))
+        except FormatError:
+            continue
+        loaded_count += 1
+        assert decompress_bytes(compress_bytes(msg, loaded), loaded) == msg
+    assert loaded_count < 100
 
 
 def test_empty_set_unrepresentable():
