@@ -16,7 +16,6 @@ from .dictionary import (
     default_set_config,
     efficiency,
     grow_chapter,
-    select_dictionary,
     shift_efficiency_bound,
     split_alphabet,
 )
@@ -24,7 +23,6 @@ from .decoder import DecoderTable, decode_block, decode_quotients
 from .encoder import (
     CompressedBlock,
     EncoderMatrix,
-    build_encoder_matrix,
     encode_block,
     pack_reminders,
 )
@@ -71,7 +69,6 @@ __all__ = [
     "assign_codewords",
     "best_dictionary_for",
     "build_dictionary_set",
-    "build_encoder_matrix",
     "compress_bytes",
     "decode_block",
     "decode_quotients",
@@ -87,7 +84,6 @@ __all__ = [
     "pack_reminders",
     "parse_block",
     "save_dictset",
-    "select_dictionary",
     "serialize_block",
     "shift_efficiency_bound",
     "split_alphabet",

@@ -15,7 +15,7 @@ from .dictionary import (
     efficiency,
     shift_efficiency_bound,
 )
-from .encoder import build_encoder_matrix, encode_block
+from .encoder import EncoderMatrix, encode_block
 from .errors import BuildError, EntropyTargetError
 from .format import compress_bytes, decompress_bytes, serialize_block
 from .source import SymbolDistribution, SyntheticFamily, make_distribution
@@ -25,7 +25,7 @@ def measured_bits_per_symbol(
     dct: MarlinDictionary, sample: bytes, block_n: int = 4096, dict_index: int = 0
 ) -> float:
     """Actual compressed bits per symbol, excluding per-block headers."""
-    matrix = build_encoder_matrix(dct) if not dct.empty_quotient else None
+    matrix = EncoderMatrix(dct) if not dct.empty_quotient else None
     total_bits = 0
     for pos in range(0, len(sample), block_n):
         chunk = sample[pos : pos + block_n]
@@ -98,7 +98,7 @@ def synthetic_study(
                             fraction=fraction,
                             size=size,
                             shift=shift,
-                            threshold=getattr(dct, "search_threshold", 0.0),
+                            threshold=dct.search_threshold,
                             entropy=h,
                             predicted_eta=efficiency(dct, dist, block_n),
                             measured_eta=h / measured if measured > 0 else 1.0,

@@ -59,7 +59,7 @@ def _cmd_build_dictset(args) -> int:
         eta = efficiency(dct, dist, dct.block_n)
         print(
             f"{i:3d}  {dct.source_id:<16s}  {dct.shift}  "
-            f"{getattr(dct, 'search_threshold', 0.0):9.3g}  {eta:6.4f}"
+            f"{dct.search_threshold:9.3g}  {eta:6.4f}"
         )
     return EXIT_OK
 

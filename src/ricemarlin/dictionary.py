@@ -11,6 +11,7 @@ exclusion level) the next codeword is read from.
 from __future__ import annotations
 
 import heapq
+import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 
@@ -179,14 +180,16 @@ def grow_chapter(coding, level: int, size: int) -> LevelWords:
 # ---------------------------------------------------------------------------
 # codeword layout
 
-def _assignable(kvals: list[int], levels: list[int], k: int, o: int) -> bool:
-    """Hall condition: words needing low exclusion levels fit the slots offering them."""
+def _assignable(sorted_kvals: list[int], levels: list[int], k: int, o: int) -> bool:
+    """Hall condition: words needing low exclusion levels fit the slots offering them.
+
+    ``sorted_kvals`` are a word set's child counts in ascending order.
+    """
     cap = 1 << (k - o)
-    ks = sorted(kvals)
     for level in sorted(set(levels)):
         if level == 0:
             continue
-        short = bisect_left(ks, level)  # words with k < level
+        short = bisect_left(sorted_kvals, level)  # words with k < level
         roomy = cap * sum(1 for v in levels if v < level)
         if short > roomy:
             return False
@@ -245,6 +248,7 @@ class MarlinDictionary:
         source_id: str = "custom",
         block_n: int = 4096,
         empty_quotient: bool = False,
+        search_threshold: float = 0.0,
     ):
         _validate_ko(k, o)
         self.k = k
@@ -256,6 +260,8 @@ class MarlinDictionary:
         self.source_id = source_id
         self.block_n = block_n
         self.empty_quotient = empty_quotient
+        # the searched threshold that produced this dictionary; 0.0 if unsearched
+        self.search_threshold = search_threshold
         self.abr: float = float("nan")
         self.quotient_bits: float = 0.0  # K / mean parse length under training dist
         self.stationary: np.ndarray | None = None
@@ -357,14 +363,16 @@ class MarlinDictionary:
         coding = alphabet.coding_probs
         levels = [min(c, nq - 1) for c in range(1 << o)]
         grown: dict[int, LevelWords] = {}
-        while True:
-            for lvl in set(levels):
-                if lvl not in grown:
-                    grown[lvl] = grow_chapter(coding, lvl, 1 << k)
-            if all(
-                _assignable(grown[lvl].kvals, levels, k, o) for lvl in set(levels)
-            ):
-                break
+        sorted_kvals: dict[int, list[int]] = {}
+
+        def fits(lvl: int) -> bool:
+            # a word set is grown only once the check reaches its level
+            if lvl not in grown:
+                grown[lvl] = grow_chapter(coding, lvl, 1 << k)
+                sorted_kvals[lvl] = sorted(grown[lvl].kvals)
+            return _assignable(sorted_kvals[lvl], levels, k, o)
+
+        while not all(fits(lvl) for lvl in sorted(set(levels))):
             # demote the chapter with the hardest exclusion promise
             top = max(levels)
             levels[max(i for i, v in enumerate(levels) if v == top)] = top - 1
@@ -714,8 +722,40 @@ def shift_efficiency_bound(dist: SymbolDistribution, shift: int) -> float:
     return h / (shift + hq)
 
 
+def _eta_ceiling(
+    dist: SymbolDistribution, shift: int, thresholds: tuple[float, ...], block_n: int
+) -> float:
+    """Upper bound on eta over every dictionary at ``shift`` and ``thresholds``.
+
+    A dictionary is a lossless code for the quotient stream with escapes
+    parsed as the placeholder, so its quotient bits are at least that
+    stream's entropy: ABR >= S + H(coding) + escape bits at each threshold.
+    This is :func:`shift_efficiency_bound` with escapes priced as
+    :func:`abr_estimate` prices them.  The plain bound can be exceeded: an
+    escaped quotient rarer than about 2^-(8 * (1 + location bytes)) is
+    modelled below its information.
+    """
+    qp = dist.quotient_probs(shift)
+    esc_bits = 8.0 * (1 + loc_bytes(block_n))
+    floor = math.inf
+    for threshold in thresholds:
+        keep = qp >= threshold
+        if keep.any():
+            coding = qp[keep]
+            p_esc = float(qp[~keep].sum())
+            coding[np.argmax(coding)] += p_esc
+            floor = min(floor, entropy(coding) + p_esc * esc_bits)
+    if shift + floor == 0.0:
+        return 1.0
+    return dist.entropy() / (shift + floor)
+
+
 # ---------------------------------------------------------------------------
 # search
+
+#: eta and its bound are rounded along different paths; a shift is skipped
+#: only when its bound falls short by more than this
+_PRUNE_SLACK = 1e-12
 
 
 def best_dictionary_for(
@@ -729,19 +769,29 @@ def best_dictionary_for(
 ) -> MarlinDictionary:
     """Search (S, threshold) and return the dictionary maximizing H(X)/ABR.
 
-    Ties prefer the smaller shift, then the smaller threshold.
+    Ties prefer the smaller shift, then the smaller threshold.  Shifts are
+    tried in decreasing order of an upper bound on their eta, and a shift
+    whose bound is below the best eta found so far is skipped.  No
+    dictionary at such a shift could win, so the result is that of trying
+    every shift.
     """
     _validate_ko(k, o)
+    bounds = {
+        shift: _eta_ceiling(dist, shift, thresholds, block_n) for shift in shifts
+    }
     best: tuple[float, int, float] | None = None
     best_dct: MarlinDictionary | None = None
-    errors: list[str] = []
+    # failures per shift, kept in the caller's order for the error message
+    errors: dict[int, list[str]] = {shift: [] for shift in bounds}
     seen: dict[tuple[int, frozenset[int]], bool] = {}
-    for shift in shifts:
+    for shift in sorted(bounds, key=lambda s: (-bounds[s], s)):
+        if best is not None and bounds[shift] + _PRUNE_SLACK < -best[0]:
+            continue
         for threshold in thresholds:
             try:
                 alphabet = split_alphabet(dist, shift, threshold)
             except BuildError as exc:
-                errors.append(f"S={shift} thr={threshold:g}: {exc}")
+                errors[shift].append(f"S={shift} thr={threshold:g}: {exc}")
                 continue
             sig = (shift, alphabet.excluded)
             if sig in seen:
@@ -752,18 +802,19 @@ def best_dictionary_for(
                     dist, k, o, alphabet, block_n=block_n, source_id=source_id
                 )
             except BuildError as exc:
-                errors.append(f"S={shift} thr={threshold:g}: {exc}")
+                errors[shift].append(f"S={shift} thr={threshold:g}: {exc}")
                 continue
-            dct.search_threshold = threshold
             eta = efficiency(dct, dist, block_n)
             key = (-eta, shift, threshold)
             if best is None or key < best:
                 best = key
                 best_dct = dct
     if best_dct is None:
+        failures = [e for msgs in errors.values() for e in msgs]
         raise BuildError(
-            "no (S, threshold) candidate could be built: " + "; ".join(errors[:4])
+            "no (S, threshold) candidate could be built: " + "; ".join(failures[:4])
         )
+    best_dct.search_threshold = best[2]
     return best_dct
 
 
@@ -858,11 +909,6 @@ def _cost_matrix(dset: DictionarySet, loc_width: int) -> np.ndarray:
         cost += np.where(escaped, esc_bits + qbits[0], qbits[rank])
         rows.append(cost)
     return np.array(rows)
-
-
-def select_dictionary(dset: DictionarySet, hist: SymbolDistribution, block_n: int) -> int:
-    """Index of the set entry whose recomputed ABR on ``hist`` is lowest."""
-    return dset.select(hist, block_n)
 
 
 def default_set_config() -> dict:

@@ -133,11 +133,6 @@ class EncoderMatrix:
         return out
 
 
-def build_encoder_matrix(dct: MarlinDictionary) -> EncoderMatrix:
-    """Matrix prefix tree for ``dct``; rows are ranks, most probable first."""
-    return EncoderMatrix(dct)
-
-
 def pack_reminders(message: bytes, s: int) -> bytes:
     """Concatenated S low bits of each byte, most significant reminder bit first."""
     if not 0 <= s <= 8:
@@ -167,7 +162,7 @@ def encode_block(
         stream = b""
     else:
         if matrix is None:
-            matrix = build_encoder_matrix(dct)
+            matrix = EncoderMatrix(dct)
         ranks = np.where(rank < 0, 0, rank).tolist()
         codewords = matrix.walk(ranks, check=check)
         units = np.asarray(codewords, dtype=np.uint32) & (dct.words_per_chapter - 1)

@@ -22,7 +22,7 @@ from .dictionary import (
     MarlinDictionary,
     QuotientAlphabet,
 )
-from .encoder import CompressedBlock, build_encoder_matrix, encode_block
+from .encoder import CompressedBlock, EncoderMatrix, encode_block
 from .decoder import decode_block
 from .errors import CorruptBlockError, FormatError
 from .image import BLOCK_EDGE, block_geometry
@@ -147,7 +147,7 @@ def _dict_meta_bytes(dct: MarlinDictionary) -> bytes:
     return (
         struct.pack(
             "<ddddI", dct.alphabet.p_escape, dct.abr, dct.quotient_bits,
-            getattr(dct, "search_threshold", 0.0), dct.block_n,
+            dct.search_threshold, dct.block_n,
         )
         + struct.pack("<H", len(sid))
         + sid
@@ -271,10 +271,10 @@ def _parse_dict(table: bytes, meta: bytes, k: int, o: int) -> MarlinDictionary:
     dct = MarlinDictionary(
         k, o, alphabet, levels, level_sets, level_layout,
         source_id=source_id, block_n=block_n, empty_quotient=bool(empty_q),
+        search_threshold=thr,
     )
     dct.abr = abr
     dct.quotient_bits = qbits
-    dct.search_threshold = thr
     return dct
 
 
@@ -388,7 +388,7 @@ class ContainerHeader:
 def _matrix_for(dct: MarlinDictionary):
     matrix = getattr(dct, "_encoder_matrix", None)
     if matrix is None and not dct.empty_quotient:
-        matrix = build_encoder_matrix(dct)
+        matrix = EncoderMatrix(dct)
         dct._encoder_matrix = matrix
     return matrix
 

@@ -12,12 +12,12 @@ import pytest
 from conftest import GRID_SIZES, A, B, C
 from ricemarlin import (
     DecoderTable,
+    EncoderMatrix,
     MarlinDictionary,
     SymbolDistribution,
     SyntheticFamily,
     best_dictionary_for,
     build_dictionary_set,
-    build_encoder_matrix,
     compress_bytes,
     decode_quotients,
     decompress_bytes,
@@ -187,7 +187,7 @@ def test_criterion_8_structural_invariants(grid_distributions, grid_set):
         else:
             d_dist = toy_dist
         dct = MarlinDictionary.build(d_dist, k=k, o=o, shift=0, threshold=2**-16)
-        matrix = build_encoder_matrix(dct)
+        matrix = EncoderMatrix(dct)
         msg = d_dist.sample(10**7, seed=4242)
         ranks = dct.alphabet.rank_lut()[np.frombuffer(msg, np.uint8)].tolist()
         n_words = len(matrix.walk(ranks, check=True))

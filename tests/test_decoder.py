@@ -5,10 +5,10 @@ from conftest import A, B, C, D
 from ricemarlin import (
     CorruptBlockError,
     DecoderTable,
+    EncoderMatrix,
     MarlinDictionary,
     SymbolDistribution,
     SyntheticFamily,
-    build_encoder_matrix,
     decode_block,
     decode_quotients,
     encode_block,
@@ -99,7 +99,7 @@ def test_inserted_quotient_byte_is_corrupt():
 def test_decode_quotients_matches_encoder_stage_one():
     dist = make_distribution(SyntheticFamily("laplacian", 0.5))
     dct = MarlinDictionary.build(dist, k=8, o=4, shift=2, threshold=2**-10)
-    matrix = build_encoder_matrix(dct)
+    matrix = EncoderMatrix(dct)
     table = DecoderTable(dct)
     rank_lut = dct.alphabet.rank_lut()
     values = np.asarray(dct.alphabet.values, dtype=np.uint8)
@@ -153,7 +153,7 @@ def test_decode_is_deterministic(worked_dictionary):
 def test_full_pipeline_fuzz(fam, frac):
     dist = make_distribution(SyntheticFamily(fam, frac))
     dct = MarlinDictionary.build(dist, k=8, o=4, shift=1, threshold=2**-10)
-    matrix = build_encoder_matrix(dct)
+    matrix = EncoderMatrix(dct)
     rng = np.random.default_rng(hash(fam) & 0xFFFF)
     for _ in range(300):
         n = int(rng.integers(0, 1500))

@@ -4,17 +4,16 @@ import pytest
 from conftest import A, B, C, D, skewed_distribution
 from ricemarlin import (
     BuildError,
+    EncoderMatrix,
     MarlinDictionary,
     SymbolDistribution,
     SyntheticFamily,
     abr_estimate,
     best_dictionary_for,
     build_dictionary_set,
-    build_encoder_matrix,
     efficiency,
     grow_chapter,
     make_distribution,
-    select_dictionary,
     shift_efficiency_bound,
     split_alphabet,
 )
@@ -235,7 +234,7 @@ def test_stationary_is_stochastic(abcd_dist):
 
 def test_stationary_matches_monte_carlo_toy(abcd_dist):
     dct = MarlinDictionary.build(abcd_dist, k=3, o=1, shift=0, threshold=2**-16)
-    matrix = build_encoder_matrix(dct)
+    matrix = EncoderMatrix(dct)
     msg = abcd_dist.sample(10**7, seed=42)
     ranks = dct.alphabet.rank_lut()[np.frombuffer(msg, np.uint8)].tolist()
     cws = np.asarray(matrix.walk(ranks, check=True))
@@ -419,18 +418,18 @@ def small_set():
 def test_select_training_distribution_wins(small_set):
     for i, frac in enumerate((0.1, 0.3, 0.5, 0.7, 0.9)):
         dist = make_distribution(SyntheticFamily("laplacian", frac))
-        chosen = select_dictionary(small_set, dist, 4096)
+        chosen = small_set.select(dist, 4096)
         assert abr_estimate(small_set[chosen], dist, 4096) <= abr_estimate(
             small_set[i], dist, 4096
         ) + 1e-12
 
 
 def test_select_point_mass_takes_lowest_entropy(small_set):
-    assert select_dictionary(small_set, skewed_distribution(0.999), 4096) == 0
+    assert small_set.select(skewed_distribution(0.999), 4096) == 0
 
 
 def test_select_uniform_takes_largest_shift(small_set):
-    chosen = select_dictionary(small_set, uniform(), 4096)
+    chosen = small_set.select(uniform(), 4096)
     max_shift = max(d.shift for d in small_set.dictionaries)
     assert small_set[chosen].shift == max_shift
 

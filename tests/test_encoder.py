@@ -3,10 +3,10 @@ import pytest
 
 from conftest import A, B, C, D
 from ricemarlin import (
+    EncoderMatrix,
     MarlinDictionary,
     SymbolDistribution,
     SyntheticFamily,
-    build_encoder_matrix,
     encode_block,
     make_distribution,
     pack_reminders,
@@ -27,7 +27,7 @@ def cw_of(dct, chapter, word_values):
 
 def test_matrix_extends_within_chapter(worked_dictionary):
     dct = worked_dictionary
-    m = build_encoder_matrix(dct)
+    m = EncoderMatrix(dct)
     sr = m.row_bits
     state_aa = cw_of(dct, 0, (A, A))  # 0011
     cell = m.cells[(state_aa << sr) | A]
@@ -37,7 +37,7 @@ def test_matrix_extends_within_chapter(worked_dictionary):
 
 def test_matrix_emits_on_mismatch(worked_dictionary):
     dct = worked_dictionary
-    m = build_encoder_matrix(dct)
+    m = EncoderMatrix(dct)
     sr = m.row_bits
     state_aa = cw_of(dct, 0, (A, A))
     cell = m.cells[(state_aa << sr) | B]
@@ -50,7 +50,7 @@ def test_matrix_emits_on_mismatch(worked_dictionary):
 def test_matrix_chain_dictionary_emits_every_max_length():
     # all mass on one quotient: growth follows the single deepest chain
     dct = MarlinDictionary.build(point_mass(0), k=3, o=0, shift=6, threshold=0.0)
-    m = build_encoder_matrix(dct)
+    m = EncoderMatrix(dct)
     max_len = dct.max_word_len()
     assert max_len == (1 << 3) - len(dct.alphabet) + 1
     codewords = m.walk([0] * (3 * max_len), check=True)
@@ -59,7 +59,7 @@ def test_matrix_chain_dictionary_emits_every_max_length():
 
 def test_walk_worked_example_bitstream(worked_dictionary):
     dct = worked_dictionary
-    m = build_encoder_matrix(dct)
+    m = EncoderMatrix(dct)
     codewords = m.walk([A, A, A, B, A, C], check=True)
     assert codewords == [0b0101, 0b1001, 0b1101]
     units = [cw & 0b111 for cw in codewords]
@@ -155,7 +155,7 @@ def test_placeholder_substitution_keeps_reminders():
 
 def test_emitted_units_count_matches_parse(worked_dictionary):
     dct = worked_dictionary
-    m = build_encoder_matrix(dct)
+    m = EncoderMatrix(dct)
     rng = np.random.default_rng(5)
     for _ in range(50):
         n = int(rng.integers(1, 64))
@@ -175,7 +175,7 @@ def test_matrix_never_consults_traps_across_fuzz():
     ]:
         dist = make_distribution(SyntheticFamily(fam, frac))
         dct = MarlinDictionary.build(dist, k=k, o=o, shift=s, threshold=2**-8)
-        m = build_encoder_matrix(dct)
+        m = EncoderMatrix(dct)
         rng = np.random.default_rng(99)
         for _ in range(20):
             msg = bytes(rng.integers(0, 256, 2048, dtype=np.uint8))
@@ -185,7 +185,7 @@ def test_matrix_never_consults_traps_across_fuzz():
 def test_per_chapter_walks_start_anywhere(worked_dictionary):
     # parsing from any chapter over admissible sequences always succeeds
     dct = worked_dictionary
-    m = build_encoder_matrix(dct)
+    m = EncoderMatrix(dct)
     rng = np.random.default_rng(17)
     for c in range(dct.n_chapters):
         lvl = dct.exclusion_level(c)

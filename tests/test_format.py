@@ -6,12 +6,12 @@ import pytest
 from ricemarlin import (
     CorruptBlockError,
     DecoderTable,
+    EncoderMatrix,
     FormatError,
     MarlinDictionary,
     SymbolDistribution,
     SyntheticFamily,
     build_dictionary_set,
-    build_encoder_matrix,
     compress_bytes,
     decompress_bytes,
     encode_block,
@@ -67,7 +67,7 @@ def test_parse_inverts_serialize_fuzzed(tiny_set):
     rng = np.random.default_rng(3)
     dist = make_distribution(SyntheticFamily("laplacian", 0.5))
     dct = tiny_set[1]
-    matrix = build_encoder_matrix(dct)
+    matrix = EncoderMatrix(dct)
     for _ in range(100):
         n = int(rng.integers(0, 2000))
         msg = dist.sample(n, seed=int(rng.integers(1 << 30)))
@@ -137,7 +137,7 @@ def test_dictset_roundtrip_reproduces_tables(tiny_set):
         ta, tb = DecoderTable(a), DecoderTable(b)
         assert np.array_equal(ta.words, tb.words)
         assert np.array_equal(ta.lengths, tb.lengths)
-        ma, mb = build_encoder_matrix(a), build_encoder_matrix(b)
+        ma, mb = EncoderMatrix(a), EncoderMatrix(b)
         assert ma.cells == mb.cells
     # byte-identical re-serialization
     assert save_dictset(loaded) == data
