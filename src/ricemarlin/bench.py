@@ -137,7 +137,6 @@ class BenchReport:
     decode_mib_s: float
     encode_runs: list[float] = field(default_factory=list)
     decode_runs: list[float] = field(default_factory=list)
-    jobs: int = 1
 
     @property
     def ratio(self) -> float:
@@ -147,8 +146,7 @@ class BenchReport:
         return (
             f"ratio {self.ratio:.4f}  "
             f"encode {self.encode_mib_s:.2f} MiB/s  "
-            f"decode {self.decode_mib_s:.2f} MiB/s  "
-            f"({self.jobs} worker{'s' if self.jobs != 1 else ''})"
+            f"decode {self.decode_mib_s:.2f} MiB/s"
         )
 
 
@@ -190,49 +188,4 @@ def speed_bench(
         decode_mib_s=mib / _median(dec_times),
         encode_runs=enc_times,
         decode_runs=dec_times,
-    )
-
-
-def parallel_speed_bench(
-    corpus: bytes,
-    dset: DictionarySet,
-    block_size: int = 4096,
-    runs: int = 3,
-    jobs: int = 2,
-) -> BenchReport:
-    """Multi-process block encoding/decoding throughput."""
-    from concurrent.futures import ProcessPoolExecutor
-
-    from . import _parallel
-
-    if len(corpus) == 0:
-        raise ValueError("benchmark corpus is empty")
-    mib = len(corpus) / (1 << 20)
-    chunk = max(block_size, (len(corpus) + jobs - 1) // jobs)
-    chunk = (chunk + block_size - 1) // block_size * block_size
-    parts = [corpus[i : i + chunk] for i in range(0, len(corpus), chunk)]
-    with ProcessPoolExecutor(
-        max_workers=jobs, initializer=_parallel.init_worker,
-        initargs=(_parallel.freeze_set(dset), block_size),
-    ) as pool:
-        warm = list(pool.map(_parallel.compress_part, parts))
-        enc_times = []
-        for _ in range(runs):
-            t0 = time.perf_counter()
-            list(pool.map(_parallel.compress_part, parts))
-            enc_times.append(time.perf_counter() - t0)
-        dec_times = []
-        list(pool.map(_parallel.decompress_part, warm))
-        for _ in range(runs):
-            t0 = time.perf_counter()
-            list(pool.map(_parallel.decompress_part, warm))
-            dec_times.append(time.perf_counter() - t0)
-    return BenchReport(
-        original_bytes=len(corpus),
-        compressed_bytes=sum(len(p) for p in warm),
-        encode_mib_s=mib / _median(enc_times),
-        decode_mib_s=mib / _median(dec_times),
-        encode_runs=enc_times,
-        decode_runs=dec_times,
-        jobs=jobs,
     )

@@ -139,7 +139,7 @@ def _cmd_bench_synthetic(args) -> int:
 
 
 def _cmd_bench_speed(args) -> int:
-    from .bench import parallel_speed_bench, speed_bench
+    from .bench import speed_bench
 
     dset = _load_set(args.set)
     corpus = b"".join(Path(p).read_bytes() for p in args.corpus)
@@ -147,16 +147,9 @@ def _cmd_bench_speed(args) -> int:
         print("error: benchmark corpus is empty", file=sys.stderr)
         return EXIT_FAILURE
     report = speed_bench(corpus, dset, args.block_size, runs=args.runs)
-    print("single-threaded:", report.summary())
-    lines = [report.summary()]
-    if args.jobs > 1:
-        preport = parallel_speed_bench(
-            corpus, dset, args.block_size, runs=args.runs, jobs=args.jobs
-        )
-        print(f"{args.jobs} workers:   ", preport.summary())
-        lines.append(preport.summary())
+    print(report.summary())
     if args.csv:
-        Path(args.csv).write_text("\n".join(lines) + "\n")
+        Path(args.csv).write_text(report.summary() + "\n")
     return EXIT_OK
 
 
@@ -211,7 +204,6 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--set", required=True)
     v.add_argument("--block-size", type=int, default=4096)
     v.add_argument("--runs", type=int, default=5)
-    v.add_argument("--jobs", type=int, default=1)
     v.add_argument("--csv")
     v.set_defaults(fn=_cmd_bench_speed)
     return p

@@ -714,7 +714,15 @@ def efficiency(dct: MarlinDictionary, dist: SymbolDistribution, block_n: int | N
 
 
 def shift_efficiency_bound(dist: SymbolDistribution, shift: int) -> float:
-    """Upper bound on eta at a given shift: reminders are stored verbatim."""
+    """Escape-free bound on eta at a given shift: reminders are stored verbatim.
+
+    This is H(X) / (S + H(quotient)), the bound for a dictionary that codes
+    every quotient.  A dictionary can exceed it: :func:`abr_estimate` prices
+    an escape at 8 * (1 + location bytes) bits, below the information of a
+    quotient rarer than about 2^-24, so escaping such a quotient can push eta
+    slightly above this value.  :func:`_eta_ceiling` is the bound with
+    escapes priced that way.
+    """
     h = dist.entropy()
     hq = entropy(dist.quotient_probs(shift))
     if shift + hq == 0.0:

@@ -1,9 +1,10 @@
 """Three-stage block encoder.
 
-Stage 1 walks a matrix-shaped prefix tree over the quotient stream
-(escaped quotients already substituted by the placeholder) and emits K-bit
-codeword units.  Stage 2 records each escaped symbol as a location/value
-pair.  Stage 3 packs the S low bits of every original byte.
+Stage 1 walks the prefix tree, as a graph of (word set, offset) nodes, over
+the quotient stream (escaped quotients already substituted by the
+placeholder), several ranks per step, and emits K-bit codeword units.
+Stage 2 records each escaped symbol as a location/value pair.  Stage 3 packs
+the S low bits of every original byte.
 """
 
 from __future__ import annotations
@@ -17,7 +18,9 @@ from .bitpack import loc_bytes, pack_low_bits, pack_units
 from .dictionary import RAW_INDEX, MarlinDictionary
 from .errors import CorruptBlockError
 
-TRAP = -2  # cell for transitions the safety invariant makes unreachable
+# entries of an m-step table; m is the largest step count that fits, so the
+# tables of the dictionaries a run touches stay a few MiB in all
+STEP_TABLE_CAP = 1 << 18
 
 
 @dataclass
@@ -51,86 +54,99 @@ class CompressedBlock:
 
 
 class EncoderMatrix:
-    """Prefix tree as a state matrix: column = current codeword, row = next rank.
+    """Prefix tree as a node graph, walked ``m`` ranks per Python step.
 
-    Cells pack ``(next_state_base << 1) | emit`` where a state base is the
-    codeword pre-shifted by the row-index width, so the walk needs one index
-    and two shifts per symbol.
+    Chapters that share a word set also share its codeword layout, so a
+    walk state is a node ``ki * 2**K + offset``: word-set key ``ki`` (an
+    index into ``sorted(set(dct.levels))``) at a K-bit codeword offset.
+    ``nxt[node, r]`` is the node after rank ``r``: the child word when ``r``
+    extends the node's word, else (the word is emitted) the single-symbol
+    word ``(r,)`` of chapter ``offset & omask``.  ``starts_word[node]`` is
+    true for single-symbol words, so a transition emits exactly when it
+    lands on one.  Inadmissible transitions lead to the absorbing trap node
+    ``nn``.  ``table[key * (nn + 1) + node]`` is the node after the
+    ``m`` ranks whose mixed-radix value is ``key`` (``r1 * nq**(m-1) + ...``);
+    it is stored key-major so a walk step is one add and one subscript.
     """
 
     def __init__(self, dct: MarlinDictionary):
         self.dct = dct
-        nq = max(1, len(dct.alphabet))
-        self.row_bits = max(1, (nq - 1).bit_length())
-        n_states = dct.n_codewords
-        sr = self.row_bits
-        cell_bits = (dct.k + dct.o) + sr + 1
-        self._dtype = np.int32 if cell_bits < 31 else np.int64
-        mat = np.full((n_states, 1 << sr), TRAP, dtype=self._dtype)
-
-        omask = dct.n_chapters - 1
-        kwords = dct.words_per_chapter
-        # emit targets: next chapter v, row r -> single-symbol word r there
-        emit_target = np.full((dct.n_chapters, 1 << sr), TRAP, dtype=self._dtype)
-        for v in range(dct.n_chapters):
-            lw = dct.level_sets[dct.levels[v]]
-            layout = dct.level_layout[dct.levels[v]]
-            offset_of = {lw.words[i][0]: off for off, i in enumerate(layout) if len(lw.words[i]) == 1}
-            for r, off in offset_of.items():
-                emit_target[v, r] = (((v * kwords + off) << sr) << 1) | 1
-
-        for c in range(dct.n_chapters):
-            base_cw = c * kwords
-            lw = dct.level_sets[dct.levels[c]]
-            layout = dct.level_layout[dct.levels[c]]
-            offset_of_word = {lw.words[i]: off for off, i in enumerate(layout)}
-            rows = np.arange(kwords) & omask
-            mat[base_cw : base_cw + kwords, :] = emit_target[rows]
+        k, nq = dct.k, len(dct.alphabet)
+        keys = sorted(set(dct.levels))
+        key_of = {lvl: ki for ki, lvl in enumerate(keys)}
+        self.nn = nn = len(keys) << k
+        self.single = np.full((len(keys), nq), nn, dtype=np.int32)
+        child = np.full((nn, nq), nn, dtype=np.int32)
+        kvals = np.zeros(nn, dtype=np.int32)
+        for ki, lvl in enumerate(keys):
+            lw, base = dct.level_sets[lvl], ki << k
+            layout = dct.level_layout[lvl]
+            node_of = {lw.words[i]: base + off for off, i in enumerate(layout)}
             for off, i in enumerate(layout):
                 w = lw.words[i]
-                for r in range(lw.kvals[i]):
-                    child_off = offset_of_word[w + (r,)]
-                    mat[base_cw + off, r] = ((base_cw + child_off) << sr) << 1
-        typecode = "i" if self._dtype is np.int32 else "q"
-        self.cells = array(typecode)
-        self.cells.frombytes(mat.ravel().tobytes())
-        if self.cells.itemsize != mat.itemsize:  # platform 'i' width mismatch
-            self.cells = array("q")
-            self.cells.frombytes(mat.ravel().astype(np.int64).tobytes())
-        # start states per chapter: pre-shifted single-symbol word bases
-        self._starts = [
-            [(e >> 1) if e >= 0 else TRAP for e in row]
-            for row in emit_target.tolist()
-        ]
-        self.start_base = self._starts[0]
+                if len(w) == 1:
+                    self.single[ki, w[0]] = base + off
+                kvals[base + off] = lw.kvals[i]
+                child[base + off, : lw.kvals[i]] = [node_of[w + (r,)] for r in range(lw.kvals[i])]
+        self.chapter_key = np.array([key_of[lvl] for lvl in dct.levels], dtype=np.int32)
+        offsets = np.arange(nn) & (dct.words_per_chapter - 1)
+        emit = np.arange(nq) >= kvals[:, None]
+        nxt = np.where(emit, self.single[self.chapter_key[offsets & (dct.n_chapters - 1)]], child)
+        self.nxt = np.vstack([nxt, np.full((1, nq), nn, dtype=np.int32)])
+        # emitting moves to a single-symbol word and extending never does, so
+        # the walk reads emissions off the states with a 1-D gather
+        self.starts_word = np.zeros(nn + 1, dtype=bool)
+        self.starts_word[self.single[self.single < nn]] = True
 
-    def walk(self, ranks: list[int], check: bool = False, chapter: int = 0) -> list[int]:
-        """Longest-match parse; returns emitted codewords including the flush."""
-        if not ranks:
-            return []
-        sr = self.row_bits
-        cells = self.cells
-        base = self._starts[chapter][ranks[0]]
-        out: list[int] = []
-        append = out.append
-        if check:
-            if base < 0:
-                raise CorruptBlockError("walk started at an inadmissible quotient")
-            for r in ranks[1:]:
-                cell = cells[base | r]
-                if cell < 0:
-                    raise CorruptBlockError("encoder matrix trap cell consulted")
-                if cell & 1:
-                    append(base >> sr)
-                base = cell >> 1
-        else:
-            for r in ranks[1:]:
-                cell = cells[base | r]
-                if cell & 1:
-                    append(base >> sr)
-                base = cell >> 1
-        append(base >> sr)
-        return out
+        nodes = nn + 1
+        m = 1
+        while nq > 1 and nodes * nq ** (m + 1) <= STEP_TABLE_CAP:
+            m += 1
+        self.m = m
+        self._key_weights = nodes * nq ** np.arange(m - 1, -1, -1, dtype=np.int64)
+        tab = self.nxt
+        for _ in range(m - 1):
+            tab = self.nxt[tab].reshape(nodes, -1)
+        self._typecode = "H" if nodes <= 1 << 16 else "I"
+        self.table = array(self._typecode, tab.T.astype(self._typecode).tobytes())
+
+    def walk(self, ranks, chapter: int = 0) -> np.ndarray:
+        """Longest-match parse; returns emitted codewords including the flush.
+
+        Python steps ``m`` ranks at a time through ``table``; numpy fills in
+        the states between those anchors.  Raises ``CorruptBlockError`` when
+        the ranks are inadmissible from ``chapter`` (a state is the trap).
+        """
+        ranks = np.asarray(ranks, dtype=np.intp)
+        n = len(ranks)
+        if n == 0:
+            return np.zeros(0, dtype=np.int64)
+        m, nxt = self.m, self.nxt
+        node = int(self.single[self.chapter_key[chapter], ranks[0]])
+        rest = ranks[1:]
+        body = (n - 1) // m * m
+        keys = rest[:body].reshape(-1, m) @ self._key_weights
+        states = np.empty(n, dtype=np.intp)
+        states[0] = node
+        table = self.table
+        states[m : body + 1 : m] = [node := table[node + key] for key in keys.tolist()]
+        for t in range(1, m):
+            states[t:body:m] = nxt[states[t - 1 : body : m], rest[t - 1 : body : m]]
+        for p in range(body + 1, n):
+            states[p] = nxt[states[p - 1], rest[p - 1]]
+        if states[-1] == self.nn:  # the trap absorbs, so any trap reaches the end
+            raise CorruptBlockError("encoder walk reached a trap transition")
+        # a word ends where the next state starts a word, and at the flush
+        ends = self.starts_word[states]
+        ends[:-1] = ends[1:]
+        ends[-1] = True
+        units = states[ends] & (self.dct.words_per_chapter - 1)
+        codewords = np.empty_like(units)
+        codewords[0] = chapter
+        codewords[1:] = units[:-1] & (self.dct.n_chapters - 1)
+        codewords <<= self.dct.k
+        codewords |= units
+        return codewords
 
 
 def pack_reminders(message: bytes, s: int) -> bytes:
@@ -145,7 +161,6 @@ def encode_block(
     matrix: EncoderMatrix | None,
     message: bytes,
     dict_index: int = 0,
-    check: bool = False,
 ) -> CompressedBlock:
     """Encode one block; falls back to a raw block when escapes overflow the
     one-byte counter or compression would not save a byte."""
@@ -163,10 +178,8 @@ def encode_block(
     else:
         if matrix is None:
             matrix = EncoderMatrix(dct)
-        ranks = np.where(rank < 0, 0, rank).tolist()
-        codewords = matrix.walk(ranks, check=check)
-        units = np.asarray(codewords, dtype=np.uint32) & (dct.words_per_chapter - 1)
-        stream = pack_units(units, dct.k)
+        codewords = matrix.walk(np.where(rank < 0, 0, rank))
+        stream = pack_units(codewords & (dct.words_per_chapter - 1), dct.k)
     reminders = pack_reminders(message, dct.shift)
     block = CompressedBlock(
         dict_index=dict_index,

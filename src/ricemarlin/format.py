@@ -155,34 +155,35 @@ def _dict_meta_bytes(dct: MarlinDictionary) -> bytes:
     )
 
 
+def _tables_digest(k: int, o: int, tables: list[bytes]) -> bytes:
+    """sha256 over the geometry, the set size and every table's bytes."""
+    digest = hashlib.sha256(struct.pack("<BBB", k, o, len(tables)))
+    for table in tables:
+        digest.update(table)
+    return digest.digest()
+
+
 def save_dictset(dset: DictionarySet) -> bytes:
     """Serialize a dictionary set; ends with a digest over the table bytes."""
     out = bytearray(DICTSET_MAGIC)
     out += struct.pack("<BBBB", VERSION, dset.k, dset.o, len(dset))
-    digest = hashlib.sha256()
-    digest.update(struct.pack("<BBB", dset.k, dset.o, len(dset)))
-    for dct in dset.dictionaries:
-        table = _dict_table_bytes(dct)
-        digest.update(table)
+    tables = [_dict_table_bytes(dct) for dct in dset.dictionaries]
+    for table, dct in zip(tables, dset.dictionaries):
         meta = _dict_meta_bytes(dct)
         out += struct.pack("<II", len(table), len(meta))
         out += table
         out += meta
-    out += digest.digest()
+    out += _tables_digest(dset.k, dset.o, tables)
     return bytes(out)
 
 
 def dictset_digest(dset: DictionarySet) -> bytes:
     """Digest over table-determining bytes only; changes iff any table bit does."""
     cached = getattr(dset, "_digest", None)
-    if cached is not None:
-        return cached
-    digest = hashlib.sha256()
-    digest.update(struct.pack("<BBB", dset.k, dset.o, len(dset)))
-    for dct in dset.dictionaries:
-        digest.update(_dict_table_bytes(dct))
-    dset._digest = digest.digest()
-    return dset._digest
+    if cached is None:
+        tables = [_dict_table_bytes(dct) for dct in dset.dictionaries]
+        cached = dset._digest = _tables_digest(dset.k, dset.o, tables)
+    return cached
 
 
 class _Reader:
@@ -294,15 +295,11 @@ def load_dictset(buf: bytes) -> DictionarySet:
         raise FormatError("a dictionary set must contain at least one dictionary")
     if k < 1 or o > k or k + o > MAX_CODE_BITS:
         raise FormatError(f"unsupported code geometry K={k}, O={o}")
-    digest = hashlib.sha256()
-    digest.update(struct.pack("<BBB", k, o, count))
     parts = []
     for _ in range(count):
         tlen, mlen = r.unpack("<II")
-        table, meta = r.take(tlen), r.take(mlen)
-        digest.update(table)
-        parts.append((table, meta))
-    if r.take(32) != digest.digest():
+        parts.append((r.take(tlen), r.take(mlen)))
+    if r.take(32) != _tables_digest(k, o, [table for table, _ in parts]):
         raise FormatError("dictionary-set digest mismatch")
     r.finish()
     dicts = [_parse_dict(table, meta, k, o) for table, meta in parts]
@@ -398,7 +395,6 @@ def compress_blocks(
     dset: DictionarySet,
     sizes: list[int],
     exact_select: bool = False,
-    check: bool = False,
 ) -> list[bytes]:
     """Encode consecutive slices of ``data`` given by ``sizes``."""
     out = []
@@ -415,7 +411,7 @@ def compress_blocks(
         else:
             idx = dset.quick_select(counts, n)
         dct = dset[idx]
-        block = encode_block(dct, _matrix_for(dct), chunk, dict_index=idx, check=check)
+        block = encode_block(dct, _matrix_for(dct), chunk, dict_index=idx)
         out.append(serialize_block(block, n))
     return out
 

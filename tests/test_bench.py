@@ -64,13 +64,3 @@ def test_speed_bench_reports_and_ratio(lap_set):
 def test_speed_bench_rejects_empty(lap_set):
     with pytest.raises(ValueError):
         speed_bench(b"", lap_set)
-
-
-def test_parallel_bench_smoke(lap_set):
-    from ricemarlin.bench import parallel_speed_bench
-
-    dist = make_distribution(SyntheticFamily("laplacian", 0.5))
-    corpus = dist.sample(1 << 20, seed=13)
-    report = parallel_speed_bench(corpus, lap_set, runs=1, jobs=2)
-    assert report.jobs == 2
-    assert report.encode_mib_s > 0 and report.decode_mib_s > 0

@@ -237,7 +237,7 @@ def test_stationary_matches_monte_carlo_toy(abcd_dist):
     matrix = EncoderMatrix(dct)
     msg = abcd_dist.sample(10**7, seed=42)
     ranks = dct.alphabet.rank_lut()[np.frombuffer(msg, np.uint8)].tolist()
-    cws = np.asarray(matrix.walk(ranks, check=True))
+    cws = np.asarray(matrix.walk(ranks))
     mc_pi = np.bincount(cws >> dct.k, minlength=dct.n_chapters) / len(cws)
     mc_lbar = len(ranks) / len(cws)
     assert np.abs(dct.chapter_stationary(abcd_dist) - mc_pi).max() < 1e-3
@@ -495,7 +495,7 @@ def test_overlapped_twelve_bit_parameterization():
     assert dct.n_codewords == 1 << 16
     assert max(dct.levels) >= 1  # overlap carries exclusion information
     msg = dist.sample(20000, seed=6)
-    blk = encode_block(dct, None, msg, check=True)
+    blk = encode_block(dct, None, msg)
     assert decode_block(dct, blk, len(msg)) == msg
     # a single unsearched (S, threshold) point still lands near the curve
     assert efficiency(dct, dist, 4096) > 0.85

@@ -25,26 +25,27 @@ def cw_of(dct, chapter, word_values):
 # encoder matrix against the worked dictionary
 
 
+def node_of(m, dct, chapter, word_values):
+    cw = cw_of(dct, chapter, word_values)
+    return int(m.chapter_key[chapter]) * dct.words_per_chapter + (cw & (dct.words_per_chapter - 1))
+
+
 def test_matrix_extends_within_chapter(worked_dictionary):
     dct = worked_dictionary
     m = EncoderMatrix(dct)
-    sr = m.row_bits
-    state_aa = cw_of(dct, 0, (A, A))  # 0011
-    cell = m.cells[(state_aa << sr) | A]
-    assert cell & 1 == 0  # no emit
-    assert cell >> (sr + 1) == cw_of(dct, 0, (A, A, A))  # go to "aaa"
+    node_aa = node_of(m, dct, 0, (A, A))  # 0011
+    assert not m.starts_word[m.nxt[node_aa, A]]  # no emit
+    assert m.nxt[node_aa, A] == node_of(m, dct, 0, (A, A, A))  # go to "aaa"
 
 
 def test_matrix_emits_on_mismatch(worked_dictionary):
     dct = worked_dictionary
     m = EncoderMatrix(dct)
-    sr = m.row_bits
-    state_aa = cw_of(dct, 0, (A, A))
-    cell = m.cells[(state_aa << sr) | B]
-    assert cell & 1 == 1  # emit the current codeword (0011)
+    node_aa = node_of(m, dct, 0, (A, A))
+    assert m.starts_word[m.nxt[node_aa, B]]  # emit the current codeword (0011)
     # "aa" has an odd codeword, so the next chapter is 1: its word "b"
-    assert state_aa & 1 == 1
-    assert cell >> (sr + 1) == cw_of(dct, 1, (B,))  # 1111
+    assert node_aa & 1 == 1
+    assert m.nxt[node_aa, B] == node_of(m, dct, 1, (B,))  # 1111
 
 
 def test_matrix_chain_dictionary_emits_every_max_length():
@@ -53,14 +54,14 @@ def test_matrix_chain_dictionary_emits_every_max_length():
     m = EncoderMatrix(dct)
     max_len = dct.max_word_len()
     assert max_len == (1 << 3) - len(dct.alphabet) + 1
-    codewords = m.walk([0] * (3 * max_len), check=True)
+    codewords = m.walk([0] * (3 * max_len))
     assert len(codewords) == 3
 
 
 def test_walk_worked_example_bitstream(worked_dictionary):
     dct = worked_dictionary
     m = EncoderMatrix(dct)
-    codewords = m.walk([A, A, A, B, A, C], check=True)
+    codewords = m.walk([A, A, A, B, A, C]).tolist()
     assert codewords == [0b0101, 0b1001, 0b1101]
     units = [cw & 0b111 for cw in codewords]
     assert units == [0b101, 0b001, 0b101]
@@ -110,7 +111,7 @@ def test_encode_records_escapes_in_order():
     dist = SymbolDistribution(p)
     dct = MarlinDictionary.build(dist, k=8, o=4, shift=0, threshold=0.01)
     msg = bytes([0, 200, 0, 0, 200, 1] * 10)
-    block = encode_block(dct, None, msg, check=True)
+    block = encode_block(dct, None, msg)
     assert not block.is_raw
     locs = [loc for loc, _ in block.escapes]
     assert locs == sorted(locs)
@@ -147,7 +148,7 @@ def test_placeholder_substitution_keeps_reminders():
     dist = SymbolDistribution(p)
     dct = MarlinDictionary.build(dist, k=8, o=2, shift=1, threshold=0.01)
     msg = (bytes([0, 2] * 50) + bytes([255])) * 3
-    block = encode_block(dct, None, msg, check=True)
+    block = encode_block(dct, None, msg)
     assert not block.is_raw
     assert block.unrep_count == 3
     assert decode_block(dct, block, len(msg)) == msg
@@ -160,9 +161,9 @@ def test_emitted_units_count_matches_parse(worked_dictionary):
     for _ in range(50):
         n = int(rng.integers(1, 64))
         ranks = rng.integers(0, 4, n).tolist()
-        codewords = m.walk(ranks, check=True)
+        codewords = m.walk(ranks)
         stream = len(codewords) * 3  # K bits per emitted word
-        block = encode_block(dct, m, bytes(ranks), check=True)
+        block = encode_block(dct, m, bytes(ranks))
         if not block.is_raw:
             assert len(block.quotient_stream) == (stream + 7) // 8
 
@@ -179,7 +180,7 @@ def test_matrix_never_consults_traps_across_fuzz():
         rng = np.random.default_rng(99)
         for _ in range(20):
             msg = bytes(rng.integers(0, 256, 2048, dtype=np.uint8))
-            encode_block(dct, m, msg, check=True)  # raises on any trap hit
+            encode_block(dct, m, msg)  # raises on any trap hit
 
 
 def test_per_chapter_walks_start_anywhere(worked_dictionary):
@@ -192,6 +193,6 @@ def test_per_chapter_walks_start_anywhere(worked_dictionary):
         for _ in range(200):
             n = int(rng.integers(1, 32))
             seq = rng.integers(lvl, 4, 1).tolist() + rng.integers(0, 4, n).tolist()
-            codewords = m.walk(seq, check=True, chapter=c)
-            total = sum(len(dct.word_at(cw)) for cw in codewords)
+            codewords = m.walk(seq, chapter=c)
+            total = sum(len(dct.word_at(cw)) for cw in codewords.tolist())
             assert total == len(seq)
