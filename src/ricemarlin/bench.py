@@ -161,17 +161,16 @@ def speed_bench(
     dset: DictionarySet,
     block_size: int = 4096,
     runs: int = 5,
-    exact_select: bool = False,
 ) -> BenchReport:
     """Warm-up pass plus ``runs`` timed passes; reports median throughput."""
     if len(corpus) == 0:
         raise ValueError("benchmark corpus is empty")
     mib = len(corpus) / (1 << 20)
-    compressed = compress_bytes(corpus, dset, block_size, exact_select=exact_select)
+    compressed = compress_bytes(corpus, dset, block_size)
     enc_times = []
     for _ in range(runs):
         t0 = time.perf_counter()
-        compress_bytes(corpus, dset, block_size, exact_select=exact_select)
+        compress_bytes(corpus, dset, block_size)
         enc_times.append(time.perf_counter() - t0)
     out = decompress_bytes(compressed, dset)  # warm-up and correctness check
     if out != corpus:

@@ -23,24 +23,21 @@ class DecoderTable:
 
     def __init__(self, dct: MarlinDictionary):
         self.dct = dct
-        self.max_word_len = width = dct.max_word_len()
+        self.max_word_len = width = dct.max_word_len
         values = np.asarray(dct.alphabet.values, dtype=np.uint8)
-        # chapters that share a word-set key share their words at every offset,
-        # so one (2^K, width) block per key, gathered in chapter order, is the table
-        keys = sorted(set(dct.levels))
+        # chapters that share a word set share their words at every offset, so
+        # one (2^K, width) block per set, gathered in chapter order, is the table
         blocks, lengths = [], []
-        for key in keys:
-            lw = dct.level_sets[key]
-            words = [lw.words[i] for i in dct.level_layout[key]]
-            lens = np.fromiter(map(len, words), dtype=np.int64, count=len(words))
-            ranks = np.fromiter(chain.from_iterable(words), dtype=np.intp)
-            block = np.zeros((len(words), width), dtype=np.uint8)
+        for lw in dct.word_sets:
+            lens = np.fromiter(map(len, lw.words), dtype=np.int64, count=len(lw.words))
+            ranks = np.fromiter(chain.from_iterable(lw.words), dtype=np.intp)
+            block = np.zeros((len(lw.words), width), dtype=np.uint8)
             block[np.arange(width) < lens[:, None]] = values[ranks]
             blocks.append(block)
             lengths.append(lens)
-        chapter_key = np.searchsorted(keys, dct.levels)
-        self.words = np.stack(blocks)[chapter_key].reshape(dct.n_codewords, width)
-        self.lengths = np.stack(lengths)[chapter_key].reshape(dct.n_codewords)
+        chapter_sets = list(dct.chapter_sets)
+        self.words = np.stack(blocks)[chapter_sets].reshape(dct.n_codewords, width)
+        self.lengths = np.stack(lengths)[chapter_sets].reshape(dct.n_codewords)
 
 
 def decode_quotients(table: DecoderTable, stream: bytes, n: int) -> np.ndarray:

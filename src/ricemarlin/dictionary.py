@@ -4,8 +4,10 @@ A dictionary splits every byte into an S-bit reminder and a quotient,
 drops quotients rarer than a threshold onto an escape channel, and grows
 plurally parsable word sets over the remaining quotient alphabet.  Words
 map to N = K + O bit codewords of which only K bits are consumed per
-step; the low O bits select which *chapter* (word set conditioned on an
-exclusion level) the next codeword is read from.
+step; the low O bits select which *chapter* the next codeword is read from.
+A chapter names one word set, stored in codeword-offset order, whose
+exclusion level is the lowest rank its first symbol may take; a built
+dictionary gives chapters with equal levels one shared set.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import heapq
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -110,17 +113,41 @@ def split_alphabet(dist: SymbolDistribution, shift: int, threshold: float) -> Qu
 
 @dataclass
 class LevelWords:
-    """One grown word set: words are tuples of quotient ranks."""
+    """One word set: words are tuples of quotient ranks.
+
+    In a dictionary's ``word_sets`` a word's position is its codeword offset.
+    """
 
     level: int
     words: list[tuple[int, ...]]
     kvals: list[int]  # per word: number of single-symbol extensions present
     raws: list[float]  # per word: P(source emits this prefix | first rank >= level)
-    index: dict[tuple[int, ...], int] = field(default_factory=dict)
 
-    def __post_init__(self):
-        if not self.index:
-            self.index = {w: i for i, w in enumerate(self.words)}
+    @cached_property
+    def index(self) -> dict[tuple[int, ...], int]:
+        """Word -> position, built on first use: the grown sets that the
+        builder re-orders into codeword order never need it."""
+        return {w: i for i, w in enumerate(self.words)}
+
+    @classmethod
+    def listed(cls, level: int, words: list[tuple[int, ...]]) -> "LevelWords":
+        """A set given in codeword order; child counts are read off the words."""
+        lw = cls(level, words, [], [0.0] * len(words))
+        for w in words:
+            kw = 0
+            while w + (kw,) in lw.index:
+                kw += 1
+            lw.kvals.append(kw)
+        return lw
+
+    def in_order(self, order: list[int]) -> "LevelWords":
+        """The set with word ``order[j]`` moved to position ``j``."""
+        return LevelWords(
+            self.level,
+            [self.words[i] for i in order],
+            [self.kvals[i] for i in order],
+            [self.raws[i] for i in order],
+        )
 
 
 def _conditional_roots(coding: np.ndarray, level: int) -> np.ndarray:
@@ -235,16 +262,19 @@ def assign_codewords(level_words: LevelWords, levels: list[int], k: int, o: int)
 
 
 class MarlinDictionary:
-    """A fully assigned dictionary: chapters, codewords, and statistics."""
+    """A fully assigned dictionary: chapters, codewords, and statistics.
+
+    Chapter ``c`` reads word set ``word_sets[chapter_sets[c]]``, whose words
+    sit in codeword-offset order; ``levels[c]`` is that set's exclusion level.
+    """
 
     def __init__(
         self,
         k: int,
         o: int,
         alphabet: QuotientAlphabet,
-        levels: tuple[int, ...],
-        level_sets: dict[int, LevelWords],
-        level_layout: dict[int, list[int]],
+        word_sets: tuple[LevelWords, ...],
+        chapter_sets: tuple[int, ...],
         source_id: str = "custom",
         block_n: int = 4096,
         empty_quotient: bool = False,
@@ -254,9 +284,12 @@ class MarlinDictionary:
         self.k = k
         self.o = o
         self.alphabet = alphabet
-        self.levels = levels
-        self.level_sets = level_sets
-        self.level_layout = level_layout
+        self.word_sets = word_sets
+        self.chapter_sets = chapter_sets
+        self.levels = tuple(word_sets[s].level for s in chapter_sets)
+        self.max_word_len = 1 if empty_quotient else max(
+            max(map(len, lw.words)) for lw in word_sets
+        )
         self.source_id = source_id
         self.block_n = block_n
         self.empty_quotient = empty_quotient
@@ -288,34 +321,18 @@ class MarlinDictionary:
     def word_at(self, codeword: int) -> tuple[int, ...]:
         """The word (as quotient ranks) assigned to an N-bit codeword."""
         c, i = divmod(codeword, self.words_per_chapter)
-        lw = self.level_sets[self.levels[c]]
-        return lw.words[self.level_layout[self.levels[c]][i]]
+        return self.word_sets[self.chapter_sets[c]].words[i]
 
     def next_chapter(self, codeword: int) -> int:
         return codeword & (self.n_chapters - 1)
 
-    def max_word_len(self) -> int:
-        cached = getattr(self, "_max_word_len", None)
-        if cached is None:
-            if self.empty_quotient:
-                cached = 1
-            else:
-                cached = max(
-                    len(w) for lw in self.level_sets.values() for w in lw.words
-                )
-            self._max_word_len = cached
-        return cached
-
     def codeword_of(self, chapter: int, word: tuple[int, ...]) -> int:
-        lw = self.level_sets[self.levels[chapter]]
-        i = lw.index[word]
-        offset = self.level_layout[self.levels[chapter]].index(i)
+        offset = self.word_sets[self.chapter_sets[chapter]].index[word]
         return chapter * self.words_per_chapter + offset
 
     def chapter_words(self, c: int) -> list[tuple[int, ...]]:
         """Words of chapter ``c`` in codeword-offset order, as quotient ranks."""
-        lw = self.level_sets[self.levels[c]]
-        return [lw.words[i] for i in self.level_layout[self.levels[c]]]
+        return list(self.word_sets[self.chapter_sets[c]].words)
 
     # -- construction ---------------------------------------------------------
 
@@ -351,7 +368,7 @@ class MarlinDictionary:
         source_id = source_id if source_id is not None else dist.source_id
         if nq == 1:
             dct = cls(
-                k, o, alphabet, (), {}, {}, source_id=source_id, block_n=block_n,
+                k, o, alphabet, (), (), source_id=source_id, block_n=block_n,
                 empty_quotient=True,
             )
             dct._finalize(dist)
@@ -377,12 +394,12 @@ class MarlinDictionary:
             top = max(levels)
             levels[max(i for i, v in enumerate(levels) if v == top)] = top - 1
         in_use = sorted(set(levels))
-        level_sets = {lvl: grown[lvl] for lvl in in_use}
-        level_layout = {
-            lvl: assign_codewords(level_sets[lvl], levels, k, o) for lvl in in_use
-        }
+        word_sets = tuple(
+            grown[lvl].in_order(assign_codewords(grown[lvl], levels, k, o))
+            for lvl in in_use
+        )
         dct = cls(
-            k, o, alphabet, tuple(levels), level_sets, level_layout,
+            k, o, alphabet, word_sets, tuple(in_use.index(lvl) for lvl in levels),
             source_id=source_id, block_n=block_n,
         )
         dct._finalize(dist)
@@ -408,69 +425,48 @@ class MarlinDictionary:
         if len(chapters) != 1 << o:
             raise BuildError(f"need {1 << o} chapters, got {len(chapters)}")
         value_rank = {v: r for r, v in enumerate(alphabet.values)}
-        levels = []
-        level_sets: dict[int, LevelWords] = {}
-        level_layout: dict[int, list[int]] = {}
+        # one word set per chapter, even where two chapters share a level
+        word_sets = []
         for c, words_vals in enumerate(chapters):
             if len(words_vals) != 1 << k:
                 raise BuildError(f"chapter {c} must hold {1 << k} words")
             words = [tuple(value_rank[v] for v in w) for w in words_vals]
             if len(set(words)) != len(words):
                 raise BuildError(f"chapter {c} contains repeated words")
-            index = {w: i for i, w in enumerate(words)}
-            kvals = []
-            for w in words:
-                kw = 0
-                while w + (kw,) in index:
-                    kw += 1
-                for r in range(kw + 1, len(alphabet)):
-                    if w + (r,) in index:
-                        raise BuildError(
-                            "present extensions must be the most probable successors"
-                        )
-                kvals.append(kw)
-            for w in words:
-                if len(w) > 1 and w[:-1] not in index:
+            lw = LevelWords.listed(min(w[0] for w in words), words)
+            for w, kw in zip(words, lw.kvals):
+                if any(w + (r,) in lw.index for r in range(kw + 1, len(alphabet))):
+                    raise BuildError(
+                        "present extensions must be the most probable successors"
+                    )
+                if len(w) > 1 and w[:-1] not in lw.index:
                     raise BuildError(f"chapter {c} is not prefix-closed at {w}")
-            level = min(w[0] for w in words)
-            for r in range(level, len(alphabet)):
-                if (r,) not in index:
+            for r in range(lw.level, len(alphabet)):
+                if (r,) not in lw.index:
                     raise BuildError(
                         f"chapter {c} misses single-symbol word of rank {r}"
                     )
-            # stored with identity layout; raws only guide layout, not needed here
-            levels.append(level)
-            level_sets[len(levels) - 1] = LevelWords(
-                level=level, words=words, kvals=kvals, raws=[0.0] * len(words)
-            )
-            level_layout[len(levels) - 1] = list(range(len(words)))
-        omask = (1 << o) - 1
-        for c in range(1 << o):
-            lw = level_sets[c]
-            for i, kw in enumerate(lw.kvals):
-                if kw < levels[i & omask]:
-                    raise BuildError(
-                        f"unsafe codeword {c * (1 << k) + i}: word with {kw} "
-                        f"children feeds a level-{levels[i & omask]} chapter"
-                    )
-        # from_tables keys level_sets by chapter index (chapters may differ at
-        # equal levels); the true exclusion levels live in _chapter_levels
+            word_sets.append(lw)
         dct = cls(
-            k, o, alphabet, tuple(range(1 << o)), level_sets, level_layout,
+            k, o, alphabet, tuple(word_sets), tuple(range(1 << o)),
             source_id=source_id, block_n=block_n,
         )
-        dct._chapter_levels = tuple(levels)
+        dct.check_safe(BuildError)
         return dct
 
+    def check_safe(self, error: type[Exception]) -> None:
+        """Raise ``error`` if a word has fewer children than the exclusion
+        level of the chapter its codeword feeds: the walk would trap there."""
+        omask = self.n_chapters - 1
+        for s, lw in enumerate(self.word_sets):
+            for i, kw in enumerate(lw.kvals):
+                if kw < self.levels[i & omask]:
+                    raise error(
+                        f"unsafe offset {i} in word set {s}: word with {kw} "
+                        f"children feeds a level-{self.levels[i & omask]} chapter"
+                    )
+
     # -- statistics -----------------------------------------------------------
-
-    _chapter_levels: tuple[int, ...] | None = None
-
-    def exclusion_level(self, c: int) -> int:
-        """Exclusion level actually promised by chapter ``c``'s contents."""
-        if self._chapter_levels is not None:
-            return self._chapter_levels[c]
-        return self.levels[c]
 
     def _finalize(self, dist: SymbolDistribution) -> None:
         self.abr = abr_estimate(self, dist, self.block_n)
@@ -523,7 +519,7 @@ class MarlinDictionary:
     def emission_probs(self, c: int, dist: SymbolDistribution) -> np.ndarray:
         """Per-word emission probabilities of chapter ``c`` under its own level."""
         chain = self._chain(self._coding_probs_for(dist))
-        return chain.emission_probs(c, self.exclusion_level(c))
+        return chain.emission_probs(c, self.levels[c])
 
 
 def _validate_ko(k: int, o: int) -> None:
@@ -561,17 +557,13 @@ class _ParseChain:
         cum = np.concatenate([[0.0], np.cumsum(coding)])
         suffix = float(cum[-1]) - cum  # suffix[e] = total prob at ranks >= e
 
-        # per distinct word set: first rank, emit weight, child count, length,
-        # and slot value of every word in codeword-offset order
-        set_keys = sorted(set(dct.levels))
-        per_set: dict[int, tuple] = {}
+        # per word set: first rank, emit weight, child count, length, and slot
+        # value of every word in codeword-offset order
+        per_set = []
         evals = {0}
-        for key in set_keys:
-            lw = dct.level_sets[key]
-            layout = dct.level_layout[key]
-            tails = _word_tails(lw.words, coding)
-            words = [lw.words[i] for i in layout]
-            kv = np.array([lw.kvals[i] for i in layout])
+        for lw in dct.word_sets:
+            words, kv = lw.words, np.array(lw.kvals)
+            tails = _word_tails(words, coding)
             # a word with every extension present is never emitted (its emit
             # weight below is zero); cap its exclusion state to keep rows defined
             kv_state = np.minimum(kv, nq - 1)
@@ -582,16 +574,12 @@ class _ParseChain:
             )
             lengths = np.array([len(w) for w in words], dtype=np.float64)
             slots = np.arange(len(words)) & omask
-            per_set[key] = (r1, base, kv_state, lengths, slots)
+            per_set.append((r1, base, kv_state, lengths, slots))
 
         self.evals = sorted(evals)
-        states: list[tuple[int, int]] = []
-        for c in range(dct.n_chapters):
-            lvl = dct.exclusion_level(c)
-            for e in self.evals:
-                if e >= lvl:
-                    states.append((c, e))
-        self.states = states
+        self.states = states = [
+            (c, e) for c, lvl in enumerate(dct.levels) for e in self.evals if e >= lvl
+        ]
         sidx = {s: i for i, s in enumerate(states)}
         ns = len(states)
 
@@ -599,9 +587,8 @@ class _ParseChain:
         length_exp = np.zeros(ns)
         # rows depend on the word set and the exclusion level only; identical
         # chapters share them
-        row_cache: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = {}
-        for key in set_keys:
-            r1, base, kv, lengths, slots = per_set[key]
+        rows = []
+        for r1, base, kv, lengths, slots in per_set:
             targets = np.array([sidx[(int(v), int(kw))] for v, kw in zip(slots, kv)])
             m = np.zeros((nq + 1, ns))
             mlen = np.zeros(nq + 1)
@@ -612,14 +599,14 @@ class _ParseChain:
             mlen_u = np.zeros(nq + 1)
             np.add.at(m_u, (r1, targets), base)
             np.add.at(mlen_u, r1, base * lengths)
-            row_cache[key] = (
+            rows.append((
                 np.flip(np.cumsum(np.flip(m, 0), axis=0), 0),
                 np.flip(np.cumsum(np.flip(mlen))),
                 np.flip(np.cumsum(np.flip(m_u, 0), axis=0), 0),
                 np.flip(np.cumsum(np.flip(mlen_u))),
-            )
+            ))
         for si, (c, e) in enumerate(states):
-            msuf, msuf_len, msuf_u, msuf_ulen = row_cache[dct.levels[c]]
+            msuf, msuf_len, msuf_u, msuf_ulen = rows[dct.chapter_sets[c]]
             if suffix[e] > 0:
                 T[si] = msuf[e] / suffix[e]
                 length_exp[si] = msuf_len[e] / suffix[e]
@@ -666,11 +653,9 @@ class _ParseChain:
         dct = self.dct
         coding = self.coding
         nq = len(coding)
-        lw = dct.level_sets[dct.levels[c]]
-        layout = dct.level_layout[dct.levels[c]]
-        words = [lw.words[i] for i in layout]
-        kv = [lw.kvals[i] for i in layout]
-        tails = _word_tails(lw.words, coding)
+        lw = dct.word_sets[dct.chapter_sets[c]]
+        words, kv = lw.words, lw.kvals
+        tails = _word_tails(words, coding)
         cum = np.concatenate([[0.0], np.cumsum(coding)])
         z = float(coding[e:].sum())
         out = np.zeros(len(words))

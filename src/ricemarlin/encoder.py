@@ -57,8 +57,8 @@ class EncoderMatrix:
     """Prefix tree as a node graph, walked ``m`` ranks per Python step.
 
     Chapters that share a word set also share its codeword layout, so a
-    walk state is a node ``ki * 2**K + offset``: word-set key ``ki`` (an
-    index into ``sorted(set(dct.levels))``) at a K-bit codeword offset.
+    walk state is a node ``ki * 2**K + offset``: word set ``ki`` (an index
+    into ``dct.word_sets``) at a K-bit codeword offset.
     ``nxt[node, r]`` is the node after rank ``r``: the child word when ``r``
     extends the node's word, else (the word is emitted) the single-symbol
     word ``(r,)`` of chapter ``offset & omask``.  ``starts_word[node]`` is
@@ -72,26 +72,21 @@ class EncoderMatrix:
     def __init__(self, dct: MarlinDictionary):
         self.dct = dct
         k, nq = dct.k, len(dct.alphabet)
-        keys = sorted(set(dct.levels))
-        key_of = {lvl: ki for ki, lvl in enumerate(keys)}
-        self.nn = nn = len(keys) << k
-        self.single = np.full((len(keys), nq), nn, dtype=np.int32)
+        self.nn = nn = len(dct.word_sets) << k
+        self.single = np.full((len(dct.word_sets), nq), nn, dtype=np.int32)
         child = np.full((nn, nq), nn, dtype=np.int32)
         kvals = np.zeros(nn, dtype=np.int32)
-        for ki, lvl in enumerate(keys):
-            lw, base = dct.level_sets[lvl], ki << k
-            layout = dct.level_layout[lvl]
-            node_of = {lw.words[i]: base + off for off, i in enumerate(layout)}
-            for off, i in enumerate(layout):
-                w = lw.words[i]
+        for ki, lw in enumerate(dct.word_sets):
+            base = ki << k
+            kvals[base : base + len(lw.kvals)] = lw.kvals
+            for off, (w, kw) in enumerate(zip(lw.words, lw.kvals)):
                 if len(w) == 1:
                     self.single[ki, w[0]] = base + off
-                kvals[base + off] = lw.kvals[i]
-                child[base + off, : lw.kvals[i]] = [node_of[w + (r,)] for r in range(lw.kvals[i])]
-        self.chapter_key = np.array([key_of[lvl] for lvl in dct.levels], dtype=np.int32)
+                child[base + off, :kw] = [base + lw.index[w + (r,)] for r in range(kw)]
         offsets = np.arange(nn) & (dct.words_per_chapter - 1)
         emit = np.arange(nq) >= kvals[:, None]
-        nxt = np.where(emit, self.single[self.chapter_key[offsets & (dct.n_chapters - 1)]], child)
+        chapter_sets = np.array(dct.chapter_sets, dtype=np.intp)
+        nxt = np.where(emit, self.single[chapter_sets[offsets & (dct.n_chapters - 1)]], child)
         self.nxt = np.vstack([nxt, np.full((1, nq), nn, dtype=np.int32)])
         # emitting moves to a single-symbol word and extending never does, so
         # the walk reads emissions off the states with a 1-D gather
@@ -122,7 +117,7 @@ class EncoderMatrix:
         if n == 0:
             return np.zeros(0, dtype=np.int64)
         m, nxt = self.m, self.nxt
-        node = int(self.single[self.chapter_key[chapter], ranks[0]])
+        node = int(self.single[self.dct.chapter_sets[chapter], ranks[0]])
         rest = ranks[1:]
         body = (n - 1) // m * m
         keys = rest[:body].reshape(-1, m) @ self._key_weights

@@ -84,7 +84,7 @@ def parse_block(buf: bytes, n: int, dset: DictionarySet) -> CompressedBlock:
                 "empty-quotient dictionary with a quotient section"
             )
     elif n > 0:
-        min_units = -(-n // dct.max_word_len())
+        min_units = -(-n // dct.max_word_len)
         if q_bytes * 8 < min_units * dct.k:
             raise CorruptBlockError(
                 f"quotient section of {q_bytes} bytes cannot span {n} symbols"
@@ -127,15 +127,11 @@ def _dict_table_bytes(dct: MarlinDictionary) -> bytes:
     out += bytes(excl_q)
     out.append(a.placeholder)
     if not dct.empty_quotient:
-        out += bytes(dct.levels)
-        keys = sorted(dct.level_sets)
-        out += struct.pack("<H", len(keys))
-        for key in keys:
-            lw = dct.level_sets[key]
-            layout = dct.level_layout[key]
+        out += bytes(dct.chapter_sets)
+        out += struct.pack("<H", len(dct.word_sets))
+        for key, lw in enumerate(dct.word_sets):
             out += struct.pack("<HB", key, lw.level)
-            for i in layout:
-                w = lw.words[i]
+            for w in lw.words:
                 out += struct.pack("<H", len(w))
                 out += bytes(w)
     return bytes(out)
@@ -217,32 +213,27 @@ def _parse_dict(table: bytes, meta: bytes, k: int, o: int) -> MarlinDictionary:
     (n_excl,) = t.unpack("<H")
     excl_q = set(t.take(n_excl))
     (placeholder,) = t.take(1)
-    levels: tuple[int, ...] = ()
-    level_sets: dict[int, LevelWords] = {}
-    level_layout: dict[int, list[int]] = {}
+    chapter_sets: tuple[int, ...] = ()
+    word_sets = []
     if not empty_q:
-        levels = tuple(t.take(1 << o))
+        chapter_sets = tuple(t.take(1 << o))
         (n_keys,) = t.unpack("<H")
-        for _ in range(n_keys):
+        for at in range(n_keys):
             key, lvl = t.unpack("<HB")
+            if key != at:
+                raise FormatError(f"word set {at} is stored under key {key}")
             words = []
             for _ in range(1 << k):
                 (wl,) = t.unpack("<H")
                 words.append(tuple(t.take(wl)))
-            if any(r >= nq for w in words for r in w):
-                raise FormatError(f"word set {key} uses a rank outside the alphabet")
-            kvals = []
-            index = {w: i for i, w in enumerate(words)}
-            for w in words:
-                kw = 0
-                while w + (kw,) in index:
-                    kw += 1
-                kvals.append(kw)
-            level_sets[key] = LevelWords(
-                level=lvl, words=words, kvals=kvals, raws=[0.0] * len(words)
-            )
-            level_layout[key] = list(range(len(words)))
-        if not set(levels) <= set(level_sets):
+            if not all(words) or any(r >= nq for w in words for r in w):
+                raise FormatError(
+                    f"word set {key} holds an empty word or a rank outside the alphabet"
+                )
+            if lvl != min(w[0] for w in words):
+                raise FormatError(f"word set {key} claims level {lvl}, not its lowest first rank")
+            word_sets.append(LevelWords.listed(lvl, words))
+        if max(chapter_sets) >= n_keys:
             raise FormatError("a chapter names a word set the table does not hold")
     t.finish()
     m = _Reader(meta, "dictionary metadata")
@@ -270,10 +261,11 @@ def _parse_dict(table: bytes, meta: bytes, k: int, o: int) -> MarlinDictionary:
         if v not in excl_q and v not in set(values):
             raise FormatError(f"quotient {v} is neither represented nor excluded")
     dct = MarlinDictionary(
-        k, o, alphabet, levels, level_sets, level_layout,
+        k, o, alphabet, tuple(word_sets), chapter_sets,
         source_id=source_id, block_n=block_n, empty_quotient=bool(empty_q),
         search_threshold=thr,
     )
+    dct.check_safe(FormatError)
     dct.abr = abr
     dct.quotient_bits = qbits
     return dct

@@ -60,6 +60,29 @@ def worked_dictionary(abcd_dist) -> MarlinDictionary:
     )
 
 
+def from_tables_copy(dct: MarlinDictionary) -> MarlinDictionary:
+    """``dct`` re-assembled by ``from_tables``: one word set per chapter."""
+    values = dct.alphabet.values
+    chapters = [
+        [tuple(values[r] for r in w) for w in dct.chapter_words(c)]
+        for c in range(dct.n_chapters)
+    ]
+    return MarlinDictionary.from_tables(dct.k, dct.o, dct.alphabet, chapters)
+
+
+def unsafe_copy(worked: MarlinDictionary) -> MarlinDictionary:
+    """The worked dictionary with "aaaa" (no children) moved to an odd offset.
+
+    Emitting "aaaa" then leads to chapter 1, which has no word "a", so an
+    "a" after "aaaa" is a trap transition.
+    """
+    first, second = worked.word_sets
+    swapped = first.in_order([1, 0] + list(range(2, len(first.words))))
+    return MarlinDictionary(
+        worked.k, worked.o, worked.alphabet, (swapped, second), worked.chapter_sets,
+    )
+
+
 def skewed_distribution(top: float = 0.9) -> SymbolDistribution:
     """A 256-symbol distribution with a heavy head and a long thin tail."""
     p = np.full(256, (1.0 - top) / 255)

@@ -162,14 +162,14 @@ def test_criterion_8_structural_invariants(grid_distributions, grid_set):
             words = dct.chapter_words(c)
             assert len(set(words)) == dct.words_per_chapter
             index = {w: i for i, w in enumerate(words)}
-            lvl = dct.exclusion_level(c)
+            lvl = dct.levels[c]
             for r in range(lvl, nq):
                 assert (r,) in index
             for off, w in enumerate(words):
                 kw = 0
                 while w + (kw,) in index:
                     kw += 1
-                assert dct.exclusion_level(off & (dct.n_chapters - 1)) <= kw
+                assert dct.levels[off & (dct.n_chapters - 1)] <= kw
             emit = dct.emission_probs(c, dist)
             assert emit.sum() == pytest.approx(1.0, abs=1e-9)
         pi = dct.chapter_stationary(dist)

@@ -49,7 +49,7 @@ def eager_from_alphabet(dist, k, o, alphabet, block_n=4096, source_id=None):
     source_id = source_id if source_id is not None else dist.source_id
     if nq == 1:
         dct = MarlinDictionary(
-            k, o, alphabet, (), {}, {}, source_id=source_id, block_n=block_n,
+            k, o, alphabet, (), (), source_id=source_id, block_n=block_n,
             empty_quotient=True,
         )
         dct._finalize(dist)
@@ -68,10 +68,11 @@ def eager_from_alphabet(dist, k, o, alphabet, block_n=4096, source_id=None):
         top = max(levels)
         levels[max(i for i, v in enumerate(levels) if v == top)] = top - 1
     in_use = sorted(set(levels))
-    level_sets = {lvl: grown[lvl] for lvl in in_use}
-    level_layout = {lvl: D.assign_codewords(level_sets[lvl], levels, k, o) for lvl in in_use}
+    word_sets = tuple(
+        grown[lvl].in_order(D.assign_codewords(grown[lvl], levels, k, o)) for lvl in in_use
+    )
     dct = MarlinDictionary(
-        k, o, alphabet, tuple(levels), level_sets, level_layout,
+        k, o, alphabet, word_sets, tuple(in_use.index(lvl) for lvl in levels),
         source_id=source_id, block_n=block_n,
     )
     dct._finalize(dist)
@@ -220,10 +221,11 @@ def test_from_alphabet_grows_only_kept_chapters(monkeypatch):
             calls.clear()
             dct = MarlinDictionary.from_alphabet(dist, 8, 4, alphabet)
             assert len(calls) == len(set(calls))
-            assert set(dct.level_sets) <= set(calls)
-            assert all(lvl > max(dct.levels) for lvl in set(calls) - set(dct.level_sets))
+            kept_levels = {lw.level for lw in dct.word_sets}
+            assert kept_levels <= set(calls)
+            assert all(lvl > max(dct.levels) for lvl in set(calls) - kept_levels)
             grown += len(calls)
-            kept += len(dct.level_sets)
+            kept += len(dct.word_sets)
             checked += 1
     assert checked > 50
     # growing every level in use before each check grows about 4x as many

@@ -57,7 +57,7 @@ class OracleTable:
         self.dct = dct
         if dct.empty_quotient:
             return
-        self.max_word_len = dct.max_word_len()
+        self.max_word_len = dct.max_word_len
         n = dct.n_codewords
         self.words = np.zeros((n, self.max_word_len), dtype=np.uint8)
         self.lengths = np.zeros(n, dtype=np.int64)
@@ -141,7 +141,7 @@ def _assert_same_table(dct):
 
 
 def test_decoder_table_matches_oracle(oracle_set, worked_dictionary):
-    assert max(d.max_word_len() for d in oracle_set.dictionaries) > 100
+    assert max(d.max_word_len for d in oracle_set.dictionaries) > 100
     for dct in oracle_set.dictionaries:
         if not dct.empty_quotient:
             _assert_same_table(dct)

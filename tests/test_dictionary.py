@@ -192,7 +192,7 @@ def test_assignment_all_leaves_forces_chapter_zero():
     dist = SymbolDistribution(p)
     dct = MarlinDictionary.build(dist, k=3, o=1, shift=0, threshold=2**-16)
     for cw in range(dct.n_codewords):
-        lvl = dct.exclusion_level(dct.next_chapter(cw))
+        lvl = dct.levels[dct.next_chapter(cw)]
         word = dct.word_at(cw)
         index = {w: i for i, w in enumerate(dct.chapter_words(cw >> dct.k))}
         k = 0
@@ -254,7 +254,7 @@ def test_emission_probs_sum_to_one_and_match_definition(worked_dictionary, abcd_
         # emit = raw * (1 - sum of the k most probable successors), exactly
         words = dct.chapter_words(c)
         index = {w: i for i, w in enumerate(words)}
-        lvl = dct.exclusion_level(c)
+        lvl = dct.levels[c]
         z = probs[lvl:].sum()
         for i, w in enumerate(words):
             k = 0
@@ -279,7 +279,7 @@ def test_abr_point_mass_is_k_over_longest_chain():
 def test_abr_point_mass_with_explicit_alphabet():
     # keep all 256 quotients via threshold 0 at K=9 (2^9 > 256)
     dct = MarlinDictionary.build(point_mass(0), k=9, o=0, shift=0, threshold=0.0)
-    max_len = dct.max_word_len()
+    max_len = dct.max_word_len
     assert max_len == (1 << 9) - 256 + 1
     abr = abr_estimate(dct, point_mass(0), 4096)
     assert abr == pytest.approx(9 / max_len, abs=1e-12)
@@ -471,7 +471,7 @@ def test_structural_invariants(fam, frac, k, o, shift):
         words = dct.chapter_words(c)
         assert len(words) == dct.words_per_chapter
         assert len(set(words)) == len(words)  # distinct within a chapter
-        lvl = dct.exclusion_level(c)
+        lvl = dct.levels[c]
         for r in range(lvl, len(dct.alphabet)):
             assert (r,) in set(words)  # parseability under exclusion
         index = {w: i for i, w in enumerate(words)}
@@ -480,7 +480,7 @@ def test_structural_invariants(fam, frac, k, o, shift):
             kw = 0
             while w + (kw,) in index:
                 kw += 1
-            assert dct.exclusion_level(nxt) <= kw  # safety cap
+            assert dct.levels[nxt] <= kw  # safety cap
     # emission probabilities sum to one per chapter
     for c in range(dct.n_chapters):
         assert dct.emission_probs(c, dist).sum() == pytest.approx(1.0, abs=1e-9)

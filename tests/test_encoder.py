@@ -27,7 +27,7 @@ def cw_of(dct, chapter, word_values):
 
 def node_of(m, dct, chapter, word_values):
     cw = cw_of(dct, chapter, word_values)
-    return int(m.chapter_key[chapter]) * dct.words_per_chapter + (cw & (dct.words_per_chapter - 1))
+    return dct.chapter_sets[chapter] * dct.words_per_chapter + (cw & (dct.words_per_chapter - 1))
 
 
 def test_matrix_extends_within_chapter(worked_dictionary):
@@ -52,7 +52,7 @@ def test_matrix_chain_dictionary_emits_every_max_length():
     # all mass on one quotient: growth follows the single deepest chain
     dct = MarlinDictionary.build(point_mass(0), k=3, o=0, shift=6, threshold=0.0)
     m = EncoderMatrix(dct)
-    max_len = dct.max_word_len()
+    max_len = dct.max_word_len
     assert max_len == (1 << 3) - len(dct.alphabet) + 1
     codewords = m.walk([0] * (3 * max_len))
     assert len(codewords) == 3
@@ -189,7 +189,7 @@ def test_per_chapter_walks_start_anywhere(worked_dictionary):
     m = EncoderMatrix(dct)
     rng = np.random.default_rng(17)
     for c in range(dct.n_chapters):
-        lvl = dct.exclusion_level(c)
+        lvl = dct.levels[c]
         for _ in range(200):
             n = int(rng.integers(1, 32))
             seq = rng.integers(lvl, 4, 1).tolist() + rng.integers(0, 4, n).tolist()

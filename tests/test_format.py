@@ -1,9 +1,11 @@
 import dataclasses
+import struct
 
 import numpy as np
 import pytest
 
 from ricemarlin import (
+    BuildError,
     CorruptBlockError,
     DecoderTable,
     EncoderMatrix,
@@ -11,6 +13,7 @@ from ricemarlin import (
     MarlinDictionary,
     SymbolDistribution,
     SyntheticFamily,
+    abr_estimate,
     build_dictionary_set,
     compress_bytes,
     decompress_bytes,
@@ -23,7 +26,9 @@ from ricemarlin import (
 )
 from ricemarlin.dictionary import DictionarySet
 from ricemarlin.encoder import CompressedBlock
-from ricemarlin.format import FLAG_IMAGE, ContainerHeader, dictset_digest
+from ricemarlin.format import FLAG_IMAGE, ContainerHeader, _tables_digest, dictset_digest
+
+from conftest import abcd_distribution, from_tables_copy, unsafe_copy
 
 
 @pytest.fixture(scope="module")
@@ -143,13 +148,72 @@ def test_dictset_roundtrip_reproduces_tables(tiny_set):
     assert save_dictset(loaded) == data
 
 
+def test_dictset_roundtrip_keeps_from_tables_levels():
+    # chapters 1 and 2 share exclusion level 1 but hold separate word sets
+    dist = abcd_distribution()
+    dct = from_tables_copy(MarlinDictionary.build(dist, 4, 2, 0, 2**-16))
+    data = save_dictset(DictionarySet([dct]))
+    loaded = load_dictset(data)
+    got = loaded[0]
+    assert got.levels == dct.levels == (0, 1, 1, 0)
+    assert got.mean_parse_length(dist) == dct.mean_parse_length(dist)
+    assert abr_estimate(got, dist) == abr_estimate(dct, dist)
+    assert loaded.select(dist, 4096) == 0
+    assert save_dictset(loaded) == data
+
+
+def _set_file_with_header(dct, at, key, level):
+    """``dct``'s set file with word set ``at`` stored under ``key`` and
+    ``level``, and its digest recomputed so that it still verifies."""
+    data = bytearray(save_dictset(DictionarySet([dct])))
+    table_at = 16  # magic, version/K/O/count, table and metadata lengths
+    pos = table_at + 4 + len(dct.alphabet) + 2 + len(
+        {b >> dct.shift for b in dct.alphabet.excluded}
+    ) + 1 + dct.n_chapters + 2
+    for lw in dct.word_sets[:at]:
+        pos += 3 + sum(2 + len(w) for w in lw.words)
+    assert data[pos : pos + 3] == struct.pack("<HB", at, dct.word_sets[at].level)
+    data[pos : pos + 3] = struct.pack("<HB", key, level)
+    (tlen,) = struct.unpack_from("<I", data, 8)
+    data[-32:] = _tables_digest(dct.k, dct.o, [bytes(data[table_at : table_at + tlen])])
+    return bytes(data)
+
+
+def test_dictset_rejects_word_set_header_unlike_its_place(abcd_dist):
+    dct = MarlinDictionary.build(abcd_dist, 3, 1, 0, 2**-16)
+    assert dct.levels == (0, 1) and len(dct.word_sets) == 2
+    assert load_dictset(_set_file_with_header(dct, 1, 1, 1))[0].levels == (0, 1)
+    # keys must run 0, 1, ... in file order; a repeated key used to replace
+    # the earlier set
+    for key in (0, 2, 256):
+        with pytest.raises(FormatError, match="key"):
+            load_dictset(_set_file_with_header(dct, 1, key, 1))
+    # a set's level is the lowest first rank of its words
+    for level in (0, 2, 255):
+        with pytest.raises(FormatError, match="level"):
+            load_dictset(_set_file_with_header(dct, 1, 1, level))
+
+
+def test_unsafe_word_sets_are_rejected(worked_dictionary):
+    # the digest of a saved unsafe set verifies, so only the safety check
+    # keeps it from loading
+    unsafe = unsafe_copy(worked_dictionary)
+    with pytest.raises(FormatError, match="unsafe"):
+        load_dictset(save_dictset(DictionarySet([unsafe])))
+    with pytest.raises(BuildError, match="unsafe"):
+        from_tables_copy(unsafe)
+
+
 def test_dictset_digest_tracks_tables_only(tiny_set):
     d = dictset_digest(tiny_set)
-    # metadata does not move the digest
+    # metadata does not move the digest; a fresh set has no cached digest
     old = tiny_set[0].abr
     tiny_set[0].abr = old + 1.0
-    assert dictset_digest(tiny_set) == d
-    tiny_set[0].abr = old
+    try:
+        assert dictset_digest(DictionarySet(list(tiny_set.dictionaries))) == d
+    finally:
+        tiny_set[0].abr = old
+    assert dictset_digest(DictionarySet(list(tiny_set.dictionaries)[::-1])) != d
 
 
 def test_dictset_corrupted_digest_rejected(tiny_set):

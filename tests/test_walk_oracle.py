@@ -22,7 +22,7 @@ from ricemarlin import (
 from ricemarlin.errors import CorruptBlockError
 from ricemarlin.source import point_mass
 
-from conftest import A, B, C, abcd_distribution
+from conftest import A, B, C, abcd_distribution, from_tables_copy, unsafe_copy
 
 TRAP = -2  # cell for transitions the safety invariant makes unreachable
 LENGTHS = tuple(range(1, 65)) + (4095, 4096, 4097)
@@ -51,22 +51,19 @@ class OracleMatrix:
         # emit targets: next chapter v, row r -> single-symbol word r there
         emit_target = np.full((dct.n_chapters, 1 << sr), TRAP, dtype=self._dtype)
         for v in range(dct.n_chapters):
-            lw = dct.level_sets[dct.levels[v]]
-            layout = dct.level_layout[dct.levels[v]]
-            offset_of = {lw.words[i][0]: off for off, i in enumerate(layout) if len(lw.words[i]) == 1}
+            words = dct.chapter_words(v)
+            offset_of = {w[0]: off for off, w in enumerate(words) if len(w) == 1}
             for r, off in offset_of.items():
                 emit_target[v, r] = (((v * kwords + off) << sr) << 1) | 1
 
         for c in range(dct.n_chapters):
             base_cw = c * kwords
-            lw = dct.level_sets[dct.levels[c]]
-            layout = dct.level_layout[dct.levels[c]]
-            offset_of_word = {lw.words[i]: off for off, i in enumerate(layout)}
+            lw = dct.word_sets[dct.chapter_sets[c]]
+            offset_of_word = {w: off for off, w in enumerate(lw.words)}
             rows = np.arange(kwords) & omask
             mat[base_cw : base_cw + kwords, :] = emit_target[rows]
-            for off, i in enumerate(layout):
-                w = lw.words[i]
-                for r in range(lw.kvals[i]):
+            for off, w in enumerate(lw.words):
+                for r in range(lw.kvals[off]):
                     child_off = offset_of_word[w + (r,)]
                     mat[base_cw + off, r] = ((base_cw + child_off) << sr) << 1
         typecode = "i" if self._dtype is np.int32 else "q"
@@ -114,7 +111,7 @@ class OracleMatrix:
 def _stream(rng, dct, chapter, n, skewed):
     """Ranks admissible from ``chapter``: any first rank at or above its level."""
     nq = len(dct.alphabet)
-    first = int(rng.integers(dct.exclusion_level(chapter), nq))
+    first = int(rng.integers(dct.levels[chapter], nq))
     if skewed:  # long words: draw from the coding distribution
         p = dct.alphabet.coding_probs
         rest = rng.choice(nq, n - 1, p=p / p.sum())
@@ -132,16 +129,6 @@ def _assert_same_walks(dct, seed):
             codewords = got.walk(np.asarray(ranks), chapter=chapter)
             assert codewords.tolist() == want.walk(ranks, check=True, chapter=chapter)
     return got
-
-
-def _from_tables_copy(dct):
-    """``dct`` re-assembled by ``from_tables``: its nodes are keyed per chapter."""
-    values = dct.alphabet.values
-    chapters = [
-        [tuple(values[r] for r in w) for w in dct.chapter_words(c)]
-        for c in range(dct.n_chapters)
-    ]
-    return MarlinDictionary.from_tables(dct.k, dct.o, dct.alphabet, chapters)
 
 
 def _one_symbol_chain():
@@ -166,10 +153,10 @@ EXTRA = {
         make_distribution(SyntheticFamily("poisson", 0.4)), 6, 2),
     "k4-o0": lambda: best_dictionary_for(
         make_distribution(SyntheticFamily("exponential", 0.7)), 4, 0),
-    "from-tables-k4-o2": lambda: _from_tables_copy(_abcd(4, 2)),
+    "from-tables-k4-o2": lambda: from_tables_copy(_abcd(4, 2)),
     "from-tables-one-symbol": _one_symbol_chain,
     # 16 word sets of 4096 nodes plus the trap: too many nodes for 16 bits
-    "from-tables-k12-o4": lambda: _from_tables_copy(_abcd(12, 4)),
+    "from-tables-k12-o4": lambda: from_tables_copy(_abcd(12, 4)),
 }
 
 
@@ -190,9 +177,9 @@ def test_walk_matches_oracle_on_worked_dictionary(worked_dictionary):
 def test_walk_matches_oracle_on_extra_dictionaries(name):
     dct = EXTRA[name]()
     m = _assert_same_walks(dct, seed=len(name))
-    assert m.nn == len(set(dct.levels)) << dct.k
+    assert m.nn == len(dct.word_sets) << dct.k
     if name.startswith("from-tables"):
-        assert len(set(dct.levels)) == dct.n_chapters
+        assert len(dct.word_sets) == dct.n_chapters
     assert m.table.typecode == ("H" if m.nn < 1 << 16 else "I")
 
 
@@ -218,7 +205,7 @@ def test_walk_of_nothing_is_empty(worked_dictionary):
 
 def test_inadmissible_start_raises(worked_dictionary, grid_set):
     dct = worked_dictionary
-    assert dct.exclusion_level(1) == 1
+    assert dct.levels[1] == 1
     for n in (1, 2, 7, 64):
         ranks = [A] + [B] * (n - 1)
         with pytest.raises(CorruptBlockError):
@@ -226,29 +213,15 @@ def test_inadmissible_start_raises(worked_dictionary, grid_set):
         with pytest.raises(CorruptBlockError):
             EncoderMatrix(dct).walk(ranks, chapter=1)
     for dct in grid_set.dictionaries:
-        levels = [dct.exclusion_level(c) for c in range(dct.n_chapters)]
+        levels = list(dct.levels)
         if not dct.empty_quotient and max(levels) > 0:
             chapter = levels.index(max(levels))
             with pytest.raises(CorruptBlockError):
                 EncoderMatrix(dct).walk([0] * 4096, chapter=chapter)
 
 
-def _unsafe_dictionary(worked):
-    """The worked dictionary with "aaaa" (no children) moved to an odd offset.
-
-    Emitting "aaaa" then leads to chapter 1, which has no word "a", so an
-    "a" after "aaaa" is a trap transition.
-    """
-    layout = list(worked.level_layout[0])
-    layout[0], layout[1] = layout[1], layout[0]
-    return MarlinDictionary(
-        worked.k, worked.o, worked.alphabet, worked.levels, worked.level_sets,
-        {0: layout, 1: worked.level_layout[1]},
-    )
-
-
 def test_trap_mid_stream_raises(worked_dictionary):
-    dct = _unsafe_dictionary(worked_dictionary)
+    dct = unsafe_copy(worked_dictionary)
     got, want = EncoderMatrix(dct), OracleMatrix(dct)
     assert got.m > 2
     rng = np.random.default_rng(3)
