@@ -15,7 +15,7 @@ from .dictionary import (
     efficiency,
     shift_efficiency_bound,
 )
-from .encoder import EncoderMatrix, encode_block
+from .encoder import encode_block
 from .errors import BuildError, EntropyTargetError
 from .format import compress_bytes, decompress_bytes, serialize_block
 from .source import SymbolDistribution, SyntheticFamily, make_distribution
@@ -25,11 +25,10 @@ def measured_bits_per_symbol(
     dct: MarlinDictionary, sample: bytes, block_n: int = 4096, dict_index: int = 0
 ) -> float:
     """Actual compressed bits per symbol, excluding per-block headers."""
-    matrix = EncoderMatrix(dct) if not dct.empty_quotient else None
     total_bits = 0
     for pos in range(0, len(sample), block_n):
         chunk = sample[pos : pos + block_n]
-        block = encode_block(dct, matrix, chunk, dict_index=dict_index)
+        block = encode_block(dct, chunk, dict_index=dict_index)
         payload = len(serialize_block(block, len(chunk)))
         total_bits += 8 * (payload - (1 if block.is_raw else 2))
     return total_bits / len(sample)

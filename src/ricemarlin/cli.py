@@ -86,13 +86,10 @@ def _cmd_compress(args) -> int:
         h, w = img.shape
         payload = residual_transform(img)
         out = compress_bytes(
-            payload, dset, args.block_size, exact_select=args.exact_select,
-            flags=FLAG_IMAGE, width=w, height=h,
+            payload, dset, args.block_size, flags=FLAG_IMAGE, width=w, height=h
         )
     else:
-        out = compress_bytes(
-            data, dset, args.block_size, exact_select=args.exact_select
-        )
+        out = compress_bytes(data, dset, args.block_size)
     Path(args.output).write_bytes(out)
     ratio = len(data) / len(out) if out else 0.0
     print(f"{len(data)} -> {len(out)} bytes (ratio {ratio:.4f})")
@@ -177,8 +174,6 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--set", required=True, help="dictionary-set file")
     c.add_argument("--block-size", type=int, default=4096)
     c.add_argument("--image", action="store_true", help="treat input as PGM")
-    c.add_argument("--exact-select", action="store_true",
-                   help="full ABR model per block instead of the fast screen")
     c.set_defaults(fn=_cmd_compress)
 
     d = sub.add_parser("decompress", help="restore a compressed container")

@@ -94,8 +94,7 @@ def decode_block(dset: DictionarySet | MarlinDictionary, block: CompressedBlock,
     if dct.empty_quotient:
         quotients = np.full(n, dct.alphabet.values[0], dtype=np.uint8)
     else:
-        table = _table_for(dct)
-        quotients = decode_quotients(table, block.quotient_stream, n)
+        quotients = decode_quotients(dct.table, block.quotient_stream, n)
     out = (quotients << shift) | unpack_low_bits(block.reminders, shift, n)
     if block.escapes:
         locs = np.array([loc for loc, _ in block.escapes])
@@ -111,11 +110,3 @@ def _resolve(dset, index: int) -> MarlinDictionary:
     if index == RAW_INDEX or index >= len(dset):
         raise CorruptBlockError(f"unknown dictionary index {index}")
     return dset[index]
-
-
-def _table_for(dct: MarlinDictionary) -> DecoderTable:
-    table = getattr(dct, "_decoder_table", None)
-    if table is None:
-        table = DecoderTable(dct)
-        dct._decoder_table = table
-    return table

@@ -17,12 +17,17 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .bitpack import loc_bytes
 from .errors import BuildError
 from .source import ALPHABET_SIZE, SymbolDistribution, entropy
+
+if TYPE_CHECKING:
+    from .decoder import DecoderTable
+    from .encoder import EncoderMatrix
 
 #: threshold grid searched for unrepresented-symbol exclusion
 THRESHOLD_GRID = (0.0,) + tuple(2.0**-i for i in range(16, 5, -1))
@@ -65,18 +70,16 @@ class QuotientAlphabet:
         p[0] += self.p_escape
         return p
 
+    @cached_property
     def rank_lut(self) -> np.ndarray:
-        """Map byte value -> quotient rank; escaped bytes map to -1."""
-        cached = getattr(self, "_rank_lut", None)
-        if cached is None:
-            qspace = ALPHABET_SIZE >> self.shift if self.shift < 8 else 1
-            rank_of_q = np.full(qspace, -1, dtype=np.int16)
-            for r, v in enumerate(self.values):
-                rank_of_q[v] = r
-            cached = rank_of_q[np.arange(ALPHABET_SIZE) >> self.shift]
-            cached.setflags(write=False)
-            object.__setattr__(self, "_rank_lut", cached)
-        return cached
+        """Read-only map byte value -> quotient rank; escaped bytes map to -1."""
+        qspace = ALPHABET_SIZE >> self.shift if self.shift < 8 else 1
+        rank_of_q = np.full(qspace, -1, dtype=np.int16)
+        for r, v in enumerate(self.values):
+            rank_of_q[v] = r
+        lut = rank_of_q[np.arange(ALPHABET_SIZE) >> self.shift]
+        lut.setflags(write=False)
+        return lut
 
 
 def split_alphabet(dist: SymbolDistribution, shift: int, threshold: float) -> QuotientAlphabet:
@@ -334,6 +337,22 @@ class MarlinDictionary:
         """Words of chapter ``c`` in codeword-offset order, as quotient ranks."""
         return list(self.word_sets[self.chapter_sets[c]].words)
 
+    # -- compiled tables --------------------------------------------------------
+
+    @cached_property
+    def matrix(self) -> EncoderMatrix:
+        """The encoder's node graph, compiled on first use."""
+        from .encoder import EncoderMatrix
+
+        return EncoderMatrix(self)
+
+    @cached_property
+    def table(self) -> DecoderTable:
+        """The decoder's flat word table, compiled on first use."""
+        from .decoder import DecoderTable
+
+        return DecoderTable(self)
+
     # -- construction ---------------------------------------------------------
 
     @classmethod
@@ -430,6 +449,10 @@ class MarlinDictionary:
         for c, words_vals in enumerate(chapters):
             if len(words_vals) != 1 << k:
                 raise BuildError(f"chapter {c} must hold {1 << k} words")
+            if not all(w and all(v in value_rank for v in w) for w in words_vals):
+                raise BuildError(
+                    f"chapter {c} holds an empty word or a value outside the alphabet"
+                )
             words = [tuple(value_rank[v] for v in w) for w in words_vals]
             if len(set(words)) != len(words):
                 raise BuildError(f"chapter {c} contains repeated words")
@@ -821,12 +844,17 @@ MAX_SET_SIZE = 255
 
 @dataclass
 class DictionarySet:
-    """An ordered collection of dictionaries sharing (K, O)."""
+    """An ordered collection of dictionaries sharing (K, O).
 
-    dictionaries: list[MarlinDictionary]
+    ``dictionaries`` is stored as a tuple, so the tables compiled from it
+    (the digest, the selection costs) cannot go stale.
+    """
+
+    dictionaries: tuple[MarlinDictionary, ...]
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        self.dictionaries = tuple(self.dictionaries)
         if not self.dictionaries:
             raise BuildError("a dictionary set must contain at least one dictionary")
         if len(self.dictionaries) > MAX_SET_SIZE:
@@ -853,6 +881,13 @@ class DictionarySet:
 
     def __getitem__(self, i: int) -> MarlinDictionary:
         return self.dictionaries[i]
+
+    @cached_property
+    def digest(self) -> bytes:
+        """The set's identity in containers, computed on first use."""
+        from .format import dictset_digest
+
+        return dictset_digest(self)
 
     def select(self, hist: SymbolDistribution, block_n: int) -> int:
         """Index of the dictionary with the lowest modeled ABR on ``hist``."""
@@ -887,7 +922,7 @@ def _cost_matrix(dset: DictionarySet, loc_width: int) -> np.ndarray:
     esc_bits = 8.0 * (1 + loc_width)
     for dct in dset.dictionaries:
         cost = np.full(ALPHABET_SIZE, float(dct.shift))
-        rank = dct.alphabet.rank_lut()
+        rank = dct.alphabet.rank_lut
         escaped = rank < 0
         if dct.empty_quotient:
             cost[escaped] += esc_bits

@@ -151,19 +151,14 @@ def pack_reminders(message: bytes, s: int) -> bytes:
     return pack_low_bits(np.frombuffer(message, dtype=np.uint8), s)
 
 
-def encode_block(
-    dct: MarlinDictionary,
-    matrix: EncoderMatrix | None,
-    message: bytes,
-    dict_index: int = 0,
-) -> CompressedBlock:
-    """Encode one block; falls back to a raw block when escapes overflow the
-    one-byte counter or compression would not save a byte."""
+def encode_block(dct: MarlinDictionary, message: bytes, dict_index: int = 0) -> CompressedBlock:
+    """Encode one block with ``dct.matrix``; falls back to a raw block when
+    escapes overflow the one-byte counter or compression would not save a byte."""
     n = len(message)
     if n == 0:
         return CompressedBlock(dict_index=RAW_INDEX, n=0, raw=b"")
     msg = np.frombuffer(message, dtype=np.uint8)
-    rank = dct.alphabet.rank_lut()[msg]
+    rank = dct.alphabet.rank_lut[msg]
     esc_pos = np.nonzero(rank < 0)[0]
     if len(esc_pos) > 255:
         return CompressedBlock(dict_index=RAW_INDEX, n=n, raw=message)
@@ -171,9 +166,7 @@ def encode_block(
     if dct.empty_quotient:
         stream = b""
     else:
-        if matrix is None:
-            matrix = EncoderMatrix(dct)
-        codewords = matrix.walk(np.where(rank < 0, 0, rank))
+        codewords = dct.matrix.walk(np.where(rank < 0, 0, rank))
         stream = pack_units(codewords & (dct.words_per_chapter - 1), dct.k)
     reminders = pack_reminders(message, dct.shift)
     block = CompressedBlock(

@@ -22,11 +22,10 @@ from .dictionary import (
     MarlinDictionary,
     QuotientAlphabet,
 )
-from .encoder import CompressedBlock, EncoderMatrix, encode_block
+from .encoder import CompressedBlock, encode_block
 from .decoder import decode_block
 from .errors import CorruptBlockError, FormatError
 from .image import BLOCK_EDGE, block_geometry
-from .source import SymbolDistribution
 
 CONTAINER_MAGIC = b"RMC1"
 DICTSET_MAGIC = b"RMDS"
@@ -174,12 +173,12 @@ def save_dictset(dset: DictionarySet) -> bytes:
 
 
 def dictset_digest(dset: DictionarySet) -> bytes:
-    """Digest over table-determining bytes only; changes iff any table bit does."""
-    cached = getattr(dset, "_digest", None)
-    if cached is None:
-        tables = [_dict_table_bytes(dct) for dct in dset.dictionaries]
-        cached = dset._digest = _tables_digest(dset.k, dset.o, tables)
-    return cached
+    """Digest over table-determining bytes only; changes iff any table bit does.
+
+    Computed afresh on every call; :attr:`DictionarySet.digest` keeps it.
+    """
+    tables = [_dict_table_bytes(dct) for dct in dset.dictionaries]
+    return _tables_digest(dset.k, dset.o, tables)
 
 
 class _Reader:
@@ -235,6 +234,8 @@ def _parse_dict(table: bytes, meta: bytes, k: int, o: int) -> MarlinDictionary:
             word_sets.append(LevelWords.listed(lvl, words))
         if max(chapter_sets) >= n_keys:
             raise FormatError("a chapter names a word set the table does not hold")
+        if len(set(chapter_sets)) != n_keys:
+            raise FormatError("the table holds a word set that no chapter names")
     t.finish()
     m = _Reader(meta, "dictionary metadata")
     p_escape, abr, qbits, thr, block_n = m.unpack("<ddddI")
@@ -374,20 +375,7 @@ class ContainerHeader:
         return [bs] * full + ([rem] if rem else [])
 
 
-def _matrix_for(dct: MarlinDictionary):
-    matrix = getattr(dct, "_encoder_matrix", None)
-    if matrix is None and not dct.empty_quotient:
-        matrix = EncoderMatrix(dct)
-        dct._encoder_matrix = matrix
-    return matrix
-
-
-def compress_blocks(
-    data: bytes,
-    dset: DictionarySet,
-    sizes: list[int],
-    exact_select: bool = False,
-) -> list[bytes]:
+def compress_blocks(data: bytes, dset: DictionarySet, sizes: list[int]) -> list[bytes]:
     """Encode consecutive slices of ``data`` given by ``sizes``."""
     out = []
     pos = 0
@@ -395,15 +383,11 @@ def compress_blocks(
         chunk = data[pos : pos + n]
         pos += n
         if n == 0:
-            out.append(serialize_block(encode_block(None, None, b""), 0))
+            out.append(serialize_block(encode_block(None, b""), 0))
             continue
         counts = np.bincount(np.frombuffer(chunk, dtype=np.uint8), minlength=256)
-        if exact_select:
-            idx = dset.select(SymbolDistribution(counts / counts.sum()), n)
-        else:
-            idx = dset.quick_select(counts, n)
-        dct = dset[idx]
-        block = encode_block(dct, _matrix_for(dct), chunk, dict_index=idx)
+        idx = dset.quick_select(counts, n)
+        block = encode_block(dset[idx], chunk, dict_index=idx)
         out.append(serialize_block(block, n))
     return out
 
@@ -412,7 +396,6 @@ def compress_bytes(
     data: bytes,
     dset: DictionarySet,
     block_size: int = 4096,
-    exact_select: bool = False,
     flags: int = 0,
     width: int = 0,
     height: int = 0,
@@ -423,11 +406,11 @@ def compress_bytes(
         raise ValueError("block size must be positive")
     header = ContainerHeader(
         k=dset.k, o=dset.o, block_size=block_size, total_size=len(data),
-        flags=flags, width=width, height=height, digest=dictset_digest(dset),
+        flags=flags, width=width, height=height, digest=dset.digest,
     )
     if sizes is None:
         sizes = header.block_sizes()
-    payloads = compress_blocks(data, dset, sizes, exact_select=exact_select)
+    payloads = compress_blocks(data, dset, sizes)
     out = bytearray(header.pack(len(payloads)))
     for p in payloads:
         out += struct.pack("<I", len(p))
@@ -438,7 +421,7 @@ def compress_bytes(
 def decompress_bytes(buf: bytes, dset: DictionarySet) -> bytes:
     """Decompress a container produced by :func:`compress_bytes`."""
     header, _, pos = ContainerHeader.unpack(buf)
-    if header.digest != dictset_digest(dset):
+    if header.digest != dset.digest:
         raise FormatError(
             "container was compressed with a different dictionary set"
         )

@@ -189,7 +189,7 @@ def test_criterion_8_structural_invariants(grid_distributions, grid_set):
         dct = MarlinDictionary.build(d_dist, k=k, o=o, shift=0, threshold=2**-16)
         matrix = EncoderMatrix(dct)
         msg = d_dist.sample(10**7, seed=4242)
-        ranks = dct.alphabet.rank_lut()[np.frombuffer(msg, np.uint8)].tolist()
+        ranks = dct.alphabet.rank_lut[np.frombuffer(msg, np.uint8)].tolist()
         n_words = len(matrix.walk(ranks))
         mc = len(ranks) / n_words
         model = dct.mean_parse_length(d_dist)

@@ -159,7 +159,7 @@ def test_decode_matches_oracle_on_built_set(oracle_set):
         oracle = OracleTable(dct)
         for n in SIZES:
             msg = dist.sample(n, seed=n)
-            block = encode_block(dct, None, msg)
+            block = encode_block(dct, msg)
             if block.is_raw:
                 continue
             if not dct.empty_quotient:

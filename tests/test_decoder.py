@@ -5,7 +5,6 @@ from conftest import A, B, C, D
 from ricemarlin import (
     CorruptBlockError,
     DecoderTable,
-    EncoderMatrix,
     MarlinDictionary,
     SymbolDistribution,
     SyntheticFamily,
@@ -86,7 +85,7 @@ def test_inserted_quotient_byte_is_corrupt():
     dist = make_distribution(SyntheticFamily("laplacian", 0.5))
     dct = MarlinDictionary.build(dist, k=8, o=4, shift=2, threshold=2**-10)
     msg = dist.sample(4096, seed=8)
-    buf = serialize_block(encode_block(dct, None, msg), 4096)
+    buf = serialize_block(encode_block(dct, msg), 4096)
     assert buf[0] == 0  # not raw: the quotient section starts at byte 2
     dset = DictionarySet([dct])
     assert decode_block(dset, parse_block(buf, 4096, dset), 4096) == msg
@@ -99,15 +98,14 @@ def test_inserted_quotient_byte_is_corrupt():
 def test_decode_quotients_matches_encoder_stage_one():
     dist = make_distribution(SyntheticFamily("laplacian", 0.5))
     dct = MarlinDictionary.build(dist, k=8, o=4, shift=2, threshold=2**-10)
-    matrix = EncoderMatrix(dct)
     table = DecoderTable(dct)
-    rank_lut = dct.alphabet.rank_lut()
+    rank_lut = dct.alphabet.rank_lut
     values = np.asarray(dct.alphabet.values, dtype=np.uint8)
     rng = np.random.default_rng(11)
     for _ in range(25):
         n = int(rng.integers(1, 3000))
         msg = dist.sample(n, seed=int(rng.integers(1 << 30)))
-        block = encode_block(dct, matrix, msg)
+        block = encode_block(dct, msg)
         if block.is_raw:
             continue
         ranks = rank_lut[np.frombuffer(msg, np.uint8)]
@@ -134,7 +132,7 @@ def test_decode_block_bad_escape_location():
     dist = make_distribution(SyntheticFamily("laplacian", 0.5))
     dct = MarlinDictionary.build(dist, k=8, o=4, shift=0, threshold=2**-10)
     msg = dist.sample(100, seed=4)
-    blk = encode_block(dct, None, msg)
+    blk = encode_block(dct, msg)
     assert not blk.is_raw
     blk.escapes.append((100, 0))  # beyond the block
     with pytest.raises(CorruptBlockError):
@@ -143,7 +141,7 @@ def test_decode_block_bad_escape_location():
 
 def test_decode_is_deterministic(worked_dictionary):
     msg = bytes([A, A, A, B, A, C] * 10)
-    blk = encode_block(worked_dictionary, None, msg)
+    blk = encode_block(worked_dictionary, msg)
     a = decode_block(worked_dictionary, blk, len(msg))
     b = decode_block(worked_dictionary, blk, len(msg))
     assert a == b == msg
@@ -153,10 +151,9 @@ def test_decode_is_deterministic(worked_dictionary):
 def test_full_pipeline_fuzz(fam, frac):
     dist = make_distribution(SyntheticFamily(fam, frac))
     dct = MarlinDictionary.build(dist, k=8, o=4, shift=1, threshold=2**-10)
-    matrix = EncoderMatrix(dct)
     rng = np.random.default_rng(hash(fam) & 0xFFFF)
     for _ in range(300):
         n = int(rng.integers(0, 1500))
         msg = dist.sample(n, seed=int(rng.integers(1 << 30)))
-        blk = encode_block(dct, matrix, msg)
+        blk = encode_block(dct, msg)
         assert decode_block(dct, blk, n) == msg

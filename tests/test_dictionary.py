@@ -236,7 +236,7 @@ def test_stationary_matches_monte_carlo_toy(abcd_dist):
     dct = MarlinDictionary.build(abcd_dist, k=3, o=1, shift=0, threshold=2**-16)
     matrix = EncoderMatrix(dct)
     msg = abcd_dist.sample(10**7, seed=42)
-    ranks = dct.alphabet.rank_lut()[np.frombuffer(msg, np.uint8)].tolist()
+    ranks = dct.alphabet.rank_lut[np.frombuffer(msg, np.uint8)].tolist()
     cws = np.asarray(matrix.walk(ranks))
     mc_pi = np.bincount(cws >> dct.k, minlength=dct.n_chapters) / len(cws)
     mc_lbar = len(ranks) / len(cws)
@@ -495,7 +495,7 @@ def test_overlapped_twelve_bit_parameterization():
     assert dct.n_codewords == 1 << 16
     assert max(dct.levels) >= 1  # overlap carries exclusion information
     msg = dist.sample(20000, seed=6)
-    blk = encode_block(dct, None, msg)
+    blk = encode_block(dct, msg)
     assert decode_block(dct, blk, len(msg)) == msg
     # a single unsearched (S, threshold) point still lands near the curve
     assert efficiency(dct, dist, 4096) > 0.85
@@ -533,7 +533,7 @@ def _scalar_cost_matrix(dset: DictionarySet, block_n: int) -> np.ndarray:
         with np.errstate(divide="ignore"):
             qbits = np.where(coding > 0, -np.log2(np.maximum(coding, 1e-300)), 64.0)
         qbits = np.minimum(qbits / max(eta_q, 1e-9), 64.0)
-        rank_lut = dct.alphabet.rank_lut()
+        rank_lut = dct.alphabet.rank_lut
         for b in range(ALPHABET_SIZE):
             r = rank_lut[b]
             if r < 0:

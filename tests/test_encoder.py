@@ -69,7 +69,7 @@ def test_walk_worked_example_bitstream(worked_dictionary):
 
 def test_encode_block_worked_example(worked_dictionary):
     msg = bytes([A, A, A, B, A, C])
-    block = encode_block(worked_dictionary, None, msg)
+    block = encode_block(worked_dictionary, msg)
     # 101 001 101 packed MSB-first
     assert block.quotient_stream == bytes([0b10100110, 0b10000000])
     assert block.escapes == []
@@ -99,7 +99,7 @@ def test_pack_reminders_degenerate():
 def test_encode_empty_message_is_minimal():
     dist = make_distribution(SyntheticFamily("laplacian", 0.5))
     dct = MarlinDictionary.build(dist, k=8, o=4, shift=1, threshold=2**-10)
-    block = encode_block(dct, None, b"")
+    block = encode_block(dct, b"")
     # a structured empty block would spend 2 bytes; the size fallback keeps 1
     assert block.is_raw and block.raw == b"" and block.n == 0
     assert block.serialized_size() == 1
@@ -111,7 +111,7 @@ def test_encode_records_escapes_in_order():
     dist = SymbolDistribution(p)
     dct = MarlinDictionary.build(dist, k=8, o=4, shift=0, threshold=0.01)
     msg = bytes([0, 200, 0, 0, 200, 1] * 10)
-    block = encode_block(dct, None, msg)
+    block = encode_block(dct, msg)
     assert not block.is_raw
     locs = [loc for loc, _ in block.escapes]
     assert locs == sorted(locs)
@@ -126,7 +126,7 @@ def test_encode_too_many_escapes_falls_back_to_raw():
     dist = SymbolDistribution(p)
     dct = MarlinDictionary.build(dist, k=8, o=4, shift=0, threshold=0.01)
     msg = bytes([200] * 300)
-    block = encode_block(dct, None, msg)
+    block = encode_block(dct, msg)
     assert block.is_raw
     assert block.dict_index == RAW_INDEX
     assert block.serialized_size() == 1 + 300
@@ -136,7 +136,7 @@ def test_encode_expansion_falls_back_to_raw():
     dist = make_distribution(SyntheticFamily("laplacian", 0.2))
     dct = MarlinDictionary.build(dist, k=8, o=4, shift=0, threshold=2**-10)
     msg = bytes(np.random.default_rng(0).integers(0, 256, 4096, dtype=np.uint8))
-    block = encode_block(dct, None, msg)
+    block = encode_block(dct, msg)
     assert block.is_raw
     assert block.serialized_size() == 1 + 4096
 
@@ -148,7 +148,7 @@ def test_placeholder_substitution_keeps_reminders():
     dist = SymbolDistribution(p)
     dct = MarlinDictionary.build(dist, k=8, o=2, shift=1, threshold=0.01)
     msg = (bytes([0, 2] * 50) + bytes([255])) * 3
-    block = encode_block(dct, None, msg)
+    block = encode_block(dct, msg)
     assert not block.is_raw
     assert block.unrep_count == 3
     assert decode_block(dct, block, len(msg)) == msg
@@ -163,7 +163,7 @@ def test_emitted_units_count_matches_parse(worked_dictionary):
         ranks = rng.integers(0, 4, n).tolist()
         codewords = m.walk(ranks)
         stream = len(codewords) * 3  # K bits per emitted word
-        block = encode_block(dct, m, bytes(ranks))
+        block = encode_block(dct, bytes(ranks))
         if not block.is_raw:
             assert len(block.quotient_stream) == (stream + 7) // 8
 
@@ -176,11 +176,10 @@ def test_matrix_never_consults_traps_across_fuzz():
     ]:
         dist = make_distribution(SyntheticFamily(fam, frac))
         dct = MarlinDictionary.build(dist, k=k, o=o, shift=s, threshold=2**-8)
-        m = EncoderMatrix(dct)
         rng = np.random.default_rng(99)
         for _ in range(20):
             msg = bytes(rng.integers(0, 256, 2048, dtype=np.uint8))
-            encode_block(dct, m, msg)  # raises on any trap hit
+            encode_block(dct, msg)  # raises on any trap hit
 
 
 def test_per_chapter_walks_start_anywhere(worked_dictionary):

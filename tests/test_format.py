@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import struct
 
 import numpy as np
@@ -24,11 +25,20 @@ from ricemarlin import (
     save_dictset,
     serialize_block,
 )
-from ricemarlin.dictionary import DictionarySet
+from ricemarlin.dictionary import RAW_INDEX, DictionarySet
 from ricemarlin.encoder import CompressedBlock
 from ricemarlin.format import FLAG_IMAGE, ContainerHeader, _tables_digest, dictset_digest
 
-from conftest import abcd_distribution, from_tables_copy, unsafe_copy
+from conftest import (
+    FAMILIES,
+    FRACTIONS,
+    GRID_SIZES,
+    WORKED_CHAPTER_0,
+    WORKED_CHAPTER_1,
+    abcd_distribution,
+    from_tables_copy,
+    unsafe_copy,
+)
 
 
 @pytest.fixture(scope="module")
@@ -59,7 +69,7 @@ def test_escape_section_width_scales_with_message_size(tiny_set):
     one = DictionarySet([dct])
     msg = bytearray(dist.sample(300, seed=1).replace(bytes([200]), bytes([0])))
     msg[5], msg[200] = 200, 200
-    blk = encode_block(dct, None, bytes(msg), dict_index=0)
+    blk = encode_block(dct, bytes(msg), dict_index=0)
     assert blk.unrep_count == 2
     data = serialize_block(blk, 300)
     # 2 escapes x (2 location bytes + 1 symbol byte) for a 300-symbol block
@@ -72,11 +82,10 @@ def test_parse_inverts_serialize_fuzzed(tiny_set):
     rng = np.random.default_rng(3)
     dist = make_distribution(SyntheticFamily("laplacian", 0.5))
     dct = tiny_set[1]
-    matrix = EncoderMatrix(dct)
     for _ in range(100):
         n = int(rng.integers(0, 2000))
         msg = dist.sample(n, seed=int(rng.integers(1 << 30)))
-        blk = encode_block(dct, matrix, msg, dict_index=1)
+        blk = encode_block(dct, msg, dict_index=1)
         buf = serialize_block(blk, n)
         parsed = parse_block(buf, n, tiny_set)
         assert parsed.dict_index == blk.dict_index
@@ -94,7 +103,7 @@ def test_parse_raw_empty():
 def test_parse_truncated_raises(tiny_set):
     dct = tiny_set[0]
     msg = make_distribution(SyntheticFamily("laplacian", 0.2)).sample(500, seed=1)
-    buf = serialize_block(encode_block(dct, None, msg, dict_index=0), 500)
+    buf = serialize_block(encode_block(dct, msg, dict_index=0), 500)
 
     def parse_and_decode(data):
         from ricemarlin import decode_block
@@ -121,7 +130,7 @@ def test_serialized_length_formula(tiny_set):
     dct = tiny_set[1]
     for n in (1, 255, 256, 4096):
         msg = dist.sample(n, seed=n)
-        blk = encode_block(dct, None, msg, dict_index=1)
+        blk = encode_block(dct, msg, dict_index=1)
         buf = serialize_block(blk, n)
         assert len(buf) == blk.serialized_size()
 
@@ -179,6 +188,26 @@ def _set_file_with_header(dct, at, key, level):
     return bytes(data)
 
 
+def _set_file_with_extra_set(dct):
+    """``dct``'s set file with a copy of its last word set appended under the
+    next key, which no chapter names, and its digest recomputed."""
+    data = bytearray(save_dictset(DictionarySet([dct])))
+    table_at = 16
+    (tlen,) = struct.unpack_from("<I", data, 8)
+    end = table_at + tlen  # the word sets close the table part
+    sizes = [3 + sum(2 + len(w) for w in lw.words) for lw in dct.word_sets]
+    n_keys_at = end - sum(sizes) - 2
+    assert struct.unpack_from("<H", data, n_keys_at) == (len(sizes),)
+    struct.pack_into("<H", data, n_keys_at, len(sizes) + 1)
+    extra = bytearray(data[end - sizes[-1] : end])
+    struct.pack_into("<H", extra, 0, len(sizes))
+    data[end:end] = extra
+    struct.pack_into("<I", data, 8, tlen + len(extra))
+    table = bytes(data[table_at : end + len(extra)])
+    data[-32:] = _tables_digest(dct.k, dct.o, [table])
+    return bytes(data)
+
+
 def test_dictset_rejects_word_set_header_unlike_its_place(abcd_dist):
     dct = MarlinDictionary.build(abcd_dist, 3, 1, 0, 2**-16)
     assert dct.levels == (0, 1) and len(dct.word_sets) == 2
@@ -192,6 +221,10 @@ def test_dictset_rejects_word_set_header_unlike_its_place(abcd_dist):
     for level in (0, 2, 255):
         with pytest.raises(FormatError, match="level"):
             load_dictset(_set_file_with_header(dct, 1, 1, level))
+    # every stored set must be named by a chapter; an unnamed one would only
+    # add unreachable nodes and rows to the compiled tables
+    with pytest.raises(FormatError, match="no chapter names"):
+        load_dictset(_set_file_with_extra_set(dct))
 
 
 def test_unsafe_word_sets_are_rejected(worked_dictionary):
@@ -202,18 +235,26 @@ def test_unsafe_word_sets_are_rejected(worked_dictionary):
         load_dictset(save_dictset(DictionarySet([unsafe])))
     with pytest.raises(BuildError, match="unsafe"):
         from_tables_copy(unsafe)
+    # a word must be non-empty and hold alphabet values only
+    for bad in ((9,), ()):
+        chapters = [list(WORKED_CHAPTER_0), list(WORKED_CHAPTER_1)]
+        chapters[0][0] = bad
+        with pytest.raises(BuildError, match="empty word or a value outside"):
+            MarlinDictionary.from_tables(3, 1, worked_dictionary.alphabet, chapters)
 
 
 def test_dictset_digest_tracks_tables_only(tiny_set):
     d = dictset_digest(tiny_set)
-    # metadata does not move the digest; a fresh set has no cached digest
+    assert tiny_set.digest == d
+    # metadata does not move the digest; a set keeps its digest, so each
+    # check digests a fresh one
     old = tiny_set[0].abr
     tiny_set[0].abr = old + 1.0
     try:
-        assert dictset_digest(DictionarySet(list(tiny_set.dictionaries))) == d
+        assert DictionarySet(tiny_set.dictionaries).digest == d
     finally:
         tiny_set[0].abr = old
-    assert dictset_digest(DictionarySet(list(tiny_set.dictionaries)[::-1])) != d
+    assert DictionarySet(tiny_set.dictionaries[::-1]).digest != d
 
 
 def test_dictset_corrupted_digest_rejected(tiny_set):
@@ -257,6 +298,60 @@ def test_dictset_mutations_raise_format_error_or_load(tiny_set):
         loaded_count += 1
         assert decompress_bytes(compress_bytes(msg, loaded), loaded) == msg
     assert loaded_count < 100
+
+
+def test_tables_compile_once_per_owner(tiny_set, monkeypatch):
+    from ricemarlin import format as fmt
+
+    built = {"matrix": [], "table": [], "digest": []}
+    for cls, name in ((EncoderMatrix, "matrix"), (DecoderTable, "table")):
+        def counting(self, dct, _init=cls.__init__, _name=name):
+            built[_name].append(dct)
+            _init(self, dct)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+    digest = fmt.dictset_digest
+    monkeypatch.setattr(
+        fmt, "dictset_digest", lambda dset: built["digest"].append(dset) or digest(dset)
+    )
+    dset = load_dictset(save_dictset(tiny_set))  # a set nothing has compiled yet
+    assert isinstance(dset.dictionaries, tuple)
+    data = b"".join(
+        make_distribution(SyntheticFamily("laplacian", f)).sample(4096, seed=5)
+        for f in (0.2, 0.8, 0.2, 0.8)
+    )
+    for _ in range(2):
+        comp = compress_bytes(data, dset)
+        assert decompress_bytes(comp, dset) == data
+    used, pos = set(), ContainerHeader.unpack(comp)[2]
+    while pos < len(comp):  # each block: a 4-byte length, then #D first
+        used.add(comp[pos + 4])
+        pos += 4 + struct.unpack_from("<I", comp, pos)[0]
+    assert len(used) >= 2 and RAW_INDEX not in used
+    for name in ("matrix", "table"):
+        assert sorted(map(dset.dictionaries.index, built[name])) == sorted(used), name
+    assert built["digest"] == [dset]
+    for dct in dset.dictionaries:
+        lut = dct.alphabet.rank_lut
+        assert dct.alphabet.rank_lut is lut and not lut.flags.writeable
+
+
+def test_grid_set_and_containers_bytes_are_pinned(grid_distributions, grid_set):
+    """Set-file and container bytes of the acceptance grid, pinned by sha256.
+
+    The digests were taken on x86-64 Linux with numpy 2.4; a refactor that
+    keeps the codec's output must keep them.
+    """
+    assert list(grid_distributions) == [(f, x) for f in FAMILIES for x in FRACTIONS]
+    set_digest = hashlib.sha256(save_dictset(grid_set)).hexdigest()
+    assert set_digest == "57a56b6a15c48de9b307586e3e63f7791f263eebf9a4ccdafcb48c10f2300fed"
+    containers = hashlib.sha256()
+    for dist in grid_distributions.values():
+        for i, n in enumerate(GRID_SIZES):
+            containers.update(compress_bytes(dist.sample(n, seed=1000 + i), grid_set))
+    assert containers.hexdigest() == (
+        "4bb9f2bdc9c16c5ac620895e57fbcb38a90a02c5f628bfa0abc91bb40d2f82bc"
+    )
 
 
 def test_empty_set_unrepresentable():
@@ -309,13 +404,6 @@ def test_container_header_derives_block_sizes():
         width=130, height=65,
     )
     assert img.block_count() == len(img.block_sizes()) == 6
-
-
-def test_container_exact_selection_roundtrip(tiny_set):
-    dist = make_distribution(SyntheticFamily("laplacian", 0.8))
-    data = dist.sample(20000, seed=9)
-    comp = compress_bytes(data, tiny_set, exact_select=True)
-    assert decompress_bytes(comp, tiny_set) == data
 
 
 # ---------------------------------------------------------------------------
