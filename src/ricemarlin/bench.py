@@ -6,6 +6,7 @@ import csv
 import io
 import time
 from dataclasses import dataclass, field
+from statistics import median
 
 from .dictionary import (
     THRESHOLD_GRID,
@@ -149,12 +150,6 @@ class BenchReport:
         )
 
 
-def _median(xs: list[float]) -> float:
-    s = sorted(xs)
-    mid = len(s) // 2
-    return s[mid] if len(s) % 2 else 0.5 * (s[mid - 1] + s[mid])
-
-
 def speed_bench(
     corpus: bytes,
     dset: DictionarySet,
@@ -182,8 +177,8 @@ def speed_bench(
     return BenchReport(
         original_bytes=len(corpus),
         compressed_bytes=len(compressed),
-        encode_mib_s=mib / _median(enc_times),
-        decode_mib_s=mib / _median(dec_times),
+        encode_mib_s=mib / median(enc_times),
+        decode_mib_s=mib / median(dec_times),
         encode_runs=enc_times,
         decode_runs=dec_times,
     )

@@ -47,13 +47,14 @@ _STATIONARY_CAP = 100_000
 
 @dataclass(frozen=True)
 class QuotientAlphabet:
-    """The represented quotient alphabet for one (distribution, S, threshold)."""
+    """The represented quotient alphabet for one (distribution, S, threshold).
+
+    ``values[0]`` is the placeholder that escaped symbols are parsed as.
+    """
 
     shift: int
     values: tuple[int, ...]  # quotient values, most probable first
     probs: np.ndarray  # per-quotient probability, aligned with values
-    excluded: frozenset[int]  # byte symbols whose quotient is unrepresented
-    placeholder: int  # most probable represented quotient
     p_escape: float
 
     def __len__(self) -> int:
@@ -73,13 +74,17 @@ class QuotientAlphabet:
     @cached_property
     def rank_lut(self) -> np.ndarray:
         """Read-only map byte value -> quotient rank; escaped bytes map to -1."""
-        qspace = ALPHABET_SIZE >> self.shift if self.shift < 8 else 1
-        rank_of_q = np.full(qspace, -1, dtype=np.int16)
+        rank_of_q = np.full(ALPHABET_SIZE >> self.shift, -1, dtype=np.int16)
         for r, v in enumerate(self.values):
             rank_of_q[v] = r
         lut = rank_of_q[np.arange(ALPHABET_SIZE) >> self.shift]
         lut.setflags(write=False)
         return lut
+
+    @cached_property
+    def excluded(self) -> frozenset[int]:
+        """Byte symbols whose quotient is unrepresented."""
+        return frozenset(np.flatnonzero(self.rank_lut < 0).tolist())
 
 
 def split_alphabet(dist: SymbolDistribution, shift: int, threshold: float) -> QuotientAlphabet:
@@ -96,16 +101,10 @@ def split_alphabet(dist: SymbolDistribution, shift: int, threshold: float) -> Qu
         )
     kept = np.nonzero(keep)[0]
     order = kept[np.lexsort((kept, -qp[kept]))]  # prob desc, value asc on ties
-    excluded_q = set(np.nonzero(~keep)[0].tolist())
-    excluded_bytes = frozenset(
-        b for b in range(ALPHABET_SIZE) if (b >> shift) in excluded_q
-    )
     return QuotientAlphabet(
         shift=shift,
         values=tuple(int(v) for v in order),
         probs=qp[order],
-        excluded=excluded_bytes,
-        placeholder=int(order[0]),
         p_escape=float(qp[~keep].sum()),
     )
 
@@ -269,6 +268,7 @@ class MarlinDictionary:
 
     Chapter ``c`` reads word set ``word_sets[chapter_sets[c]]``, whose words
     sit in codeword-offset order; ``levels[c]`` is that set's exclusion level.
+    A dictionary without word sets codes no quotients (``empty_quotient``).
     """
 
     def __init__(
@@ -280,7 +280,6 @@ class MarlinDictionary:
         chapter_sets: tuple[int, ...],
         source_id: str = "custom",
         block_n: int = 4096,
-        empty_quotient: bool = False,
         search_threshold: float = 0.0,
     ):
         _validate_ko(k, o)
@@ -289,13 +288,10 @@ class MarlinDictionary:
         self.alphabet = alphabet
         self.word_sets = word_sets
         self.chapter_sets = chapter_sets
-        self.levels = tuple(word_sets[s].level for s in chapter_sets)
-        self.max_word_len = 1 if empty_quotient else max(
-            max(map(len, lw.words)) for lw in word_sets
-        )
+        self.empty_quotient = not word_sets
+        self.max_word_len = max([max(map(len, lw.words)) for lw in word_sets], default=1)
         self.source_id = source_id
         self.block_n = block_n
-        self.empty_quotient = empty_quotient
         # the searched threshold that produced this dictionary; 0.0 if unsearched
         self.search_threshold = search_threshold
         self.abr: float = float("nan")
@@ -304,6 +300,11 @@ class MarlinDictionary:
         self._chain_cache: dict[int, "_ParseChain"] = {}
 
     # -- basic geometry -----------------------------------------------------
+
+    @cached_property
+    def levels(self) -> tuple[int, ...]:
+        """Exclusion level of every chapter, read off its word set."""
+        return tuple(self.word_sets[s].level for s in self.chapter_sets)
 
     @property
     def shift(self) -> int:
@@ -386,10 +387,7 @@ class MarlinDictionary:
         nq = len(alphabet)
         source_id = source_id if source_id is not None else dist.source_id
         if nq == 1:
-            dct = cls(
-                k, o, alphabet, (), (), source_id=source_id, block_n=block_n,
-                empty_quotient=True,
-            )
+            dct = cls(k, o, alphabet, (), (), source_id=source_id, block_n=block_n)
             dct._finalize(dist)
             return dct
         if nq >= (1 << k):
@@ -437,56 +435,74 @@ class MarlinDictionary:
         """Assemble a dictionary from explicit per-chapter word lists.
 
         ``chapters[c][i]`` is the word (quotient values) for codeword
-        ``c * 2**K + i``.  Words must be prefix-closed within each chapter and
-        each word's present extensions must be its most probable successors.
+        ``c * 2**K + i``.  Each chapter gets its own word set, which must pass
+        :meth:`check`; otherwise :class:`BuildError` is raised.
         """
         _validate_ko(k, o)
         if len(chapters) != 1 << o:
             raise BuildError(f"need {1 << o} chapters, got {len(chapters)}")
+        nq = len(alphabet)
+        # a value outside the alphabet maps to rank nq, which the check rejects
         value_rank = {v: r for r, v in enumerate(alphabet.values)}
-        # one word set per chapter, even where two chapters share a level
         word_sets = []
-        for c, words_vals in enumerate(chapters):
-            if len(words_vals) != 1 << k:
-                raise BuildError(f"chapter {c} must hold {1 << k} words")
-            if not all(w and all(v in value_rank for v in w) for w in words_vals):
-                raise BuildError(
-                    f"chapter {c} holds an empty word or a value outside the alphabet"
-                )
-            words = [tuple(value_rank[v] for v in w) for w in words_vals]
-            if len(set(words)) != len(words):
-                raise BuildError(f"chapter {c} contains repeated words")
-            lw = LevelWords.listed(min(w[0] for w in words), words)
-            for w, kw in zip(words, lw.kvals):
-                if any(w + (r,) in lw.index for r in range(kw + 1, len(alphabet))):
-                    raise BuildError(
-                        "present extensions must be the most probable successors"
-                    )
-                if len(w) > 1 and w[:-1] not in lw.index:
-                    raise BuildError(f"chapter {c} is not prefix-closed at {w}")
-            for r in range(lw.level, len(alphabet)):
-                if (r,) not in lw.index:
-                    raise BuildError(
-                        f"chapter {c} misses single-symbol word of rank {r}"
-                    )
-            word_sets.append(lw)
+        for words_vals in chapters:
+            words = [tuple(value_rank.get(v, nq) for v in w) for w in words_vals]
+            level = min((w[0] for w in words if w), default=0)
+            word_sets.append(LevelWords.listed(level, words))
         dct = cls(
             k, o, alphabet, tuple(word_sets), tuple(range(1 << o)),
             source_id=source_id, block_n=block_n,
         )
-        dct.check_safe(BuildError)
+        dct.check(BuildError)
         return dct
 
-    def check_safe(self, error: type[Exception]) -> None:
-        """Raise ``error`` if a word has fewer children than the exclusion
-        level of the chapter its codeword feeds: the walk would trap there."""
-        omask = self.n_chapters - 1
-        for s, lw in enumerate(self.word_sets):
-            for i, kw in enumerate(lw.kvals):
-                if kw < self.levels[i & omask]:
+    def check(self, error: type[Exception]) -> None:
+        """Raise ``error`` unless the encoder and decoder can share these tables.
+
+        The builder's output passes by construction and is not checked.
+        """
+        a, sets = self.alphabet, self.word_sets
+        nq = len(a)
+        if not 0 <= a.shift <= 8:
+            raise error(f"shift {a.shift} is outside [0, 8]")
+        qspace = ALPHABET_SIZE >> a.shift
+        if not nq or len(set(a.values)) != nq or not all(0 <= v < qspace for v in a.values):
+            raise error(f"quotient values must be one or more, distinct and below {qspace}")
+        if not sets:
+            if nq != 1 or self.chapter_sets:
+                raise error("a dictionary without word sets needs one quotient and no chapters")
+            return
+        if not all(0 <= s < len(sets) for s in self.chapter_sets):
+            raise error("a chapter names a word set the table does not hold")
+        if len(set(self.chapter_sets)) != len(sets):
+            raise error("the table holds a word set that no chapter names")
+        size = self.words_per_chapter
+        for s, lw in enumerate(sets):
+            words = lw.words
+            lengths = list(map(len, words))
+            if len(words) != size or len(lw.index) != size:
+                raise error(f"word set {s} must hold {size} distinct words")
+            if 0 in lengths or max(words)[0] >= nq or max(lw.kvals) > nq:
+                raise error(f"word set {s} holds an empty word or a value outside the alphabet")
+            if lw.level != min(words)[0]:
+                raise error(f"word set {s} claims level {lw.level}, not its lowest first rank")
+            # counting suffices: with distinct words and first ranks from the
+            # level to nq - 1, nq - level singles are all of them, and child
+            # counts that sum to the number of longer words place each in the
+            # leading run of its prefix's successors, so every rank is below nq
+            singles = lengths.count(1)
+            if singles != nq - lw.level:
+                raise error(f"word set {s} misses a single-symbol word")
+            if sum(lw.kvals) != size - singles:
+                raise error(f"word set {s} is not prefix-closed over most probable successors")
+        # the words at offsets v, v + 2^O, ... feed chapter v; one with fewer
+        # children than that chapter's level would trap the walk
+        for s, lw in enumerate(sets):
+            for v, level in enumerate(self.levels):
+                if min(lw.kvals[v :: self.n_chapters]) < level:
                     raise error(
-                        f"unsafe offset {i} in word set {s}: word with {kw} "
-                        f"children feeds a level-{self.levels[i & omask]} chapter"
+                        f"unsafe word set {s}: a word with fewer than {level} "
+                        f"children feeds chapter {v}"
                     )
 
     # -- statistics -----------------------------------------------------------
@@ -503,14 +519,14 @@ class MarlinDictionary:
 
     def _coding_probs_for(self, dist: SymbolDistribution) -> np.ndarray:
         """Parser-visible quotient probabilities under an arbitrary distribution."""
-        qp = dist.quotient_probs(self.shift) if self.shift < 8 else np.ones(1)
+        qp = dist.quotient_probs(self.shift)
         probs = np.array([qp[v] for v in self.alphabet.values], dtype=np.float64)
         # escaped mass is parsed as the placeholder (rank 0)
         probs[0] += 1.0 - probs.sum()
         return probs
 
     def escape_mass(self, dist: SymbolDistribution) -> float:
-        qp = dist.quotient_probs(self.shift) if self.shift < 8 else np.ones(1)
+        qp = dist.quotient_probs(self.shift)
         kept = sum(float(qp[v]) for v in self.alphabet.values)
         return max(0.0, 1.0 - kept)
 
@@ -799,7 +815,7 @@ def best_dictionary_for(
     best_dct: MarlinDictionary | None = None
     # failures per shift, kept in the caller's order for the error message
     errors: dict[int, list[str]] = {shift: [] for shift in bounds}
-    seen: dict[tuple[int, frozenset[int]], bool] = {}
+    seen: set[tuple[int, tuple[int, ...]]] = set()
     for shift in sorted(bounds, key=lambda s: (-bounds[s], s)):
         if best is not None and bounds[shift] + _PRUNE_SLACK < -best[0]:
             continue
@@ -809,10 +825,10 @@ def best_dictionary_for(
             except BuildError as exc:
                 errors[shift].append(f"S={shift} thr={threshold:g}: {exc}")
                 continue
-            sig = (shift, alphabet.excluded)
+            sig = (shift, alphabet.values)
             if sig in seen:
                 continue
-            seen[sig] = True
+            seen.add(sig)
             try:
                 dct = MarlinDictionary.from_alphabet(
                     dist, k, o, alphabet, block_n=block_n, source_id=source_id

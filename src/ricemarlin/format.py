@@ -116,15 +116,19 @@ def parse_block(buf: bytes, n: int, dset: DictionarySet) -> CompressedBlock:
 
 
 def _dict_table_bytes(dct: MarlinDictionary) -> bytes:
-    """Canonical bytes determining the dictionary's tables (digest input)."""
+    """Canonical bytes determining the dictionary's tables (digest input).
+
+    The exclusion list and the placeholder are derived from the ranking: the
+    unranked quotient values, and the most probable value.
+    """
     a = dct.alphabet
     out = bytearray()
     out += struct.pack("<BBH", dct.shift, 1 if dct.empty_quotient else 0, len(a))
     out += bytes(a.values)
-    excl_q = sorted({b >> dct.shift for b in a.excluded}) if dct.shift < 8 else []
+    excl_q = _excluded_quotients(dct)
     out += struct.pack("<H", len(excl_q))
-    out += bytes(excl_q)
-    out.append(a.placeholder)
+    out += excl_q
+    out.append(a.values[0])
     if not dct.empty_quotient:
         out += bytes(dct.chapter_sets)
         out += struct.pack("<H", len(dct.word_sets))
@@ -134,6 +138,11 @@ def _dict_table_bytes(dct: MarlinDictionary) -> bytes:
                 out += struct.pack("<H", len(w))
                 out += bytes(w)
     return bytes(out)
+
+
+def _excluded_quotients(dct: MarlinDictionary) -> bytes:
+    """The quotient values the alphabet leaves unranked, in ascending order."""
+    return bytes(sorted(set(range(256 >> dct.shift)).difference(dct.alphabet.values)))
 
 
 def _dict_meta_bytes(dct: MarlinDictionary) -> bytes:
@@ -206,11 +215,9 @@ class _Reader:
 def _parse_dict(table: bytes, meta: bytes, k: int, o: int) -> MarlinDictionary:
     t = _Reader(table, "dictionary table")
     shift, empty_q, nq = t.unpack("<BBH")
-    if shift > 8:
-        raise FormatError(f"shift {shift} exceeds 8")
     values = tuple(t.take(nq))
     (n_excl,) = t.unpack("<H")
-    excl_q = set(t.take(n_excl))
+    excl_q = t.take(n_excl)
     (placeholder,) = t.take(1)
     chapter_sets: tuple[int, ...] = ()
     word_sets = []
@@ -225,17 +232,7 @@ def _parse_dict(table: bytes, meta: bytes, k: int, o: int) -> MarlinDictionary:
             for _ in range(1 << k):
                 (wl,) = t.unpack("<H")
                 words.append(tuple(t.take(wl)))
-            if not all(words) or any(r >= nq for w in words for r in w):
-                raise FormatError(
-                    f"word set {key} holds an empty word or a rank outside the alphabet"
-                )
-            if lvl != min(w[0] for w in words):
-                raise FormatError(f"word set {key} claims level {lvl}, not its lowest first rank")
             word_sets.append(LevelWords.listed(lvl, words))
-        if max(chapter_sets) >= n_keys:
-            raise FormatError("a chapter names a word set the table does not hold")
-        if len(set(chapter_sets)) != n_keys:
-            raise FormatError("the table holds a word set that no chapter names")
     t.finish()
     m = _Reader(meta, "dictionary metadata")
     p_escape, abr, qbits, thr, block_n = m.unpack("<ddddI")
@@ -246,27 +243,21 @@ def _parse_dict(table: bytes, meta: bytes, k: int, o: int) -> MarlinDictionary:
         raise FormatError("dictionary source id is not UTF-8") from exc
     probs = np.frombuffer(m.take(8 * nq), dtype="<f8")
     m.finish()
-    qspace = 256 >> shift if shift < 8 else 1
-    excluded_bytes = frozenset(
-        b for b in range(256) if (b >> shift) in excl_q
-    )
     alphabet = QuotientAlphabet(
-        shift=shift,
-        values=values,
-        probs=np.array(probs),
-        excluded=excluded_bytes,
-        placeholder=placeholder,
-        p_escape=p_escape,
+        shift=shift, values=values, probs=np.array(probs), p_escape=p_escape
     )
-    for v in range(qspace):
-        if v not in excl_q and v not in set(values):
-            raise FormatError(f"quotient {v} is neither represented nor excluded")
     dct = MarlinDictionary(
         k, o, alphabet, tuple(word_sets), chapter_sets,
-        source_id=source_id, block_n=block_n, empty_quotient=bool(empty_q),
-        search_threshold=thr,
+        source_id=source_id, block_n=block_n, search_threshold=thr,
     )
-    dct.check_safe(FormatError)
+    dct.check(FormatError)
+    # the flag, the exclusions and the placeholder are derived on saving
+    if empty_q != dct.empty_quotient:
+        raise FormatError(f"empty-quotient flag {empty_q} does not match the word sets")
+    if excl_q != _excluded_quotients(dct):
+        raise FormatError("stored exclusions differ from the unranked quotient values")
+    if placeholder != values[0]:
+        raise FormatError("stored placeholder is not the most probable quotient value")
     dct.abr = abr
     dct.quotient_bits = qbits
     return dct
@@ -382,9 +373,6 @@ def compress_blocks(data: bytes, dset: DictionarySet, sizes: list[int]) -> list[
     for n in sizes:
         chunk = data[pos : pos + n]
         pos += n
-        if n == 0:
-            out.append(serialize_block(encode_block(None, b""), 0))
-            continue
         counts = np.bincount(np.frombuffer(chunk, dtype=np.uint8), minlength=256)
         idx = dset.quick_select(counts, n)
         block = encode_block(dset[idx], chunk, dict_index=idx)

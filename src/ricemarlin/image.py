@@ -82,17 +82,11 @@ def residual_inverse(data: bytes, width: int, height: int, edge: int = BLOCK_EDG
     """Rebuild the image from block-serialized residuals."""
     img = np.zeros((height, width), dtype=np.uint8)
     pos = 0
-    geo = block_geometry(width, height, edge)
-    i = 0
-    for y0 in range(0, height, edge):
-        for x0 in range(0, width, edge):
-            bw, bh = geo[i]
-            i += 1
-            res = np.frombuffer(data, dtype=np.uint8, count=bw * bh, offset=pos)
-            pos += bw * bh
-            res = res.reshape(bh, bw).astype(np.int64)
-            row0 = np.cumsum(res[0]) % 256
-            res[0] = row0
-            blk = np.cumsum(res, axis=0) % 256
-            img[y0 : y0 + bh, x0 : x0 + bw] = blk.astype(np.uint8)
+    for blk in _blocks(img, edge):
+        bh, bw = blk.shape
+        res = np.frombuffer(data, dtype=np.uint8, count=bw * bh, offset=pos)
+        pos += bw * bh
+        res = res.reshape(bh, bw).astype(np.int64)
+        res[0] = np.cumsum(res[0]) % 256
+        blk[:] = np.cumsum(res, axis=0) % 256
     return img

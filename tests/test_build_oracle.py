@@ -50,7 +50,6 @@ def eager_from_alphabet(dist, k, o, alphabet, block_n=4096, source_id=None):
     if nq == 1:
         dct = MarlinDictionary(
             k, o, alphabet, (), (), source_id=source_id, block_n=block_n,
-            empty_quotient=True,
         )
         dct._finalize(dist)
         return dct

@@ -5,6 +5,8 @@ from ricemarlin import SyntheticFamily, make_distribution
 from ricemarlin.cli import EXIT_CORRUPT, EXIT_FAILURE, EXIT_OK, main
 from ricemarlin.image import read_pgm, write_pgm
 
+from test_format import SET_FILE_MUTATIONS, edited_set_file, small_laplacian_dictionary
+
 
 @pytest.fixture(scope="module")
 def set_path(tmp_path_factory):
@@ -100,6 +102,19 @@ def test_compress_truncated_set_exits_corrupt(tmp_path, set_path, capsys, keep):
     src = tmp_path / "t.bin"
     src.write_bytes(b"\x02" * 3000)
     rc = main(["compress", str(src), str(tmp_path / "t.rm"), "--set", str(bad)])
+    assert rc == EXIT_CORRUPT
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_compress_with_invalid_set_exits_corrupt(tmp_path, capsys):
+    # the digest verifies, so only the loader's validity check rejects it
+    bad = tmp_path / "out-of-range.rmds"
+    dct = small_laplacian_dictionary()
+    bad.write_bytes(edited_set_file(dct, SET_FILE_MUTATIONS["value-out-of-range"]))
+    src = tmp_path / "v.bin"
+    src.write_bytes(make_distribution(SyntheticFamily("laplacian", 0.5)).sample(3000, seed=7))
+    rc = main(["compress", str(src), str(tmp_path / "v.rm"), "--set", str(bad)])
     assert rc == EXIT_CORRUPT
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err

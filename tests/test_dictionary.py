@@ -39,7 +39,7 @@ def test_split_zero_shift_zero_threshold_is_identity():
     alpha = split_alphabet(dist, shift=0, threshold=0.0)
     assert len(alpha) == 256
     assert alpha.excluded == frozenset()
-    assert alpha.placeholder == 0  # most probable residual
+    assert alpha.values[0] == 0  # most probable residual
 
 
 def test_split_threshold_excludes_rare_quotients():
@@ -52,7 +52,7 @@ def test_split_threshold_excludes_rare_quotients():
     assert 255 in alpha.excluded
     assert 0 not in alpha.excluded and 1 not in alpha.excluded
     assert alpha.p_escape == pytest.approx(0.001, abs=1e-12)
-    assert alpha.placeholder == 0
+    assert alpha.values[0] == 0
     assert alpha.values == (0, 1)
 
 

@@ -17,6 +17,7 @@ from ricemarlin import (
     abr_estimate,
     build_dictionary_set,
     compress_bytes,
+    decode_block,
     decompress_bytes,
     encode_block,
     load_dictset,
@@ -25,11 +26,21 @@ from ricemarlin import (
     save_dictset,
     serialize_block,
 )
-from ricemarlin.dictionary import RAW_INDEX, DictionarySet
+from ricemarlin.dictionary import RAW_INDEX, DictionarySet, LevelWords
 from ricemarlin.encoder import CompressedBlock
-from ricemarlin.format import FLAG_IMAGE, ContainerHeader, _tables_digest, dictset_digest
+from ricemarlin.format import (
+    FLAG_IMAGE,
+    ContainerHeader,
+    _tables_digest,
+    compress_blocks,
+    dictset_digest,
+)
 
 from conftest import (
+    A,
+    B,
+    C,
+    D,
     FAMILIES,
     FRACTIONS,
     GRID_SIZES,
@@ -171,60 +182,135 @@ def test_dictset_roundtrip_keeps_from_tables_levels():
     assert save_dictset(loaded) == data
 
 
-def _set_file_with_header(dct, at, key, level):
-    """``dct``'s set file with word set ``at`` stored under ``key`` and
-    ``level``, and its digest recomputed so that it still verifies."""
-    data = bytearray(save_dictset(DictionarySet([dct])))
-    table_at = 16  # magic, version/K/O/count, table and metadata lengths
-    pos = table_at + 4 + len(dct.alphabet) + 2 + len(
-        {b >> dct.shift for b in dct.alphabet.excluded}
-    ) + 1 + dct.n_chapters + 2
-    for lw in dct.word_sets[:at]:
-        pos += 3 + sum(2 + len(w) for w in lw.words)
-    assert data[pos : pos + 3] == struct.pack("<HB", at, dct.word_sets[at].level)
-    data[pos : pos + 3] = struct.pack("<HB", key, level)
-    (tlen,) = struct.unpack_from("<I", data, 8)
-    data[-32:] = _tables_digest(dct.k, dct.o, [bytes(data[table_at : table_at + tlen])])
-    return bytes(data)
+def edited_set_file(dct, edit) -> bytes:
+    """``dct``'s one-entry set file after ``edit`` has changed its table.
 
+    The table is decoded into fields: ``shift``, ``flag`` (empty quotient),
+    ``values``, ``exclusions``, ``placeholder``, ``chapter_sets`` and
+    ``word_sets`` (dicts of ``key``, ``level`` and ``words``).  ``edit``
+    changes them in place; the table is re-encoded and the digest recomputed,
+    so only the loader's own checks can reject the file.
+    """
+    data = save_dictset(DictionarySet([dct]))
+    tlen, mlen = struct.unpack_from("<II", data, 8)
+    table, meta = data[16 : 16 + tlen], data[16 + tlen : 16 + tlen + mlen]
+    pos = 0
 
-def _set_file_with_extra_set(dct):
-    """``dct``'s set file with a copy of its last word set appended under the
-    next key, which no chapter names, and its digest recomputed."""
-    data = bytearray(save_dictset(DictionarySet([dct])))
-    table_at = 16
-    (tlen,) = struct.unpack_from("<I", data, 8)
-    end = table_at + tlen  # the word sets close the table part
-    sizes = [3 + sum(2 + len(w) for w in lw.words) for lw in dct.word_sets]
-    n_keys_at = end - sum(sizes) - 2
-    assert struct.unpack_from("<H", data, n_keys_at) == (len(sizes),)
-    struct.pack_into("<H", data, n_keys_at, len(sizes) + 1)
-    extra = bytearray(data[end - sizes[-1] : end])
-    struct.pack_into("<H", extra, 0, len(sizes))
-    data[end:end] = extra
-    struct.pack_into("<I", data, 8, tlen + len(extra))
-    table = bytes(data[table_at : end + len(extra)])
-    data[-32:] = _tables_digest(dct.k, dct.o, [table])
-    return bytes(data)
+    def take(n):
+        nonlocal pos
+        pos += n
+        return table[pos - n : pos]
+
+    shift, flag, nq = struct.unpack("<BBH", take(4))
+    f = {"shift": shift, "flag": flag, "values": list(take(nq))}
+    (n_excl,) = struct.unpack("<H", take(2))
+    f["exclusions"] = list(take(n_excl))
+    f["placeholder"] = take(1)[0]
+    f["chapter_sets"], f["word_sets"] = [], []
+    if not flag:
+        f["chapter_sets"] = list(take(dct.n_chapters))
+        (n_sets,) = struct.unpack("<H", take(2))
+        for _ in range(n_sets):
+            key, level = struct.unpack("<HB", take(3))
+            words = [tuple(take(struct.unpack("<H", take(2))[0])) for _ in range(1 << dct.k)]
+            f["word_sets"].append({"key": key, "level": level, "words": words})
+    assert pos == len(table)
+
+    def encode(f):
+        out = struct.pack("<BBH", f["shift"], f["flag"], len(f["values"]))
+        out += bytes(f["values"]) + struct.pack("<H", len(f["exclusions"]))
+        out += bytes(f["exclusions"]) + bytes([f["placeholder"]])
+        if not f["flag"]:
+            out += bytes(f["chapter_sets"]) + struct.pack("<H", len(f["word_sets"]))
+            for ws in f["word_sets"]:
+                out += struct.pack("<HB", ws["key"], ws["level"])
+                out += b"".join(struct.pack("<H", len(w)) + bytes(w) for w in ws["words"])
+        return out
+
+    assert encode(f) == table
+    edit(f)
+    table = encode(f)
+    return (
+        data[:8] + struct.pack("<II", len(table), mlen) + table + meta
+        + _tables_digest(dct.k, dct.o, [table])
+    )
 
 
 def test_dictset_rejects_word_set_header_unlike_its_place(abcd_dist):
     dct = MarlinDictionary.build(abcd_dist, 3, 1, 0, 2**-16)
     assert dct.levels == (0, 1) and len(dct.word_sets) == 2
-    assert load_dictset(_set_file_with_header(dct, 1, 1, 1))[0].levels == (0, 1)
+
+    def with_header(key, level):
+        return edited_set_file(dct, lambda f: f["word_sets"][1].update(key=key, level=level))
+
+    assert load_dictset(with_header(1, 1))[0].levels == (0, 1)
     # keys must run 0, 1, ... in file order; a repeated key used to replace
     # the earlier set
     for key in (0, 2, 256):
         with pytest.raises(FormatError, match="key"):
-            load_dictset(_set_file_with_header(dct, 1, key, 1))
+            load_dictset(with_header(key, 1))
     # a set's level is the lowest first rank of its words
     for level in (0, 2, 255):
         with pytest.raises(FormatError, match="level"):
-            load_dictset(_set_file_with_header(dct, 1, 1, level))
+            load_dictset(with_header(1, level))
     # every stored set must be named by a chapter; an unnamed one would only
     # add unreachable nodes and rows to the compiled tables
+    extra = edited_set_file(
+        dct, lambda f: f["word_sets"].append(dict(f["word_sets"][-1], key=2))
+    )
     with pytest.raises(FormatError, match="no chapter names"):
-        load_dictset(_set_file_with_extra_set(dct))
+        load_dictset(extra)
+    # and every chapter must name a stored set
+    with pytest.raises(FormatError, match="does not hold"):
+        load_dictset(edited_set_file(dct, lambda f: f.update(chapter_sets=[0, 2])))
+
+
+def _value_out_of_range(f):
+    f["exclusions"] = sorted(f["exclusions"] + [f["values"][-1]])
+    f["values"][-1] = 256 >> f["shift"]
+
+
+def _value_repeated(f):
+    f["exclusions"] = sorted(f["exclusions"] + [f["values"][-1]])
+    f["values"][-1] = f["values"][0]
+
+
+def _single_missing(f):
+    # the top rank's single-symbol word becomes an extension of a leaf
+    words = f["word_sets"][0]["words"]
+    words[words.index((len(f["values"]) - 1,))] = max(words, key=len) + (0,)
+
+
+#: table edits that each leave a set file the loader must reject; each keeps
+#: every quotient value ranked or excluded, so it breaks one rule only
+SET_FILE_MUTATIONS = {
+    "value-out-of-range": _value_out_of_range,
+    "placeholder-not-first-value": lambda f: f.update(placeholder=f["values"][1]),
+    "kept-and-excluded": lambda f: f.update(
+        exclusions=sorted(f["exclusions"] + [f["values"][0]])
+    ),
+    "repeated-value": _value_repeated,
+    "single-symbol-word-missing": _single_missing,
+    "empty-flag-over-ten-quotients": lambda f: f.update(flag=1),
+}
+
+
+def small_laplacian_dictionary():
+    """laplacian 0.5 at K=4/O=1, S=2: ten quotients, one word set."""
+    dist = make_distribution(SyntheticFamily("laplacian", 0.5))
+    dct = MarlinDictionary.build(dist, 4, 1, 2, 2**-10)
+    assert len(dct.alphabet) == 10 and dct.alphabet.excluded
+    return dct
+
+
+@pytest.mark.parametrize("mutation", list(SET_FILE_MUTATIONS))
+def test_dictset_rejects_tables_unlike_a_valid_dictionary(mutation):
+    dct = small_laplacian_dictionary()
+    data = save_dictset(DictionarySet([dct]))
+    assert edited_set_file(dct, lambda f: None) == data
+    assert save_dictset(load_dictset(data)) == data
+    with pytest.raises(FormatError):
+        load_dictset(edited_set_file(dct, SET_FILE_MUTATIONS[mutation]))
 
 
 def test_unsafe_word_sets_are_rejected(worked_dictionary):
@@ -241,6 +327,60 @@ def test_unsafe_word_sets_are_rejected(worked_dictionary):
         chapters[0][0] = bad
         with pytest.raises(BuildError, match="empty word or a value outside"):
             MarlinDictionary.from_tables(3, 1, worked_dictionary.alphabet, chapters)
+
+
+def test_shifts_and_ranks_outside_the_alphabet_are_rejected(worked_dictionary):
+    alphabet = worked_dictionary.alphabet
+    for shift in (-1, 9):
+        with pytest.raises(BuildError, match="shift"):
+            MarlinDictionary.from_tables(
+                3, 1, dataclasses.replace(alphabet, shift=shift),
+                [WORKED_CHAPTER_0, WORKED_CHAPTER_1],
+            )
+    # "a" is followed by every value and then by 9, so its child count
+    # exceeds the four quotients; the set is prefix-closed otherwise
+    words = [(A,), (B,), (C,), (D,), (A, A), (A, B), (A, C), (A, D), (A, 9), (A, A, A),
+             (A, A, B), (A, A, C), (A, A, D), (A, B, A), (A, B, B), (A, B, C)]
+    with pytest.raises(BuildError, match="outside the alphabet"):
+        MarlinDictionary.from_tables(4, 0, alphabet, [words])
+    ranks = [tuple(min(r, len(alphabet)) for r in w) for w in words]
+    dct = MarlinDictionary(4, 0, alphabet, (LevelWords.listed(A, ranks),), (0,))
+    with pytest.raises(FormatError, match="outside the alphabet"):
+        load_dictset(save_dictset(DictionarySet([dct])))
+
+
+def test_dictset_rejects_empty_flag_other_than_one():
+    # at shift 8 the one quotient needs no word sets; any other non-zero flag
+    # would load as the same dictionary and save back as 1
+    dist = make_distribution(SyntheticFamily("laplacian", 0.5))
+    dct = MarlinDictionary.build(dist, 4, 1, 8, 0.0)
+    assert dct.empty_quotient and not dct.word_sets
+    assert load_dictset(edited_set_file(dct, lambda f: None))[0].empty_quotient
+    with pytest.raises(FormatError, match="flag"):
+        load_dictset(edited_set_file(dct, lambda f: f.update(flag=2)))
+
+
+# Each case edits the worked dictionary's chapter 1 (level 1) without making
+# it unsafe: offset 4 ("bb") and offset 6 ("d") are level-0 slots, and "b"
+# keeps its child "ba".
+@pytest.mark.parametrize("offset, word, rule", [
+    (4, (B, A), "distinct"),  # repeats "ba"
+    (4, (C, B, A), "prefix-closed"),  # "cb" is absent
+    (4, (B, C), "most probable"),  # "bc" without "bb"
+    (6, (B, B, A), "single-symbol"),  # drops "d"
+], ids=["repeated-word", "not-prefix-closed", "not-most-probable", "single-missing"])
+def test_invalid_word_sets_are_rejected(worked_dictionary, offset, word, rule):
+    chapters = [list(WORKED_CHAPTER_0), list(WORKED_CHAPTER_1)]
+    chapters[1][offset] = word
+    alphabet = worked_dictionary.alphabet
+    with pytest.raises(BuildError, match=rule):
+        MarlinDictionary.from_tables(3, 1, alphabet, chapters)
+    # the same sets, assembled without a check, saved and loaded
+    assert alphabet.values == (A, B, C, D)  # ranks are values
+    word_sets = tuple(LevelWords.listed(min(w[0] for w in ws), ws) for ws in chapters)
+    dct = MarlinDictionary(3, 1, alphabet, word_sets, (0, 1))
+    with pytest.raises(FormatError, match=rule):
+        load_dictset(save_dictset(DictionarySet([dct])))
 
 
 def test_dictset_digest_tracks_tables_only(tiny_set):
@@ -371,6 +511,14 @@ def test_container_roundtrip_various_sizes(tiny_set):
         data = dist.sample(n, seed=n)
         comp = compress_bytes(data, tiny_set, block_size=4096)
         assert decompress_bytes(comp, tiny_set) == data
+
+
+def test_empty_blocks_are_raw(tiny_set):
+    data = make_distribution(SyntheticFamily("laplacian", 0.5)).sample(5, seed=1)
+    payloads = compress_blocks(data, tiny_set, [0, 5, 0])
+    assert len(payloads) == 3
+    assert payloads[0] == payloads[2] == b"\xff"
+    assert decode_block(tiny_set, parse_block(payloads[1], 5, tiny_set), 5) == data
 
 
 def test_container_rejects_wrong_set(tiny_set):

@@ -135,8 +135,7 @@ def _one_symbol_chain():
     """K=2/O=0 ``from_tables`` dictionary over a one-quotient alphabet: the
     step table cannot grow with m, so m must stay 1."""
     alphabet = QuotientAlphabet(
-        shift=6, values=(0,), probs=np.array([1.0]), excluded=frozenset(range(64, 256)),
-        placeholder=0, p_escape=0.0,
+        shift=6, values=(0,), probs=np.array([1.0]), p_escape=0.0,
     )
     return MarlinDictionary.from_tables(2, 0, alphabet, [[(0,), (0, 0), (0, 0, 0), (0, 0, 0, 0)]])
 
