@@ -5,11 +5,10 @@ from __future__ import annotations
 import csv
 import io
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from statistics import median
 
 from .dictionary import (
-    THRESHOLD_GRID,
     DictionarySet,
     MarlinDictionary,
     best_dictionary_for,
@@ -33,15 +32,6 @@ def measured_bits_per_symbol(
         payload = len(serialize_block(block, len(chunk)))
         total_bits += 8 * (payload - (1 if block.is_raw else 2))
     return total_bits / len(sample)
-
-
-def best_threshold_dictionary(
-    dist: SymbolDistribution, k: int, o: int, shift: int, block_n: int = 4096
-) -> MarlinDictionary:
-    """Best dictionary at a pinned shift, searching the threshold grid only."""
-    return best_dictionary_for(
-        dist, k, o, block_n=block_n, shifts=(shift,), thresholds=THRESHOLD_GRID
-    )
 
 
 @dataclass
@@ -87,7 +77,7 @@ def synthetic_study(
                     raise ValueError(f"dictionary size {size} is not a power of two")
                 for shift in shifts:
                     try:
-                        dct = best_threshold_dictionary(dist, k, o, shift, block_n)
+                        dct = best_dictionary_for(dist, k, o, block_n=block_n, shifts=(shift,))
                     except BuildError:
                         continue
                     measured = measured_bits_per_symbol(dct, sample, block_n)
@@ -102,7 +92,7 @@ def synthetic_study(
                             entropy=h,
                             predicted_eta=efficiency(dct, dist, block_n),
                             measured_eta=h / measured if measured > 0 else 1.0,
-                            shift_bound=shift_efficiency_bound(dist, shift),
+                            shift_bound=shift_efficiency_bound(dist, shift, block_n),
                         )
                     )
     return rows
@@ -135,8 +125,6 @@ class BenchReport:
     compressed_bytes: int
     encode_mib_s: float
     decode_mib_s: float
-    encode_runs: list[float] = field(default_factory=list)
-    decode_runs: list[float] = field(default_factory=list)
 
     @property
     def ratio(self) -> float:
@@ -179,6 +167,4 @@ def speed_bench(
         compressed_bytes=len(compressed),
         encode_mib_s=mib / median(enc_times),
         decode_mib_s=mib / median(dec_times),
-        encode_runs=enc_times,
-        decode_runs=dec_times,
     )

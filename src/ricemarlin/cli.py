@@ -23,6 +23,8 @@ def _parse_fractions(text: str) -> list[float]:
     """Comma list ("0.25,0.5") or range ("0.1:0.9:0.1")."""
     if ":" in text:
         start, stop, step = (float(x) for x in text.split(":"))
+        if not step > 0:
+            raise ValueError("range step must be positive")
         out = []
         f = start
         while f <= stop + 1e-9:

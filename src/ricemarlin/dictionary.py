@@ -296,8 +296,6 @@ class MarlinDictionary:
         self.search_threshold = search_threshold
         self.abr: float = float("nan")
         self.quotient_bits: float = 0.0  # K / mean parse length under training dist
-        self.stationary: np.ndarray | None = None
-        self._chain_cache: dict[int, "_ParseChain"] = {}
 
     # -- basic geometry -----------------------------------------------------
 
@@ -508,14 +506,10 @@ class MarlinDictionary:
     # -- statistics -----------------------------------------------------------
 
     def _finalize(self, dist: SymbolDistribution) -> None:
-        self.abr = abr_estimate(self, dist, self.block_n)
+        """Store the training ABR; the one parse chain this builds gives both values."""
         if not self.empty_quotient:
-            chain = self._chain(self._coding_probs_for(dist))
-            self.stationary = chain.chapter_marginal()
-            self.quotient_bits = self.k / chain.mean_parse_length()
-        else:
-            self.stationary = np.ones(1)
-            self.quotient_bits = 0.0
+            self.quotient_bits = self.k / self.mean_parse_length(dist)
+        self.abr = _abr(self, dist, self.block_n, self.quotient_bits)
 
     def _coding_probs_for(self, dist: SymbolDistribution) -> np.ndarray:
         """Parser-visible quotient probabilities under an arbitrary distribution."""
@@ -530,35 +524,27 @@ class MarlinDictionary:
         kept = sum(float(qp[v]) for v in self.alphabet.values)
         return max(0.0, 1.0 - kept)
 
-    def _chain(self, coding: np.ndarray) -> "_ParseChain":
-        key = hash(coding.tobytes())
-        chain = self._chain_cache.get(key)
-        if chain is None:
-            chain = _ParseChain(self, coding)
-            if len(self._chain_cache) > 8:
-                self._chain_cache.clear()
-            self._chain_cache[key] = chain
-        return chain
+    def _chain(self, dist: SymbolDistribution) -> "_ParseChain":
+        """The parse chain under ``dist``; every call builds a new one."""
+        if self.empty_quotient:
+            raise BuildError("empty-quotient dictionary does not parse")
+        return _ParseChain(self, self._coding_probs_for(dist))
 
-    def chapter_stationary(self, dist: SymbolDistribution | None = None) -> np.ndarray:
+    def chapter_stationary(self, dist: SymbolDistribution) -> np.ndarray:
         """Long-run probability of parsing in each chapter."""
         if self.empty_quotient:
             return np.ones(1)
-        if dist is None:
-            if self.stationary is None:
-                raise BuildError("dictionary has no training statistics")
-            return self.stationary
-        return self._chain(self._coding_probs_for(dist)).chapter_marginal()
+        chain = self._chain(dist)
+        chapters = [c for c, _ in chain.states]
+        return np.bincount(chapters, weights=chain.stationary(), minlength=self.n_chapters)
 
     def mean_parse_length(self, dist: SymbolDistribution) -> float:
-        if self.empty_quotient:
-            raise BuildError("empty-quotient dictionary does not parse")
-        return self._chain(self._coding_probs_for(dist)).mean_parse_length()
+        chain = self._chain(dist)
+        return float(chain.stationary() @ chain.length_exp)
 
     def emission_probs(self, c: int, dist: SymbolDistribution) -> np.ndarray:
         """Per-word emission probabilities of chapter ``c`` under its own level."""
-        chain = self._chain(self._coding_probs_for(dist))
-        return chain.emission_probs(c, self.levels[c])
+        return self._chain(dist).emission_probs(c, self.levels[c])
 
 
 def _validate_ko(k: int, o: int) -> None:
@@ -614,6 +600,8 @@ class _ParseChain:
             lengths = np.array([len(w) for w in words], dtype=np.float64)
             slots = np.arange(len(words)) & omask
             per_set.append((r1, base, kv_state, lengths, slots))
+        # per word set, for emission_probs
+        self.first_ranks_and_weights = [(r1, base) for r1, base, *_ in per_set]
 
         self.evals = sorted(evals)
         self.states = states = [
@@ -656,11 +644,8 @@ class _ParseChain:
             raise BuildError("parse chain produced non-finite transition rows")
         self.T = T
         self.length_exp = length_exp
-        self._pi: np.ndarray | None = None
 
     def stationary(self) -> np.ndarray:
-        if self._pi is not None:
-            return self._pi
         ns = len(self.states)
         pi = np.full(ns, 1.0 / ns)
         # averaging step keeps the same fixed point but cannot oscillate on
@@ -670,44 +655,38 @@ class _ParseChain:
             delta = float(np.abs(nxt - pi).sum())
             pi = nxt
             if delta < _STATIONARY_TOL:
-                self._pi = pi / pi.sum()
-                return self._pi
+                return pi / pi.sum()
         raise BuildError(
             f"stationary distribution did not converge; residual {delta:.3e}"
         )
 
-    def chapter_marginal(self) -> np.ndarray:
-        pi = self.stationary()
-        out = np.zeros(self.dct.n_chapters)
-        for p, (c, _) in zip(pi, self.states):
-            out[c] += p
-        return out
-
-    def mean_parse_length(self) -> float:
-        pi = self.stationary()
-        return float(pi @ self.length_exp)
-
     def emission_probs(self, c: int, e: int) -> np.ndarray:
         """Emission probability of each word of chapter ``c`` at exclusion ``e``."""
-        dct = self.dct
-        coding = self.coding
-        nq = len(coding)
-        lw = dct.word_sets[dct.chapter_sets[c]]
-        words, kv = lw.words, lw.kvals
-        tails = _word_tails(words, coding)
-        cum = np.concatenate([[0.0], np.cumsum(coding)])
-        z = float(coding[e:].sum())
-        out = np.zeros(len(words))
-        for i, w in enumerate(words):
-            if w[0] < e:
-                continue
-            root = float(coding[w[0]]) / z if z > 0 else 1.0 / (nq - e)
-            out[i] = root * tails[w] * (1.0 - float(cum[min(kv[i], nq)]))
-        return out
+        r1, base = self.first_ranks_and_weights[self.dct.chapter_sets[c]]
+        z = float(self.coding[e:].sum())
+        root = self.coding[r1] / z if z > 0 else np.full(len(r1), 1.0 / (len(self.coding) - e))
+        return np.where(r1 >= e, root * base, 0.0)
 
 
 # ---------------------------------------------------------------------------
 # efficiency estimates
+
+
+def _escape_bits(loc_width: int) -> float:
+    """Bits one escape stores: its byte value and a ``loc_width``-byte location."""
+    return 8.0 * (1 + loc_width)
+
+
+def _abr(
+    dct: MarlinDictionary, dist: SymbolDistribution, block_n: int, quotient_bits: float
+) -> float:
+    """ABR = quotient bits + S + escape bits, the one statement of the model."""
+    return quotient_bits + dct.shift + dct.escape_mass(dist) * _escape_bits(loc_bytes(block_n))
+
+
+def _eta(h: float, abr: float) -> float:
+    """eta = H / ABR; defined as 1.0 for the zero-bit degenerate case."""
+    return 1.0 if abr == 0.0 else h / abr
 
 
 def abr_estimate(
@@ -720,55 +699,34 @@ def abr_estimate(
     header is excluded.
     """
     block_n = block_n if block_n is not None else dct.block_n
-    p_esc = dct.escape_mass(dist)
-    escape_bits = p_esc * 8.0 * (1 + loc_bytes(block_n))
-    if dct.empty_quotient:
-        return dct.shift + escape_bits
-    lbar = dct.mean_parse_length(dist)
-    return dct.k / lbar + dct.shift + escape_bits
+    qbits = 0.0 if dct.empty_quotient else dct.k / dct.mean_parse_length(dist)
+    return _abr(dct, dist, block_n, qbits)
 
 
 def efficiency(dct: MarlinDictionary, dist: SymbolDistribution, block_n: int | None = None) -> float:
     """eta = H(X) / ABR(X); defined as 1.0 for the zero-bit degenerate case."""
-    abr = abr_estimate(dct, dist, block_n)
-    h = dist.entropy()
-    if abr == 0.0:
-        return 1.0
-    return h / abr
+    return _eta(dist.entropy(), abr_estimate(dct, dist, block_n))
 
 
-def shift_efficiency_bound(dist: SymbolDistribution, shift: int) -> float:
-    """Escape-free bound on eta at a given shift: reminders are stored verbatim.
-
-    This is H(X) / (S + H(quotient)), the bound for a dictionary that codes
-    every quotient.  A dictionary can exceed it: :func:`abr_estimate` prices
-    an escape at 8 * (1 + location bytes) bits, below the information of a
-    quotient rarer than about 2^-24, so escaping such a quotient can push eta
-    slightly above this value.  :func:`_eta_ceiling` is the bound with
-    escapes priced that way.
-    """
-    h = dist.entropy()
-    hq = entropy(dist.quotient_probs(shift))
-    if shift + hq == 0.0:
-        return 1.0
-    return h / (shift + hq)
-
-
-def _eta_ceiling(
-    dist: SymbolDistribution, shift: int, thresholds: tuple[float, ...], block_n: int
+def shift_efficiency_bound(
+    dist: SymbolDistribution,
+    shift: int,
+    block_n: int = 4096,
+    thresholds: tuple[float, ...] = THRESHOLD_GRID,
 ) -> float:
-    """Upper bound on eta over every dictionary at ``shift`` and ``thresholds``.
+    """Upper bound on eta for every dictionary at ``shift`` and ``thresholds``.
 
     A dictionary is a lossless code for the quotient stream with escapes
     parsed as the placeholder, so its quotient bits are at least that
-    stream's entropy: ABR >= S + H(coding) + escape bits at each threshold.
-    This is :func:`shift_efficiency_bound` with escapes priced as
-    :func:`abr_estimate` prices them.  The plain bound can be exceeded: an
-    escaped quotient rarer than about 2^-(8 * (1 + location bytes)) is
-    modelled below its information.
+    stream's entropy: ABR >= S + H(coding) + escape bits at each threshold,
+    with escapes priced as :func:`abr_estimate` prices them for ``block_n``.
+    With ``thresholds=(0.0,)`` nothing is escaped and the bound is
+    H(X) / (S + H(quotient)), reminders stored verbatim.  The default grid
+    can lie slightly above that: an escaped quotient rarer than about
+    2^-(8 * (1 + location bytes)) is modelled below its information.
     """
     qp = dist.quotient_probs(shift)
-    esc_bits = 8.0 * (1 + loc_bytes(block_n))
+    esc_bits = _escape_bits(loc_bytes(block_n))
     floor = math.inf
     for threshold in thresholds:
         keep = qp >= threshold
@@ -777,9 +735,7 @@ def _eta_ceiling(
             p_esc = float(qp[~keep].sum())
             coding[np.argmax(coding)] += p_esc
             floor = min(floor, entropy(coding) + p_esc * esc_bits)
-    if shift + floor == 0.0:
-        return 1.0
-    return dist.entropy() / (shift + floor)
+    return _eta(dist.entropy(), shift + floor)
 
 
 # ---------------------------------------------------------------------------
@@ -809,8 +765,9 @@ def best_dictionary_for(
     """
     _validate_ko(k, o)
     bounds = {
-        shift: _eta_ceiling(dist, shift, thresholds, block_n) for shift in shifts
+        shift: shift_efficiency_bound(dist, shift, block_n, thresholds) for shift in shifts
     }
+    h = dist.entropy()
     best: tuple[float, int, float] | None = None
     best_dct: MarlinDictionary | None = None
     # failures per shift, kept in the caller's order for the error message
@@ -836,8 +793,7 @@ def best_dictionary_for(
             except BuildError as exc:
                 errors[shift].append(f"S={shift} thr={threshold:g}: {exc}")
                 continue
-            eta = efficiency(dct, dist, block_n)
-            key = (-eta, shift, threshold)
+            key = (-_eta(h, dct.abr), shift, threshold)
             if best is None or key < best:
                 best = key
                 best_dct = dct
@@ -935,7 +891,7 @@ def _cost_matrix(dset: DictionarySet, loc_width: int) -> np.ndarray:
     every block size with the same :func:`loc_bytes` width.
     """
     rows = []
-    esc_bits = 8.0 * (1 + loc_width)
+    esc_bits = _escape_bits(loc_width)
     for dct in dset.dictionaries:
         cost = np.full(ALPHABET_SIZE, float(dct.shift))
         rank = dct.alphabet.rank_lut

@@ -390,8 +390,8 @@ def compress_bytes(
     sizes: list[int] | None = None,
 ) -> bytes:
     """Compress ``data`` into a standalone container."""
-    if block_size < 1:
-        raise ValueError("block size must be positive")
+    if not 1 <= block_size <= 0xFFFFFFFF:
+        raise ValueError("block size must be in [1, 2^32 - 1]")
     header = ContainerHeader(
         k=dset.k, o=dset.o, block_size=block_size, total_size=len(data),
         flags=flags, width=width, height=height, digest=dset.digest,

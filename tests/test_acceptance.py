@@ -25,11 +25,7 @@ from ricemarlin import (
     pack_reminders,
     shift_efficiency_bound,
 )
-from ricemarlin.bench import (
-    best_threshold_dictionary,
-    measured_bits_per_symbol,
-    speed_bench,
-)
+from ricemarlin.bench import measured_bits_per_symbol, speed_bench
 from ricemarlin.source import uniform
 
 def _report(num: int, text: str) -> None:
@@ -96,10 +92,10 @@ def half_entropy_sample(half_entropy):
 def test_criterion_5_efficiency_regression(half_entropy, half_entropy_sample):
     start = time.perf_counter()
     h = half_entropy.entropy()
-    d4096 = best_threshold_dictionary(half_entropy, k=12, o=0, shift=0)
+    d4096 = best_dictionary_for(half_entropy, k=12, o=0, shifts=(0,))
     eta_4096 = h / measured_bits_per_symbol(d4096, half_entropy_sample)
     assert eta_4096 >= 0.910, f"4096-word shift-0 efficiency {eta_4096:.4f}"
-    d256 = best_threshold_dictionary(half_entropy, k=8, o=0, shift=2)
+    d256 = best_dictionary_for(half_entropy, k=8, o=0, shifts=(2,))
     eta_256 = h / measured_bits_per_symbol(d256, half_entropy_sample)
     assert eta_256 >= 0.885, f"256-word shift-2 efficiency {eta_256:.4f}"
     elapsed = time.perf_counter() - start

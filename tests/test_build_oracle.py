@@ -123,7 +123,7 @@ def _check_point(dist, k, o, **search):
     ref, candidates = exhaustive_best(dist, k, o, **search)
     got = best_dictionary_for(dist, k, o, **search)
     for shift, eta in candidates:
-        bound = D._eta_ceiling(dist, shift, D.THRESHOLD_GRID, 4096)
+        bound = shift_efficiency_bound(dist, shift)
         assert eta <= bound + 1e-12, (dist.source_id, shift, eta, bound)
     assert (got.shift, got.search_threshold) == (ref.shift, ref.search_threshold)
     return ref, got
@@ -233,9 +233,9 @@ def test_from_alphabet_grows_only_kept_chapters(monkeypatch):
 
 def test_plain_shift_bound_can_be_exceeded():
     # escaping quotients rarer than about 2^-24 is modelled below their
-    # information, so the search prunes by the escape-aware ceiling instead
+    # information, so only the bound that prices escapes as the model does holds
     dist = make_distribution(SyntheticFamily("poisson", 0.02))
     _, candidates = exhaustive_best(dist, 8, 4, shifts=(2,))
     top = max(eta for _, eta in candidates)
-    assert top > shift_efficiency_bound(dist, 2)
-    assert top <= D._eta_ceiling(dist, 2, D.THRESHOLD_GRID, 4096) + 1e-12
+    assert top > shift_efficiency_bound(dist, 2, thresholds=(0.0,))
+    assert top <= shift_efficiency_bound(dist, 2) + 1e-12

@@ -31,6 +31,19 @@ def test_build_dictset_rejects_bad_overlap(tmp_path, capsys):
     assert "O" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["build-dictset", "bench-synthetic"])
+@pytest.mark.parametrize("fractions", ["0.1:0.9:0", "0.9:0.1:-0.1"])
+def test_fraction_range_step_must_be_positive(tmp_path, capsys, command, fractions):
+    out = tmp_path / "out"
+    if command == "build-dictset":
+        argv = [command, "--out", str(out), "--laplacian", fractions]
+    else:
+        argv = [command, "--fractions", fractions, "--csv", str(out)]
+    assert main(argv) == EXIT_FAILURE
+    assert capsys.readouterr().err.startswith("error: range step must be positive")
+    assert not out.exists()
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["compress"])  # missing required arguments
@@ -118,6 +131,18 @@ def test_compress_with_invalid_set_exits_corrupt(tmp_path, capsys):
     assert rc == EXIT_CORRUPT
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_compress_block_size_beyond_the_header_fails_cleanly(tmp_path, set_path, capsys):
+    src = tmp_path / "b.bin"
+    src.write_bytes(b"\x03" * 3000)
+    comp = tmp_path / "b.rm"
+    argv = ["compress", str(src), str(comp), "--set", str(set_path)]
+    rc = main(argv + ["--block-size", "5000000000"])
+    assert rc == EXIT_FAILURE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not comp.exists()
 
 
 def test_image_mode_roundtrip(tmp_path, set_path):

@@ -17,6 +17,7 @@ from ricemarlin import (
     shift_efficiency_bound,
     split_alphabet,
 )
+import ricemarlin.dictionary as rd
 from ricemarlin.dictionary import DictionarySet, assign_codewords
 from ricemarlin.source import point_mass, uniform
 
@@ -207,7 +208,7 @@ def test_assignment_all_leaves_forces_chapter_zero():
 
 def test_stationary_single_chapter(abcd_dist):
     dct = MarlinDictionary.build(abcd_dist, k=3, o=0, shift=0, threshold=2**-16)
-    assert np.allclose(dct.chapter_stationary(), [1.0])
+    assert np.allclose(dct.chapter_stationary(abcd_dist), [1.0])
 
 
 def test_stationary_symmetric_two_chapter_fixed_point():
@@ -227,7 +228,7 @@ def test_stationary_symmetric_two_chapter_fixed_point():
 
 def test_stationary_is_stochastic(abcd_dist):
     dct = MarlinDictionary.build(abcd_dist, k=3, o=1, shift=0, threshold=2**-16)
-    pi = dct.chapter_stationary()
+    pi = dct.chapter_stationary(abcd_dist)
     assert pi.sum() == pytest.approx(1.0, abs=1e-9)
     assert (pi >= 0).all()
 
@@ -315,6 +316,25 @@ def test_efficiency_respects_shift_bound():
         assert eta <= shift_efficiency_bound(dist, shift) + 1e-9
 
 
+def test_stored_abr_is_the_abr_estimate(grid_distributions, grid_set):
+    """The builder stores the ABR and quotient bits that the model computes.
+
+    Both are written to set files, so they are compared exactly.
+    """
+    lap = make_distribution(SyntheticFamily("laplacian", 0.5))
+    pairs = list(zip(grid_set.dictionaries, grid_distributions.values())) + [
+        (MarlinDictionary.build(lap, 8, 4, shift=2, threshold=2**-10, block_n=256), lap),
+        (MarlinDictionary.build(uniform(), 8, 4, shift=8, threshold=0.0), uniform()),
+    ]
+    for dct, dist in pairs:
+        assert dct.abr == abr_estimate(dct, dist, dct.block_n)
+        if dct.empty_quotient:
+            assert dct.quotient_bits == 0.0
+        else:
+            assert dct.quotient_bits == dct.k / dct.mean_parse_length(dist)
+    assert pairs[-1][0].empty_quotient
+
+
 # ---------------------------------------------------------------------------
 # shift efficiency bound
 
@@ -361,6 +381,31 @@ def test_best_dictionary_high_entropy_takes_nonzero_shift():
 def test_best_dictionary_validates_parameters():
     with pytest.raises(BuildError):
         best_dictionary_for(uniform(), 8, 9)
+
+
+def test_each_candidate_builds_one_parse_chain(monkeypatch):
+    """The search ranks candidates by their stored ABR: one chain each."""
+    owners, built = [], []
+
+    class CountingChain(rd._ParseChain):
+        def __init__(self, dct, coding):
+            owners.append(dct)
+            super().__init__(dct, coding)
+
+    from_alphabet = rd.MarlinDictionary.from_alphabet.__func__
+
+    def recording(cls, *args, **kwargs):
+        dct = from_alphabet(cls, *args, **kwargs)
+        built.append(dct)
+        return dct
+
+    monkeypatch.setattr(rd, "_ParseChain", CountingChain)
+    monkeypatch.setattr(rd.MarlinDictionary, "from_alphabet", classmethod(recording))
+    for fam, frac in [("laplacian", 0.3), ("poisson", 0.6)]:
+        best_dictionary_for(make_distribution(SyntheticFamily(fam, frac)), 8, 4)
+    parsed = [dct for dct in built if len(dct.alphabet) > 1]
+    assert len(parsed) >= 20
+    assert sorted(map(id, owners)) == sorted(map(id, parsed))
 
 
 # ---------------------------------------------------------------------------

@@ -182,6 +182,15 @@ def test_dictset_roundtrip_keeps_from_tables_levels():
     assert save_dictset(loaded) == data
 
 
+def test_loaded_dictionaries_have_the_built_chapter_stationary(grid_distributions, grid_set):
+    # a loaded dictionary carries no training statistics; the chain gives them
+    loaded = load_dictset(save_dictset(grid_set))
+    for built, got, dist in zip(
+        grid_set.dictionaries, loaded.dictionaries, grid_distributions.values()
+    ):
+        assert np.array_equal(got.chapter_stationary(dist), built.chapter_stationary(dist))
+
+
 def edited_set_file(dct, edit) -> bytes:
     """``dct``'s one-entry set file after ``edit`` has changed its table.
 
@@ -511,6 +520,16 @@ def test_container_roundtrip_various_sizes(tiny_set):
         data = dist.sample(n, seed=n)
         comp = compress_bytes(data, tiny_set, block_size=4096)
         assert decompress_bytes(comp, tiny_set) == data
+
+
+def test_block_size_must_fit_the_header(tiny_set):
+    # the header stores the block size as a u32
+    data = make_distribution(SyntheticFamily("laplacian", 0.5)).sample(3000, seed=4)
+    for bad in (0, 1 << 32, 5_000_000_000):
+        with pytest.raises(ValueError, match="block size"):
+            compress_bytes(data, tiny_set, block_size=bad)
+    comp = compress_bytes(data, tiny_set, block_size=0xFFFFFFFF)
+    assert decompress_bytes(comp, tiny_set) == data
 
 
 def test_empty_blocks_are_raw(tiny_set):
