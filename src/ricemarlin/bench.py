@@ -11,8 +11,8 @@ from statistics import median
 from .dictionary import (
     DictionarySet,
     MarlinDictionary,
+    _eta,
     best_dictionary_for,
-    efficiency,
     shift_efficiency_bound,
 )
 from .encoder import encode_block
@@ -90,7 +90,7 @@ def synthetic_study(
                             shift=shift,
                             threshold=dct.search_threshold,
                             entropy=h,
-                            predicted_eta=efficiency(dct, dist, block_n),
+                            predicted_eta=_eta(h, dct.abr),
                             measured_eta=h / measured if measured > 0 else 1.0,
                             shift_bound=shift_efficiency_bound(dist, shift, block_n),
                         )

@@ -35,7 +35,7 @@ def _parse_fractions(text: str) -> list[float]:
 
 
 def _cmd_build_dictset(args) -> int:
-    from .dictionary import build_dictionary_set, default_set_config, efficiency
+    from .dictionary import _eta, build_dictionary_set, default_set_config
     from .format import save_dictset
     from .source import SyntheticFamily, make_distribution
 
@@ -58,7 +58,7 @@ def _cmd_build_dictset(args) -> int:
         dist = make_distribution(
             SyntheticFamily(*_parse_source_id(dct.source_id))
         )
-        eta = efficiency(dct, dist, dct.block_n)
+        eta = _eta(dist.entropy(), dct.abr)  # the ABR the build stored on this source
         print(
             f"{i:3d}  {dct.source_id:<16s}  {dct.shift}  "
             f"{dct.search_threshold:9.3g}  {eta:6.4f}"

@@ -8,8 +8,6 @@ gather.  Reminders and escape pairs are merged afterwards.
 
 from __future__ import annotations
 
-from itertools import chain
-
 import numpy as np
 
 from .bitpack import unpack_low_bits, unpack_units
@@ -27,17 +25,14 @@ class DecoderTable:
         values = np.asarray(dct.alphabet.values, dtype=np.uint8)
         # chapters that share a word set share their words at every offset, so
         # one (2^K, width) block per set, gathered in chapter order, is the table
-        blocks, lengths = [], []
-        for lw in dct.word_sets:
-            lens = np.fromiter(map(len, lw.words), dtype=np.int64, count=len(lw.words))
-            ranks = np.fromiter(chain.from_iterable(lw.words), dtype=np.intp)
-            block = np.zeros((len(lw.words), width), dtype=np.uint8)
-            block[np.arange(width) < lens[:, None]] = values[ranks]
-            blocks.append(block)
-            lengths.append(lens)
+        sets = dct.word_sets
+        lengths = np.stack([lw.lengths for lw in sets]).astype(np.int64)
+        ranks = np.concatenate([lw.ranks for lw in sets])
+        words = np.zeros((len(sets), dct.words_per_chapter, width), dtype=np.uint8)
+        words[np.arange(width) < lengths[..., None]] = values[ranks]
         chapter_sets = list(dct.chapter_sets)
-        self.words = np.stack(blocks)[chapter_sets].reshape(dct.n_codewords, width)
-        self.lengths = np.stack(lengths)[chapter_sets].reshape(dct.n_codewords)
+        self.words = words[chapter_sets].reshape(dct.n_codewords, width)
+        self.lengths = lengths[chapter_sets].reshape(dct.n_codewords)
 
 
 def decode_quotients(table: DecoderTable, stream: bytes, n: int) -> np.ndarray:

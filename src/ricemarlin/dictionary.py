@@ -17,7 +17,9 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import TYPE_CHECKING
+from itertools import chain, pairwise, repeat
+from operator import itemgetter
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -113,43 +115,141 @@ def split_alphabet(dist: SymbolDistribution, shift: int, threshold: float) -> Qu
 # chapter growth
 
 
-@dataclass
 class LevelWords:
-    """One word set: words are tuples of quotient ranks.
+    """One word set of quotient-rank words, held as arrays.
 
-    In a dictionary's ``word_sets`` a word's position is its codeword offset.
+    Word ``i`` is ``ranks[offsets[i]:offsets[i + 1]]``, ``lengths[i]`` ranks
+    long: the ranks of every word, concatenated in order.  ``kvals[i]`` is
+    its child count, the length of the run of ranks 0, 1, ... that extend it
+    to another word of the set; ``parents[i]`` is the position of
+    ``word[:-1]``, or -1 for a single-symbol word or an absent prefix.
+    ``distinct`` is false when a word repeats another.  In a dictionary's
+    ``word_sets`` a word's position is its codeword offset.  ``words``, the
+    same words as tuples, is derived on first use.
+
+    The builder grows tuples, so its sets are made from ``words``, with the
+    child counts and the probabilities ``raws`` the growth kept, and derive
+    the arrays, parents and ``distinct`` on first use: a candidate the search
+    discards never converts.
     """
 
-    level: int
-    words: list[tuple[int, ...]]
-    kvals: list[int]  # per word: number of single-symbol extensions present
-    raws: list[float]  # per word: P(source emits this prefix | first rank >= level)
-
-    @cached_property
-    def index(self) -> dict[tuple[int, ...], int]:
-        """Word -> position, built on first use: the grown sets that the
-        builder re-orders into codeword order never need it."""
-        return {w: i for i, w in enumerate(self.words)}
+    def __init__(
+        self, level: int, words: list[tuple[int, ...]], kvals: list[int], raws: list[float]
+    ):
+        self.level = level
+        self.words = words
+        self.kvals = kvals
+        self.raws = raws  # per word: P(source emits this prefix | first rank >= level)
 
     @classmethod
     def listed(cls, level: int, words: list[tuple[int, ...]]) -> "LevelWords":
         """A set given in codeword order; child counts are read off the words."""
-        lw = cls(level, words, [], [0.0] * len(words))
-        for w in words:
-            kw = 0
-            while w + (kw,) in lw.index:
-                kw += 1
-            lw.kvals.append(kw)
+        (lw,) = link_word_sets([level], [words], np.fromiter(chain.from_iterable(words), np.intp))
         return lw
 
-    def in_order(self, order: list[int]) -> "LevelWords":
-        """The set with word ``order[j]`` moved to position ``j``."""
-        return LevelWords(
-            self.level,
-            [self.words[i] for i in order],
-            [self.kvals[i] for i in order],
-            [self.raws[i] for i in order],
+    @classmethod
+    def held(
+        cls, level: int, ranks: np.ndarray, lengths: np.ndarray, kvals: np.ndarray,
+        parents: np.ndarray, distinct: bool,
+    ) -> "LevelWords":
+        """A set given as its arrays; the tuples are derived on first use."""
+        lw = cls.__new__(cls)
+        lw.__dict__.update(
+            level=level, ranks=ranks, lengths=lengths, kvals=kvals, parents=parents,
+            distinct=distinct,
         )
+        return lw
+
+    @cached_property
+    def words(self) -> list[tuple[int, ...]]:
+        ranks = self.ranks.tolist()
+        return [tuple(ranks[a:b]) for a, b in pairwise(self.offsets.tolist())]
+
+    @cached_property
+    def lengths(self) -> np.ndarray:
+        return np.fromiter(map(len, self.words), dtype=np.intp, count=len(self.words))
+
+    @cached_property
+    def ranks(self) -> np.ndarray:
+        return np.fromiter(chain.from_iterable(self.words), dtype=np.intp)
+
+    @cached_property
+    def offsets(self) -> np.ndarray:
+        """Where each word starts in ``ranks``, then where the last ends."""
+        return np.concatenate([[0], np.cumsum(self.lengths)])
+
+    @cached_property
+    def _linked(self) -> "LevelWords":
+        (lw,) = link_word_sets([self.level], [self.words], self.ranks)
+        return lw
+
+    @cached_property
+    def parents(self) -> np.ndarray:
+        return self._linked.parents
+
+    @cached_property
+    def distinct(self) -> bool:
+        return self._linked.distinct
+
+    @cached_property
+    def index(self) -> dict[tuple[int, ...], int]:
+        """Word -> position, built on first use."""
+        return {w: i for i, w in enumerate(self.words)}
+
+    def in_order(self, order: list[int]) -> "LevelWords":
+        """The set with word ``order[j]`` moved to position ``j``.
+
+        The probabilities only order the words, so the result has none.
+        """
+        return LevelWords(
+            self.level, [self.words[i] for i in order], [self.kvals[i] for i in order], []
+        )
+
+
+_prefix = itemgetter(slice(None, -1))
+
+
+def link_word_sets(
+    levels: list[int], word_lists: list[Sequence[Sequence[int]]], ranks: np.ndarray
+) -> list[LevelWords]:
+    """Word sets at ``levels`` holding ``word_lists``, linked in one pass.
+
+    A list's words are tuples or bytes of ranks; ``ranks`` is every word of
+    every list, concatenated.  A word's parent is found by looking its
+    prefix up in a dict of its list's words, so it is exact; a list whose
+    dict is smaller than it repeats a word.  The child counts of all lists
+    come from one sort of (parent, last rank) pairs.
+    """
+    sizes = [len(ws) for ws in word_lists]
+    words = chain.from_iterable(word_lists)
+    lengths = np.fromiter(map(len, words), dtype=np.intp, count=sum(sizes))
+    parents, distinct = [], []
+    for ws in word_lists:
+        index = dict(zip(ws, range(len(ws))))
+        distinct.append(len(index) == len(ws))
+        parents += map(index.get, map(_prefix, ws), repeat(-1))  # index.get(w[:-1], -1)
+    # the prefix of a single is the empty word, which no valid set holds
+    parents = np.where(lengths > 1, np.array(parents, dtype=np.intp), -1)
+    bounds = np.cumsum([0] + sizes)
+    starts = np.repeat(bounds[:-1], sizes)  # where each word's list starts
+    ends = np.cumsum(lengths)
+    linked = np.flatnonzero(parents >= 0)
+    # sorted, the children of one parent with distinct last ranks run 0, 1,
+    # ... up to the first gap, so the leading run is where rank equals place
+    base = int(ranks.max(initial=0)) + 1
+    pairs = np.sort((parents[linked] + starts[linked]) * base + ranks[ends[linked] - 1])
+    up, rank = np.divmod(pairs, base)
+    children = np.bincount(up, minlength=len(lengths))
+    place = np.arange(len(pairs)) - (np.cumsum(children) - children)[up]
+    kvals = np.bincount(up[rank == place], minlength=len(lengths))
+    cuts = np.concatenate([[0], ends])[bounds]
+    return [
+        LevelWords.held(
+            level, ranks[cuts[s] : cuts[s + 1]], lengths[a:b], kvals[a:b], parents[a:b],
+            distinct[s],
+        )
+        for s, (level, a, b) in enumerate(zip(levels, bounds, bounds[1:]))
+    ]
 
 
 def _conditional_roots(coding: np.ndarray, level: int) -> np.ndarray:
@@ -289,7 +389,6 @@ class MarlinDictionary:
         self.word_sets = word_sets
         self.chapter_sets = chapter_sets
         self.empty_quotient = not word_sets
-        self.max_word_len = max([max(map(len, lw.words)) for lw in word_sets], default=1)
         self.source_id = source_id
         self.block_n = block_n
         # the searched threshold that produced this dictionary; 0.0 if unsearched
@@ -303,6 +402,10 @@ class MarlinDictionary:
     def levels(self) -> tuple[int, ...]:
         """Exclusion level of every chapter, read off its word set."""
         return tuple(self.word_sets[s].level for s in self.chapter_sets)
+
+    @cached_property
+    def max_word_len(self) -> int:
+        return max([int(lw.lengths.max()) for lw in self.word_sets], default=1)
 
     @property
     def shift(self) -> int:
@@ -464,40 +567,53 @@ class MarlinDictionary:
         if not 0 <= a.shift <= 8:
             raise error(f"shift {a.shift} is outside [0, 8]")
         qspace = ALPHABET_SIZE >> a.shift
-        if not nq or len(set(a.values)) != nq or not all(0 <= v < qspace for v in a.values):
+        if not nq or len(set(a.values)) != nq or min(a.values) < 0 or max(a.values) >= qspace:
             raise error(f"quotient values must be one or more, distinct and below {qspace}")
         if not sets:
             if nq != 1 or self.chapter_sets:
                 raise error("a dictionary without word sets needs one quotient and no chapters")
             return
-        if not all(0 <= s < len(sets) for s in self.chapter_sets):
+        named = set(self.chapter_sets)
+        if not named <= set(range(len(sets))):
             raise error("a chapter names a word set the table does not hold")
-        if len(set(self.chapter_sets)) != len(sets):
+        if len(named) != len(sets):
             raise error("the table holds a word set that no chapter names")
         size = self.words_per_chapter
         for s, lw in enumerate(sets):
-            words = lw.words
-            lengths = list(map(len, words))
-            if len(words) != size or len(lw.index) != size:
+            if len(lw.lengths) != size:
                 raise error(f"word set {s} must hold {size} distinct words")
-            if 0 in lengths or max(words)[0] >= nq or max(lw.kvals) > nq:
+        # per set: the extremes of its word lengths, first ranks and child
+        # counts, found for all sets at once.  An empty word reads the next
+        # word's first rank, or a trailing pad, and is rejected below
+        lengths = np.stack([lw.lengths for lw in sets])
+        ranks = np.concatenate([lw.ranks for lw in sets] + [np.zeros(1, np.intp)])
+        firsts = ranks[np.cumsum(lengths) - lengths.reshape(-1)].reshape(lengths.shape)
+        stats = np.stack([lengths, firsts, np.stack([lw.kvals for lw in sets])], axis=1)
+        singles = (stats[:, 0] == 1).sum(axis=1).tolist()
+        children = stats[:, 2].sum(axis=1).tolist()
+        for s, (lw, (short, low, _), (_, high, most), n1, nk) in enumerate(zip(
+            sets, stats.min(axis=2).tolist(), stats.max(axis=2).tolist(), singles, children
+        )):
+            if not lw.distinct:
+                raise error(f"word set {s} must hold {size} distinct words")
+            if short == 0 or high >= nq or most > nq:
                 raise error(f"word set {s} holds an empty word or a value outside the alphabet")
-            if lw.level != min(words)[0]:
+            if lw.level != low:
                 raise error(f"word set {s} claims level {lw.level}, not its lowest first rank")
             # counting suffices: with distinct words and first ranks from the
             # level to nq - 1, nq - level singles are all of them, and child
             # counts that sum to the number of longer words place each in the
             # leading run of its prefix's successors, so every rank is below nq
-            singles = lengths.count(1)
-            if singles != nq - lw.level:
+            if n1 != nq - lw.level:
                 raise error(f"word set {s} misses a single-symbol word")
-            if sum(lw.kvals) != size - singles:
+            if nk != size - n1:
                 raise error(f"word set {s} is not prefix-closed over most probable successors")
         # the words at offsets v, v + 2^O, ... feed chapter v; one with fewer
         # children than that chapter's level would trap the walk
-        for s, lw in enumerate(sets):
-            for v, level in enumerate(self.levels):
-                if min(lw.kvals[v :: self.n_chapters]) < level:
+        feeding = stats[:, 2].reshape(len(sets), -1, self.n_chapters).min(axis=1)
+        for s, fewest in enumerate(feeding.tolist()):
+            for v, (have, level) in enumerate(zip(fewest, self.levels)):
+                if have < level:
                     raise error(
                         f"unsafe word set {s}: a word with fewer than {level} "
                         f"children feeds chapter {v}"

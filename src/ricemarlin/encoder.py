@@ -72,18 +72,22 @@ class EncoderMatrix:
     def __init__(self, dct: MarlinDictionary):
         self.dct = dct
         k, nq = dct.k, len(dct.alphabet)
-        self.nn = nn = len(dct.word_sets) << k
-        self.single = np.full((len(dct.word_sets), nq), nn, dtype=np.int32)
+        sets = dct.word_sets
+        self.nn = nn = len(sets) << k
+        # node ki * 2**K + i is word i of set ki; its parent and last rank
+        # give the one edge into it
+        words = np.arange(nn)
+        lengths = np.concatenate([lw.lengths for lw in sets])
+        last = np.concatenate([lw.ranks for lw in sets])[np.cumsum(lengths) - 1]
+        parents = np.concatenate([lw.parents for lw in sets])
+        kvals = np.concatenate([lw.kvals for lw in sets])
+        linked = parents >= 0
         child = np.full((nn, nq), nn, dtype=np.int32)
-        kvals = np.zeros(nn, dtype=np.int32)
-        for ki, lw in enumerate(dct.word_sets):
-            base = ki << k
-            kvals[base : base + len(lw.kvals)] = lw.kvals
-            for off, (w, kw) in enumerate(zip(lw.words, lw.kvals)):
-                if len(w) == 1:
-                    self.single[ki, w[0]] = base + off
-                child[base + off, :kw] = [base + lw.index[w + (r,)] for r in range(kw)]
-        offsets = np.arange(nn) & (dct.words_per_chapter - 1)
+        child[parents[linked] + (words[linked] >> k << k), last[linked]] = words[linked]
+        single = lengths == 1
+        self.single = np.full((len(sets), nq), nn, dtype=np.int32)
+        self.single[words[single] >> k, last[single]] = words[single]
+        offsets = words & (dct.words_per_chapter - 1)
         emit = np.arange(nq) >= kvals[:, None]
         chapter_sets = np.array(dct.chapter_sets, dtype=np.intp)
         nxt = np.where(emit, self.single[chapter_sets[offsets & (dct.n_chapters - 1)]], child)

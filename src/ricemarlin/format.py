@@ -10,6 +10,8 @@ from __future__ import annotations
 import hashlib
 import struct
 from dataclasses import dataclass
+from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,6 +23,7 @@ from .dictionary import (
     LevelWords,
     MarlinDictionary,
     QuotientAlphabet,
+    link_word_sets,
 )
 from .encoder import CompressedBlock, encode_block
 from .decoder import decode_block
@@ -134,10 +137,23 @@ def _dict_table_bytes(dct: MarlinDictionary) -> bytes:
         out += struct.pack("<H", len(dct.word_sets))
         for key, lw in enumerate(dct.word_sets):
             out += struct.pack("<HB", key, lw.level)
-            for w in lw.words:
-                out += struct.pack("<H", len(w))
-                out += bytes(w)
+            out += _word_records(lw)
     return bytes(out)
+
+
+def _word_records(lw: LevelWords) -> bytes:
+    """The set's words as consecutive ``(u16 length, bytes)`` records."""
+    lengths, ranks = lw.lengths, lw.ranks
+    if lengths.max() > 0xFFFF or ranks.max(initial=0) > 0xFF:
+        raise ValueError("a word of more than 65535 symbols or a rank above 255 does not fit")
+    # word i's record starts 2 * i bytes after the word's first rank
+    heads = lw.offsets[:-1] + 2 * np.arange(len(lengths))
+    records = np.empty(len(ranks) + 2 * len(lengths), dtype=np.uint8)
+    payload = np.ones(len(records), dtype=bool)
+    payload[heads] = payload[heads + 1] = False
+    records[heads], records[heads + 1] = lengths & 0xFF, lengths >> 8
+    records[payload] = ranks
+    return records.tobytes()
 
 
 def _excluded_quotients(dct: MarlinDictionary) -> bytes:
@@ -205,6 +221,19 @@ class _Reader:
     def unpack(self, fmt: str) -> tuple:
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
+    def records(self, n: int) -> list[bytes]:
+        """The payloads of ``n`` consecutive ``(u16 length, bytes)`` records."""
+        buf, p = self.buf, self.pos
+        try:
+            # a slice's start is read before ``:=`` moves p past its record
+            words = [buf[p + 2 : (p := p + 2 + (buf[p] | buf[p + 1] << 8))] for _ in range(n)]
+        except IndexError:
+            p = len(buf) + 1
+        if p > len(buf):
+            raise FormatError(f"{self.what} truncated in the records from byte {self.pos}")
+        self.pos = p
+        return words
+
     def finish(self) -> None:
         if self.pos != len(self.buf):
             raise FormatError(
@@ -212,7 +241,21 @@ class _Reader:
             )
 
 
-def _parse_dict(table: bytes, meta: bytes, k: int, o: int) -> MarlinDictionary:
+class _Table(NamedTuple):
+    """One dictionary table as read, its words still bytes."""
+
+    shift: int
+    empty_q: int
+    values: tuple[int, ...]
+    excl_q: bytes
+    placeholder: int
+    chapter_sets: tuple[int, ...]
+    levels: list[int]  # per word set
+    words: list[list[bytes]]  # per word set
+
+
+def _scan_table(table: bytes, k: int, o: int) -> _Table:
+    """Read a dictionary table; its words are kept as bytes."""
     t = _Reader(table, "dictionary table")
     shift, empty_q, nq = t.unpack("<BBH")
     values = tuple(t.take(nq))
@@ -220,20 +263,31 @@ def _parse_dict(table: bytes, meta: bytes, k: int, o: int) -> MarlinDictionary:
     excl_q = t.take(n_excl)
     (placeholder,) = t.take(1)
     chapter_sets: tuple[int, ...] = ()
-    word_sets = []
+    levels, words = [], []
     if not empty_q:
         chapter_sets = tuple(t.take(1 << o))
-        (n_keys,) = t.unpack("<H")
-        for at in range(n_keys):
-            key, lvl = t.unpack("<HB")
+        (n_sets,) = t.unpack("<H")
+        for at in range(n_sets):
+            key, level = t.unpack("<HB")
             if key != at:
                 raise FormatError(f"word set {at} is stored under key {key}")
-            words = []
-            for _ in range(1 << k):
-                (wl,) = t.unpack("<H")
-                words.append(tuple(t.take(wl)))
-            word_sets.append(LevelWords.listed(lvl, words))
+            levels.append(level)
+            words.append(t.records(1 << k))
     t.finish()
+    return _Table(shift, empty_q, values, excl_q, placeholder, chapter_sets, levels, words)
+
+
+def _read_word_sets(tables: list[_Table]) -> list[tuple[LevelWords, ...]]:
+    """Every table's word sets, linked in one pass over them all."""
+    word_lists = [words for t in tables for words in t.words]
+    ranks = np.frombuffer(b"".join(chain.from_iterable(word_lists)), dtype=np.uint8)
+    sets = iter(link_word_sets([lvl for t in tables for lvl in t.levels], word_lists, ranks))
+    return [tuple(next(sets) for _ in t.levels) for t in tables]
+
+
+def _parse_dict(
+    t: _Table, word_sets: tuple[LevelWords, ...], meta: bytes, k: int, o: int
+) -> MarlinDictionary:
     m = _Reader(meta, "dictionary metadata")
     p_escape, abr, qbits, thr, block_n = m.unpack("<ddddI")
     (sid_len,) = m.unpack("<H")
@@ -241,22 +295,22 @@ def _parse_dict(table: bytes, meta: bytes, k: int, o: int) -> MarlinDictionary:
         source_id = m.take(sid_len).decode("utf-8")
     except UnicodeDecodeError as exc:
         raise FormatError("dictionary source id is not UTF-8") from exc
-    probs = np.frombuffer(m.take(8 * nq), dtype="<f8")
+    probs = np.frombuffer(m.take(8 * len(t.values)), dtype="<f8")
     m.finish()
     alphabet = QuotientAlphabet(
-        shift=shift, values=values, probs=np.array(probs), p_escape=p_escape
+        shift=t.shift, values=t.values, probs=np.array(probs), p_escape=p_escape
     )
     dct = MarlinDictionary(
-        k, o, alphabet, tuple(word_sets), chapter_sets,
+        k, o, alphabet, word_sets, t.chapter_sets,
         source_id=source_id, block_n=block_n, search_threshold=thr,
     )
     dct.check(FormatError)
     # the flag, the exclusions and the placeholder are derived on saving
-    if empty_q != dct.empty_quotient:
-        raise FormatError(f"empty-quotient flag {empty_q} does not match the word sets")
-    if excl_q != _excluded_quotients(dct):
+    if t.empty_q != dct.empty_quotient:
+        raise FormatError(f"empty-quotient flag {t.empty_q} does not match the word sets")
+    if t.excl_q != _excluded_quotients(dct):
         raise FormatError("stored exclusions differ from the unranked quotient values")
-    if placeholder != values[0]:
+    if t.placeholder != t.values[0]:
         raise FormatError("stored placeholder is not the most probable quotient value")
     dct.abr = abr
     dct.quotient_bits = qbits
@@ -283,11 +337,18 @@ def load_dictset(buf: bytes) -> DictionarySet:
     for _ in range(count):
         tlen, mlen = r.unpack("<II")
         parts.append((r.take(tlen), r.take(mlen)))
-    if r.take(32) != _tables_digest(k, o, [table for table, _ in parts]):
+    digest = r.take(32)
+    if digest != _tables_digest(k, o, [table for table, _ in parts]):
         raise FormatError("dictionary-set digest mismatch")
     r.finish()
-    dicts = [_parse_dict(table, meta, k, o) for table, meta in parts]
-    return DictionarySet(dicts, metadata={"k": k, "o": o})
+    tables = [_scan_table(table, k, o) for table, _ in parts]
+    word_sets = _read_word_sets(tables)
+    dset = DictionarySet(
+        [_parse_dict(t, ws, meta, k, o) for t, ws, (_, meta) in zip(tables, word_sets, parts)],
+        metadata={"k": k, "o": o},
+    )
+    dset.digest = digest  # verified above: the tables need not be serialized again
+    return dset
 
 
 # ---------------------------------------------------------------------------

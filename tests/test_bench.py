@@ -64,3 +64,25 @@ def test_speed_bench_reports_and_ratio(lap_set):
 def test_speed_bench_rejects_empty(lap_set):
     with pytest.raises(ValueError):
         speed_bench(b"", lap_set)
+
+
+def test_synthetic_study_builds_only_the_search_parse_chains(monkeypatch):
+    # predicted eta reads the stored ABR instead of building another chain
+    from ricemarlin import best_dictionary_for
+    from ricemarlin import dictionary as rd
+
+    chains = []
+
+    class CountingChain(rd._ParseChain):
+        def __init__(self, dct, coding):
+            chains.append(dct)
+            super().__init__(dct, coding)
+
+    monkeypatch.setattr(rd, "_ParseChain", CountingChain)
+    dist = make_distribution(SyntheticFamily("laplacian", 0.5))
+    for shift in (0, 2):
+        best_dictionary_for(dist, 8, 0, shifts=(shift,))
+    alone = len(chains)
+    chains.clear()
+    rows = synthetic_study(["laplacian"], [0.5], [256], [0, 2], sample_bytes=1 << 14)
+    assert len(rows) == 2 and len(chains) == alone > 0

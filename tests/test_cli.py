@@ -214,3 +214,30 @@ def test_bench_speed_empty_corpus(tmp_path, set_path):
     empty.write_bytes(b"")
     rc = main(["bench-speed", str(empty), "--set", str(set_path)])
     assert rc == EXIT_FAILURE
+
+
+def test_build_dictset_prints_eta_from_the_stored_abr(tmp_path, capsys, monkeypatch):
+    # the printed eta reads each dictionary's stored ABR: the command builds
+    # exactly the parse chains of the set build itself
+    from ricemarlin import build_dictionary_set, default_set_config
+    from ricemarlin import dictionary as rd
+
+    chains = []
+
+    class CountingChain(rd._ParseChain):
+        def __init__(self, dct, coding):
+            chains.append(dct)
+            super().__init__(dct, coding)
+
+    monkeypatch.setattr(rd, "_ParseChain", CountingChain)
+    cfg = default_set_config()
+    cfg["grid"] = [("laplacian", 0.3), ("poisson", 0.6)]
+    build_dictionary_set(cfg)
+    alone = len(chains)
+    chains.clear()
+    argv = ["build-dictset", "--out", str(tmp_path / "two.rmds"),
+            "--laplacian", "0.3", "--poisson", "0.6"]
+    assert main(argv) == EXIT_OK
+    assert len(chains) == alone > 0
+    rows = capsys.readouterr().out.splitlines()[2:]
+    assert [row.split()[1] for row in rows] == ["laplacian:0.3", "poisson:0.6"]

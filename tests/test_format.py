@@ -392,6 +392,15 @@ def test_invalid_word_sets_are_rejected(worked_dictionary, offset, word, rule):
         load_dictset(save_dictset(DictionarySet([dct])))
 
 
+def test_from_tables_rejects_chapters_without_2k_distinct_words(worked_dictionary):
+    # a short chapter, empty ones, and eight empty words
+    alphabet = worked_dictionary.alphabet
+    for chapters in ([WORKED_CHAPTER_0, WORKED_CHAPTER_1[:-1]], [WORKED_CHAPTER_0, []], [[], []],
+                     [WORKED_CHAPTER_0, [()] * 8]):
+        with pytest.raises(BuildError, match="must hold 8 distinct words"):
+            MarlinDictionary.from_tables(3, 1, alphabet, chapters)
+
+
 def test_dictset_digest_tracks_tables_only(tiny_set):
     d = dictset_digest(tiny_set)
     assert tiny_set.digest == d
@@ -479,10 +488,108 @@ def test_tables_compile_once_per_owner(tiny_set, monkeypatch):
     assert len(used) >= 2 and RAW_INDEX not in used
     for name in ("matrix", "table"):
         assert sorted(map(dset.dictionaries.index, built[name])) == sorted(used), name
-    assert built["digest"] == [dset]
+    # the loader verified the file's digest and keeps it
+    assert built["digest"] == [] and dset.digest == digest(dset)
     for dct in dset.dictionaries:
         lut = dct.alphabet.rank_lut
         assert dct.alphabet.rank_lut is lut and not lut.flags.writeable
+
+
+def test_built_set_computes_its_digest_once(tiny_set, monkeypatch):
+    from ricemarlin import format as fmt
+
+    calls = []
+    digest = fmt.dictset_digest
+    monkeypatch.setattr(fmt, "dictset_digest", lambda dset: calls.append(dset) or digest(dset))
+    dset = DictionarySet(tiny_set.dictionaries)  # a set nothing has digested yet
+    data = make_distribution(SyntheticFamily("laplacian", 0.5)).sample(5000, seed=8)
+    for _ in range(2):
+        assert decompress_bytes(compress_bytes(data, dset), dset) == data
+    assert calls == [dset] and dset.digest == digest(tiny_set)
+
+
+def _one_set_file(k: int, words: list[bytes]) -> bytes:
+    """A signed K/O=0 set file: one dictionary over two quotients at shift 0,
+    whose one word set holds ``words``."""
+    table = struct.pack("<BBH", 0, 0, 2) + bytes([0, 1]) + struct.pack("<H", 254)
+    table += bytes(range(2, 256)) + bytes([0]) + bytes([0]) + struct.pack("<HHB", 1, 0, 0)
+    table += b"".join(struct.pack("<H", len(w)) + w for w in words)
+    meta = struct.pack("<ddddIH", 0.0, 1.0, 1.0, 0.0, 4096, 0) + struct.pack("<2d", 0.5, 0.5)
+    return (
+        b"RMDS" + struct.pack("<BBBBII", 1, k, 0, 1, len(table), len(meta))
+        + table + meta + _tables_digest(k, 0, [table])
+    )
+
+
+@pytest.mark.parametrize("k, long_word", [(8, 60_000), (16, 362)], ids=["k8", "k16"])
+def test_long_words_load_in_memory_in_proportion_to_the_file(k, long_word):
+    # one word of ``long_word`` ranks among single-symbol words.  A 2^K by
+    # longest-word matrix of ranks would take 15 MB at K=8 and 23 MB at
+    # K=16 (362 ranks is about the square root of twice the set's total
+    # length); the loader holds the words as they are in the file
+    import tracemalloc
+
+    data = _one_set_file(k, [bytes([i & 1]) for i in range((1 << k) - 1)] + [bytes(long_word)])
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError, match="word set 0"):
+            load_dictset(data)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 48 * len(data) + (1 << 20), (peak, len(data))
+
+
+def _resigned(data: bytes, at: int, edit) -> bytes:
+    """``data`` with ``edit`` applied to table ``at``, its length and the digest updated."""
+    k, o, count = data[5], data[6], data[7]
+    pos, tables, parts = 8, [], []
+    for i in range(count):
+        tlen, mlen = struct.unpack_from("<II", data, pos)
+        table, meta = data[pos + 8 : pos + 8 + tlen], data[pos + 8 + tlen : pos + 8 + tlen + mlen]
+        if i == at:
+            table = edit(bytearray(table))
+        tables.append(bytes(table))
+        parts.append(struct.pack("<II", len(table), mlen) + table + meta)
+        pos += 8 + tlen + mlen
+    return data[:8] + b"".join(parts) + _tables_digest(k, o, tables)
+
+
+def test_resigned_table_mutations_raise_format_error_or_reload():
+    # mutations re-signed with the table digest reach the word-set parser; a
+    # long-word dictionary (words up to 237 ranks) and two word sets per
+    # dictionary.  Each mutation is rejected or loads as exactly those bytes.
+    dset = build_dictionary_set(
+        {"grid": [("laplacian", 0.02), ("laplacian", 0.5), ("poisson", 0.3)],
+         "k": 8, "o": 4, "block_n": 4096}
+    )
+    assert dset[0].max_word_len == 237 and all(len(d.word_sets) == 2 for d in dset)
+    data = save_dictset(dset)
+    msg = make_distribution(SyntheticFamily("laplacian", 0.5)).sample(3000, seed=9)
+    rng = np.random.default_rng(2027)
+    loaded = 0
+    for i in range(3000):
+        at = int(rng.integers(len(dset)))
+
+        def edit(table, i=i):
+            where = int(rng.integers(len(table)))
+            if i % 3 == 0:
+                del table[where:]
+            elif i % 3 == 1:
+                table[where] ^= 1 << int(rng.integers(8))
+            else:
+                table.insert(where, int(rng.integers(256)))
+            return table
+
+        buf = _resigned(data, at, edit)
+        try:
+            got = load_dictset(buf)
+        except FormatError:
+            continue
+        loaded += 1
+        assert save_dictset(got) == buf
+        assert decompress_bytes(compress_bytes(msg, got), got) == msg
+    assert loaded < 30, loaded
 
 
 def test_grid_set_and_containers_bytes_are_pinned(grid_distributions, grid_set):

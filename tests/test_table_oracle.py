@@ -1,0 +1,199 @@
+"""Differential tests: tables compiled from word-set arrays against tuple-driven builds.
+
+``OracleMatrix`` and ``OracleTable`` are the earlier constructors of
+``EncoderMatrix`` and ``DecoderTable`` kept as the reference: they read each
+word set as tuples, count children by probing ``w + (r,)`` in a dict, and
+fill the child table one word at a time.  The compiled tables must equal
+theirs array for array, for built sets (whose arrays are derived from the
+builder's tuples) and for loaded sets (whose tuples are derived from the
+arrays).  ``reference_links`` recomputes each word's parent, child count and
+the repeat flag the same way, for hostile word sets too.
+"""
+
+from array import array
+from itertools import chain
+
+import numpy as np
+import pytest
+
+from ricemarlin import (
+    DecoderTable,
+    EncoderMatrix,
+    MarlinDictionary,
+    build_dictionary_set,
+    load_dictset,
+    save_dictset,
+)
+from ricemarlin.dictionary import link_word_sets
+from ricemarlin.encoder import STEP_TABLE_CAP
+
+from conftest import abcd_distribution, from_tables_copy
+
+
+def reference_links(words: list[tuple[int, ...]]) -> tuple[list[int], list[int], bool]:
+    """Parent position, child count and distinctness, read off the tuples."""
+    index = {w: i for i, w in enumerate(words)}
+    parents = [index.get(w[:-1], -1) if len(w) > 1 else -1 for w in words]
+    kvals = []
+    for w in words:
+        kw = 0
+        while w + (kw,) in index:
+            kw += 1
+        kvals.append(kw)
+    return parents, kvals, len(index) == len(words)
+
+
+class OracleMatrix:
+    def __init__(self, dct: MarlinDictionary):
+        k, nq = dct.k, len(dct.alphabet)
+        self.nn = nn = len(dct.word_sets) << k
+        self.single = np.full((len(dct.word_sets), nq), nn, dtype=np.int32)
+        child = np.full((nn, nq), nn, dtype=np.int32)
+        kvals = np.zeros(nn, dtype=np.int32)
+        for ki, lw in enumerate(dct.word_sets):
+            base = ki << k
+            index = {w: i for i, w in enumerate(lw.words)}
+            _, counts, _ = reference_links(lw.words)
+            kvals[base : base + len(counts)] = counts
+            for off, (w, kw) in enumerate(zip(lw.words, counts)):
+                if len(w) == 1:
+                    self.single[ki, w[0]] = base + off
+                child[base + off, :kw] = [base + index[w + (r,)] for r in range(kw)]
+        offsets = np.arange(nn) & (dct.words_per_chapter - 1)
+        emit = np.arange(nq) >= kvals[:, None]
+        chapter_sets = np.array(dct.chapter_sets, dtype=np.intp)
+        nxt = np.where(emit, self.single[chapter_sets[offsets & (dct.n_chapters - 1)]], child)
+        self.nxt = np.vstack([nxt, np.full((1, nq), nn, dtype=np.int32)])
+        self.starts_word = np.zeros(nn + 1, dtype=bool)
+        self.starts_word[self.single[self.single < nn]] = True
+        nodes = nn + 1
+        m = 1
+        while nq > 1 and nodes * nq ** (m + 1) <= STEP_TABLE_CAP:
+            m += 1
+        self.m = m
+        tab = self.nxt
+        for _ in range(m - 1):
+            tab = self.nxt[tab].reshape(nodes, -1)
+        typecode = "H" if nodes <= 1 << 16 else "I"
+        self.table = array(typecode, tab.T.astype(typecode).tobytes())
+
+
+class OracleTable:
+    def __init__(self, dct: MarlinDictionary):
+        self.max_word_len = width = max(len(w) for lw in dct.word_sets for w in lw.words)
+        values = np.asarray(dct.alphabet.values, dtype=np.uint8)
+        blocks, lengths = [], []
+        for lw in dct.word_sets:
+            lens = np.fromiter(map(len, lw.words), dtype=np.int64, count=len(lw.words))
+            ranks = np.fromiter(chain.from_iterable(lw.words), dtype=np.intp)
+            block = np.zeros((len(lw.words), width), dtype=np.uint8)
+            block[np.arange(width) < lens[:, None]] = values[ranks]
+            blocks.append(block)
+            lengths.append(lens)
+        chapter_sets = list(dct.chapter_sets)
+        self.words = np.stack(blocks)[chapter_sets].reshape(dct.n_codewords, width)
+        self.lengths = np.stack(lengths)[chapter_sets].reshape(dct.n_codewords)
+
+
+def _same(got: np.ndarray, want: np.ndarray) -> bool:
+    return got.dtype == want.dtype and got.shape == want.shape and np.array_equal(got, want)
+
+
+def assert_same_tables(dct: MarlinDictionary) -> None:
+    got, want = EncoderMatrix(dct), OracleMatrix(dct)
+    assert got.nn == want.nn and got.m == want.m
+    for name in ("nxt", "single", "starts_word"):
+        assert _same(getattr(got, name), getattr(want, name)), name
+    assert got.table == want.table
+    got, want = DecoderTable(dct), OracleTable(dct)
+    assert got.max_word_len == want.max_word_len
+    assert _same(got.words, want.words) and _same(got.lengths, want.lengths)
+
+
+@pytest.fixture(scope="module")
+def long_word_set():
+    """laplacian 0.02, 0.04 (words up to 237 and 93 ranks) and 0.5 at
+    K=8/O=4, two word sets each."""
+    grid = [("laplacian", 0.02), ("laplacian", 0.04), ("laplacian", 0.5)]
+    return build_dictionary_set({"grid": grid, "k": 8, "o": 4, "block_n": 4096})
+
+
+def _coded(dset):
+    return [dct for dct in dset.dictionaries if not dct.empty_quotient]
+
+
+def test_tables_match_oracle_on_grid_set(grid_set):
+    loaded = load_dictset(save_dictset(grid_set))
+    for dct in _coded(grid_set) + _coded(loaded):
+        assert_same_tables(dct)
+
+
+def test_tables_match_oracle_on_long_words(long_word_set):
+    assert [d.max_word_len for d in long_word_set.dictionaries] == [237, 93, 4]
+    loaded = load_dictset(save_dictset(long_word_set))
+    for dct in long_word_set.dictionaries + loaded.dictionaries:
+        assert len(dct.word_sets) == 2
+        assert_same_tables(dct)
+
+
+def test_tables_match_oracle_on_from_tables_dictionaries(worked_dictionary):
+    built = MarlinDictionary.build(abcd_distribution(), 4, 2, 0, 2**-16)
+    for dct in (worked_dictionary, from_tables_copy(built)):
+        assert len(dct.word_sets) == dct.n_chapters
+        assert_same_tables(dct)
+
+
+def _assert_links(sets) -> int:
+    """Compare every set; returns how many held a repeated word.
+
+    A repeated word is two parents at once, so the links of such a set,
+    which the check rejects, are not compared.
+    """
+    repeats = 0
+    for lw in sets:
+        parents, kvals, distinct = reference_links(lw.words)
+        assert lw.distinct == distinct
+        if distinct:
+            assert lw.parents.tolist() == parents
+            assert np.asarray(lw.kvals).tolist() == kvals
+        repeats += not distinct
+    return repeats
+
+
+def _hostile(words: list[tuple[int, ...]], rng) -> list[tuple[int, ...]]:
+    """``words`` with a few replaced: repeats, extensions, cut-off and stray words."""
+    words = list(words)
+    for _ in range(int(rng.integers(1, 4))):
+        i, j = (int(x) for x in rng.integers(0, len(words), 2))
+        kind = int(rng.integers(4))
+        if kind == 0:
+            words[i] = words[j]
+        elif kind == 1:
+            words[i] = words[j] + (int(rng.integers(0, 6)),)
+        elif kind == 2:
+            words[i] = words[j][: max(1, len(words[j]) - 2)]
+        else:
+            words[i] = tuple(int(r) for r in rng.integers(0, 6, int(rng.integers(1, 9))))
+    return words
+
+
+def _linked(word_lists):
+    ranks = np.fromiter(chain.from_iterable(chain.from_iterable(word_lists)), np.intp)
+    return link_word_sets([0] * len(word_lists), word_lists, ranks)
+
+
+def test_links_match_reference(long_word_set):
+    rng = np.random.default_rng(11)
+    repeats = 0
+    for dct in long_word_set.dictionaries:
+        # built sets link their words on first use
+        assert _assert_links(dct.word_sets) == 0
+        sets = [lw.words for lw in dct.word_sets]
+        # hostile lists of unequal sizes, linked in one call
+        hostile = [_hostile(sets[int(rng.integers(2))], rng)[: int(rng.integers(200, 257))]
+                   for _ in range(20)]
+        repeats += _assert_links(_linked(hostile))
+    assert 0 < repeats < 60
+    # through the loader, whose words are bytes
+    loaded = load_dictset(save_dictset(long_word_set))
+    assert _assert_links(lw for d in loaded.dictionaries for lw in d.word_sets) == 0
