@@ -147,6 +147,8 @@ def speed_bench(
     """Warm-up pass plus ``runs`` timed passes; reports median throughput."""
     if len(corpus) == 0:
         raise ValueError("benchmark corpus is empty")
+    if runs < 1:
+        raise ValueError(f"runs must be at least 1, got {runs}")
     mib = len(corpus) / (1 << 20)
     compressed = compress_bytes(corpus, dset, block_size)
     enc_times = []

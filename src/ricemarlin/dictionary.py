@@ -17,9 +17,9 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, pairwise, repeat
+from itertools import chain, repeat
 from operator import itemgetter
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -115,112 +115,46 @@ def split_alphabet(dist: SymbolDistribution, shift: int, threshold: float) -> Qu
 # chapter growth
 
 
+@dataclass(frozen=True, eq=False)
 class LevelWords:
     """One word set of quotient-rank words, held as arrays.
 
     Word ``i`` is ``ranks[offsets[i]:offsets[i + 1]]``, ``lengths[i]`` ranks
-    long: the ranks of every word, concatenated in order.  ``kvals[i]`` is
-    its child count, the length of the run of ranks 0, 1, ... that extend it
-    to another word of the set; ``parents[i]`` is the position of
+    long: the uint8 ranks of every word, concatenated in order.  ``kvals[i]``
+    is its child count, the length of the run of ranks 0, 1, ... that extend
+    it to another word of the set; ``parents[i]`` is the position of
     ``word[:-1]``, or -1 for a single-symbol word or an absent prefix.
     ``distinct`` is false when a word repeats another.  In a dictionary's
-    ``word_sets`` a word's position is its codeword offset.  ``words``, the
-    same words as tuples, is derived on first use.
-
-    The builder grows tuples, so its sets are made from ``words``, with the
-    child counts and the probabilities ``raws`` the growth kept, and derive
-    the arrays, parents and ``distinct`` on first use: a candidate the search
-    discards never converts.
+    ``word_sets`` a word's position is its codeword offset.  Built, assembled
+    from tables and loaded sets alike are made by :func:`link_word_sets`.
     """
 
-    def __init__(
-        self, level: int, words: list[tuple[int, ...]], kvals: list[int], raws: list[float]
-    ):
-        self.level = level
-        self.words = words
-        self.kvals = kvals
-        self.raws = raws  # per word: P(source emits this prefix | first rank >= level)
-
-    @classmethod
-    def listed(cls, level: int, words: list[tuple[int, ...]]) -> "LevelWords":
-        """A set given in codeword order; child counts are read off the words."""
-        (lw,) = link_word_sets([level], [words], np.fromiter(chain.from_iterable(words), np.intp))
-        return lw
-
-    @classmethod
-    def held(
-        cls, level: int, ranks: np.ndarray, lengths: np.ndarray, kvals: np.ndarray,
-        parents: np.ndarray, distinct: bool,
-    ) -> "LevelWords":
-        """A set given as its arrays; the tuples are derived on first use."""
-        lw = cls.__new__(cls)
-        lw.__dict__.update(
-            level=level, ranks=ranks, lengths=lengths, kvals=kvals, parents=parents,
-            distinct=distinct,
-        )
-        return lw
-
-    @cached_property
-    def words(self) -> list[tuple[int, ...]]:
-        ranks = self.ranks.tolist()
-        return [tuple(ranks[a:b]) for a, b in pairwise(self.offsets.tolist())]
-
-    @cached_property
-    def lengths(self) -> np.ndarray:
-        return np.fromiter(map(len, self.words), dtype=np.intp, count=len(self.words))
-
-    @cached_property
-    def ranks(self) -> np.ndarray:
-        return np.fromiter(chain.from_iterable(self.words), dtype=np.intp)
+    level: int
+    ranks: np.ndarray
+    lengths: np.ndarray
+    kvals: np.ndarray
+    parents: np.ndarray
+    distinct: bool
 
     @cached_property
     def offsets(self) -> np.ndarray:
         """Where each word starts in ``ranks``, then where the last ends."""
         return np.concatenate([[0], np.cumsum(self.lengths)])
 
-    @cached_property
-    def _linked(self) -> "LevelWords":
-        (lw,) = link_word_sets([self.level], [self.words], self.ranks)
-        return lw
-
-    @cached_property
-    def parents(self) -> np.ndarray:
-        return self._linked.parents
-
-    @cached_property
-    def distinct(self) -> bool:
-        return self._linked.distinct
-
-    @cached_property
-    def index(self) -> dict[tuple[int, ...], int]:
-        """Word -> position, built on first use."""
-        return {w: i for i, w in enumerate(self.words)}
-
-    def in_order(self, order: list[int]) -> "LevelWords":
-        """The set with word ``order[j]`` moved to position ``j``.
-
-        The probabilities only order the words, so the result has none.
-        """
-        return LevelWords(
-            self.level, [self.words[i] for i in order], [self.kvals[i] for i in order], []
-        )
-
 
 _prefix = itemgetter(slice(None, -1))
 
 
-def link_word_sets(
-    levels: list[int], word_lists: list[Sequence[Sequence[int]]], ranks: np.ndarray
-) -> list[LevelWords]:
+def link_word_sets(levels: list[int], word_lists: list[list[bytes]]) -> list[LevelWords]:
     """Word sets at ``levels`` holding ``word_lists``, linked in one pass.
 
-    A list's words are tuples or bytes of ranks; ``ranks`` is every word of
-    every list, concatenated.  A word's parent is found by looking its
-    prefix up in a dict of its list's words, so it is exact; a list whose
-    dict is smaller than it repeats a word.  The child counts of all lists
-    come from one sort of (parent, last rank) pairs.
+    A word is the bytes of its ranks.  A word's parent is found by looking
+    its prefix up in a dict of its list's words, so it is exact; a list
+    whose dict is smaller than it repeats a word.  The child counts of all
+    lists come from one sort of (parent, last rank) pairs.
     """
     sizes = [len(ws) for ws in word_lists]
+    ranks = np.frombuffer(b"".join(chain.from_iterable(word_lists)), dtype=np.uint8)
     words = chain.from_iterable(word_lists)
     lengths = np.fromiter(map(len, words), dtype=np.intp, count=sum(sizes))
     parents, distinct = [], []
@@ -244,7 +178,7 @@ def link_word_sets(
     kvals = np.bincount(up[rank == place], minlength=len(lengths))
     cuts = np.concatenate([[0], ends])[bounds]
     return [
-        LevelWords.held(
+        LevelWords(
             level, ranks[cuts[s] : cuts[s + 1]], lengths[a:b], kvals[a:b], parents[a:b],
             distinct[s],
         )
@@ -260,7 +194,15 @@ def _conditional_roots(coding: np.ndarray, level: int) -> np.ndarray:
     return np.full(len(tail), 1.0 / len(tail))
 
 
-def grow_chapter(coding, level: int, size: int) -> LevelWords:
+class Growth(NamedTuple):
+    """The builder's working lists for one word set, in growth order."""
+
+    words: list[bytes]  # the bytes of each word's ranks
+    kvals: list[int]
+    raws: list[float]  # per word: P(source emits it | first rank >= level)
+
+
+def grow_chapter(coding, level: int, size: int) -> Growth:
     """Grow a plurally parsable word set of exactly ``size`` words.
 
     Seeds every admissible quotient (rank >= level) as a single-symbol word,
@@ -279,7 +221,8 @@ def grow_chapter(coding, level: int, size: int) -> LevelWords:
             f"{admissible} admissible quotients exceed the {size} dictionary slots"
         )
     roots = _conditional_roots(coding, level)
-    words: list[tuple[int, ...]] = [(r,) for r in range(level, nq)]
+    symbols = [bytes((r,)) for r in range(nq)]
+    words = symbols[level:]
     raws: list[float] = [float(roots[r - level]) for r in range(level, nq)]
     kvals: list[int] = [0] * len(words)
 
@@ -290,7 +233,7 @@ def grow_chapter(coding, level: int, size: int) -> LevelWords:
         seq += 1
     while len(words) < size:
         _, _, parent, child = heapq.heappop(heap)
-        new_word = words[parent] + (child,)
+        new_word = words[parent] + symbols[child]
         new_raw = raws[parent] * float(coding[child])
         kvals[parent] += 1
         if kvals[parent] < nq:
@@ -303,7 +246,7 @@ def grow_chapter(coding, level: int, size: int) -> LevelWords:
         kvals.append(0)
         heapq.heappush(heap, (-new_raw * coding[0], seq, len(words) - 1, 0))
         seq += 1
-    return LevelWords(level=level, words=words, kvals=kvals, raws=raws)
+    return Growth(words, kvals, raws)
 
 
 # ---------------------------------------------------------------------------
@@ -325,26 +268,24 @@ def _assignable(sorted_kvals: list[int], levels: list[int], k: int, o: int) -> b
     return True
 
 
-def assign_codewords(level_words: LevelWords, levels: list[int], k: int, o: int) -> list[int]:
-    """Assign each word a codeword offset within its chapter's range.
+def assign_codewords(growth: Growth, levels: list[int], k: int, o: int) -> list[int]:
+    """Assign each word of a grown set a codeword offset within its chapter's range.
 
     Offset low O bits select the next chapter; a word may only feed chapters
     whose exclusion level its child count covers.  Slot groups are filled from
     the highest exclusion level downward, preferring words with the largest
-    child counts; overflow demotes words to lower slots (level 0 always fits).
-    Returns word indices in codeword-offset order.
+    child counts, then the most probable; overflow demotes words to lower
+    slots (level 0 always fits).  Returns word indices in codeword-offset order.
     """
+    words, kvals, raws = growth
     cap = 1 << (k - o)
-    order = sorted(
-        range(len(level_words.words)),
-        key=lambda i: (-level_words.kvals[i], -level_words.raws[i], level_words.words[i]),
-    )
+    order = sorted(range(len(words)), key=lambda i: (-kvals[i], -raws[i], words[i]))
     used = [False] * len(order)
     layout: list[int] = [-1] * (1 << k)
     for v in sorted(range(1 << o), key=lambda v: (-levels[v], -v)):
         took = 0
         for i in order:
-            if used[i] or level_words.kvals[i] < levels[v]:
+            if used[i] or kvals[i] < levels[v]:
                 continue
             layout[v + (took << o)] = i
             used[i] = True
@@ -423,21 +364,8 @@ class MarlinDictionary:
     def words_per_chapter(self) -> int:
         return 1 << self.k
 
-    def word_at(self, codeword: int) -> tuple[int, ...]:
-        """The word (as quotient ranks) assigned to an N-bit codeword."""
-        c, i = divmod(codeword, self.words_per_chapter)
-        return self.word_sets[self.chapter_sets[c]].words[i]
-
     def next_chapter(self, codeword: int) -> int:
         return codeword & (self.n_chapters - 1)
-
-    def codeword_of(self, chapter: int, word: tuple[int, ...]) -> int:
-        offset = self.word_sets[self.chapter_sets[chapter]].index[word]
-        return chapter * self.words_per_chapter + offset
-
-    def chapter_words(self, c: int) -> list[tuple[int, ...]]:
-        """Words of chapter ``c`` in codeword-offset order, as quotient ranks."""
-        return list(self.word_sets[self.chapter_sets[c]].words)
 
     # -- compiled tables --------------------------------------------------------
 
@@ -497,7 +425,7 @@ class MarlinDictionary:
             )
         coding = alphabet.coding_probs
         levels = [min(c, nq - 1) for c in range(1 << o)]
-        grown: dict[int, LevelWords] = {}
+        grown: dict[int, Growth] = {}
         sorted_kvals: dict[int, list[int]] = {}
 
         def fits(lvl: int) -> bool:
@@ -512,12 +440,12 @@ class MarlinDictionary:
             top = max(levels)
             levels[max(i for i, v in enumerate(levels) if v == top)] = top - 1
         in_use = sorted(set(levels))
-        word_sets = tuple(
-            grown[lvl].in_order(assign_codewords(grown[lvl], levels, k, o))
+        word_sets = link_word_sets(in_use, [
+            [grown[lvl].words[i] for i in assign_codewords(grown[lvl], levels, k, o)]
             for lvl in in_use
-        )
+        ])
         dct = cls(
-            k, o, alphabet, word_sets, tuple(in_use.index(lvl) for lvl in levels),
+            k, o, alphabet, tuple(word_sets), tuple(in_use.index(lvl) for lvl in levels),
             source_id=source_id, block_n=block_n,
         )
         dct._finalize(dist)
@@ -542,16 +470,18 @@ class MarlinDictionary:
         _validate_ko(k, o)
         if len(chapters) != 1 << o:
             raise BuildError(f"need {1 << o} chapters, got {len(chapters)}")
-        nq = len(alphabet)
-        # a value outside the alphabet maps to rank nq, which the check rejects
         value_rank = {v: r for r, v in enumerate(alphabet.values)}
-        word_sets = []
-        for words_vals in chapters:
-            words = [tuple(value_rank.get(v, nq) for v in w) for w in words_vals]
-            level = min((w[0] for w in words if w), default=0)
-            word_sets.append(LevelWords.listed(level, words))
+        word_lists = []
+        for c, words in enumerate(chapters):
+            try:
+                word_lists.append([bytes(value_rank[v] for v in w) for w in words])
+            except KeyError:
+                raise BuildError(
+                    f"word set {c} holds an empty word or a value outside the alphabet"
+                ) from None
+        levels = [min((w[0] for w in words if w), default=0) for words in word_lists]
         dct = cls(
-            k, o, alphabet, tuple(word_sets), tuple(range(1 << o)),
+            k, o, alphabet, tuple(link_word_sets(levels, word_lists)), tuple(range(1 << o)),
             source_id=source_id, block_n=block_n,
         )
         dct.check(BuildError)
@@ -680,14 +610,6 @@ def _validate_ko(k: int, o: int) -> None:
 # mean parse length exact rather than a chapter-marginal approximation.
 
 
-def _word_tails(words: list[tuple[int, ...]], coding: np.ndarray) -> dict:
-    """P(source continues with w[1:]) per word, via the prefix tree."""
-    tails: dict[tuple[int, ...], float] = {}
-    for w in sorted(words, key=len):
-        tails[w] = 1.0 if len(w) == 1 else tails[w[:-1]] * float(coding[w[-1]])
-    return tails
-
-
 class _ParseChain:
     def __init__(self, dct: MarlinDictionary, coding: np.ndarray):
         self.dct = dct
@@ -703,18 +625,22 @@ class _ParseChain:
         per_set = []
         evals = {0}
         for lw in dct.word_sets:
-            words, kv = lw.words, np.array(lw.kvals)
-            tails = _word_tails(words, coding)
+            kv, n = lw.kvals, len(lw.lengths)
             # a word with every extension present is never emitted (its emit
             # weight below is zero); cap its exclusion state to keep rows defined
             kv_state = np.minimum(kv, nq - 1)
-            evals.update(int(x) for x in kv_state)
-            r1 = np.array([w[0] for w in words])
-            base = np.array([tails[w] for w in words]) * (
-                1.0 - cum[np.minimum(kv, nq)]
-            )
-            lengths = np.array([len(w) for w in words], dtype=np.float64)
-            slots = np.arange(len(words)) & omask
+            evals.update(kv_state.tolist())
+            r1 = lw.ranks[lw.offsets[:-1]]
+            # P(source continues with word[1:]), multiplied rank by rank from
+            # the left; depth d of a word shorter than d + 1 multiplies by 1.0
+            depth = np.ones((int(lw.lengths.max()), n))
+            depth.T[np.arange(len(depth)) < lw.lengths[:, None]] = coding[lw.ranks]
+            tails = np.ones(n)
+            for row in depth[1:]:
+                tails *= row
+            base = tails * (1.0 - cum[np.minimum(kv, nq)])
+            lengths = lw.lengths.astype(np.float64)
+            slots = np.arange(n) & omask
             per_set.append((r1, base, kv_state, lengths, slots))
         # per word set, for emission_probs
         self.first_ranks_and_weights = [(r1, base) for r1, base, *_ in per_set]

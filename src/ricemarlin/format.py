@@ -10,7 +10,6 @@ from __future__ import annotations
 import hashlib
 import struct
 from dataclasses import dataclass
-from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -144,8 +143,8 @@ def _dict_table_bytes(dct: MarlinDictionary) -> bytes:
 def _word_records(lw: LevelWords) -> bytes:
     """The set's words as consecutive ``(u16 length, bytes)`` records."""
     lengths, ranks = lw.lengths, lw.ranks
-    if lengths.max() > 0xFFFF or ranks.max(initial=0) > 0xFF:
-        raise ValueError("a word of more than 65535 symbols or a rank above 255 does not fit")
+    if lengths.max() > 0xFFFF:
+        raise ValueError("a word of more than 65535 symbols does not fit")
     # word i's record starts 2 * i bytes after the word's first rank
     heads = lw.offsets[:-1] + 2 * np.arange(len(lengths))
     records = np.empty(len(ranks) + 2 * len(lengths), dtype=np.uint8)
@@ -279,9 +278,9 @@ def _scan_table(table: bytes, k: int, o: int) -> _Table:
 
 def _read_word_sets(tables: list[_Table]) -> list[tuple[LevelWords, ...]]:
     """Every table's word sets, linked in one pass over them all."""
-    word_lists = [words for t in tables for words in t.words]
-    ranks = np.frombuffer(b"".join(chain.from_iterable(word_lists)), dtype=np.uint8)
-    sets = iter(link_word_sets([lvl for t in tables for lvl in t.levels], word_lists, ranks))
+    sets = iter(link_word_sets(
+        [lvl for t in tables for lvl in t.levels], [words for t in tables for words in t.words]
+    ))
     return [tuple(next(sets) for _ in t.levels) for t in tables]
 
 

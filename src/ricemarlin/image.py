@@ -38,8 +38,12 @@ def read_pgm(data: bytes) -> np.ndarray:
             raise FormatError(f"bad PGM header field {data[start:pos]!r}") from exc
     pos += 1  # single whitespace after maxval
     width, height, maxval = fields
+    if width < 0 or height < 0:
+        raise FormatError(f"PGM size {width}x{height} is negative")
     if maxval > 255:
         raise FormatError("16-bit PGM images are not supported")
+    if maxval < 1:
+        raise FormatError(f"PGM maxval {maxval} is below 1")
     pixels = np.frombuffer(data, dtype=np.uint8, offset=pos)
     if len(pixels) < width * height:
         raise FormatError("PGM pixel data truncated")

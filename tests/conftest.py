@@ -1,3 +1,5 @@
+from itertools import pairwise
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from ricemarlin import (
     make_distribution,
     split_alphabet,
 )
+from ricemarlin.dictionary import link_word_sets
 
 # Four-symbol alphabet used across the worked-example tests: bytes 0..3
 # stand in for a..d, most probable first.
@@ -60,11 +63,22 @@ def worked_dictionary(abcd_dist) -> MarlinDictionary:
     )
 
 
+def words_of(lw) -> list[tuple[int, ...]]:
+    """A word set's words as tuples of ranks: ``ranks`` sliced by ``offsets``."""
+    ranks = lw.ranks.tolist()
+    return [tuple(ranks[a:b]) for a, b in pairwise(lw.offsets.tolist())]
+
+
+def chapter_words(dct: MarlinDictionary, c: int) -> list[tuple[int, ...]]:
+    """Words of chapter ``c`` in codeword-offset order, as tuples of ranks."""
+    return words_of(dct.word_sets[dct.chapter_sets[c]])
+
+
 def from_tables_copy(dct: MarlinDictionary) -> MarlinDictionary:
     """``dct`` re-assembled by ``from_tables``: one word set per chapter."""
     values = dct.alphabet.values
     chapters = [
-        [tuple(values[r] for r in w) for w in dct.chapter_words(c)]
+        [tuple(values[r] for r in w) for w in chapter_words(dct, c)]
         for c in range(dct.n_chapters)
     ]
     return MarlinDictionary.from_tables(dct.k, dct.o, dct.alphabet, chapters)
@@ -77,7 +91,8 @@ def unsafe_copy(worked: MarlinDictionary) -> MarlinDictionary:
     "a" after "aaaa" is a trap transition.
     """
     first, second = worked.word_sets
-    swapped = first.in_order([1, 0] + list(range(2, len(first.words))))
+    words = [bytes(w) for w in words_of(first)]
+    (swapped,) = link_word_sets([first.level], [[words[1], words[0]] + words[2:]])
     return MarlinDictionary(
         worked.k, worked.o, worked.alphabet, (swapped, second), worked.chapter_sets,
     )
@@ -104,6 +119,14 @@ def grid_distributions():
         for fam in FAMILIES
         for frac in FRACTIONS
     }
+
+
+@pytest.fixture(scope="session")
+def long_word_set():
+    """laplacian 0.02, 0.04 (words up to 237 and 93 ranks) and 0.5 at
+    K=8/O=4, two word sets each."""
+    grid = [("laplacian", 0.02), ("laplacian", 0.04), ("laplacian", 0.5)]
+    return build_dictionary_set({"grid": grid, "k": 8, "o": 4, "block_n": 4096})
 
 
 @pytest.fixture(scope="session")

@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import GRID_SIZES, A, B, C
+from conftest import GRID_SIZES, A, B, C, chapter_words
 from ricemarlin import (
     DecoderTable,
     EncoderMatrix,
@@ -155,7 +155,7 @@ def test_criterion_8_structural_invariants(grid_distributions, grid_set):
             continue
         nq = len(dct.alphabet)
         for c in range(dct.n_chapters):
-            words = dct.chapter_words(c)
+            words = chapter_words(dct, c)
             assert len(set(words)) == dct.words_per_chapter
             index = {w: i for i, w in enumerate(words)}
             lvl = dct.levels[c]

@@ -66,6 +66,14 @@ def test_speed_bench_rejects_empty(lap_set):
         speed_bench(b"", lap_set)
 
 
+@pytest.mark.parametrize("runs", [0, -1])
+def test_speed_bench_rejects_fewer_than_one_run(lap_set, runs):
+    # a plain ValueError, not the StatisticsError of a median over no runs
+    with pytest.raises(ValueError, match="runs must be at least 1") as exc:
+        speed_bench(b"abc", lap_set, runs=runs)
+    assert type(exc.value) is ValueError
+
+
 def test_synthetic_study_builds_only_the_search_parse_chains(monkeypatch):
     # predicted eta reads the stored ABR instead of building another chain
     from ricemarlin import best_dictionary_for

@@ -163,6 +163,21 @@ def test_image_mode_roundtrip(tmp_path, set_path):
     assert comp.stat().st_size < src.stat().st_size / 2
 
 
+@pytest.mark.parametrize(
+    "header", [b"P5\n-3 4\n255\n", b"P5\n-1 -1\n255\n", b"P5\n2 2\n0\n"],
+    ids=["negative-width", "both-negative", "maxval-0"],
+)
+def test_compress_image_with_hostile_header_exits_corrupt(tmp_path, set_path, capsys, header):
+    src = tmp_path / "img.pgm"
+    src.write_bytes(header + bytes(20))
+    comp = tmp_path / "img.rm"
+    rc = main(["compress", str(src), str(comp), "--set", str(set_path), "--image"])
+    assert rc == EXIT_CORRUPT
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not comp.exists()
+
+
 def test_compress_all_zero_file_ratio(tmp_path, set_path):
     src = tmp_path / "zeros.bin"
     src.write_bytes(bytes(1 << 20))

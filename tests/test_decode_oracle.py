@@ -25,7 +25,7 @@ from ricemarlin.bitpack import pack_low_bits, pack_units, unpack_low_bits, unpac
 from ricemarlin.encoder import CompressedBlock
 from ricemarlin.format import compress_blocks
 
-from conftest import GRID_SIZES
+from conftest import GRID_SIZES, chapter_words
 
 SIZES = (1, 7, 8, 9, 63, 4095, 4096, 65537)
 SOURCES = (("laplacian", 0.02), ("laplacian", 0.3), ("poisson", 0.6), ("exponential", 0.85))
@@ -63,7 +63,7 @@ class OracleTable:
         self.lengths = np.zeros(n, dtype=np.int64)
         values = np.asarray(dct.alphabet.values, dtype=np.uint8)
         for cw in range(n):
-            w = dct.word_at(cw)
+            w = chapter_words(dct, cw >> dct.k)[cw & (dct.words_per_chapter - 1)]
             self.lengths[cw] = len(w)
             self.words[cw, : len(w)] = values[list(w)]
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import A, B, C, D
+from conftest import A, B, C, D, chapter_words
 from ricemarlin import (
     CorruptBlockError,
     DecoderTable,
@@ -29,13 +29,14 @@ def test_quotient_reminder_identity_exhaustive():
 
 def test_table_entries_worked_dictionary(worked_dictionary):
     table = DecoderTable(worked_dictionary)
-    assert worked_dictionary.word_at(0b0101) == (A, A, A)
-    assert worked_dictionary.word_at(0b1000) == (B, A, A, A)
-    assert worked_dictionary.word_at(0b0000) == (A, A, A, A)
-    assert worked_dictionary.word_at(0b1111) == (B,)
+    words = chapter_words(worked_dictionary, 0) + chapter_words(worked_dictionary, 1)
+    assert words[0b0101] == (A, A, A)
+    assert words[0b1000] == (B, A, A, A)
+    assert words[0b0000] == (A, A, A, A)
+    assert words[0b1111] == (B,)
     values = worked_dictionary.alphabet.values
     for cw in range(worked_dictionary.n_codewords):
-        word = tuple(values[r] for r in worked_dictionary.word_at(cw))
+        word = tuple(values[r] for r in words[cw])
         assert table.lengths[cw] == len(word)
         assert tuple(table.words[cw, : len(word)]) == word
         assert not table.words[cw, len(word) :].any()

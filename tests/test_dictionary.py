@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import A, B, C, D, skewed_distribution
+from conftest import A, B, C, D, chapter_words, skewed_distribution
 from ricemarlin import (
     BuildError,
     EncoderMatrix,
@@ -82,8 +82,7 @@ def test_split_validates_arguments():
 
 def test_grow_greedy_trace_at_level_zero(abcd_dist):
     alpha = split_alphabet(abcd_dist, 0, 2**-16)
-    lw = grow_chapter(alpha, 0, 8)
-    words = set(lw.words)
+    words = set(map(tuple, grow_chapter(alpha, 0, 8).words))
     # the four singles plus the highest-probability extensions of the rule:
     # aa (.49), aaa (.343), aaaa (.2401), aaaaa (.16807) all beat ba (.105)
     assert words == {
@@ -94,20 +93,19 @@ def test_grow_greedy_trace_at_level_zero(abcd_dist):
 
 def test_grow_excluding_top_symbol(abcd_dist):
     alpha = split_alphabet(abcd_dist, 0, 2**-16)
-    lw = grow_chapter(alpha, 1, 8)
-    assert len(lw.words) == 8
-    assert len(set(lw.words)) == 8
-    assert all(w[0] >= 1 for w in lw.words)  # nothing starts with 'a'
+    words = list(map(tuple, grow_chapter(alpha, 1, 8).words))
+    assert len(words) == 8
+    assert len(set(words)) == 8
+    assert all(w[0] >= 1 for w in words)  # nothing starts with 'a'
     for single in ((B,), (C,), (D,)):
-        assert single in lw.words
+        assert single in words
 
 
 def test_grow_no_room_to_grow():
     p = np.zeros(256)
     p[0], p[1] = 0.6, 0.4
     alpha = split_alphabet(SymbolDistribution(p), 0, 2**-16)
-    lw = grow_chapter(alpha, 0, 2)
-    assert set(lw.words) == {(0,), (1,)}
+    assert set(map(tuple, grow_chapter(alpha, 0, 2).words)) == {(0,), (1,)}
 
 
 def test_grow_rejects_bad_sizes(abcd_dist):
@@ -120,9 +118,10 @@ def test_grow_rejects_bad_sizes(abcd_dist):
 
 def test_grow_child_counts_are_prefixes(abcd_dist):
     alpha = split_alphabet(abcd_dist, 0, 2**-16)
-    lw = grow_chapter(alpha, 0, 16)
-    index = set(lw.words)
-    for w, k in zip(lw.words, lw.kvals):
+    growth = grow_chapter(alpha, 0, 16)
+    words = list(map(tuple, growth.words))
+    index = set(words)
+    for w, k in zip(words, growth.kvals):
         present = [r for r in range(4) if w + (r,) in index]
         assert present == list(range(k))
 
@@ -152,10 +151,7 @@ def test_assignment_reproduces_worked_even_odd_split(abcd_dist):
         for r in w[1:]:
             raw *= probs[r]
         raws.append(float(raw))
-    from ricemarlin.dictionary import LevelWords
-
-    lw = LevelWords(level=0, words=words, kvals=kvals, raws=raws)
-    layout = assign_codewords(lw, levels=[0, 1], k=3, o=1)
+    layout = assign_codewords((list(map(bytes, words)), kvals, raws), levels=[0, 1], k=3, o=1)
     by_offset = [words[i] for i in layout]
     odd = {by_offset[i] for i in range(1, 8, 2)}
     even = {by_offset[i] for i in range(0, 8, 2)}
@@ -168,16 +164,14 @@ def test_assignment_reproduces_worked_even_odd_split(abcd_dist):
 
 
 def test_assignment_all_leaf_words_need_level_zero_slots():
-    from ricemarlin.dictionary import LevelWords
-
     words = [(0,), (1,), (2,), (3,)]
-    lw = LevelWords(level=0, words=words, kvals=[0, 0, 0, 0], raws=[0.4, 0.3, 0.2, 0.1])
+    growth = (list(map(bytes, words)), [0, 0, 0, 0], [0.4, 0.3, 0.2, 0.1])
     # every slot value at exclusion level 0: any bijection is safe
-    layout = assign_codewords(lw, levels=[0, 0], k=2, o=1)
+    layout = assign_codewords(growth, levels=[0, 0], k=2, o=1)
     assert sorted(layout) == [0, 1, 2, 3]
     # a level-1 slot group cannot be filled by childless words
     with pytest.raises(BuildError):
-        assign_codewords(lw, levels=[0, 1], k=2, o=1)
+        assign_codewords(growth, levels=[0, 1], k=2, o=1)
 
 
 def test_assignment_with_no_overlap_uses_single_chapter(abcd_dist):
@@ -194,8 +188,9 @@ def test_assignment_all_leaves_forces_chapter_zero():
     dct = MarlinDictionary.build(dist, k=3, o=1, shift=0, threshold=2**-16)
     for cw in range(dct.n_codewords):
         lvl = dct.levels[dct.next_chapter(cw)]
-        word = dct.word_at(cw)
-        index = {w: i for i, w in enumerate(dct.chapter_words(cw >> dct.k))}
+        words = chapter_words(dct, cw >> dct.k)
+        word = words[cw & (dct.words_per_chapter - 1)]
+        index = {w: i for i, w in enumerate(words)}
         k = 0
         while word + (k,) in index:
             k += 1
@@ -253,7 +248,7 @@ def test_emission_probs_sum_to_one_and_match_definition(worked_dictionary, abcd_
         emit = dct.emission_probs(c, abcd_dist)
         assert emit.sum() == pytest.approx(1.0, abs=1e-9)
         # emit = raw * (1 - sum of the k most probable successors), exactly
-        words = dct.chapter_words(c)
+        words = chapter_words(dct, c)
         index = {w: i for i, w in enumerate(words)}
         lvl = dct.levels[c]
         z = probs[lvl:].sum()
@@ -513,7 +508,7 @@ def test_structural_invariants(fam, frac, k, o, shift):
     # codeword bijectivity: every codeword maps to a word, chapters contiguous
     seen_words: set = set()
     for c in range(dct.n_chapters):
-        words = dct.chapter_words(c)
+        words = chapter_words(dct, c)
         assert len(words) == dct.words_per_chapter
         assert len(set(words)) == len(words)  # distinct within a chapter
         lvl = dct.levels[c]
@@ -551,7 +546,7 @@ def test_build_is_deterministic(abcd_dist):
     d2 = MarlinDictionary.build(abcd_dist, k=3, o=1, shift=0, threshold=2**-16)
     assert d1.levels == d2.levels
     for c in range(d1.n_chapters):
-        assert d1.chapter_words(c) == d2.chapter_words(c)
+        assert chapter_words(d1, c) == chapter_words(d2, c)
 
 
 # ---------------------------------------------------------------------------

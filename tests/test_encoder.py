@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import A, B, C, D
+from conftest import A, B, C, D, chapter_words
 from ricemarlin import (
     EncoderMatrix,
     MarlinDictionary,
@@ -18,7 +18,7 @@ from ricemarlin.source import point_mass
 
 def cw_of(dct, chapter, word_values):
     ranks = tuple(dct.alphabet.values.index(v) for v in word_values)
-    return dct.codeword_of(chapter, ranks)
+    return chapter * dct.words_per_chapter + chapter_words(dct, chapter).index(ranks)
 
 
 # ---------------------------------------------------------------------------
@@ -193,5 +193,8 @@ def test_per_chapter_walks_start_anywhere(worked_dictionary):
             n = int(rng.integers(1, 32))
             seq = rng.integers(lvl, 4, 1).tolist() + rng.integers(0, 4, n).tolist()
             codewords = m.walk(seq, chapter=c)
-            total = sum(len(dct.word_at(cw)) for cw in codewords.tolist())
+            total = sum(
+                len(chapter_words(dct, cw >> dct.k)[cw & (dct.words_per_chapter - 1)])
+                for cw in codewords.tolist()
+            )
             assert total == len(seq)

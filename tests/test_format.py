@@ -25,9 +25,11 @@ from ricemarlin import (
     parse_block,
     save_dictset,
     serialize_block,
+    split_alphabet,
 )
-from ricemarlin.dictionary import RAW_INDEX, DictionarySet, LevelWords
+from ricemarlin.dictionary import RAW_INDEX, DictionarySet, link_word_sets
 from ricemarlin.encoder import CompressedBlock
+from ricemarlin.source import uniform
 from ricemarlin.format import (
     FLAG_IMAGE,
     ContainerHeader,
@@ -166,6 +168,23 @@ def test_dictset_roundtrip_reproduces_tables(tiny_set):
         assert np.array_equal(ma.nxt, mb.nxt) and ma.table == mb.table
     # byte-identical re-serialization
     assert save_dictset(loaded) == data
+
+
+def test_built_from_tables_and_loaded_sets_hold_one_form(grid_set):
+    # every chapter's word set is equal array for array, dtype included,
+    # however the dictionary was made
+    loaded = load_dictset(save_dictset(grid_set))
+    for built, reloaded in zip(grid_set.dictionaries, loaded.dictionaries):
+        if built.empty_quotient:
+            continue
+        copies = (built, from_tables_copy(built), reloaded)
+        for c in range(built.n_chapters):
+            want, *others = (d.word_sets[d.chapter_sets[c]] for d in copies)
+            for got in others:
+                assert got.level == want.level and got.distinct == want.distinct
+                for name in ("ranks", "lengths", "kvals", "parents", "offsets"):
+                    a, b = getattr(got, name), getattr(want, name)
+                    assert a.dtype == b.dtype and np.array_equal(a, b), name
 
 
 def test_dictset_roundtrip_keeps_from_tables_levels():
@@ -352,10 +371,24 @@ def test_shifts_and_ranks_outside_the_alphabet_are_rejected(worked_dictionary):
              (A, A, B), (A, A, C), (A, A, D), (A, B, A), (A, B, B), (A, B, C)]
     with pytest.raises(BuildError, match="outside the alphabet"):
         MarlinDictionary.from_tables(4, 0, alphabet, [words])
-    ranks = [tuple(min(r, len(alphabet)) for r in w) for w in words]
-    dct = MarlinDictionary(4, 0, alphabet, (LevelWords.listed(A, ranks),), (0,))
+    ranks = [bytes(min(r, len(alphabet)) for r in w) for w in words]
+    dct = MarlinDictionary(4, 0, alphabet, tuple(link_word_sets([A], [ranks])), (0,))
     with pytest.raises(FormatError, match="outside the alphabet"):
         load_dictset(save_dictset(DictionarySet([dct])))
+
+
+def test_from_tables_rejects_a_value_past_a_full_alphabet():
+    # at shift 0 with all 256 quotients, value 256 is one past the last rank:
+    # as a byte it would wrap to rank 0 and make this set a valid copy of one
+    # that holds the word (a, a)
+    alphabet = split_alphabet(uniform(), 0, 0.0)
+    values = alphabet.values
+    assert len(values) == 256
+    words = [(v,) for v in values] + [(values[0], v) for v in values]
+    assert MarlinDictionary.from_tables(9, 0, alphabet, [words]).word_sets[0].distinct
+    words[256] = (values[0], 256)
+    with pytest.raises(BuildError, match="outside the alphabet"):
+        MarlinDictionary.from_tables(9, 0, alphabet, [words])
 
 
 def test_dictset_rejects_empty_flag_other_than_one():
@@ -386,7 +419,9 @@ def test_invalid_word_sets_are_rejected(worked_dictionary, offset, word, rule):
         MarlinDictionary.from_tables(3, 1, alphabet, chapters)
     # the same sets, assembled without a check, saved and loaded
     assert alphabet.values == (A, B, C, D)  # ranks are values
-    word_sets = tuple(LevelWords.listed(min(w[0] for w in ws), ws) for ws in chapters)
+    word_sets = tuple(link_word_sets(
+        [min(w[0] for w in ws) for ws in chapters], [list(map(bytes, ws)) for ws in chapters]
+    ))
     dct = MarlinDictionary(3, 1, alphabet, word_sets, (0, 1))
     with pytest.raises(FormatError, match=rule):
         load_dictset(save_dictset(DictionarySet([dct])))

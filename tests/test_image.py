@@ -31,6 +31,18 @@ def test_pgm_rejects_ascii_and_16bit():
         read_pgm(b"P5\n2 2\n65535\n" + bytes(8))
 
 
+@pytest.mark.parametrize("data, match", [
+    (b"P5\n-3 4\n255\n" + bytes(20), "negative"),
+    (b"P5\n3 -4\n255\n" + bytes(20), "negative"),
+    (b"P5\n-1 -1\n255\n", "negative"),
+    (b"P5\n2 2\n0\n" + bytes(4), "maxval"),
+    (b"P5\n2 2\n-255\n" + bytes(4), "maxval"),
+], ids=["negative-width", "negative-height", "both-negative", "maxval-0", "maxval-negative"])
+def test_pgm_rejects_hostile_headers(data, match):
+    with pytest.raises(FormatError, match=match):
+        read_pgm(data)
+
+
 def test_pgm_truncated_pixels():
     with pytest.raises(FormatError):
         read_pgm(b"P5\n4 4\n255\n" + bytes(3))

@@ -4,10 +4,9 @@
 ``EncoderMatrix`` and ``DecoderTable`` kept as the reference: they read each
 word set as tuples, count children by probing ``w + (r,)`` in a dict, and
 fill the child table one word at a time.  The compiled tables must equal
-theirs array for array, for built sets (whose arrays are derived from the
-builder's tuples) and for loaded sets (whose tuples are derived from the
-arrays).  ``reference_links`` recomputes each word's parent, child count and
-the repeat flag the same way, for hostile word sets too.
+theirs array for array, for built, loaded and ``from_tables`` sets.
+``reference_links`` recomputes each word's parent, child count and the
+repeat flag the same way, for hostile word sets too.
 """
 
 from array import array
@@ -20,14 +19,13 @@ from ricemarlin import (
     DecoderTable,
     EncoderMatrix,
     MarlinDictionary,
-    build_dictionary_set,
     load_dictset,
     save_dictset,
 )
 from ricemarlin.dictionary import link_word_sets
 from ricemarlin.encoder import STEP_TABLE_CAP
 
-from conftest import abcd_distribution, from_tables_copy
+from conftest import abcd_distribution, from_tables_copy, words_of
 
 
 def reference_links(words: list[tuple[int, ...]]) -> tuple[list[int], list[int], bool]:
@@ -52,10 +50,11 @@ class OracleMatrix:
         kvals = np.zeros(nn, dtype=np.int32)
         for ki, lw in enumerate(dct.word_sets):
             base = ki << k
-            index = {w: i for i, w in enumerate(lw.words)}
-            _, counts, _ = reference_links(lw.words)
+            words = words_of(lw)
+            index = {w: i for i, w in enumerate(words)}
+            _, counts, _ = reference_links(words)
             kvals[base : base + len(counts)] = counts
-            for off, (w, kw) in enumerate(zip(lw.words, counts)):
+            for off, (w, kw) in enumerate(zip(words, counts)):
                 if len(w) == 1:
                     self.single[ki, w[0]] = base + off
                 child[base + off, :kw] = [base + index[w + (r,)] for r in range(kw)]
@@ -80,13 +79,14 @@ class OracleMatrix:
 
 class OracleTable:
     def __init__(self, dct: MarlinDictionary):
-        self.max_word_len = width = max(len(w) for lw in dct.word_sets for w in lw.words)
+        sets = [words_of(lw) for lw in dct.word_sets]
+        self.max_word_len = width = max(len(w) for words in sets for w in words)
         values = np.asarray(dct.alphabet.values, dtype=np.uint8)
         blocks, lengths = [], []
-        for lw in dct.word_sets:
-            lens = np.fromiter(map(len, lw.words), dtype=np.int64, count=len(lw.words))
-            ranks = np.fromiter(chain.from_iterable(lw.words), dtype=np.intp)
-            block = np.zeros((len(lw.words), width), dtype=np.uint8)
+        for words in sets:
+            lens = np.fromiter(map(len, words), dtype=np.int64, count=len(words))
+            ranks = np.fromiter(chain.from_iterable(words), dtype=np.intp)
+            block = np.zeros((len(words), width), dtype=np.uint8)
             block[np.arange(width) < lens[:, None]] = values[ranks]
             blocks.append(block)
             lengths.append(lens)
@@ -108,14 +108,6 @@ def assert_same_tables(dct: MarlinDictionary) -> None:
     got, want = DecoderTable(dct), OracleTable(dct)
     assert got.max_word_len == want.max_word_len
     assert _same(got.words, want.words) and _same(got.lengths, want.lengths)
-
-
-@pytest.fixture(scope="module")
-def long_word_set():
-    """laplacian 0.02, 0.04 (words up to 237 and 93 ranks) and 0.5 at
-    K=8/O=4, two word sets each."""
-    grid = [("laplacian", 0.02), ("laplacian", 0.04), ("laplacian", 0.5)]
-    return build_dictionary_set({"grid": grid, "k": 8, "o": 4, "block_n": 4096})
 
 
 def _coded(dset):
@@ -151,7 +143,7 @@ def _assert_links(sets) -> int:
     """
     repeats = 0
     for lw in sets:
-        parents, kvals, distinct = reference_links(lw.words)
+        parents, kvals, distinct = reference_links(words_of(lw))
         assert lw.distinct == distinct
         if distinct:
             assert lw.parents.tolist() == parents
@@ -178,17 +170,15 @@ def _hostile(words: list[tuple[int, ...]], rng) -> list[tuple[int, ...]]:
 
 
 def _linked(word_lists):
-    ranks = np.fromiter(chain.from_iterable(chain.from_iterable(word_lists)), np.intp)
-    return link_word_sets([0] * len(word_lists), word_lists, ranks)
+    return link_word_sets([0] * len(word_lists), [list(map(bytes, ws)) for ws in word_lists])
 
 
 def test_links_match_reference(long_word_set):
     rng = np.random.default_rng(11)
     repeats = 0
     for dct in long_word_set.dictionaries:
-        # built sets link their words on first use
         assert _assert_links(dct.word_sets) == 0
-        sets = [lw.words for lw in dct.word_sets]
+        sets = [words_of(lw) for lw in dct.word_sets]
         # hostile lists of unequal sizes, linked in one call
         hostile = [_hostile(sets[int(rng.integers(2))], rng)[: int(rng.integers(200, 257))]
                    for _ in range(20)]

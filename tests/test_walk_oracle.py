@@ -22,7 +22,9 @@ from ricemarlin import (
 from ricemarlin.errors import CorruptBlockError
 from ricemarlin.source import point_mass
 
-from conftest import A, B, C, abcd_distribution, from_tables_copy, unsafe_copy
+from conftest import (
+    A, B, C, abcd_distribution, chapter_words, from_tables_copy, unsafe_copy, words_of,
+)
 
 TRAP = -2  # cell for transitions the safety invariant makes unreachable
 LENGTHS = tuple(range(1, 65)) + (4095, 4096, 4097)
@@ -51,7 +53,7 @@ class OracleMatrix:
         # emit targets: next chapter v, row r -> single-symbol word r there
         emit_target = np.full((dct.n_chapters, 1 << sr), TRAP, dtype=self._dtype)
         for v in range(dct.n_chapters):
-            words = dct.chapter_words(v)
+            words = chapter_words(dct, v)
             offset_of = {w[0]: off for off, w in enumerate(words) if len(w) == 1}
             for r, off in offset_of.items():
                 emit_target[v, r] = (((v * kwords + off) << sr) << 1) | 1
@@ -59,10 +61,10 @@ class OracleMatrix:
         for c in range(dct.n_chapters):
             base_cw = c * kwords
             lw = dct.word_sets[dct.chapter_sets[c]]
-            offset_of_word = {w: off for off, w in enumerate(lw.words)}
+            offset_of_word = {w: off for off, w in enumerate(words_of(lw))}
             rows = np.arange(kwords) & omask
             mat[base_cw : base_cw + kwords, :] = emit_target[rows]
-            for off, w in enumerate(lw.words):
+            for off, w in enumerate(words_of(lw)):
                 for r in range(lw.kvals[off]):
                     child_off = offset_of_word[w + (r,)]
                     mat[base_cw + off, r] = ((base_cw + child_off) << sr) << 1
