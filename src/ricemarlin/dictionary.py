@@ -142,48 +142,84 @@ class LevelWords:
         return np.concatenate([[0], np.cumsum(self.lengths)])
 
 
-_prefix = itemgetter(slice(None, -1))
+def link_word_sets(
+    levels: list[int], sizes: list[int], ranks: np.ndarray, lengths, parents
+) -> list[LevelWords]:
+    """Word sets at ``levels``, set ``s`` holding the next ``sizes[s]`` words.
 
-
-def link_word_sets(levels: list[int], word_lists: list[list[bytes]]) -> list[LevelWords]:
-    """Word sets at ``levels`` holding ``word_lists``, linked in one pass.
-
-    A word is the bytes of its ranks.  A word's parent is found by looking
-    its prefix up in a dict of its list's words, so it is exact; a list
-    whose dict is smaller than it repeats a word.  The child counts of all
-    lists come from one sort of (parent, last rank) pairs.
+    ``ranks`` holds the uint8 ranks of every word, concatenated, and
+    ``lengths`` the length of each.  ``parents[i]`` is the position of word
+    i's prefix in its own set, or -1 where there is none; a given parent
+    must be that prefix.  The builder records it as it grows a word,
+    :func:`link_word_lists` looks it up and the loader verifies the stored
+    one.  Child counts and repeated words come from one sort of (parent,
+    last rank) pairs over all sets.
     """
-    sizes = [len(ws) for ws in word_lists]
-    ranks = np.frombuffer(b"".join(chain.from_iterable(word_lists)), dtype=np.uint8)
-    words = chain.from_iterable(word_lists)
-    lengths = np.fromiter(map(len, words), dtype=np.intp, count=sum(sizes))
-    parents, distinct = [], []
-    for ws in word_lists:
-        index = dict(zip(ws, range(len(ws))))
-        distinct.append(len(index) == len(ws))
-        parents += map(index.get, map(_prefix, ws), repeat(-1))  # index.get(w[:-1], -1)
-    # the prefix of a single is the empty word, which no valid set holds
-    parents = np.where(lengths > 1, np.array(parents, dtype=np.intp), -1)
-    bounds = np.cumsum([0] + sizes)
-    starts = np.repeat(bounds[:-1], sizes)  # where each word's list starts
+    lengths = np.asarray(lengths, dtype=np.intp)
+    parents = np.asarray(parents, dtype=np.intp)
+    n_sets = len(sizes)
+    bounds = np.concatenate([[0], np.cumsum(sizes, dtype=np.intp)])
+    set_of = np.repeat(np.arange(n_sets), sizes)
     ends = np.cumsum(lengths)
-    linked = np.flatnonzero(parents >= 0)
+    # a word's key is its parent, counted after the sets, and its last rank;
+    # a single's parent is its set.  Two equal words have equal prefixes, so
+    # the shortest repeat found has one parent twice and repeats a key
+    linked = parents >= 0
+    keyed = np.flatnonzero(linked | (lengths == 1))
+    up = np.where(linked, parents + bounds[set_of] + n_sets, set_of)[keyed]
+    base = int(ranks.max(initial=0)) + 1
+    pairs = np.sort(up * base + ranks[ends[keyed] - 1])
+    owner = np.concatenate([np.arange(n_sets), set_of])
+    distinct = np.ones(n_sets, dtype=bool)
+    distinct[owner[pairs[1:][pairs[1:] == pairs[:-1]] // base]] = False
+    # a word without a parent that is no single: an empty word or one whose
+    # prefix is absent, which can only equal another such word
+    loose: set[tuple[int, bytes]] = set()
+    for i in np.flatnonzero(~linked & (lengths != 1)).tolist():
+        key = (int(set_of[i]), ranks[ends[i] - lengths[i] : ends[i]].tobytes())
+        if key in loose:
+            distinct[key[0]] = False
+        loose.add(key)
     # sorted, the children of one parent with distinct last ranks run 0, 1,
     # ... up to the first gap, so the leading run is where rank equals place
-    base = int(ranks.max(initial=0)) + 1
-    pairs = np.sort((parents[linked] + starts[linked]) * base + ranks[ends[linked] - 1])
-    up, rank = np.divmod(pairs, base)
+    up, rank = np.divmod(pairs[pairs >= n_sets * base], base)
+    up -= n_sets
     children = np.bincount(up, minlength=len(lengths))
-    place = np.arange(len(pairs)) - (np.cumsum(children) - children)[up]
+    place = np.arange(len(up)) - (np.cumsum(children) - children)[up]
     kvals = np.bincount(up[rank == place], minlength=len(lengths))
     cuts = np.concatenate([[0], ends])[bounds]
     return [
         LevelWords(
             level, ranks[cuts[s] : cuts[s + 1]], lengths[a:b], kvals[a:b], parents[a:b],
-            distinct[s],
+            bool(distinct[s]),
         )
         for s, (level, a, b) in enumerate(zip(levels, bounds, bounds[1:]))
     ]
+
+
+def _ragged(words: list[bytes]) -> tuple[np.ndarray, np.ndarray]:
+    """The uint8 ranks of ``words`` concatenated, and the length of each."""
+    ranks = np.frombuffer(b"".join(words), dtype=np.uint8)
+    return ranks, np.fromiter(map(len, words), dtype=np.intp, count=len(words))
+
+
+_prefix = itemgetter(slice(None, -1))
+
+
+def link_word_lists(levels: list[int], word_lists: list[list[bytes]]) -> list[LevelWords]:
+    """Word sets holding ``word_lists``, each word the bytes of its ranks.
+
+    For words that come without links: a word's parent is its prefix looked
+    up in a dict of its list's words.
+    """
+    parents: list[int] = []
+    for ws in word_lists:
+        index = dict(zip(ws, range(len(ws))))
+        parents += map(index.get, map(_prefix, ws), repeat(-1))  # index.get(w[:-1], -1)
+    ranks, lengths = _ragged(list(chain.from_iterable(word_lists)))
+    # the prefix of a single is the empty word, which no valid set holds
+    parents = np.where(lengths > 1, np.array(parents, dtype=np.intp), -1)
+    return link_word_sets(levels, [len(ws) for ws in word_lists], ranks, lengths, parents)
 
 
 def _conditional_roots(coding: np.ndarray, level: int) -> np.ndarray:
@@ -200,6 +236,7 @@ class Growth(NamedTuple):
     words: list[bytes]  # the bytes of each word's ranks
     kvals: list[int]
     raws: list[float]  # per word: P(source emits it | first rank >= level)
+    parents: list[int]  # per word: where its prefix was grown, -1 for a single
 
 
 def grow_chapter(coding, level: int, size: int) -> Growth:
@@ -225,6 +262,7 @@ def grow_chapter(coding, level: int, size: int) -> Growth:
     words = symbols[level:]
     raws: list[float] = [float(roots[r - level]) for r in range(level, nq)]
     kvals: list[int] = [0] * len(words)
+    parents: list[int] = [-1] * len(words)
 
     heap: list[tuple[float, int, int, int]] = []
     seq = 0
@@ -244,18 +282,20 @@ def grow_chapter(coding, level: int, size: int) -> Growth:
         words.append(new_word)
         raws.append(new_raw)
         kvals.append(0)
+        parents.append(parent)
         heapq.heappush(heap, (-new_raw * coding[0], seq, len(words) - 1, 0))
         seq += 1
-    return Growth(words, kvals, raws)
+    return Growth(words, kvals, raws, parents)
 
 
 # ---------------------------------------------------------------------------
 # codeword layout
 
-def _assignable(sorted_kvals: list[int], levels: list[int], k: int, o: int) -> bool:
-    """Hall condition: words needing low exclusion levels fit the slots offering them.
+def _hall_violation(sorted_kvals: list[int], levels: list[int], k: int, o: int) -> int | None:
+    """The lowest level in ``levels`` at which the Hall condition fails, or None.
 
-    ``sorted_kvals`` are a word set's child counts in ascending order.
+    The condition: words needing low exclusion levels fit the slots offering
+    them.  ``sorted_kvals`` are a word set's child counts in ascending order.
     """
     cap = 1 << (k - o)
     for level in sorted(set(levels)):
@@ -264,8 +304,8 @@ def _assignable(sorted_kvals: list[int], levels: list[int], k: int, o: int) -> b
         short = bisect_left(sorted_kvals, level)  # words with k < level
         roomy = cap * sum(1 for v in levels if v < level)
         if short > roomy:
-            return False
-    return True
+            return level
+    return None
 
 
 def assign_codewords(growth: Growth, levels: list[int], k: int, o: int) -> list[int]:
@@ -277,7 +317,7 @@ def assign_codewords(growth: Growth, levels: list[int], k: int, o: int) -> list[
     child counts, then the most probable; overflow demotes words to lower
     slots (level 0 always fits).  Returns word indices in codeword-offset order.
     """
-    words, kvals, raws = growth
+    words, kvals, raws, *_ = growth
     cap = 1 << (k - o)
     order = sorted(range(len(words)), key=lambda i: (-kvals[i], -raws[i], words[i]))
     used = [False] * len(order)
@@ -428,22 +468,38 @@ class MarlinDictionary:
         grown: dict[int, Growth] = {}
         sorted_kvals: dict[int, list[int]] = {}
 
-        def fits(lvl: int) -> bool:
-            # a word set is grown only once the check reaches its level
-            if lvl not in grown:
-                grown[lvl] = grow_chapter(coding, lvl, 1 << k)
-                sorted_kvals[lvl] = sorted(grown[lvl].kvals)
-            return _assignable(sorted_kvals[lvl], levels, k, o)
+        def stuck() -> int | None:
+            """The first word set that does not fit, and its failing level:
+            the higher of the two, or None when every set fits."""
+            for lvl in sorted(set(levels)):
+                # a word set is grown only once the check reaches its level
+                if lvl not in grown:
+                    grown[lvl] = grow_chapter(coding, lvl, 1 << k)
+                    sorted_kvals[lvl] = sorted(grown[lvl].kvals)
+                failing = _hall_violation(sorted_kvals[lvl], levels, k, o)
+                if failing is not None:
+                    return max(lvl, failing)
+            return None
 
-        while not all(fits(lvl) for lvl in sorted(set(levels))):
-            # demote the chapter with the hardest exclusion promise
-            top = max(levels)
-            levels[max(i for i, v in enumerate(levels) if v == top)] = top - 1
+        while (floor := stuck()) is not None:
+            # demote the chapter with the hardest exclusion promise.  A
+            # demotion above ``floor`` leaves the failing set, its level and
+            # the slots below that level as they were, so the check would fail
+            # again: demote on until the top level comes down to ``floor``
+            while True:
+                top = max(levels)
+                levels[max(i for i, v in enumerate(levels) if v == top)] = top - 1
+                if max(levels) <= floor:
+                    break
         in_use = sorted(set(levels))
-        word_sets = link_word_sets(in_use, [
-            [grown[lvl].words[i] for i in assign_codewords(grown[lvl], levels, k, o)]
-            for lvl in in_use
-        ])
+        words, parents = [], []
+        for lvl in in_use:
+            growth = grown[lvl]
+            layout = assign_codewords(growth, levels, k, o)
+            offset = {i: p for p, i in enumerate(layout)}  # growth index -> codeword offset
+            words += [growth.words[i] for i in layout]
+            parents += [offset.get(growth.parents[i], -1) for i in layout]
+        word_sets = link_word_sets(in_use, [1 << k] * len(in_use), *_ragged(words), parents)
         dct = cls(
             k, o, alphabet, tuple(word_sets), tuple(in_use.index(lvl) for lvl in levels),
             source_id=source_id, block_n=block_n,
@@ -481,7 +537,7 @@ class MarlinDictionary:
                 ) from None
         levels = [min((w[0] for w in words if w), default=0) for words in word_lists]
         dct = cls(
-            k, o, alphabet, tuple(link_word_sets(levels, word_lists)), tuple(range(1 << o)),
+            k, o, alphabet, tuple(link_word_lists(levels, word_lists)), tuple(range(1 << o)),
             source_id=source_id, block_n=block_n,
         )
         dct.check(BuildError)

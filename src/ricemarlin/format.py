@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import struct
+import zlib
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -30,8 +31,9 @@ from .errors import CorruptBlockError, FormatError
 from .image import BLOCK_EDGE, block_geometry
 
 CONTAINER_MAGIC = b"RMC1"
+CONTAINER_VERSION = 1
 DICTSET_MAGIC = b"RMDS"
-VERSION = 1
+DICTSET_VERSION = 2
 
 FLAG_IMAGE = 0x01
 
@@ -117,47 +119,35 @@ def parse_block(buf: bytes, n: int, dset: DictionarySet) -> CompressedBlock:
 # dictionary-set files
 
 
+def _parent_dtype(k: int) -> str:
+    """Stored parents take two bytes while a word set's 2^K positions fit them."""
+    return "<u2" if k <= 16 else "<u4"
+
+
 def _dict_table_bytes(dct: MarlinDictionary) -> bytes:
     """Canonical bytes determining the dictionary's tables (digest input).
 
-    The exclusion list and the placeholder are derived from the ranking: the
-    unranked quotient values, and the most probable value.
+    The shift, the quotient ranking and the number of word sets; with any
+    sets, each chapter's set index and each set's level, then for all sets
+    every word's length, every word's parent and the concatenated ranks.  A
+    parent is the position of the word's prefix in its own set; a
+    single-symbol word stores its own position instead.
     """
-    a = dct.alphabet
-    out = bytearray()
-    out += struct.pack("<BBH", dct.shift, 1 if dct.empty_quotient else 0, len(a))
-    out += bytes(a.values)
-    excl_q = _excluded_quotients(dct)
-    out += struct.pack("<H", len(excl_q))
-    out += excl_q
-    out.append(a.values[0])
-    if not dct.empty_quotient:
-        out += bytes(dct.chapter_sets)
-        out += struct.pack("<H", len(dct.word_sets))
-        for key, lw in enumerate(dct.word_sets):
-            out += struct.pack("<HB", key, lw.level)
-            out += _word_records(lw)
-    return bytes(out)
-
-
-def _word_records(lw: LevelWords) -> bytes:
-    """The set's words as consecutive ``(u16 length, bytes)`` records."""
-    lengths, ranks = lw.lengths, lw.ranks
+    a, sets = dct.alphabet, dct.word_sets
+    out = struct.pack("<BH", dct.shift, len(a)) + bytes(a.values) + struct.pack("<H", len(sets))
+    if not sets:
+        return out
+    lengths = np.concatenate([lw.lengths for lw in sets])
     if lengths.max() > 0xFFFF:
         raise ValueError("a word of more than 65535 symbols does not fit")
-    # word i's record starts 2 * i bytes after the word's first rank
-    heads = lw.offsets[:-1] + 2 * np.arange(len(lengths))
-    records = np.empty(len(ranks) + 2 * len(lengths), dtype=np.uint8)
-    payload = np.ones(len(records), dtype=bool)
-    payload[heads] = payload[heads + 1] = False
-    records[heads], records[heads + 1] = lengths & 0xFF, lengths >> 8
-    records[payload] = ranks
-    return records.tobytes()
-
-
-def _excluded_quotients(dct: MarlinDictionary) -> bytes:
-    """The quotient values the alphabet leaves unranked, in ascending order."""
-    return bytes(sorted(set(range(256 >> dct.shift)).difference(dct.alphabet.values)))
+    parents = np.concatenate(
+        [np.where(lw.parents < 0, np.arange(len(lw.parents)), lw.parents) for lw in sets]
+    )
+    return b"".join([
+        out, bytes(dct.chapter_sets), bytes(lw.level for lw in sets),
+        lengths.astype("<u2").tobytes(), parents.astype(_parent_dtype(dct.k)).tobytes(),
+        *(lw.ranks.tobytes() for lw in sets),
+    ])
 
 
 def _dict_meta_bytes(dct: MarlinDictionary) -> bytes:
@@ -183,9 +173,13 @@ def _tables_digest(k: int, o: int, tables: list[bytes]) -> bytes:
 
 
 def save_dictset(dset: DictionarySet) -> bytes:
-    """Serialize a dictionary set; ends with a digest over the table bytes."""
+    """Serialize a dictionary set.
+
+    A digest over the table bytes, the set's identity in containers, and
+    then a CRC-32 over every byte before it end the file.
+    """
     out = bytearray(DICTSET_MAGIC)
-    out += struct.pack("<BBBB", VERSION, dset.k, dset.o, len(dset))
+    out += struct.pack("<BBBB", DICTSET_VERSION, dset.k, dset.o, len(dset))
     tables = [_dict_table_bytes(dct) for dct in dset.dictionaries]
     for table, dct in zip(tables, dset.dictionaries):
         meta = _dict_meta_bytes(dct)
@@ -193,6 +187,7 @@ def save_dictset(dset: DictionarySet) -> bytes:
         out += table
         out += meta
     out += _tables_digest(dset.k, dset.o, tables)
+    out += struct.pack("<I", zlib.crc32(out))
     return bytes(out)
 
 
@@ -220,19 +215,6 @@ class _Reader:
     def unpack(self, fmt: str) -> tuple:
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
-    def records(self, n: int) -> list[bytes]:
-        """The payloads of ``n`` consecutive ``(u16 length, bytes)`` records."""
-        buf, p = self.buf, self.pos
-        try:
-            # a slice's start is read before ``:=`` moves p past its record
-            words = [buf[p + 2 : (p := p + 2 + (buf[p] | buf[p + 1] << 8))] for _ in range(n)]
-        except IndexError:
-            p = len(buf) + 1
-        if p > len(buf):
-            raise FormatError(f"{self.what} truncated in the records from byte {self.pos}")
-        self.pos = p
-        return words
-
     def finish(self) -> None:
         if self.pos != len(self.buf):
             raise FormatError(
@@ -241,45 +223,94 @@ class _Reader:
 
 
 class _Table(NamedTuple):
-    """One dictionary table as read, its words still bytes."""
+    """One dictionary table as read; its arrays are views of the file."""
 
     shift: int
-    empty_q: int
     values: tuple[int, ...]
-    excl_q: bytes
-    placeholder: int
     chapter_sets: tuple[int, ...]
-    levels: list[int]  # per word set
-    words: list[list[bytes]]  # per word set
+    levels: bytes  # per word set
+    lengths: np.ndarray  # per word of every set
+    parents: np.ndarray  # per word of every set, as stored
+    ranks: np.ndarray
 
 
-def _scan_table(table: bytes, k: int, o: int) -> _Table:
-    """Read a dictionary table; its words are kept as bytes."""
+def _read_table(table: bytes, k: int, o: int) -> _Table:
     t = _Reader(table, "dictionary table")
-    shift, empty_q, nq = t.unpack("<BBH")
+    shift, nq = t.unpack("<BH")
     values = tuple(t.take(nq))
-    (n_excl,) = t.unpack("<H")
-    excl_q = t.take(n_excl)
-    (placeholder,) = t.take(1)
-    chapter_sets: tuple[int, ...] = ()
-    levels, words = [], []
-    if not empty_q:
+    (n_sets,) = t.unpack("<H")
+    chapter_sets, levels = (), b""
+    if n_sets:
         chapter_sets = tuple(t.take(1 << o))
-        (n_sets,) = t.unpack("<H")
-        for at in range(n_sets):
-            key, level = t.unpack("<HB")
-            if key != at:
-                raise FormatError(f"word set {at} is stored under key {key}")
-            levels.append(level)
-            words.append(t.records(1 << k))
-    t.finish()
-    return _Table(shift, empty_q, values, excl_q, placeholder, chapter_sets, levels, words)
+        levels = t.take(n_sets)
+    words = n_sets << k
+    lengths = np.frombuffer(t.take(2 * words), dtype="<u2")
+    dtype = np.dtype(_parent_dtype(k))
+    parents = np.frombuffer(t.take(dtype.itemsize * words), dtype=dtype)
+    ranks = np.frombuffer(t.take(len(table) - t.pos), dtype=np.uint8)
+    total = int(lengths.sum(dtype=np.int64))
+    if total != len(ranks):
+        raise FormatError(
+            f"the word lengths add up to {total} ranks, but the table holds {len(ranks)}"
+        )
+    return _Table(shift, values, chapter_sets, levels, lengths, parents, ranks)
 
 
-def _read_word_sets(tables: list[_Table]) -> list[tuple[LevelWords, ...]]:
-    """Every table's word sets, linked in one pass over them all."""
+def _verified_parents(
+    k: int, set_counts: list[int], ranks: np.ndarray, lengths: np.ndarray, stored: np.ndarray
+) -> np.ndarray:
+    """Each word's parent as a position in its set, -1 for a single.
+
+    Every stored parent is checked first: it lies in the word's set, a word
+    stores its own position exactly when it is a single-symbol word, and
+    any other word's parent is one rank shorter and equal to its prefix.
+    """
+    size = 1 << k
+    own = np.arange(len(lengths)) & (size - 1)
+
+    def reject(words: np.ndarray, what: str) -> None:
+        if len(words):
+            at = int(words[0])
+            d = int(np.searchsorted(np.cumsum(set_counts), at >> k, side="right"))
+            s = (at >> k) - sum(set_counts[:d])
+            raise FormatError(f"dictionary {d}, word set {s}, word {at & (size - 1)} {what}")
+
+    single = lengths == 1
+    none = stored == own
+    reject(np.flatnonzero(lengths == 0), "is empty")
+    reject(np.flatnonzero(stored >= size), "names a parent outside its set")
+    reject(np.flatnonzero(none & ~single), "stores no parent: the set is not prefix-closed")
+    reject(np.flatnonzero(single & ~none), "is a single-symbol word with a parent")
+    up = stored + (np.arange(len(lengths)) - own)  # a single names itself
+    reject(
+        np.flatnonzero(~single & (lengths[up] != lengths - 1)),
+        "names a parent that is not one rank shorter",
+    )
+    # rank d of a word is rank d of its parent, but for the word's last rank,
+    # which is compared with itself; a single's one rank is its last
+    ends = np.cumsum(lengths)
+    starts = ends - lengths
+    index = np.int32 if len(ranks) < 1 << 31 else np.intp
+    source = np.repeat((starts[up] - starts).astype(index), lengths)
+    source += np.arange(len(ranks), dtype=index)
+    source[ends - 1] = ends - 1
+    reject(
+        np.searchsorted(ends, np.flatnonzero(ranks[source] != ranks), "right"),
+        "names a parent that is not its prefix",
+    )
+    return np.where(none, -1, stored)
+
+
+def _read_word_sets(tables: list[_Table], k: int) -> list[tuple[LevelWords, ...]]:
+    """Every table's word sets, their stored parents verified, linked in one pass."""
+    lengths = np.concatenate([t.lengths for t in tables]).astype(np.intp)
+    stored = np.concatenate([t.parents for t in tables]).astype(np.intp)
+    ranks = np.concatenate([t.ranks for t in tables])
+    counts = [len(t.levels) for t in tables]
+    parents = _verified_parents(k, counts, ranks, lengths, stored)
     sets = iter(link_word_sets(
-        [lvl for t in tables for lvl in t.levels], [words for t in tables for words in t.words]
+        [lvl for t in tables for lvl in t.levels], [1 << k] * sum(counts), ranks, lengths,
+        parents,
     ))
     return [tuple(next(sets) for _ in t.levels) for t in tables]
 
@@ -304,30 +335,27 @@ def _parse_dict(
         source_id=source_id, block_n=block_n, search_threshold=thr,
     )
     dct.check(FormatError)
-    # the flag, the exclusions and the placeholder are derived on saving
-    if t.empty_q != dct.empty_quotient:
-        raise FormatError(f"empty-quotient flag {t.empty_q} does not match the word sets")
-    if t.excl_q != _excluded_quotients(dct):
-        raise FormatError("stored exclusions differ from the unranked quotient values")
-    if t.placeholder != t.values[0]:
-        raise FormatError("stored placeholder is not the most probable quotient value")
     dct.abr = abr
     dct.quotient_bits = qbits
     return dct
 
 
 def load_dictset(buf: bytes) -> DictionarySet:
-    """Parse and digest-verify a serialized dictionary set.
+    """Parse and verify a serialized dictionary set.
 
-    Every malformed input, truncated or not, raises :class:`FormatError`.
+    The CRC, the digest, every stored parent and every dictionary are
+    checked; every malformed input, truncated or not, raises
+    :class:`FormatError`.
     """
-    r = _Reader(bytes(buf), "dictionary-set file")
-    if buf[:4] != DICTSET_MAGIC:
+    data = bytes(buf)
+    if data[:4] != DICTSET_MAGIC:
         raise FormatError("not a dictionary-set file")
-    r.take(4)
-    version, k, o, count = r.unpack("<BBBB")
-    if version != VERSION:
-        raise FormatError(f"unsupported dictionary-set version {version}")
+    if len(data) > 4 and data[4] != DICTSET_VERSION:
+        raise FormatError(f"unsupported dictionary-set version {data[4]}")
+    if len(data) < 12 or zlib.crc32(data[:-4]) != int.from_bytes(data[-4:], "little"):
+        raise FormatError("dictionary-set checksum mismatch: the file is truncated or damaged")
+    r = _Reader(data[:-4], "dictionary-set file")
+    _, _, k, o, count = r.unpack("<4sBBBB")
     if count == 0:
         raise FormatError("a dictionary set must contain at least one dictionary")
     if k < 1 or o > k or k + o > MAX_CODE_BITS:
@@ -337,11 +365,11 @@ def load_dictset(buf: bytes) -> DictionarySet:
         tlen, mlen = r.unpack("<II")
         parts.append((r.take(tlen), r.take(mlen)))
     digest = r.take(32)
+    r.finish()
     if digest != _tables_digest(k, o, [table for table, _ in parts]):
         raise FormatError("dictionary-set digest mismatch")
-    r.finish()
-    tables = [_scan_table(table, k, o) for table, _ in parts]
-    word_sets = _read_word_sets(tables)
+    tables = [_read_table(table, k, o) for table, _ in parts]
+    word_sets = _read_word_sets(tables, k)
     dset = DictionarySet(
         [_parse_dict(t, ws, meta, k, o) for t, ws, (_, meta) in zip(tables, word_sets, parts)],
         metadata={"k": k, "o": o},
@@ -369,7 +397,7 @@ class ContainerHeader:
 
     def pack(self, n_blocks: int) -> bytes:
         return struct.pack(
-            self._FMT, CONTAINER_MAGIC, VERSION, self.flags, self.k, self.o,
+            self._FMT, CONTAINER_MAGIC, CONTAINER_VERSION, self.flags, self.k, self.o,
             self.block_size, self.total_size, self.width, self.height,
             self.digest, n_blocks,
         )
@@ -384,7 +412,7 @@ class ContainerHeader:
         )
         if magic != CONTAINER_MAGIC:
             raise CorruptBlockError("not a compressed container")
-        if version != VERSION:
+        if version != CONTAINER_VERSION:
             raise CorruptBlockError(f"unsupported container version {version}")
         if block_size == 0:
             raise CorruptBlockError("container block size is 0")

@@ -32,14 +32,17 @@ def read_pgm(data: bytes) -> np.ndarray:
         start = pos
         while pos < len(data) and not data[pos : pos + 1].isspace():
             pos += 1
-        try:
-            fields.append(int(data[start:pos]))
-        except ValueError as exc:
-            raise FormatError(f"bad PGM header field {data[start:pos]!r}") from exc
+        field = data[start:pos]
+        name = ("width", "height", "maxval")[len(fields)]
+        if field[:1] == b"-" and field[1:].isdigit():
+            raise FormatError(f"PGM {name} {field.decode()} is negative")
+        if not field.isdigit():  # ASCII digits only: int() would also take "+2" or "1_0"
+            raise FormatError(f"bad PGM header field {field!r} for the {name}")
+        fields.append(int(field))
+    if pos == len(data):
+        raise FormatError("PGM header ends without the whitespace after maxval")
     pos += 1  # single whitespace after maxval
     width, height, maxval = fields
-    if width < 0 or height < 0:
-        raise FormatError(f"PGM size {width}x{height} is negative")
     if maxval > 255:
         raise FormatError("16-bit PGM images are not supported")
     if maxval < 1:

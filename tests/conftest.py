@@ -11,7 +11,7 @@ from ricemarlin import (
     make_distribution,
     split_alphabet,
 )
-from ricemarlin.dictionary import link_word_sets
+from ricemarlin.dictionary import link_word_lists
 
 # Four-symbol alphabet used across the worked-example tests: bytes 0..3
 # stand in for a..d, most probable first.
@@ -92,7 +92,7 @@ def unsafe_copy(worked: MarlinDictionary) -> MarlinDictionary:
     """
     first, second = worked.word_sets
     words = [bytes(w) for w in words_of(first)]
-    (swapped,) = link_word_sets([first.level], [[words[1], words[0]] + words[2:]])
+    (swapped,) = link_word_lists([first.level], [[words[1], words[0]] + words[2:]])
     return MarlinDictionary(
         worked.k, worked.o, worked.alphabet, (swapped, second), worked.chapter_sets,
     )

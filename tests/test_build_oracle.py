@@ -67,7 +67,7 @@ def eager_from_alphabet(dist, k, o, alphabet, block_n=4096, source_id=None):
         top = max(levels)
         levels[max(i for i, v in enumerate(levels) if v == top)] = top - 1
     in_use = sorted(set(levels))
-    word_sets = tuple(D.link_word_sets(in_use, [
+    word_sets = tuple(D.link_word_lists(in_use, [
         [grown[lvl].words[i] for i in D.assign_codewords(grown[lvl], levels, k, o)]
         for lvl in in_use
     ]))

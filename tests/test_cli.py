@@ -120,6 +120,19 @@ def test_compress_truncated_set_exits_corrupt(tmp_path, set_path, capsys, keep):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+def test_compress_with_version_1_set_exits_corrupt(tmp_path, set_path, capsys):
+    old = bytearray(set_path.read_bytes())
+    old[4] = 1  # the version byte
+    bad = tmp_path / "v1.rmds"
+    bad.write_bytes(bytes(old))
+    src = tmp_path / "v.bin"
+    src.write_bytes(b"\x02" * 3000)
+    rc = main(["compress", str(src), str(tmp_path / "v.rm"), "--set", str(bad)])
+    assert rc == EXIT_CORRUPT
+    err = capsys.readouterr().err
+    assert err == "error: unsupported dictionary-set version 1\n"
+
+
 def test_compress_with_invalid_set_exits_corrupt(tmp_path, capsys):
     # the digest verifies, so only the loader's validity check rejects it
     bad = tmp_path / "out-of-range.rmds"
@@ -164,8 +177,10 @@ def test_image_mode_roundtrip(tmp_path, set_path):
 
 
 @pytest.mark.parametrize(
-    "header", [b"P5\n-3 4\n255\n", b"P5\n-1 -1\n255\n", b"P5\n2 2\n0\n"],
-    ids=["negative-width", "both-negative", "maxval-0"],
+    "header", [b"P5\n-3 4\n255\n", b"P5\n-1 -1\n255\n", b"P5\n2 2\n0\n",
+               b"P5\n1_0 1\n255\n", b"P5\n1 +2\n255\n", b"P5\n0 0 255"],
+    ids=["negative-width", "both-negative", "maxval-0", "underscore", "plus-sign",
+         "no-whitespace-after-maxval"],
 )
 def test_compress_image_with_hostile_header_exits_corrupt(tmp_path, set_path, capsys, header):
     src = tmp_path / "img.pgm"

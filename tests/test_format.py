@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from ricemarlin import (
     serialize_block,
     split_alphabet,
 )
-from ricemarlin.dictionary import RAW_INDEX, DictionarySet, link_word_sets
+from ricemarlin.dictionary import RAW_INDEX, DictionarySet, link_word_lists
 from ricemarlin.encoder import CompressedBlock
 from ricemarlin.source import uniform
 from ricemarlin.format import (
@@ -210,18 +211,45 @@ def test_loaded_dictionaries_have_the_built_chapter_stationary(grid_distribution
         assert np.array_equal(got.chapter_stationary(dist), built.chapter_stationary(dist))
 
 
+def _signed(k: int, o: int, parts: list[tuple[bytes, bytes]]) -> bytes:
+    """A set file of ``(table, metadata)`` parts, its digest and CRC computed."""
+    body = b"RMDS" + struct.pack("<BBBB", 2, k, o, len(parts)) + b"".join(
+        struct.pack("<II", len(table), len(meta)) + table + meta for table, meta in parts
+    )
+    body += _tables_digest(k, o, [table for table, _ in parts])
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
+def _split(data: bytes) -> tuple[int, int, list[tuple[bytes, bytes]]]:
+    """K, O and the ``(table, metadata)`` parts of a set file."""
+    k, o, count = data[5], data[6], data[7]
+    pos, parts = 8, []
+    for _ in range(count):
+        tlen, mlen = struct.unpack_from("<II", data, pos)
+        table = data[pos + 8 : pos + 8 + tlen]
+        parts.append((table, data[pos + 8 + tlen : pos + 8 + tlen + mlen]))
+        pos += 8 + tlen + mlen
+    assert pos + 32 + 4 == len(data)
+    assert _signed(k, o, parts) == data
+    return k, o, parts
+
+
+def _parent_code(k: int) -> str:
+    return "H" if k <= 16 else "I"
+
+
 def edited_set_file(dct, edit) -> bytes:
     """``dct``'s one-entry set file after ``edit`` has changed its table.
 
-    The table is decoded into fields: ``shift``, ``flag`` (empty quotient),
-    ``values``, ``exclusions``, ``placeholder``, ``chapter_sets`` and
-    ``word_sets`` (dicts of ``key``, ``level`` and ``words``).  ``edit``
-    changes them in place; the table is re-encoded and the digest recomputed,
-    so only the loader's own checks can reject the file.
+    The table is decoded into fields: ``shift``, ``values``,
+    ``chapter_sets`` and ``word_sets`` (dicts of ``level``, ``words`` and
+    the stored ``parents``, where a single-symbol word names itself).
+    ``edit`` changes them in place; the table is re-encoded and the digest
+    and the CRC recomputed, so only the loader's own checks can reject the
+    file.
     """
-    data = save_dictset(DictionarySet([dct]))
-    tlen, mlen = struct.unpack_from("<II", data, 8)
-    table, meta = data[16 : 16 + tlen], data[16 + tlen : 16 + tlen + mlen]
+    k, o, [(table, meta)] = _split(save_dictset(DictionarySet([dct])))
+    code = _parent_code(k)
     pos = 0
 
     def take(n):
@@ -229,63 +257,55 @@ def edited_set_file(dct, edit) -> bytes:
         pos += n
         return table[pos - n : pos]
 
-    shift, flag, nq = struct.unpack("<BBH", take(4))
-    f = {"shift": shift, "flag": flag, "values": list(take(nq))}
-    (n_excl,) = struct.unpack("<H", take(2))
-    f["exclusions"] = list(take(n_excl))
-    f["placeholder"] = take(1)[0]
-    f["chapter_sets"], f["word_sets"] = [], []
-    if not flag:
-        f["chapter_sets"] = list(take(dct.n_chapters))
-        (n_sets,) = struct.unpack("<H", take(2))
-        for _ in range(n_sets):
-            key, level = struct.unpack("<HB", take(3))
-            words = [tuple(take(struct.unpack("<H", take(2))[0])) for _ in range(1 << dct.k)]
-            f["word_sets"].append({"key": key, "level": level, "words": words})
+    shift, nq = struct.unpack("<BH", take(3))
+    f = {"shift": shift, "values": list(take(nq)), "chapter_sets": [], "word_sets": []}
+    (n_sets,) = struct.unpack("<H", take(2))
+    if n_sets:
+        f["chapter_sets"] = list(take(1 << o))
+        levels = list(take(n_sets))
+        n = n_sets << k
+        lengths = struct.unpack(f"<{n}H", take(2 * n))
+        parents = list(struct.unpack(f"<{n}{code}", take(struct.calcsize(code) * n)))
+        words = [tuple(take(length)) for length in lengths]
+        for s, level in enumerate(levels):
+            at = slice(s << k, (s + 1) << k)
+            f["word_sets"].append({"level": level, "words": words[at], "parents": parents[at]})
     assert pos == len(table)
 
     def encode(f):
-        out = struct.pack("<BBH", f["shift"], f["flag"], len(f["values"]))
-        out += bytes(f["values"]) + struct.pack("<H", len(f["exclusions"]))
-        out += bytes(f["exclusions"]) + bytes([f["placeholder"]])
-        if not f["flag"]:
-            out += bytes(f["chapter_sets"]) + struct.pack("<H", len(f["word_sets"]))
-            for ws in f["word_sets"]:
-                out += struct.pack("<HB", ws["key"], ws["level"])
-                out += b"".join(struct.pack("<H", len(w)) + bytes(w) for w in ws["words"])
+        sets = f["word_sets"]
+        out = struct.pack("<BH", f["shift"], len(f["values"])) + bytes(f["values"])
+        out += struct.pack("<H", len(sets))
+        if sets:
+            out += bytes(f["chapter_sets"]) + bytes(ws["level"] for ws in sets)
+            words = [w for ws in sets for w in ws["words"]]
+            parents = [p for ws in sets for p in ws["parents"]]
+            out += struct.pack(f"<{len(words)}H", *map(len, words))
+            out += struct.pack(f"<{len(parents)}{code}", *parents)
+            out += b"".join(map(bytes, words))
         return out
 
     assert encode(f) == table
     edit(f)
-    table = encode(f)
-    return (
-        data[:8] + struct.pack("<II", len(table), mlen) + table + meta
-        + _tables_digest(dct.k, dct.o, [table])
-    )
+    return _signed(k, o, [(encode(f), meta)])
 
 
 def test_dictset_rejects_word_set_header_unlike_its_place(abcd_dist):
     dct = MarlinDictionary.build(abcd_dist, 3, 1, 0, 2**-16)
     assert dct.levels == (0, 1) and len(dct.word_sets) == 2
 
-    def with_header(key, level):
-        return edited_set_file(dct, lambda f: f["word_sets"][1].update(key=key, level=level))
+    # a set's index is its place in the file; its header is its level
+    def with_level(level):
+        return edited_set_file(dct, lambda f: f["word_sets"][1].update(level=level))
 
-    assert load_dictset(with_header(1, 1))[0].levels == (0, 1)
-    # keys must run 0, 1, ... in file order; a repeated key used to replace
-    # the earlier set
-    for key in (0, 2, 256):
-        with pytest.raises(FormatError, match="key"):
-            load_dictset(with_header(key, 1))
+    assert load_dictset(with_level(1))[0].levels == (0, 1)
     # a set's level is the lowest first rank of its words
     for level in (0, 2, 255):
         with pytest.raises(FormatError, match="level"):
-            load_dictset(with_header(1, level))
+            load_dictset(with_level(level))
     # every stored set must be named by a chapter; an unnamed one would only
     # add unreachable nodes and rows to the compiled tables
-    extra = edited_set_file(
-        dct, lambda f: f["word_sets"].append(dict(f["word_sets"][-1], key=2))
-    )
+    extra = edited_set_file(dct, lambda f: f["word_sets"].append(dict(f["word_sets"][-1])))
     with pytest.raises(FormatError, match="no chapter names"):
         load_dictset(extra)
     # and every chapter must name a stored set
@@ -294,32 +314,29 @@ def test_dictset_rejects_word_set_header_unlike_its_place(abcd_dist):
 
 
 def _value_out_of_range(f):
-    f["exclusions"] = sorted(f["exclusions"] + [f["values"][-1]])
     f["values"][-1] = 256 >> f["shift"]
 
 
 def _value_repeated(f):
-    f["exclusions"] = sorted(f["exclusions"] + [f["values"][-1]])
     f["values"][-1] = f["values"][0]
 
 
 def _single_missing(f):
     # the top rank's single-symbol word becomes an extension of a leaf
-    words = f["word_sets"][0]["words"]
-    words[words.index((len(f["values"]) - 1,))] = max(words, key=len) + (0,)
+    ws = f["word_sets"][0]
+    words = ws["words"]
+    at, leaf = words.index((len(f["values"]) - 1,)), words.index(max(words, key=len))
+    words[at] = words[leaf] + (0,)
+    ws["parents"][at] = leaf
 
 
-#: table edits that each leave a set file the loader must reject; each keeps
-#: every quotient value ranked or excluded, so it breaks one rule only
+#: table edits that each leave a set file the loader must reject, each by
+#: breaking one rule only.  An empty-quotient dictionary is one without sets
 SET_FILE_MUTATIONS = {
     "value-out-of-range": _value_out_of_range,
-    "placeholder-not-first-value": lambda f: f.update(placeholder=f["values"][1]),
-    "kept-and-excluded": lambda f: f.update(
-        exclusions=sorted(f["exclusions"] + [f["values"][0]])
-    ),
     "repeated-value": _value_repeated,
     "single-symbol-word-missing": _single_missing,
-    "empty-flag-over-ten-quotients": lambda f: f.update(flag=1),
+    "empty-flag-over-ten-quotients": lambda f: f.update(chapter_sets=[], word_sets=[]),
 }
 
 
@@ -372,7 +389,7 @@ def test_shifts_and_ranks_outside_the_alphabet_are_rejected(worked_dictionary):
     with pytest.raises(BuildError, match="outside the alphabet"):
         MarlinDictionary.from_tables(4, 0, alphabet, [words])
     ranks = [bytes(min(r, len(alphabet)) for r in w) for w in words]
-    dct = MarlinDictionary(4, 0, alphabet, tuple(link_word_sets([A], [ranks])), (0,))
+    dct = MarlinDictionary(4, 0, alphabet, tuple(link_word_lists([A], [ranks])), (0,))
     with pytest.raises(FormatError, match="outside the alphabet"):
         load_dictset(save_dictset(DictionarySet([dct])))
 
@@ -391,15 +408,18 @@ def test_from_tables_rejects_a_value_past_a_full_alphabet():
         MarlinDictionary.from_tables(9, 0, alphabet, [words])
 
 
-def test_dictset_rejects_empty_flag_other_than_one():
-    # at shift 8 the one quotient needs no word sets; any other non-zero flag
-    # would load as the same dictionary and save back as 1
+def test_dictset_empty_dictionary_stores_no_sets():
+    # at shift 8 the one quotient needs no word sets: the table ends at the
+    # set count, and a byte after it is rejected
     dist = make_distribution(SyntheticFamily("laplacian", 0.5))
     dct = MarlinDictionary.build(dist, 4, 1, 8, 0.0)
     assert dct.empty_quotient and not dct.word_sets
-    assert load_dictset(edited_set_file(dct, lambda f: None))[0].empty_quotient
-    with pytest.raises(FormatError, match="flag"):
-        load_dictset(edited_set_file(dct, lambda f: f.update(flag=2)))
+    data = save_dictset(DictionarySet([dct]))
+    k, o, [(table, meta)] = _split(data)
+    assert table == struct.pack("<BHBH", 8, 1, dct.alphabet.values[0], 0)
+    assert load_dictset(data)[0].empty_quotient
+    with pytest.raises(FormatError, match="add up to 0 ranks"):
+        load_dictset(_signed(k, o, [(table + b"\0", meta)]))
 
 
 # Each case edits the worked dictionary's chapter 1 (level 1) without making
@@ -419,7 +439,7 @@ def test_invalid_word_sets_are_rejected(worked_dictionary, offset, word, rule):
         MarlinDictionary.from_tables(3, 1, alphabet, chapters)
     # the same sets, assembled without a check, saved and loaded
     assert alphabet.values == (A, B, C, D)  # ranks are values
-    word_sets = tuple(link_word_sets(
+    word_sets = tuple(link_word_lists(
         [min(w[0] for w in ws) for ws in chapters], [list(map(bytes, ws)) for ws in chapters]
     ))
     dct = MarlinDictionary(3, 1, alphabet, word_sets, (0, 1))
@@ -469,6 +489,105 @@ def test_dictset_rejects_wrong_magic():
         load_dictset(b"NOPE" + b"\x00" * 64)
 
 
+def test_dictset_rejects_version_1(tiny_set):
+    # version 1 stored every word as a (u16 length, bytes) record and ended
+    # at the digest; the version byte is read before anything else
+    data = bytearray(save_dictset(tiny_set))
+    assert data[4] == 2
+    data[4] = 1
+    with pytest.raises(FormatError, match="unsupported dictionary-set version 1"):
+        load_dictset(bytes(data))
+
+
+def test_dictset_crc_covers_the_metadata(tiny_set):
+    # the estimate metadata lies outside the digest, so the CRC alone
+    # catches a change there; a set re-signed with its new CRC loads
+    data = save_dictset(tiny_set)
+    k, o, parts = _split(data)
+    table, meta = parts[0]
+    abr = struct.unpack_from("<d", meta, 8)[0]
+    parts[0] = (table, meta[:8] + struct.pack("<d", abr + 1.0) + meta[16:])
+    resigned = _signed(k, o, parts)
+    assert resigned[-36:-4] == data[-36:-4]  # the same digest
+    with pytest.raises(FormatError, match="checksum"):
+        load_dictset(resigned[:-4] + data[-4:])
+    assert load_dictset(resigned)[0].abr == abr + 1.0
+
+
+def _table_parents(table: bytes, k: int, o: int) -> tuple[int, np.ndarray, np.ndarray, int]:
+    """A table's set count, word lengths and stored parents, and where the
+    parents start."""
+    (nq,) = struct.unpack_from("<H", table, 1)
+    (n_sets,) = struct.unpack_from("<H", table, 3 + nq)
+    n, at = n_sets << k, 5 + nq + (1 << o) + n_sets
+    lengths = np.frombuffer(table, "<u2", n, at)
+    parents = np.frombuffer(table, "<" + _parent_code(k), n, at + 2 * n)
+    return n_sets, lengths, parents, at + 2 * n
+
+
+def _parent_edits(k: int, lengths: np.ndarray, parents: np.ndarray, s: int) -> dict:
+    """``{rejection: (word, stored parent)}`` for word set ``s``: one edit per
+    way a stored parent can be wrong."""
+    size = 1 << k
+    ln = lengths[s * size : (s + 1) * size].astype(int)
+    up = parents[s * size : (s + 1) * size].astype(int)
+    # a word whose parent's length is shared by another word of the set
+    i = next(int(i) for i in np.flatnonzero(ln > 1) if (ln == ln[i] - 1).sum() > 1)
+    edits = {
+        "not one rank shorter": (i, next(j for j in range(size) if j != i and ln[j] != ln[i] - 1)),
+        "not its prefix": (i, next(j for j in range(size) if j != up[i] and ln[j] == ln[i] - 1)),
+        "stores no parent": (i, i),  # a word naming itself
+        "single-symbol word with a parent": (int(np.flatnonzero(ln == 1)[0]), i),
+    }
+    if size <= 0xFFFF:  # at K=16 every two-byte value names a word of the set
+        edits["outside its set"] = (i, size)
+    return edits
+
+
+def _binary_tree_file() -> bytes:
+    """A valid K=16/O=0 set over two quotients: every word of up to 15
+    ranks and two of 16, stored in reverse, so the singles, which name
+    themselves, sit at positions 2^16 - 2 and 2^16 - 1."""
+    size, words, depth = 1 << 16, [], [b"\0", b"\1"]
+    while len(words) + len(depth) <= size:
+        words += depth
+        depth = [w + bytes([r]) for w in depth for r in (0, 1)]
+    words = (words + depth[: size - len(words)])[::-1]
+    index = {w: i for i, w in enumerate(words)}
+    return _one_set_file(16, words, [index.get(w[:-1], i) for i, w in enumerate(words)])
+
+
+@pytest.mark.parametrize("which", ["grid", "long-words", "k3", "k16"])
+def test_hostile_parents_raise_format_error_naming_the_word_set(
+    which, grid_set, long_word_set, worked_dictionary
+):
+    if which == "grid":
+        d = next(d for d, dct in enumerate(grid_set) if len(dct.word_sets) == 2)
+        data = save_dictset(grid_set)
+    elif which == "long-words":
+        d, data = 0, save_dictset(long_word_set)
+        assert long_word_set[0].max_word_len == 237
+    elif which == "k3":
+        d, data = 0, save_dictset(DictionarySet([worked_dictionary]))
+    else:
+        d, data = 0, _binary_tree_file()
+    k, o, parts = _split(data)
+    n_sets, lengths, parents, at = _table_parents(parts[d][0], k, o)
+    assert load_dictset(data)[d].k == k
+    width = struct.calcsize(_parent_code(k))
+    for s in range(n_sets):
+        edits = _parent_edits(k, lengths, parents, s)
+        assert len(edits) == (4 if k == 16 else 5)
+        for what, (word, parent) in edits.items():
+            def edit(table, at=at + width * ((s << k) + word), parent=parent):
+                struct.pack_into("<" + _parent_code(k), table, at, parent)
+                return table
+
+            match = f"dictionary {d}, word set {s}, word {word} .*{what}"
+            with pytest.raises(FormatError, match=match):
+                load_dictset(_resigned(data, d, edit))
+
+
 def test_dictset_mutations_raise_format_error_or_load(tiny_set):
     # truncations, bit flips and byte insertions anywhere in the file
     data = save_dictset(tiny_set)
@@ -490,7 +609,8 @@ def test_dictset_mutations_raise_format_error_or_load(tiny_set):
             continue
         loaded_count += 1
         assert decompress_bytes(compress_bytes(msg, loaded), loaded) == msg
-    assert loaded_count < 100
+    # the CRC covers every byte before it, metadata included
+    assert loaded_count == 0
 
 
 def test_tables_compile_once_per_owner(tiny_set, monkeypatch):
@@ -543,17 +663,15 @@ def test_built_set_computes_its_digest_once(tiny_set, monkeypatch):
     assert calls == [dset] and dset.digest == digest(tiny_set)
 
 
-def _one_set_file(k: int, words: list[bytes]) -> bytes:
+def _one_set_file(k: int, words: list[bytes], parents: list[int]) -> bytes:
     """A signed K/O=0 set file: one dictionary over two quotients at shift 0,
-    whose one word set holds ``words``."""
-    table = struct.pack("<BBH", 0, 0, 2) + bytes([0, 1]) + struct.pack("<H", 254)
-    table += bytes(range(2, 256)) + bytes([0]) + bytes([0]) + struct.pack("<HHB", 1, 0, 0)
-    table += b"".join(struct.pack("<H", len(w)) + w for w in words)
+    whose one word set holds ``words`` with stored ``parents``."""
+    table = struct.pack("<BH", 0, 2) + bytes([0, 1]) + struct.pack("<H", 1) + bytes([0, 0])
+    table += struct.pack(f"<{len(words)}H", *map(len, words))
+    table += struct.pack(f"<{len(parents)}{_parent_code(k)}", *parents)
+    table += b"".join(words)
     meta = struct.pack("<ddddIH", 0.0, 1.0, 1.0, 0.0, 4096, 0) + struct.pack("<2d", 0.5, 0.5)
-    return (
-        b"RMDS" + struct.pack("<BBBBII", 1, k, 0, 1, len(table), len(meta))
-        + table + meta + _tables_digest(k, 0, [table])
-    )
+    return _signed(k, 0, [(table, meta)])
 
 
 @pytest.mark.parametrize("k, long_word", [(8, 60_000), (16, 362)], ids=["k8", "k16"])
@@ -564,7 +682,8 @@ def test_long_words_load_in_memory_in_proportion_to_the_file(k, long_word):
     # length); the loader holds the words as they are in the file
     import tracemalloc
 
-    data = _one_set_file(k, [bytes([i & 1]) for i in range((1 << k) - 1)] + [bytes(long_word)])
+    words = [bytes([i & 1]) for i in range((1 << k) - 1)] + [bytes(long_word)]
+    data = _one_set_file(k, words, list(range(1 << k)))  # every word names itself
     tracemalloc.start()
     try:
         with pytest.raises(FormatError, match="word set 0"):
@@ -576,18 +695,11 @@ def test_long_words_load_in_memory_in_proportion_to_the_file(k, long_word):
 
 
 def _resigned(data: bytes, at: int, edit) -> bytes:
-    """``data`` with ``edit`` applied to table ``at``, its length and the digest updated."""
-    k, o, count = data[5], data[6], data[7]
-    pos, tables, parts = 8, [], []
-    for i in range(count):
-        tlen, mlen = struct.unpack_from("<II", data, pos)
-        table, meta = data[pos + 8 : pos + 8 + tlen], data[pos + 8 + tlen : pos + 8 + tlen + mlen]
-        if i == at:
-            table = edit(bytearray(table))
-        tables.append(bytes(table))
-        parts.append(struct.pack("<II", len(table), mlen) + table + meta)
-        pos += 8 + tlen + mlen
-    return data[:8] + b"".join(parts) + _tables_digest(k, o, tables)
+    """``data`` with ``edit`` applied to table ``at``, its length, the digest
+    and the CRC updated."""
+    k, o, parts = _split(data)
+    parts[at] = (bytes(edit(bytearray(parts[at][0]))), parts[at][1])
+    return _signed(k, o, parts)
 
 
 def test_resigned_table_mutations_raise_format_error_or_reload():
@@ -635,13 +747,13 @@ def test_grid_set_and_containers_bytes_are_pinned(grid_distributions, grid_set):
     """
     assert list(grid_distributions) == [(f, x) for f in FAMILIES for x in FRACTIONS]
     set_digest = hashlib.sha256(save_dictset(grid_set)).hexdigest()
-    assert set_digest == "57a56b6a15c48de9b307586e3e63f7791f263eebf9a4ccdafcb48c10f2300fed"
+    assert set_digest == "63718f4287cefdceccf14ffd5bd0b27b649b1f3da00a38c4c82f1558d3e9974b"
     containers = hashlib.sha256()
     for dist in grid_distributions.values():
         for i, n in enumerate(GRID_SIZES):
             containers.update(compress_bytes(dist.sample(n, seed=1000 + i), grid_set))
     assert containers.hexdigest() == (
-        "4bb9f2bdc9c16c5ac620895e57fbcb38a90a02c5f628bfa0abc91bb40d2f82bc"
+        "5e78ae7c3a63f5b5f1c17f87a51e40080e8db16eeb6f29dd4d12ef334ed81a1b"
     )
 
 

@@ -37,7 +37,13 @@ def test_pgm_rejects_ascii_and_16bit():
     (b"P5\n-1 -1\n255\n", "negative"),
     (b"P5\n2 2\n0\n" + bytes(4), "maxval"),
     (b"P5\n2 2\n-255\n" + bytes(4), "maxval"),
-], ids=["negative-width", "negative-height", "both-negative", "maxval-0", "maxval-negative"])
+    (b"P5\n1_0 1\n255\n" + bytes(10), "bad PGM header field b'1_0' for the width"),
+    (b"P5\n1 +2\n255\n" + bytes(2), "bad PGM header field b'\\+2' for the height"),
+    (b"P5\n2 2\n2\xb55\n" + bytes(4), "bad PGM header field .* for the maxval"),
+    (b"P5\n2 2", "bad PGM header field b'' for the maxval"),
+    (b"P5\n0 0 255", "without the whitespace after maxval"),
+], ids=["negative-width", "negative-height", "both-negative", "maxval-0", "maxval-negative",
+        "underscore", "plus-sign", "non-ascii-digit", "header-cut", "no-whitespace-after-maxval"])
 def test_pgm_rejects_hostile_headers(data, match):
     with pytest.raises(FormatError, match=match):
         read_pgm(data)

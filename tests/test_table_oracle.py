@@ -22,7 +22,7 @@ from ricemarlin import (
     load_dictset,
     save_dictset,
 )
-from ricemarlin.dictionary import link_word_sets
+from ricemarlin.dictionary import link_word_lists
 from ricemarlin.encoder import STEP_TABLE_CAP
 
 from conftest import abcd_distribution, from_tables_copy, words_of
@@ -170,7 +170,7 @@ def _hostile(words: list[tuple[int, ...]], rng) -> list[tuple[int, ...]]:
 
 
 def _linked(word_lists):
-    return link_word_sets([0] * len(word_lists), [list(map(bytes, ws)) for ws in word_lists])
+    return link_word_lists([0] * len(word_lists), [list(map(bytes, ws)) for ws in word_lists])
 
 
 def test_links_match_reference(long_word_set):
