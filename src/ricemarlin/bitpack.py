@@ -30,18 +30,18 @@ def pack_units(values: np.ndarray, width: int) -> bytes:
 
 
 def unpack_units(buf: bytes, width: int, count: int) -> np.ndarray:
-    """Read ``count`` MSB-first ``width``-bit units from ``buf``."""
+    """Read ``count`` MSB-first ``width``-bit units from ``buf``, as ``intp`` table indices."""
     if count == 0:
-        return np.zeros(0, dtype=np.uint32)
+        return np.zeros(0, dtype=np.intp)
     if len(buf) * 8 < count * width:
         raise CorruptBlockError(
             f"quotient section holds {len(buf) * 8} bits, need {count * width}"
         )
     if width == 8:
-        return np.frombuffer(buf, dtype=np.uint8, count=count).astype(np.uint32)
+        return np.frombuffer(buf, dtype=np.uint8, count=count).astype(np.intp)
     if width < 8:
-        return _unpack_narrow(buf, width, count).astype(np.uint32)
-    return _unpack_wide(buf, width, count)
+        return _unpack_narrow(buf, width, count).astype(np.intp)
+    return _unpack_wide(buf, width, count).astype(np.intp)
 
 
 def _unpack_narrow(buf: bytes, width: int, count: int) -> np.ndarray:
@@ -75,14 +75,24 @@ def _unpack_wide(buf: bytes, width: int, count: int) -> np.ndarray:
 
 
 def pack_low_bits(message: np.ndarray, s: int) -> bytes:
-    """Reminder field: the low ``s`` bits of every byte, MSB-first."""
+    """Reminder field: the low ``s`` bits of every byte, MSB-first.
+
+    The inverse of :func:`_unpack_narrow`: every 8 fields become one 64-bit
+    word, field i shifted left by ``(7 - i) * s`` (a dot product with powers
+    of two, which is the shift-or since the fields do not overlap), and the
+    word's low ``s`` bytes, big-endian, are the group's bytes.
+    """
     if s == 0 or len(message) == 0:
         return b""
     msg = np.asarray(message, dtype=np.uint8)
     if s == 8:
         return msg.tobytes()
-    bits = np.unpackbits(msg.reshape(-1, 1), axis=1)[:, 8 - s :]
-    return np.packbits(bits.ravel()).tobytes()
+    n = len(msg)
+    fields = np.zeros(-(-n // 8) * 8, dtype=np.uint64)
+    fields[:n] = msg & ((1 << s) - 1)
+    words = fields.reshape(-1, 8) @ (np.uint64(1) << np.arange(7 * s, -1, -s, dtype=np.uint64))
+    rows = words.astype(">u8").view(np.uint8).reshape(-1, 8)
+    return rows[:, 8 - s :].tobytes()[: (n * s + 7) // 8]
 
 
 def unpack_low_bits(buf: bytes, s: int, n: int) -> np.ndarray:

@@ -17,7 +17,13 @@ from .errors import CorruptBlockError
 
 
 class DecoderTable:
-    """Flat array of 2^N fixed-width rows: word symbols plus a length."""
+    """Flat array of 2^N fixed-width rows: word symbols plus a length.
+
+    Two gather tables are compiled with it: ``ends[cw] = cw * width +
+    len(cw)``, the flat offset just past codeword ``cw``'s word, and
+    ``window[u] = (u & omask) << K``, the O-bit window that the K-bit unit
+    ``u`` carries into the next codeword.
+    """
 
     def __init__(self, dct: MarlinDictionary):
         self.dct = dct
@@ -33,6 +39,8 @@ class DecoderTable:
         chapter_sets = list(dct.chapter_sets)
         self.words = words[chapter_sets].reshape(dct.n_codewords, width)
         self.lengths = lengths[chapter_sets].reshape(dct.n_codewords)
+        self.ends = np.arange(dct.n_codewords) * width + self.lengths
+        self.window = (np.arange(1 << dct.k) & (dct.n_chapters - 1)) << dct.k
 
 
 def decode_quotients(table: DecoderTable, stream: bytes, n: int) -> np.ndarray:
@@ -46,13 +54,12 @@ def decode_quotients(table: DecoderTable, stream: bytes, n: int) -> np.ndarray:
         if stream:
             raise CorruptBlockError("quotient section present for an empty block")
         return np.zeros(0, dtype=np.uint8)
-    dct = table.dct
-    k = dct.k
+    k = table.dct.k
     avail = (len(stream) * 8) // k
     if avail == 0:
         raise CorruptBlockError("quotient stream exhausted before any symbol")
-    codewords = unpack_units(stream, k, avail).astype(np.intp)
-    codewords[1:] |= (codewords[:-1] & (dct.n_chapters - 1)) << k
+    codewords = unpack_units(stream, k, avail)
+    codewords[1:] |= table.window[codewords[:-1]]
     lens = table.lengths[codewords]
     total = np.cumsum(lens)
     if total[-1] < n:
@@ -67,11 +74,10 @@ def decode_quotients(table: DecoderTable, stream: bytes, n: int) -> np.ndarray:
             f"quotient section is {len(stream)} bytes, its {used} codewords "
             f"need {(used * k + 7) // 8}"
         )
-    lens = lens[:used]
-    # symbol j of word i sits at cw_i * width + j in the flat table and at
-    # total_i - len_i + j in the output
-    starts = codewords[:used] * table.max_word_len - (total[:used] - lens)
-    return table.words.reshape(-1)[np.repeat(starts, lens) + np.arange(n)]
+    # symbol j of word i sits at ends[cw_i] - len_i + j in the flat table and
+    # at total_i - len_i + j in the output
+    starts = table.ends[codewords[:used]] - total[:used]
+    return table.words.reshape(-1)[np.repeat(starts, lens[:used]) + np.arange(n)]
 
 
 def decode_block(dset: DictionarySet | MarlinDictionary, block: CompressedBlock, n: int) -> bytes:

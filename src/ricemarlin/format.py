@@ -124,6 +124,11 @@ def _parent_dtype(k: int) -> str:
     return "<u2" if k <= 16 else "<u4"
 
 
+def _set_index_dtype(n_sets: int) -> str:
+    """A chapter's set index takes one byte while the set count allows it."""
+    return "<u1" if n_sets <= 1 << 8 else "<u2"
+
+
 def _dict_table_bytes(dct: MarlinDictionary) -> bytes:
     """Canonical bytes determining the dictionary's tables (digest input).
 
@@ -144,7 +149,8 @@ def _dict_table_bytes(dct: MarlinDictionary) -> bytes:
         [np.where(lw.parents < 0, np.arange(len(lw.parents)), lw.parents) for lw in sets]
     )
     return b"".join([
-        out, bytes(dct.chapter_sets), bytes(lw.level for lw in sets),
+        out, np.array(dct.chapter_sets, dtype=_set_index_dtype(len(sets))).tobytes(),
+        bytes(lw.level for lw in sets),
         lengths.astype("<u2").tobytes(), parents.astype(_parent_dtype(dct.k)).tobytes(),
         *(lw.ranks.tobytes() for lw in sets),
     ])
@@ -241,7 +247,8 @@ def _read_table(table: bytes, k: int, o: int) -> _Table:
     (n_sets,) = t.unpack("<H")
     chapter_sets, levels = (), b""
     if n_sets:
-        chapter_sets = tuple(t.take(1 << o))
+        index = np.dtype(_set_index_dtype(n_sets))
+        chapter_sets = tuple(np.frombuffer(t.take(index.itemsize << o), dtype=index).tolist())
         levels = t.take(n_sets)
     words = n_sets << k
     lengths = np.frombuffer(t.take(2 * words), dtype="<u2")

@@ -67,33 +67,49 @@ def block_geometry(width: int, height: int, edge: int = BLOCK_EDGE) -> list[tupl
     return out
 
 
-def _blocks(img: np.ndarray, edge: int = BLOCK_EDGE):
-    h, w = img.shape
-    for y0 in range(0, h, edge):
-        for x0 in range(0, w, edge):
-            yield img[y0 : min(y0 + edge, h), x0 : min(x0 + edge, w)]
+def _row_blocks(rows: np.ndarray, edge: int) -> list[np.ndarray]:
+    """One block row as (blocks, rows, cols) views: the full blocks, then the right edge."""
+    bh, w = rows.shape
+    full = w - w % edge
+    views = []
+    if full:
+        views.append(rows[:, :full].reshape(bh, -1, edge).transpose(1, 0, 2))
+    if full < w:
+        views.append(rows[None, :, full:])
+    return views
 
 
 def residual_transform(img: np.ndarray, edge: int = BLOCK_EDGE) -> bytes:
     """Above-pixel residuals per block, serialized block by block."""
-    out = bytearray()
-    for blk in _blocks(img, edge):
-        res = blk.copy()
-        res[1:, :] = blk[1:, :] - blk[:-1, :]  # uint8 arithmetic wraps mod 256
-        res[0, 1:] = blk[0, 1:] - blk[0, :-1]
-        out += res.tobytes()
-    return bytes(out)
+    img = np.asarray(img, dtype=np.uint8)
+    h, w = img.shape
+    out = np.empty(h * w, dtype=np.uint8)
+    pos = 0
+    for y0 in range(0, h, edge):
+        for blk in _row_blocks(img[y0 : y0 + edge], edge):
+            res = out[pos : pos + blk.size].reshape(blk.shape)
+            pos += blk.size
+            # uint8 arithmetic wraps mod 256
+            np.subtract(blk[:, 1:], blk[:, :-1], out=res[:, 1:])
+            np.subtract(blk[:, 0, 1:], blk[:, 0, :-1], out=res[:, 0, 1:])
+            res[:, 0, 0] = blk[:, 0, 0]
+    return out.tobytes()
 
 
 def residual_inverse(data: bytes, width: int, height: int, edge: int = BLOCK_EDGE) -> np.ndarray:
     """Rebuild the image from block-serialized residuals."""
-    img = np.zeros((height, width), dtype=np.uint8)
+    if len(data) != width * height:
+        raise FormatError(
+            f"residuals hold {len(data)} bytes, a {width}x{height} image needs {width * height}"
+        )
+    img = np.empty((height, width), dtype=np.uint8)
+    res = np.frombuffer(data, dtype=np.uint8)
     pos = 0
-    for blk in _blocks(img, edge):
-        bh, bw = blk.shape
-        res = np.frombuffer(data, dtype=np.uint8, count=bw * bh, offset=pos)
-        pos += bw * bh
-        res = res.reshape(bh, bw).astype(np.int64)
-        res[0] = np.cumsum(res[0]) % 256
-        blk[:] = np.cumsum(res, axis=0) % 256
+    for y0 in range(0, height, edge):
+        for blk in _row_blocks(img[y0 : y0 + edge], edge):
+            blk[...] = res[pos : pos + blk.size].reshape(blk.shape)
+            pos += blk.size
+            # uint8 sums wrap mod 256: first rows run left to right, then columns down
+            np.cumsum(blk[:, 0], axis=1, dtype=np.uint8, out=blk[:, 0])
+            np.cumsum(blk, axis=1, dtype=np.uint8, out=blk)
     return img

@@ -65,3 +65,22 @@ def test_low_bits_roundtrip(s):
     assert len(buf) == (501 * s + 7) // 8
     out = unpack_low_bits(buf, s, 501)
     assert np.array_equal(out, msg & ((1 << s) - 1))
+
+
+def oracle_pack_low_bits(message: np.ndarray, s: int) -> bytes:
+    """The earlier bit-matrix packer: unpack every byte to bits, keep the low s."""
+    if s == 0 or len(message) == 0:
+        return b""
+    msg = np.asarray(message, dtype=np.uint8)
+    if s == 8:
+        return msg.tobytes()
+    bits = np.unpackbits(msg.reshape(-1, 1), axis=1)[:, 8 - s :]
+    return np.packbits(bits.ravel()).tobytes()
+
+
+@pytest.mark.parametrize("s", range(9))
+def test_pack_low_bits_matches_oracle(s):
+    rng = np.random.default_rng(100 + s)
+    for n in [*range(18), 4095, 4096, 4097]:
+        msg = rng.integers(0, 256, size=n, dtype=np.uint8)
+        assert pack_low_bits(msg, s) == oracle_pack_low_bits(msg, s), n

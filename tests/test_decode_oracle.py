@@ -115,7 +115,7 @@ def test_unpack_units_matches_oracle(width):
         buf = pack_units(vals, width)
         for stream in (buf, buf + b"\xff\xff"):
             got = unpack_units(stream, width, n)
-            assert got.dtype == np.uint32
+            assert got.dtype == np.intp
             assert np.array_equal(got, oracle_unpack_units(stream, width, n))
             assert np.array_equal(got, vals)
 

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import itertools
 import struct
 import zlib
 
@@ -420,6 +421,43 @@ def test_dictset_empty_dictionary_stores_no_sets():
     assert load_dictset(data)[0].empty_quotient
     with pytest.raises(FormatError, match="add up to 0 ranks"):
         load_dictset(_signed(k, o, [(table + b"\0", meta)]))
+
+
+@pytest.mark.parametrize("o, index, bad", [(8, "<u1", []), (9, "<u2", [512, 0xFFFF])])
+def test_dictset_set_index_width_follows_the_set_count(o, index, bad):
+    # from_tables gives each of the 2^O chapters its own set: binary words of
+    # lengths 1 to 8 plus two of length 9 fill each set's 2^9 slots.  256
+    # sets keep one-byte indices; 512 need two
+    p = np.full(256, 0.01 / 254)
+    p[:2] = (0.9, 0.09)
+    dist = SymbolDistribution(p)
+    alphabet = split_alphabet(dist, 0, 0.05)
+    zero, one = alphabet.values
+    words = [w for n in range(1, 9) for w in itertools.product((zero, one), repeat=n)]
+    words += [(zero,) * 9, (zero,) * 8 + (one,)]
+    n_sets = 1 << o
+    dct = MarlinDictionary.from_tables(9, o, alphabet, [words] * n_sets)
+    assert len(dct.word_sets) == n_sets
+    data = save_dictset(DictionarySet([dct]))
+    k, o, [(table, meta)] = _split(data)
+    at = 5 + len(alphabet)  # shift, ranking and set count come first
+    width = np.dtype(index).itemsize
+    assert table[at - 2 : at] == struct.pack("<H", n_sets)
+    assert table[at : at + width * n_sets] == np.arange(n_sets, dtype=index).tobytes()
+    assert table[at + width * n_sets : at + (width + 1) * n_sets] == bytes(n_sets)  # levels
+    loaded = load_dictset(data)
+    assert loaded[0].chapter_sets == dct.chapter_sets
+    assert save_dictset(loaded) == data
+    msg = dist.sample(10000, seed=3)
+    container = compress_bytes(msg, loaded)
+    assert len(container) < len(msg) // 4
+    assert decompress_bytes(container, loaded) == msg
+    # a set index at or above the set count still names no stored set (one
+    # byte cannot hold such an index for 256 sets)
+    for c in bad:
+        edited = table[:at] + np.array([c], dtype=index).tobytes() + table[at + width :]
+        with pytest.raises(FormatError, match="does not hold"):
+            load_dictset(_signed(k, o, [(edited, meta)]))
 
 
 # Each case edits the worked dictionary's chapter 1 (level 1) without making

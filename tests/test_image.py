@@ -100,3 +100,63 @@ def test_smooth_image_residuals_compress_well():
     img = np.repeat(y[:, None], 256, axis=1)
     res = np.frombuffer(residual_transform(img), dtype=np.uint8)
     assert (res == 1).mean() > 0.95
+
+
+# The earlier per-block code, kept as the reference: each block copied out,
+# differenced or summed on its own, the inverse in int64 reduced mod 256.
+def _oracle_blocks(img, edge=64):
+    h, w = img.shape
+    for y0 in range(0, h, edge):
+        for x0 in range(0, w, edge):
+            yield img[y0 : min(y0 + edge, h), x0 : min(x0 + edge, w)]
+
+
+def oracle_transform(img):
+    out = bytearray()
+    for blk in _oracle_blocks(img):
+        res = blk.copy()
+        res[1:, :] = blk[1:, :] - blk[:-1, :]
+        res[0, 1:] = blk[0, 1:] - blk[0, :-1]
+        out += res.tobytes()
+    return bytes(out)
+
+
+def oracle_inverse(data, width, height):
+    img = np.zeros((height, width), dtype=np.uint8)
+    pos = 0
+    for blk in _oracle_blocks(img):
+        bh, bw = blk.shape
+        res = np.frombuffer(data, dtype=np.uint8, count=bw * bh, offset=pos)
+        pos += bw * bh
+        res = res.reshape(bh, bw).astype(np.int64)
+        res[0] = np.cumsum(res[0]) % 256
+        blk[:] = np.cumsum(res, axis=0) % 256
+    return img
+
+
+EDGE_SHAPES = [(1, 1), (1, 65), (65, 1), (63, 63), (64, 64), (64, 65), (65, 64),
+               (128, 128), (129, 200), (0, 5), (5, 0)]
+# (width, height) of the benchmark's images; no side is a multiple of 64
+BENCH_SHAPES = [(97, 251), (150, 150), (200, 75), (130, 190), (257, 66),
+                (70, 70), (180, 110), (115, 140), (220, 90), (83, 160)]
+
+
+@pytest.mark.parametrize("width, height", EDGE_SHAPES + BENCH_SHAPES)
+def test_residuals_match_per_block_oracle(width, height):
+    rng = np.random.default_rng([width, height])
+    img = rng.integers(0, 256, (height, width), dtype=np.uint8)
+    data = residual_transform(img)
+    assert data == oracle_transform(img)
+    field = rng.integers(0, 256, width * height, dtype=np.uint8).tobytes()
+    got = residual_inverse(field, width, height)
+    want = oracle_inverse(field, width, height)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert np.array_equal(residual_inverse(data, width, height), img)
+
+
+@pytest.mark.parametrize("size", [0, 5, 7])
+def test_residual_inverse_rejects_data_of_another_size(size):
+    # short data used to end in numpy's ValueError, extra bytes were dropped
+    with pytest.raises(FormatError, match="3x2 image needs 6"):
+        residual_inverse(bytes(size), 3, 2)

@@ -108,6 +108,12 @@ def assert_same_tables(dct: MarlinDictionary) -> None:
     got, want = DecoderTable(dct), OracleTable(dct)
     assert got.max_word_len == want.max_word_len
     assert _same(got.words, want.words) and _same(got.lengths, want.lengths)
+    # the gather tables, one codeword and one unit at a time
+    width, omask = want.max_word_len, dct.n_chapters - 1
+    ends = [cw * width + int(n) for cw, n in enumerate(want.lengths)]
+    window = [(u & omask) << dct.k for u in range(1 << dct.k)]
+    assert got.ends.dtype == got.window.dtype == np.intp
+    assert got.ends.tolist() == ends and got.window.tolist() == window
 
 
 def _coded(dset):
