@@ -8,9 +8,11 @@ bench-speed.  Exit codes: 0 success, 1 operational failure, 2 usage error
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
+from .dictionary import MAX_SET_SIZE
 from .errors import CorruptBlockError, FormatError, RiceMarlinError
 
 EXIT_OK = 0
@@ -20,18 +22,26 @@ EXIT_CORRUPT = 3
 
 
 def _parse_fractions(text: str) -> list[float]:
-    """Comma list ("0.25,0.5") or range ("0.1:0.9:0.1")."""
+    """Comma list ("0.25,0.5") or range ("0.1:0.9:0.1") of 1 to
+    ``MAX_SET_SIZE`` finite values."""
+    values = [float(x) for x in text.split(":" if ":" in text else ",")]
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"fractions {text!r} are not all finite")
     if ":" in text:
-        start, stop, step = (float(x) for x in text.split(":"))
+        start, stop, step = values
         if not step > 0:
             raise ValueError("range step must be positive")
-        out = []
+        values = []
         f = start
-        while f <= stop + 1e-9:
-            out.append(round(f, 6))
+        # one value past the cap is enough to reject the range
+        while f <= stop + 1e-9 and len(values) <= MAX_SET_SIZE:
+            values.append(round(f, 6))
             f += step
-        return out
-    return [float(x) for x in text.split(",")]
+    if not values:
+        raise ValueError(f"fraction range {text!r} holds no values")
+    if len(values) > MAX_SET_SIZE:
+        raise ValueError(f"fractions {text!r} hold more than {MAX_SET_SIZE} values")
+    return values
 
 
 def _cmd_build_dictset(args) -> int:

@@ -20,9 +20,10 @@ class DecoderTable:
     """Flat array of 2^N fixed-width rows: word symbols plus a length.
 
     Two gather tables are compiled with it: ``ends[cw] = cw * width +
-    len(cw)``, the flat offset just past codeword ``cw``'s word, and
-    ``window[u] = (u & omask) << K``, the O-bit window that the K-bit unit
-    ``u`` carries into the next codeword.
+    len(cw)``, the flat offset just past codeword ``cw``'s word (int32
+    whenever the table's size fits it), and ``window[u] = (u & omask) << K``,
+    the O-bit window that the K-bit unit ``u`` carries into the next
+    codeword.
     """
 
     def __init__(self, dct: MarlinDictionary):
@@ -39,7 +40,8 @@ class DecoderTable:
         chapter_sets = list(dct.chapter_sets)
         self.words = words[chapter_sets].reshape(dct.n_codewords, width)
         self.lengths = lengths[chapter_sets].reshape(dct.n_codewords)
-        self.ends = np.arange(dct.n_codewords) * width + self.lengths
+        offset = np.int32 if dct.n_codewords * width < 1 << 31 else np.intp
+        self.ends = (np.arange(dct.n_codewords) * width + self.lengths).astype(offset)
         self.window = (np.arange(1 << dct.k) & (dct.n_chapters - 1)) << dct.k
 
 

@@ -9,8 +9,10 @@ the S low bits of every original byte.
 
 from __future__ import annotations
 
+import struct
 from array import array
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -54,7 +56,8 @@ class CompressedBlock:
 
 
 class EncoderMatrix:
-    """Prefix tree as a node graph, walked ``m`` ranks per Python step.
+    """Prefix tree as a node graph, walked ``m`` ranks per Python step over
+    its leaf-merged class graph.
 
     Chapters that share a word set also share its codeword layout, so a
     walk state is a node ``ki * 2**K + offset``: word set ``ki`` (an index
@@ -64,9 +67,20 @@ class EncoderMatrix:
     word ``(r,)`` of chapter ``offset & omask``.  ``starts_word[node]`` is
     true for single-symbol words, so a transition emits exactly when it
     lands on one.  Inadmissible transitions lead to the absorbing trap node
-    ``nn``.  ``table[key * (nn + 1) + node]`` is the node after the
-    ``m`` ranks whose mixed-radix value is ``key`` (``r1 * nq**(m-1) + ...``);
-    it is stored key-major so a walk step is one add and one subscript.
+    ``nn``.
+
+    A leaf word (no children) emits on every rank, so its ``nxt`` row is the
+    ``single`` row of the word set its next chapter uses.  Leaves that feed
+    the same word set and agree on ``starts_word`` merge into one class;
+    every other node, the trap included, is a class of its own.
+    ``node_class[node]`` is a node's class and ``rep[c]`` one node of class
+    ``c``; ``class_nxt`` and ``class_starts`` are ``nxt`` and
+    ``starts_word`` over classes, exact because a class's nodes share their
+    rows.  ``table[key * n_classes + c]`` is the class after the ``m`` ranks
+    whose mixed-radix value is ``key`` (``r1 * nq**(m-1) + ...``); it is
+    stored key-major so a walk step is one add and one subscript.  It is a
+    ``bytes`` object for at most 256 classes, else an ``array`` of 16- or
+    32-bit entries.
     """
 
     def __init__(self, dct: MarlinDictionary):
@@ -90,62 +104,99 @@ class EncoderMatrix:
         offsets = words & (dct.words_per_chapter - 1)
         emit = np.arange(nq) >= kvals[:, None]
         chapter_sets = np.array(dct.chapter_sets, dtype=np.intp)
-        nxt = np.where(emit, self.single[chapter_sets[offsets & (dct.n_chapters - 1)]], child)
+        feeds = chapter_sets[offsets & (dct.n_chapters - 1)]
+        nxt = np.where(emit, self.single[feeds], child)
         self.nxt = np.vstack([nxt, np.full((1, nq), nn, dtype=np.int32)])
         # emitting moves to a single-symbol word and extending never does, so
         # the walk reads emissions off the states with a 1-D gather
         self.starts_word = np.zeros(nn + 1, dtype=bool)
         self.starts_word[self.single[self.single < nn]] = True
 
-        nodes = nn + 1
+        # a leaf's class key is (fed set, starts_word); the others, the trap
+        # last, get keys past every leaf key
+        keys = np.arange(nn + 1) + 2 * len(sets)
+        leaf = np.flatnonzero(kvals == 0)
+        keys[leaf] = 2 * feeds[leaf] + self.starts_word[leaf]
+        _, self.rep, self.node_class = np.unique(keys, return_index=True, return_inverse=True)
+        self.n_classes = classes = len(self.rep)
+        # anchors come back from the table as a list of small ints: bytes()
+        # converts them fastest, then struct for 16 bits and array for 32
+        if classes <= 1 << 8:
+            self._dtype, self._pack, store = np.uint8, bytes, bytes
+        elif classes <= 1 << 16:
+            self._dtype, self._pack, store = np.uint16, _pack_u16, partial(array, "H")
+        else:
+            self._dtype = np.uint32
+            self._pack = store = partial(array, "I")
+        self.class_nxt = self.node_class[self.nxt[self.rep]].astype(self._dtype)
+        self.class_starts = self.starts_word[self.rep]
+        # flat offsets into class_nxt and, for the walk's node recovery, into
+        # nxt at each class's representative
+        self._class_rows = np.arange(classes) * nq
+        self._rows = self.rep * nq
+
         m = 1
-        while nq > 1 and nodes * nq ** (m + 1) <= STEP_TABLE_CAP:
+        while nq > 1 and classes * nq ** (m + 1) <= STEP_TABLE_CAP:
             m += 1
         self.m = m
-        self._key_weights = nodes * nq ** np.arange(m - 1, -1, -1, dtype=np.int64)
-        tab = self.nxt
+        self._key_weights = classes * nq ** np.arange(m - 1, -1, -1, dtype=np.int64)
+        tab = self.class_nxt
         for _ in range(m - 1):
-            tab = self.nxt[tab].reshape(nodes, -1)
-        self._typecode = "H" if nodes <= 1 << 16 else "I"
-        self.table = array(self._typecode, tab.T.astype(self._typecode).tobytes())
+            tab = self.class_nxt[tab].reshape(classes, -1)
+        self.table = store(tab.T.tobytes())
 
     def walk(self, ranks, chapter: int = 0) -> np.ndarray:
         """Longest-match parse; returns emitted codewords including the flush.
 
         Python steps ``m`` ranks at a time through ``table``; numpy fills in
-        the states between those anchors.  Raises ``CorruptBlockError`` when
-        the ranks are inadmissible from ``chapter`` (a state is the trap).
+        the classes between those anchors and then recovers the node of each
+        emitted word.  Raises ``CorruptBlockError`` when the ranks are
+        inadmissible from ``chapter`` (a state is the trap).
         """
         ranks = np.asarray(ranks, dtype=np.intp)
         n = len(ranks)
         if n == 0:
             return np.zeros(0, dtype=np.int64)
-        m, nxt = self.m, self.nxt
-        node = int(self.single[self.dct.chapter_sets[chapter], ranks[0]])
+        m, class_nxt, rows = self.m, self.class_nxt, self._class_rows
+        first = int(self.single[self.dct.chapter_sets[chapter], ranks[0]])
+        state = int(self.node_class[first])
         rest = ranks[1:]
         body = (n - 1) // m * m
         keys = rest[:body].reshape(-1, m) @ self._key_weights
-        states = np.empty(n, dtype=np.intp)
-        states[0] = node
+        states = np.empty(n, dtype=self._dtype)
+        states[0] = state
         table = self.table
-        states[m : body + 1 : m] = [node := table[node + key] for key in keys.tolist()]
+        anchors = [state := table[state + key] for key in keys.tolist()]
+        states[m : body + 1 : m] = np.frombuffer(self._pack(anchors), dtype=self._dtype)
+        # 1-D takes at flat offsets class * nq + rank beat 2-D subscripts
         for t in range(1, m):
-            states[t:body:m] = nxt[states[t - 1 : body : m], rest[t - 1 : body : m]]
+            at = rows.take(states[t - 1 : body : m]) + rest[t - 1 : body : m]
+            states[t:body:m] = class_nxt.take(at)
         for p in range(body + 1, n):
-            states[p] = nxt[states[p - 1], rest[p - 1]]
-        if states[-1] == self.nn:  # the trap absorbs, so any trap reaches the end
+            states[p] = class_nxt[states[p - 1], rest[p - 1]]
+        if states[-1] == self.n_classes - 1:  # the trap absorbs, so any trap reaches the end
             raise CorruptBlockError("encoder walk reached a trap transition")
         # a word ends where the next state starts a word, and at the flush
-        ends = self.starts_word[states]
+        ends = self.class_starts[states]
         ends[:-1] = ends[1:]
         ends[-1] = True
-        units = states[ends] & (self.dct.words_per_chapter - 1)
+        # the node at p >= 1 is one full-graph step from any node of the
+        # class at p - 1, since a class's nodes share their rows
+        lead, before = int(ends[0]), np.flatnonzero(ends[1:])
+        units = np.empty(lead + len(before), dtype=np.intp)
+        units[0] = first
+        units[lead:] = self.nxt.take(self._rows.take(states.take(before)) + rest.take(before))
+        units &= self.dct.words_per_chapter - 1
         codewords = np.empty_like(units)
         codewords[0] = chapter
         codewords[1:] = units[:-1] & (self.dct.n_chapters - 1)
         codewords <<= self.dct.k
         codewords |= units
         return codewords
+
+
+def _pack_u16(values: list[int]) -> bytes:
+    return struct.pack(f"{len(values)}H", *values)
 
 
 def pack_reminders(message: bytes, s: int) -> bytes:

@@ -482,18 +482,16 @@ def compress_bytes(
     flags: int = 0,
     width: int = 0,
     height: int = 0,
-    sizes: list[int] | None = None,
 ) -> bytes:
-    """Compress ``data`` into a standalone container."""
+    """Compress ``data`` into a standalone container, in the blocks its
+    header implies."""
     if not 1 <= block_size <= 0xFFFFFFFF:
         raise ValueError("block size must be in [1, 2^32 - 1]")
     header = ContainerHeader(
         k=dset.k, o=dset.o, block_size=block_size, total_size=len(data),
         flags=flags, width=width, height=height, digest=dset.digest,
     )
-    if sizes is None:
-        sizes = header.block_sizes()
-    payloads = compress_blocks(data, dset, sizes)
+    payloads = compress_blocks(data, dset, header.block_sizes())
     out = bytearray(header.pack(len(payloads)))
     for p in payloads:
         out += struct.pack("<I", len(p))

@@ -1,4 +1,4 @@
-from itertools import pairwise
+from itertools import pairwise, product
 
 import numpy as np
 import pytest
@@ -96,6 +96,19 @@ def unsafe_copy(worked: MarlinDictionary) -> MarlinDictionary:
     return MarlinDictionary(
         worked.k, worked.o, worked.alphabet, (swapped, second), worked.chapter_sets,
     )
+
+
+def binary_word_sets(o: int) -> tuple[SymbolDistribution, MarlinDictionary]:
+    """A two-quotient source and a K=9 ``from_tables`` dictionary for it that
+    gives each of the 2^O chapters its own set: binary words of lengths 1 to
+    8 plus two of length 9 fill each set's 2^9 slots."""
+    p = np.full(256, 0.01 / 254)
+    p[:2] = (0.9, 0.09)
+    dist = SymbolDistribution(p)
+    zero, one = (alphabet := split_alphabet(dist, 0, 0.05)).values
+    words = [w for n in range(1, 9) for w in product((zero, one), repeat=n)]
+    words += [(zero,) * 9, (zero,) * 8 + (one,)]
+    return dist, MarlinDictionary.from_tables(9, o, alphabet, [words] * (1 << o))
 
 
 def skewed_distribution(top: float = 0.9) -> SymbolDistribution:

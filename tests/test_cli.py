@@ -44,6 +44,25 @@ def test_fraction_range_step_must_be_positive(tmp_path, capsys, command, fractio
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["build-dictset", "bench-synthetic"])
+@pytest.mark.parametrize("fractions, message", [
+    ("0:inf:0.5", "are not all finite"),
+    ("nan:0.9:0.1", "are not all finite"),
+    ("0.5,nan", "are not all finite"),
+    ("0.9:0.1:0.1", "holds no values"),  # reversed: empty, not the default grid
+    ("0:1:0.001", "hold more than 255 values"),
+    ("1e20:1e21:1", "hold more than 255 values"),  # a step the sum cannot take
+])
+def test_fractions_are_finite_and_fit_a_set(tmp_path, capsys, command, fractions, message):
+    out = tmp_path / "out"
+    if command == "build-dictset":
+        argv = [command, "--out", str(out), "--laplacian", fractions]
+    else:
+        argv = [command, "--fractions", fractions, "--csv", str(out)]
+    assert main(argv) == EXIT_FAILURE
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["compress"])  # missing required arguments

@@ -1,6 +1,5 @@
 import dataclasses
 import hashlib
-import itertools
 import struct
 import zlib
 
@@ -51,6 +50,7 @@ from conftest import (
     WORKED_CHAPTER_0,
     WORKED_CHAPTER_1,
     abcd_distribution,
+    binary_word_sets,
     from_tables_copy,
     unsafe_copy,
 )
@@ -425,18 +425,10 @@ def test_dictset_empty_dictionary_stores_no_sets():
 
 @pytest.mark.parametrize("o, index, bad", [(8, "<u1", []), (9, "<u2", [512, 0xFFFF])])
 def test_dictset_set_index_width_follows_the_set_count(o, index, bad):
-    # from_tables gives each of the 2^O chapters its own set: binary words of
-    # lengths 1 to 8 plus two of length 9 fill each set's 2^9 slots.  256
-    # sets keep one-byte indices; 512 need two
-    p = np.full(256, 0.01 / 254)
-    p[:2] = (0.9, 0.09)
-    dist = SymbolDistribution(p)
-    alphabet = split_alphabet(dist, 0, 0.05)
-    zero, one = alphabet.values
-    words = [w for n in range(1, 9) for w in itertools.product((zero, one), repeat=n)]
-    words += [(zero,) * 9, (zero,) * 8 + (one,)]
-    n_sets = 1 << o
-    dct = MarlinDictionary.from_tables(9, o, alphabet, [words] * n_sets)
+    # each of the 2^O chapters has its own set: 256 sets keep one-byte
+    # indices; 512 need two
+    dist, dct = binary_word_sets(o)
+    alphabet, n_sets = dct.alphabet, 1 << o
     assert len(dct.word_sets) == n_sets
     data = save_dictset(DictionarySet([dct]))
     k, o, [(table, meta)] = _split(data)
@@ -813,6 +805,16 @@ def test_container_roundtrip_various_sizes(tiny_set):
         comp = compress_bytes(data, tiny_set, block_size=4096)
         assert decompress_bytes(comp, tiny_set) == data
 
+
+def test_container_blocks_follow_the_header(tiny_set):
+    # no caller can pass other block sizes, which would write a container
+    # whose block count disagrees with its header
+    data = make_distribution(SyntheticFamily("laplacian", 0.5)).sample(10_000, seed=6)
+    with pytest.raises(TypeError):
+        compress_bytes(data, tiny_set, sizes=[100, 200])
+    comp = compress_bytes(data, tiny_set)
+    assert ContainerHeader.unpack(comp)[1] == 3
+    assert decompress_bytes(comp, tiny_set) == data
 
 def test_block_size_must_fit_the_header(tiny_set):
     # the header stores the block size as a u32

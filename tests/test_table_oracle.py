@@ -65,16 +65,40 @@ class OracleMatrix:
         self.nxt = np.vstack([nxt, np.full((1, nq), nn, dtype=np.int32)])
         self.starts_word = np.zeros(nn + 1, dtype=bool)
         self.starts_word[self.single[self.single < nn]] = True
-        nodes = nn + 1
+        # classes: the leaves' (fed set, starts_word) keys in sorted order,
+        # then every other node in node order, the trap last
+        starts = self.starts_word.tolist()
+        fed = {
+            v: (dct.chapter_sets[v & (dct.words_per_chapter - 1) & (dct.n_chapters - 1)], starts[v])
+            for v in range(nn) if kvals[v] == 0
+        }
+        leaf_class = {key: c for c, key in enumerate(sorted(set(fed.values())))}
+        node_class, first, others = [], {}, len(leaf_class)
+        for v in range(nn + 1):
+            if v in fed:
+                c = leaf_class[fed[v]]
+            else:
+                c, others = others, others + 1
+            node_class.append(c)
+            first.setdefault(c, v)
+        self.n_classes = classes = len(first)
+        self.node_class = np.array(node_class, dtype=np.intp)
+        self.rep = np.array([first[c] for c in range(classes)], dtype=np.intp)
+        dtype = np.uint8 if classes <= 1 << 8 else np.uint16 if classes <= 1 << 16 else np.uint32
+        self.class_nxt = np.array(
+            [[node_class[v] for v in self.nxt[first[c]].tolist()] for c in range(classes)],
+            dtype=dtype,
+        )
+        self.class_starts = np.array([starts[first[c]] for c in range(classes)], dtype=bool)
         m = 1
-        while nq > 1 and nodes * nq ** (m + 1) <= STEP_TABLE_CAP:
+        while nq > 1 and classes * nq ** (m + 1) <= STEP_TABLE_CAP:
             m += 1
         self.m = m
-        tab = self.nxt
+        tab = self.class_nxt
         for _ in range(m - 1):
-            tab = self.nxt[tab].reshape(nodes, -1)
-        typecode = "H" if nodes <= 1 << 16 else "I"
-        self.table = array(typecode, tab.T.astype(typecode).tobytes())
+            tab = self.class_nxt[tab].reshape(classes, -1)
+        raw = tab.T.tobytes()
+        self.table = raw if dtype is np.uint8 else array("H" if dtype is np.uint16 else "I", raw)
 
 
 class OracleTable:
@@ -101,10 +125,11 @@ def _same(got: np.ndarray, want: np.ndarray) -> bool:
 
 def assert_same_tables(dct: MarlinDictionary) -> None:
     got, want = EncoderMatrix(dct), OracleMatrix(dct)
-    assert got.nn == want.nn and got.m == want.m
-    for name in ("nxt", "single", "starts_word"):
+    assert got.nn == want.nn and got.n_classes == want.n_classes and got.m == want.m
+    names = ("nxt", "single", "starts_word", "node_class", "rep", "class_nxt", "class_starts")
+    for name in names:
         assert _same(getattr(got, name), getattr(want, name)), name
-    assert got.table == want.table
+    assert type(got.table) is type(want.table) and got.table == want.table
     got, want = DecoderTable(dct), OracleTable(dct)
     assert got.max_word_len == want.max_word_len
     assert _same(got.words, want.words) and _same(got.lengths, want.lengths)
@@ -112,7 +137,8 @@ def assert_same_tables(dct: MarlinDictionary) -> None:
     width, omask = want.max_word_len, dct.n_chapters - 1
     ends = [cw * width + int(n) for cw, n in enumerate(want.lengths)]
     window = [(u & omask) << dct.k for u in range(1 << dct.k)]
-    assert got.ends.dtype == got.window.dtype == np.intp
+    assert got.ends.dtype == (np.int32 if dct.n_codewords * width < 2**31 else np.intp)
+    assert got.window.dtype == np.intp
     assert got.ends.tolist() == ends and got.window.tolist() == window
 
 

@@ -23,7 +23,8 @@ from ricemarlin.errors import CorruptBlockError
 from ricemarlin.source import point_mass
 
 from conftest import (
-    A, B, C, abcd_distribution, chapter_words, from_tables_copy, unsafe_copy, words_of,
+    A, B, C, abcd_distribution, binary_word_sets, chapter_words, from_tables_copy,
+    unsafe_copy, words_of,
 )
 
 TRAP = -2  # cell for transitions the safety invariant makes unreachable
@@ -122,10 +123,10 @@ def _stream(rng, dct, chapter, n, skewed):
     return [first] + rest.tolist()
 
 
-def _assert_same_walks(dct, seed):
+def _assert_same_walks(dct, seed, chapters=None):
     got, want = EncoderMatrix(dct), OracleMatrix(dct)
     rng = np.random.default_rng(seed)
-    for chapter in range(dct.n_chapters):
+    for chapter in range(dct.n_chapters) if chapters is None else chapters:
         for n in LENGTHS:
             ranks = _stream(rng, dct, chapter, n, skewed=(n + chapter) % 2 == 0)
             codewords = got.walk(np.asarray(ranks), chapter=chapter)
@@ -156,17 +157,39 @@ EXTRA = {
         make_distribution(SyntheticFamily("exponential", 0.7)), 4, 0),
     "from-tables-k4-o2": lambda: from_tables_copy(_abcd(4, 2)),
     "from-tables-one-symbol": _one_symbol_chain,
-    # 16 word sets of 4096 nodes plus the trap: too many nodes for 16 bits
+    # 16 word sets of 4096 nodes plus the trap: too many nodes for 16 bits,
+    # but few enough classes
     "from-tables-k12-o4": lambda: from_tables_copy(_abcd(12, 4)),
 }
 
 
+def _entry_width(m) -> int:
+    """Bytes per step-table entry; asserts it is the narrowest that holds
+    every class."""
+    width = 1 if isinstance(m.table, bytes) else m.table.itemsize
+    assert width == (1 if m.n_classes <= 1 << 8 else 2 if m.n_classes <= 1 << 16 else 4)
+    return width
+
+
 def test_walk_matches_oracle_on_grid_set(grid_set):
-    steps = set()
+    steps, widths = set(), set()
     for i, dct in enumerate(grid_set.dictionaries):
         if not dct.empty_quotient:
-            steps.add(_assert_same_walks(dct, seed=i).m)
+            m = _assert_same_walks(dct, seed=i)
+            steps.add(m.m)
+            widths.add(_entry_width(m))
     assert len(steps) > 1  # more than one step width is exercised
+    assert widths == {1, 2}
+
+
+def test_walk_matches_oracle_at_every_table_width(long_word_set):
+    # long words keep most nodes internal: 501 and 462 classes need 16 bits,
+    # 139 fit in 8; the 512 word sets of 255 internal words need 32
+    walked = [_assert_same_walks(dct, seed=200 + i)
+              for i, dct in enumerate(long_word_set.dictionaries)]
+    _, wide = binary_word_sets(9)
+    walked.append(_assert_same_walks(wide, seed=300, chapters=(0, 1, 255, 256, 511)))
+    assert [_entry_width(m) for m in walked] == [2, 2, 1, 4]
 
 
 def test_walk_matches_oracle_on_worked_dictionary(worked_dictionary):
@@ -181,23 +204,51 @@ def test_walk_matches_oracle_on_extra_dictionaries(name):
     assert m.nn == len(dct.word_sets) << dct.k
     if name.startswith("from-tables"):
         assert len(dct.word_sets) == dct.n_chapters
-    assert m.table.typecode == ("H" if m.nn < 1 << 16 else "I")
+    assert _entry_width(m) == (2 if name in ("k10-o2", "from-tables-k12-o4") else 1)
+    assert_classes_share_rows(m, dct)
+
+
+def assert_classes_share_rows(m, dct):
+    """Every node's ``nxt`` row and ``starts_word`` are its class's; only
+    leaves share a class, and the trap is the last class, alone."""
+    c = m.node_class
+    assert np.array_equal(c[m.rep], np.arange(m.n_classes))
+    assert np.array_equal(m.nxt, m.nxt[m.rep][c])
+    assert np.array_equal(m.starts_word, m.starts_word[m.rep][c])
+    assert np.array_equal(m.class_nxt, c[m.nxt[m.rep]])
+    assert np.array_equal(m.class_starts, m.starts_word[m.rep])
+    sizes = np.bincount(c)
+    kvals = np.concatenate([lw.kvals for lw in dct.word_sets])
+    assert (kvals[sizes[c[:-1]] > 1] == 0).all()
+    assert c[m.nn] == m.n_classes - 1 and sizes[-1] == 1
+
+
+def test_classes_share_rows(grid_set, long_word_set, worked_dictionary):
+    dicts = [worked_dictionary, unsafe_copy(worked_dictionary)]
+    dicts += [d for d in grid_set.dictionaries + long_word_set.dictionaries if not d.empty_quotient]
+    merged = 0
+    for dct in dicts:
+        m = EncoderMatrix(dct)
+        assert_classes_share_rows(m, dct)
+        merged += m.n_classes < m.nn + 1
+    assert merged == len(dicts)
 
 
 def test_step_table_is_key_major(grid_set):
     dct = grid_set[3]
     m = EncoderMatrix(dct)
-    nodes, nq = m.nn + 1, len(dct.alphabet)
-    assert nodes * nq**m.m <= (1 << 18) < nodes * nq ** (m.m + 1)
-    assert len(m.table) == nodes * nq**m.m and m.table.typecode == "H"
+    classes, nq = m.n_classes, len(dct.alphabet)
+    assert classes * nq**m.m <= (1 << 18) < classes * nq ** (m.m + 1)
+    assert len(m.table) == classes * nq**m.m and _entry_width(m) == 1
     rng = np.random.default_rng(7)
     for _ in range(200):
-        node = int(rng.integers(nodes))
+        # m steps of the full graph land in the class the table names
+        node = int(rng.integers(m.nn + 1))
         ranks = rng.integers(0, nq, m.m).tolist()
         key, want = 0, node
         for r in ranks:
             key, want = key * nq + r, int(m.nxt[want, r])
-        assert m.table[key * nodes + node] == want
+        assert m.table[key * classes + m.node_class[node]] == m.node_class[want]
 
 
 def test_walk_of_nothing_is_empty(worked_dictionary):
