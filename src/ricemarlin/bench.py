@@ -45,6 +45,26 @@ class SyntheticRow:
     predicted_eta: float
     measured_eta: float
     shift_bound: float
+    # the encoder's step table, None for an empty-quotient dictionary: fewer
+    # quotients and classes raise m under STEP_TABLE_CAP
+    alphabet_size: int | None = None
+    classes: int | None = None
+    m: int | None = None
+    byte_keys: bool | None = None
+    step_table_bytes: int | None = None
+
+
+def _step_table_columns(dct: MarlinDictionary) -> dict:
+    if dct.empty_quotient:
+        return {}
+    mat = dct.matrix
+    return dict(
+        alphabet_size=len(dct.alphabet),
+        classes=mat.n_classes,
+        m=mat.m,
+        byte_keys=mat.byte_keys,
+        step_table_bytes=sum(memoryview(row).nbytes for row in mat.rows),
+    )
 
 
 def synthetic_study(
@@ -93,6 +113,7 @@ def synthetic_study(
                             predicted_eta=_eta(h, dct.abr),
                             measured_eta=h / measured if measured > 0 else 1.0,
                             shift_bound=shift_efficiency_bound(dist, shift, block_n),
+                            **_step_table_columns(dct),
                         )
                     )
     return rows
@@ -105,15 +126,18 @@ def rows_to_csv(rows: list[SyntheticRow]) -> str:
         [
             "family", "entropy_fraction", "dict_size", "shift", "threshold",
             "entropy_bits", "predicted_efficiency", "measured_efficiency",
-            "shift_bound",
+            "shift_bound", "alphabet_size", "classes", "m", "byte_keys",
+            "step_table_bytes",
         ]
     )
     for r in rows:
+        table = (r.alphabet_size, r.classes, r.m, r.byte_keys, r.step_table_bytes)
         w.writerow(
             [
                 r.family, f"{r.fraction:g}", r.size, r.shift, f"{r.threshold:g}",
                 f"{r.entropy:.6f}", f"{r.predicted_eta:.6f}",
                 f"{r.measured_eta:.6f}", f"{r.shift_bound:.6f}",
+                *("" if v is None else int(v) for v in table),
             ]
         )
     return buf.getvalue()

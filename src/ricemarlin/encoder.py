@@ -9,7 +9,6 @@ the S low bits of every original byte.
 
 from __future__ import annotations
 
-import struct
 from array import array
 from dataclasses import dataclass, field
 from functools import partial
@@ -76,11 +75,12 @@ class EncoderMatrix:
     ``node_class[node]`` is a node's class and ``rep[c]`` one node of class
     ``c``; ``class_nxt`` and ``class_starts`` are ``nxt`` and
     ``starts_word`` over classes, exact because a class's nodes share their
-    rows.  ``table[key * n_classes + c]`` is the class after the ``m`` ranks
-    whose mixed-radix value is ``key`` (``r1 * nq**(m-1) + ...``); it is
-    stored key-major so a walk step is one add and one subscript.  It is a
-    ``bytes`` object for at most 256 classes, else an ``array`` of 16- or
-    32-bit entries.
+    rows.  ``rows[c][key]`` is the class after the ``m`` ranks from class
+    ``c`` whose mixed-radix value is ``key`` (``r1 * nq**(m-1) + ...``), so a
+    walk step is two subscripts.  A row is a ``bytes`` object for at most 256
+    classes, else an ``array`` of 16- or 32-bit entries.  When
+    ``nq**m <= 256`` (``byte_keys``) the keys are one ``bytes`` object too,
+    whose items are Python's cached small ints.
     """
 
     def __init__(self, dct: MarlinDictionary):
@@ -119,36 +119,36 @@ class EncoderMatrix:
         keys[leaf] = 2 * feeds[leaf] + self.starts_word[leaf]
         _, self.rep, self.node_class = np.unique(keys, return_index=True, return_inverse=True)
         self.n_classes = classes = len(self.rep)
-        # anchors come back from the table as a list of small ints: bytes()
-        # converts them fastest, then struct for 16 bits and array for 32
+        # the walk's anchors come back from the rows as a list of small ints,
+        # which bytearray() and array("I") convert fastest
         if classes <= 1 << 8:
-            self._dtype, self._pack, store = np.uint8, bytes, bytes
-        elif classes <= 1 << 16:
-            self._dtype, self._pack, store = np.uint16, _pack_u16, partial(array, "H")
+            self._dtype, self._pack, store = np.uint8, bytearray, bytes
         else:
-            self._dtype = np.uint32
-            self._pack = store = partial(array, "I")
+            self._dtype = np.uint16 if classes <= 1 << 16 else np.uint32
+            self._pack, store = partial(array, "I"), partial(array, np.dtype(self._dtype).char)
         self.class_nxt = self.node_class[self.nxt[self.rep]].astype(self._dtype)
         self.class_starts = self.starts_word[self.rep]
         # flat offsets into class_nxt and, for the walk's node recovery, into
         # nxt at each class's representative
-        self._class_rows = np.arange(classes) * nq
-        self._rows = self.rep * nq
+        self._class_base = np.arange(classes) * nq
+        self._rep_base = self.rep * nq
 
         m = 1
         while nq > 1 and classes * nq ** (m + 1) <= STEP_TABLE_CAP:
             m += 1
         self.m = m
-        self._key_weights = classes * nq ** np.arange(m - 1, -1, -1, dtype=np.int64)
+        # keys below 256 travel as one bytes object, whose items are cached ints
+        self.byte_keys = nq**m <= 1 << 8
+        self._key_weights = nq ** np.arange(m - 1, -1, -1, dtype=np.intp)
         tab = self.class_nxt
         for _ in range(m - 1):
             tab = self.class_nxt[tab].reshape(classes, -1)
-        self.table = store(tab.T.tobytes())
+        self.rows = [store(row.tobytes()) for row in tab]
 
     def walk(self, ranks, chapter: int = 0) -> np.ndarray:
         """Longest-match parse; returns emitted codewords including the flush.
 
-        Python steps ``m`` ranks at a time through ``table``; numpy fills in
+        Python steps ``m`` ranks at a time through ``rows``; numpy fills in
         the classes between those anchors and then recovers the node of each
         emitted word.  Raises ``CorruptBlockError`` when the ranks are
         inadmissible from ``chapter`` (a state is the trap).
@@ -157,20 +157,21 @@ class EncoderMatrix:
         n = len(ranks)
         if n == 0:
             return np.zeros(0, dtype=np.int64)
-        m, class_nxt, rows = self.m, self.class_nxt, self._class_rows
+        m, class_nxt, base = self.m, self.class_nxt, self._class_base
         first = int(self.single[self.dct.chapter_sets[chapter], ranks[0]])
         state = int(self.node_class[first])
         rest = ranks[1:]
         body = (n - 1) // m * m
         keys = rest[:body].reshape(-1, m) @ self._key_weights
+        keys = keys.astype(np.uint8).tobytes() if self.byte_keys else keys.tolist()
         states = np.empty(n, dtype=self._dtype)
         states[0] = state
-        table = self.table
-        anchors = [state := table[state + key] for key in keys.tolist()]
-        states[m : body + 1 : m] = np.frombuffer(self._pack(anchors), dtype=self._dtype)
+        rows = self.rows
+        anchors = [state := rows[state][key] for key in keys]
+        states[m : body + 1 : m] = self._pack(anchors)
         # 1-D takes at flat offsets class * nq + rank beat 2-D subscripts
         for t in range(1, m):
-            at = rows.take(states[t - 1 : body : m]) + rest[t - 1 : body : m]
+            at = base.take(states[t - 1 : body : m]) + rest[t - 1 : body : m]
             states[t:body:m] = class_nxt.take(at)
         for p in range(body + 1, n):
             states[p] = class_nxt[states[p - 1], rest[p - 1]]
@@ -185,7 +186,7 @@ class EncoderMatrix:
         lead, before = int(ends[0]), np.flatnonzero(ends[1:])
         units = np.empty(lead + len(before), dtype=np.intp)
         units[0] = first
-        units[lead:] = self.nxt.take(self._rows.take(states.take(before)) + rest.take(before))
+        units[lead:] = self.nxt.take(self._rep_base.take(states.take(before)) + rest.take(before))
         units &= self.dct.words_per_chapter - 1
         codewords = np.empty_like(units)
         codewords[0] = chapter
@@ -193,10 +194,6 @@ class EncoderMatrix:
         codewords <<= self.dct.k
         codewords |= units
         return codewords
-
-
-def _pack_u16(values: list[int]) -> bytes:
-    return struct.pack(f"{len(values)}H", *values)
 
 
 def pack_reminders(message: bytes, s: int) -> bytes:

@@ -94,3 +94,31 @@ def test_synthetic_study_builds_only_the_search_parse_chains(monkeypatch):
     chains.clear()
     rows = synthetic_study(["laplacian"], [0.5], [256], [0, 2], sample_bytes=1 << 14)
     assert len(rows) == 2 and len(chains) == alone > 0
+
+
+def test_synthetic_study_reports_the_step_table():
+    # deterministic columns only: m is the largest step count under the cap,
+    # byte keys are used exactly when every key fits a byte, and the table
+    # holds classes * nq**m entries of the narrowest width
+    from ricemarlin.encoder import STEP_TABLE_CAP
+
+    rows = synthetic_study(
+        families=["laplacian"], fractions=[0.1, 0.5], sizes=[256], shifts=[0, 2, 4, 8],
+        sample_bytes=1 << 14,
+    )
+    header, *lines = [line.split(",") for line in rows_to_csv(rows).splitlines()]
+    assert header[-5:] == ["alphabet_size", "classes", "m", "byte_keys", "step_table_bytes"]
+    kinds = set()
+    for r, line in zip(rows, lines):
+        if r.shift == 8:  # one quotient: nothing to walk, the columns stay blank
+            assert (r.alphabet_size, r.classes, r.m, r.byte_keys) == (None,) * 4
+            assert line[-5:] == [""] * 5
+            continue
+        nq, classes, m = r.alphabet_size, r.classes, r.m
+        assert classes * nq**m <= STEP_TABLE_CAP < classes * nq ** (m + 1)
+        assert r.byte_keys == (nq**m <= 256)
+        assert r.step_table_bytes == classes * nq**m * (1 if classes <= 256 else 2)
+        assert line[-5:] == [str(nq), str(classes), str(m), str(int(r.byte_keys)),
+                             str(r.step_table_bytes)]
+        kinds.add(r.byte_keys)
+    assert kinds == {True, False} and len(lines) == 8

@@ -167,7 +167,7 @@ def test_dictset_roundtrip_reproduces_tables(tiny_set):
         assert np.array_equal(ta.words, tb.words)
         assert np.array_equal(ta.lengths, tb.lengths)
         ma, mb = EncoderMatrix(a), EncoderMatrix(b)
-        assert np.array_equal(ma.nxt, mb.nxt) and ma.table == mb.table
+        assert np.array_equal(ma.nxt, mb.nxt) and ma.rows == mb.rows
     # byte-identical re-serialization
     assert save_dictset(loaded) == data
 

@@ -97,8 +97,10 @@ class OracleMatrix:
         tab = self.class_nxt
         for _ in range(m - 1):
             tab = self.class_nxt[tab].reshape(classes, -1)
-        raw = tab.T.tobytes()
-        self.table = raw if dtype is np.uint8 else array("H" if dtype is np.uint16 else "I", raw)
+        self.byte_keys = nq**m <= 256
+        raws = [row.tobytes() for row in tab]
+        self.rows = raws if dtype is np.uint8 else [
+            array("H" if dtype is np.uint16 else "I", raw) for raw in raws]
 
 
 class OracleTable:
@@ -129,7 +131,10 @@ def assert_same_tables(dct: MarlinDictionary) -> None:
     names = ("nxt", "single", "starts_word", "node_class", "rep", "class_nxt", "class_starts")
     for name in names:
         assert _same(getattr(got, name), getattr(want, name)), name
-    assert type(got.table) is type(want.table) and got.table == want.table
+    assert got.byte_keys == want.byte_keys and len(got.rows) == len(want.rows)
+    for a, b in zip(got.rows, want.rows):
+        assert type(a) is type(b) and a == b
+        assert isinstance(a, bytes) or a.typecode == b.typecode
     got, want = DecoderTable(dct), OracleTable(dct)
     assert got.max_word_len == want.max_word_len
     assert _same(got.words, want.words) and _same(got.lengths, want.lengths)

@@ -10,6 +10,8 @@ from array import array
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, example, given, settings
+from hypothesis import strategies as st
 
 from ricemarlin import (
     EncoderMatrix,
@@ -19,8 +21,9 @@ from ricemarlin import (
     best_dictionary_for,
     make_distribution,
 )
-from ricemarlin.errors import CorruptBlockError
-from ricemarlin.source import point_mass
+from ricemarlin.dictionary import MAX_CODE_BITS
+from ricemarlin.errors import BuildError, CorruptBlockError, EntropyTargetError
+from ricemarlin.source import FAMILIES, point_mass
 
 from conftest import (
     A, B, C, abcd_distribution, binary_word_sets, chapter_words, from_tables_copy,
@@ -143,6 +146,11 @@ def _one_symbol_chain():
     return MarlinDictionary.from_tables(2, 0, alphabet, [[(0,), (0, 0), (0, 0, 0), (0, 0, 0, 0)]])
 
 
+def _built(ko, family, fraction, shift, threshold):
+    dist = make_distribution(SyntheticFamily(family, fraction))
+    return MarlinDictionary.build(dist, k=ko[0], o=ko[1], shift=shift, threshold=threshold)
+
+
 def _abcd(k, o):
     return MarlinDictionary.build(abcd_distribution(), k=k, o=o, shift=0, threshold=2**-16)
 
@@ -160,26 +168,34 @@ EXTRA = {
     # 16 word sets of 4096 nodes plus the trap: too many nodes for 16 bits,
     # but few enough classes
     "from-tables-k12-o4": lambda: from_tables_copy(_abcd(12, 4)),
+    # two default-set entries at m = 2: nq**m = 256 keys fit a byte, 289 do not
+    "key-edge-256": lambda: _built((8, 4), "laplacian", 0.44, 1, 2**-12),
+    "key-edge-289": lambda: _built((8, 4), "laplacian", 0.56, 2, 2**-13),
 }
 
 
 def _entry_width(m) -> int:
-    """Bytes per step-table entry; asserts it is the narrowest that holds
-    every class."""
-    width = 1 if isinstance(m.table, bytes) else m.table.itemsize
+    """Bytes per step-row entry; asserts every row has the one type, the
+    narrowest that holds every class."""
+    kinds = {(type(row), getattr(row, "itemsize", 1)) for row in m.rows}
+    assert len(kinds) == 1
+    (kind, width), = kinds
     assert width == (1 if m.n_classes <= 1 << 8 else 2 if m.n_classes <= 1 << 16 else 4)
+    assert kind is (bytes if width == 1 else array)
     return width
 
 
 def test_walk_matches_oracle_on_grid_set(grid_set):
-    steps, widths = set(), set()
+    steps, widths, keys = set(), set(), set()
     for i, dct in enumerate(grid_set.dictionaries):
         if not dct.empty_quotient:
             m = _assert_same_walks(dct, seed=i)
             steps.add(m.m)
             widths.add(_entry_width(m))
+            keys.add(m.byte_keys)
     assert len(steps) > 1  # more than one step width is exercised
     assert widths == {1, 2}
+    assert keys == {True, False}  # both key kinds are walked
 
 
 def test_walk_matches_oracle_at_every_table_width(long_word_set):
@@ -234,21 +250,35 @@ def test_classes_share_rows(grid_set, long_word_set, worked_dictionary):
     assert merged == len(dicts)
 
 
-def test_step_table_is_key_major(grid_set):
+def test_step_rows_are_per_class(grid_set):
     dct = grid_set[3]
     m = EncoderMatrix(dct)
     classes, nq = m.n_classes, len(dct.alphabet)
     assert classes * nq**m.m <= (1 << 18) < classes * nq ** (m.m + 1)
-    assert len(m.table) == classes * nq**m.m and _entry_width(m) == 1
+    assert len(m.rows) == classes and _entry_width(m) == 1
+    assert all(len(row) == nq**m.m for row in m.rows)
     rng = np.random.default_rng(7)
     for _ in range(200):
-        # m steps of the full graph land in the class the table names
+        # m steps of the full graph land in the class the node's class row names
         node = int(rng.integers(m.nn + 1))
         ranks = rng.integers(0, nq, m.m).tolist()
         key, want = 0, node
         for r in ranks:
             key, want = key * nq + r, int(m.nxt[want, r])
-        assert m.table[key * classes + m.node_class[node]] == m.node_class[want]
+        assert m.rows[m.node_class[node]][key] == m.node_class[want]
+
+
+def test_byte_keys_exactly_when_every_key_fits_a_byte(grid_set, long_word_set):
+    dicts = [*grid_set.dictionaries, *long_word_set.dictionaries,
+             EXTRA["key-edge-256"](), EXTRA["key-edge-289"]()]
+    seen = {}
+    for dct in dicts:
+        if not dct.empty_quotient:
+            m = EncoderMatrix(dct)
+            keys = len(dct.alphabet) ** m.m
+            assert m.byte_keys == (keys <= 256)
+            seen[keys] = m.byte_keys
+    assert seen[256] is True and seen[289] is False
 
 
 def test_walk_of_nothing_is_empty(worked_dictionary):
@@ -286,3 +316,71 @@ def test_trap_mid_stream_raises(worked_dictionary):
                 got.walk(np.asarray(ranks))
     # streams that never emit "aaaa" into chapter 1 still match the oracle
     assert got.walk([A, A, B, A, C]).tolist() == want.walk([A, A, B, A, C], check=True)
+
+
+# Random built dictionaries against the scalar walk.  K stays at or below 11
+# and O at or below 4 so the oracle's per-codeword Python build stays cheap
+# (300 examples take about 10 s); every such pair is a valid geometry.
+THRESHOLDS = (0.0,) + tuple(2.0**-j for j in range(4, 17, 2))
+# (K, O), family, fraction, shift, threshold: m = 14 at nq = 2, m = 7 at
+# nq = 4, and 257 and 269 classes, just past the byte-wide rows
+EDGE_DRAWS = (
+    ((3, 1), "laplacian", 0.1, 2, 2**-8),
+    ((4, 0), "laplacian", 0.1, 6, 0.0),
+    ((8, 2), "laplacian", 0.5, 2, 2**-5),
+    ((8, 1), "laplacian", 0.6, 5, 2**-8),
+)
+
+
+def test_edge_draws_reach_long_steps_and_wide_rows():
+    mats = [EncoderMatrix(_built(*draw)) for draw in EDGE_DRAWS]
+    assert [(m.m, m.n_classes) for m in mats[:2]] == [(14, 16), (7, 15)]
+    assert [m.n_classes for m in mats[2:]] == [257, 269]
+    assert [m.byte_keys for m in mats] == [False, False, True, False]
+
+
+@st.composite
+def _geometries(draw):
+    k = draw(st.integers(1, 11))
+    return k, draw(st.integers(0, min(k, 4, MAX_CODE_BITS - k)))
+
+
+def _with_edge_draws(test):
+    for ko, family, fraction, shift, threshold in EDGE_DRAWS:
+        test = example(ko=ko, family=family, fraction=fraction, shift=shift,
+                       threshold=threshold, seed=0)(test)
+    return test
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+@_with_edge_draws
+@given(
+    ko=_geometries(),
+    family=st.sampled_from(FAMILIES),
+    fraction=st.floats(0.02, 0.98),
+    shift=st.integers(0, 7),
+    threshold=st.sampled_from(THRESHOLDS),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_walk_matches_oracle_on_random_dictionaries(ko, family, fraction, shift, threshold, seed):
+    try:
+        dct = _built(ko, family, fraction, shift, threshold)
+    except (BuildError, EntropyTargetError):
+        dct = None
+    assume(dct is not None and not dct.empty_quotient)
+    got, want = EncoderMatrix(dct), OracleMatrix(dct)
+    top = max(range(dct.n_chapters), key=dct.levels.__getitem__)
+    rng = np.random.default_rng(seed)
+    for chapter in sorted({0, top}):
+        for n in sorted({1, got.m, got.m + 1, (1 << dct.k) - 1, (1 << dct.k) + 1}):
+            ranks = _stream(rng, dct, chapter, n, skewed=True)
+            assert got.walk(np.asarray(ranks), chapter=chapter).tolist() == want.walk(
+                ranks, check=True, chapter=chapter)
+    _entry_width(got)
+    if dct.levels[top] > 0:  # rank 0 is inadmissible there: both walks raise
+        for n in (1, got.m + 1):
+            with pytest.raises(CorruptBlockError):
+                want.walk([0] * n, check=True, chapter=top)
+            with pytest.raises(CorruptBlockError):
+                got.walk(np.zeros(n, dtype=np.intp), chapter=top)
