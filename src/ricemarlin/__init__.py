@@ -10,14 +10,11 @@ from .dictionary import (
     MarlinDictionary,
     QuotientAlphabet,
     abr_estimate,
-    assign_codewords,
     best_dictionary_for,
     build_dictionary_set,
     default_set_config,
     efficiency,
-    grow_chapter,
     shift_efficiency_bound,
-    split_alphabet,
 )
 from .decoder import DecoderTable, decode_block, decode_quotients
 from .encoder import (
@@ -66,7 +63,6 @@ __all__ = [
     "SymbolDistribution",
     "SyntheticFamily",
     "abr_estimate",
-    "assign_codewords",
     "best_dictionary_for",
     "build_dictionary_set",
     "compress_bytes",
@@ -78,7 +74,6 @@ __all__ = [
     "empirical_histogram",
     "encode_block",
     "entropy",
-    "grow_chapter",
     "load_dictset",
     "make_distribution",
     "pack_reminders",
@@ -86,5 +81,4 @@ __all__ = [
     "save_dictset",
     "serialize_block",
     "shift_efficiency_bound",
-    "split_alphabet",
 ]

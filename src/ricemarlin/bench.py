@@ -29,7 +29,7 @@ def measured_bits_per_symbol(
     for pos in range(0, len(sample), block_n):
         chunk = sample[pos : pos + block_n]
         block = encode_block(dct, chunk, dict_index=dict_index)
-        payload = len(serialize_block(block, len(chunk)))
+        payload = len(serialize_block(block))
         total_bits += 8 * (payload - (1 if block.is_raw else 2))
     return total_bits / len(sample)
 

@@ -64,21 +64,14 @@ def _cmd_build_dictset(args) -> int:
     Path(args.out).write_bytes(save_dictset(dset))
     print(f"wrote {len(dset)} dictionaries to {args.out}")
     print("idx  source            S  threshold  eta")
-    for i, dct in enumerate(dset.dictionaries):
-        dist = make_distribution(
-            SyntheticFamily(*_parse_source_id(dct.source_id))
-        )
+    for i, (source, dct) in enumerate(zip(cfg["grid"], dset.dictionaries)):
+        dist = make_distribution(SyntheticFamily(*source))
         eta = _eta(dist.entropy(), dct.abr)  # the ABR the build stored on this source
         print(
             f"{i:3d}  {dct.source_id:<16s}  {dct.shift}  "
             f"{dct.search_threshold:9.3g}  {eta:6.4f}"
         )
     return EXIT_OK
-
-
-def _parse_source_id(source_id: str) -> tuple[str, float]:
-    family, _, fraction = source_id.partition(":")
-    return family, float(fraction)
 
 
 def _load_set(path: str):
@@ -114,7 +107,7 @@ def _cmd_decompress(args) -> int:
 
     dset = _load_set(args.set)
     buf = Path(args.input).read_bytes()
-    header, _, _ = ContainerHeader.unpack(buf)
+    header = ContainerHeader.unpack(buf)
     data = decompress_bytes(buf, dset)
     if header.flags & FLAG_IMAGE:
         img = residual_inverse(data, header.width, header.height)

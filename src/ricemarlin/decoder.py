@@ -82,8 +82,10 @@ def decode_quotients(table: DecoderTable, stream: bytes, n: int) -> np.ndarray:
     return table.words.reshape(-1)[np.repeat(starts, lens[:used]) + np.arange(n)]
 
 
-def decode_block(dset: DictionarySet | MarlinDictionary, block: CompressedBlock, n: int) -> bytes:
-    """Reconstruct the original ``n`` bytes of one block."""
+def decode_block(dset: DictionarySet | MarlinDictionary, block: CompressedBlock) -> bytes:
+    """Reconstruct the original ``block.n`` bytes of one block (a raw block
+    must hold exactly that many)."""
+    n = block.n
     if block.is_raw:
         if len(block.raw) != n:
             raise CorruptBlockError(

@@ -15,7 +15,7 @@ from __future__ import annotations
 import heapq
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, repeat
 from operator import itemgetter
@@ -82,11 +82,6 @@ class QuotientAlphabet:
         lut = rank_of_q[np.arange(ALPHABET_SIZE) >> self.shift]
         lut.setflags(write=False)
         return lut
-
-    @cached_property
-    def excluded(self) -> frozenset[int]:
-        """Byte symbols whose quotient is unrepresented."""
-        return frozenset(np.flatnonzero(self.rank_lut < 0).tolist())
 
 
 def split_alphabet(dist: SymbolDistribution, shift: int, threshold: float) -> QuotientAlphabet:
@@ -239,16 +234,15 @@ class Growth(NamedTuple):
     parents: list[int]  # per word: where its prefix was grown, -1 for a single
 
 
-def grow_chapter(coding, level: int, size: int) -> Growth:
-    """Grow a plurally parsable word set of exactly ``size`` words.
+def grow_chapter(coding: np.ndarray, level: int, size: int) -> Growth:
+    """Grow a plurally parsable word set of exactly ``size`` words from the
+    parser's quotient probabilities by rank (``QuotientAlphabet.coding_probs``).
 
     Seeds every admissible quotient (rank >= level) as a single-symbol word,
     then repeatedly adds the candidate extension with the highest probability
     of occurring, where each word exposes one candidate at a time: itself
     extended by its next-most-probable successor.
     """
-    if isinstance(coding, QuotientAlphabet):
-        coding = coding.coding_probs
     nq = len(coding)
     admissible = nq - level
     if admissible < 1:
@@ -403,9 +397,6 @@ class MarlinDictionary:
     @property
     def words_per_chapter(self) -> int:
         return 1 << self.k
-
-    def next_chapter(self, codeword: int) -> int:
-        return codeword & (self.n_chapters - 1)
 
     # -- compiled tables --------------------------------------------------------
 
@@ -921,7 +912,6 @@ class DictionarySet:
     """
 
     dictionaries: tuple[MarlinDictionary, ...]
-    metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.dictionaries = tuple(self.dictionaries)
@@ -958,15 +948,6 @@ class DictionarySet:
         from .format import dictset_digest
 
         return dictset_digest(self)
-
-    def select(self, hist: SymbolDistribution, block_n: int) -> int:
-        """Index of the dictionary with the lowest modeled ABR on ``hist``."""
-        best_i, best_abr = 0, float("inf")
-        for i, dct in enumerate(self.dictionaries):
-            abr = abr_estimate(dct, hist, block_n)
-            if abr < best_abr:
-                best_i, best_abr = i, abr
-        return best_i
 
     def quick_select(self, counts: np.ndarray, block_n: int) -> int:
         """Fast first-order selection from raw byte counts.
@@ -1039,4 +1020,4 @@ def build_dictionary_set(config: dict | None = None) -> DictionarySet:
         dicts.append(
             best_dictionary_for(dist, cfg["k"], cfg["o"], block_n=cfg["block_n"])
         )
-    return DictionarySet(dicts, metadata=dict(cfg))
+    return DictionarySet(dicts)

@@ -39,10 +39,6 @@ class CompressedBlock:
     def is_raw(self) -> bool:
         return self.raw is not None
 
-    @property
-    def unrep_count(self) -> int:
-        return len(self.escapes)
-
     def serialized_size(self) -> int:
         if self.is_raw:
             return 1 + len(self.raw)

@@ -37,19 +37,23 @@ DICTSET_VERSION = 2
 
 FLAG_IMAGE = 0x01
 
+_HEADER = struct.Struct("<4sBBBBIQII32sI")
+HEADER_SIZE = _HEADER.size  # a container's first block starts here
+
 
 # ---------------------------------------------------------------------------
 # block wire format
 
 
-def serialize_block(block: CompressedBlock, n: int) -> bytes:
-    """#D | #U | quotient section | escape pairs | reminder bitfield."""
+def serialize_block(block: CompressedBlock) -> bytes:
+    """#D | #U | quotient section | escape pairs | reminder bitfield; escape
+    locations take ``loc_bytes(block.n)`` bytes, and ``n`` travels out of band."""
     if block.is_raw:
         return bytes([RAW_INDEX]) + block.raw
-    if block.unrep_count > 255:
+    if len(block.escapes) > 255:
         raise ValueError("a block cannot carry more than 255 escapes")
-    lb = loc_bytes(n)
-    out = bytearray([block.dict_index, block.unrep_count])
+    lb = loc_bytes(block.n)
+    out = bytearray([block.dict_index, len(block.escapes)])
     out += block.quotient_stream
     for loc, sym in block.escapes:
         out += loc.to_bytes(lb, "little")
@@ -378,8 +382,7 @@ def load_dictset(buf: bytes) -> DictionarySet:
     tables = [_read_table(table, k, o) for table, _ in parts]
     word_sets = _read_word_sets(tables, k)
     dset = DictionarySet(
-        [_parse_dict(t, ws, meta, k, o) for t, ws, (_, meta) in zip(tables, word_sets, parts)],
-        metadata={"k": k, "o": o},
+        [_parse_dict(t, ws, meta, k, o) for t, ws, (_, meta) in zip(tables, word_sets, parts)]
     )
     dset.digest = digest  # verified above: the tables need not be serialized again
     return dset
@@ -400,22 +403,21 @@ class ContainerHeader:
     height: int = 0
     digest: bytes = b"\x00" * 32
 
-    _FMT = "<4sBBBBIQII32sI"
-
     def pack(self, n_blocks: int) -> bytes:
-        return struct.pack(
-            self._FMT, CONTAINER_MAGIC, CONTAINER_VERSION, self.flags, self.k, self.o,
+        return _HEADER.pack(
+            CONTAINER_MAGIC, CONTAINER_VERSION, self.flags, self.k, self.o,
             self.block_size, self.total_size, self.width, self.height,
             self.digest, n_blocks,
         )
 
     @classmethod
-    def unpack(cls, buf: bytes) -> tuple["ContainerHeader", int, int]:
-        size = struct.calcsize(cls._FMT)
-        if len(buf) < size:
+    def unpack(cls, buf: bytes) -> "ContainerHeader":
+        """The header at the start of ``buf``, whose blocks start at ``HEADER_SIZE``;
+        its stored block count must equal :meth:`block_count`."""
+        if len(buf) < HEADER_SIZE:
             raise CorruptBlockError("container header truncated")
         magic, version, flags, k, o, block_size, total, w, h, digest, nb = (
-            struct.unpack_from(cls._FMT, buf, 0)
+            _HEADER.unpack_from(buf)
         )
         if magic != CONTAINER_MAGIC:
             raise CorruptBlockError("not a compressed container")
@@ -437,12 +439,12 @@ class ContainerHeader:
                 f"container lists {nb} blocks, geometry implies {implied}"
             )
         # every block takes at least a 4-byte length and a 1-byte body
-        if nb * 5 > len(buf) - size:
+        if nb * 5 > len(buf) - HEADER_SIZE:
             raise CorruptBlockError(
-                f"container lists {nb} blocks, but only {len(buf) - size} bytes "
-                f"follow the header at offset {size}"
+                f"container lists {nb} blocks, but only {len(buf) - HEADER_SIZE} bytes "
+                f"follow the header at offset {HEADER_SIZE}"
             )
-        return hdr, nb, size
+        return hdr
 
     def block_count(self) -> int:
         """Number of blocks the header implies, computed without listing them."""
@@ -471,7 +473,7 @@ def compress_blocks(data: bytes, dset: DictionarySet, sizes: list[int]) -> list[
         counts = np.bincount(np.frombuffer(chunk, dtype=np.uint8), minlength=256)
         idx = dset.quick_select(counts, n)
         block = encode_block(dset[idx], chunk, dict_index=idx)
-        out.append(serialize_block(block, n))
+        out.append(serialize_block(block))
     return out
 
 
@@ -501,12 +503,13 @@ def compress_bytes(
 
 def decompress_bytes(buf: bytes, dset: DictionarySet) -> bytes:
     """Decompress a container produced by :func:`compress_bytes`."""
-    header, _, pos = ContainerHeader.unpack(buf)
+    header = ContainerHeader.unpack(buf)
     if header.digest != dset.digest:
         raise FormatError(
             "container was compressed with a different dictionary set"
         )
     out = bytearray()
+    pos = HEADER_SIZE
     for n in header.block_sizes():
         if pos + 4 > len(buf):
             raise CorruptBlockError("container truncated at a block header")
@@ -517,7 +520,7 @@ def decompress_bytes(buf: bytes, dset: DictionarySet) -> bytes:
             raise CorruptBlockError("container truncated inside a block")
         pos += clen
         block = parse_block(payload, n, dset)
-        out += decode_block(dset, block, n)
+        out += decode_block(dset, block)
     if pos != len(buf):
         raise CorruptBlockError(
             f"{len(buf) - pos} trailing bytes after the last block at offset {pos}"

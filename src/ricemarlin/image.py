@@ -58,35 +58,37 @@ def write_pgm(img: np.ndarray) -> bytes:
     return b"P5\n%d %d\n255\n" % (w, h) + img.astype(np.uint8).tobytes()
 
 
-def block_geometry(width: int, height: int, edge: int = BLOCK_EDGE) -> list[tuple[int, int]]:
-    """(block width, block height) in raster block order."""
+def block_geometry(width: int, height: int) -> list[tuple[int, int]]:
+    """(block width, block height) in raster block order; the 64-pixel
+    ``BLOCK_EDGE`` is fixed by the container format, which stores no edge."""
     out = []
-    for y0 in range(0, height, edge):
-        for x0 in range(0, width, edge):
-            out.append((min(edge, width - x0), min(edge, height - y0)))
+    for y0 in range(0, height, BLOCK_EDGE):
+        for x0 in range(0, width, BLOCK_EDGE):
+            out.append((min(BLOCK_EDGE, width - x0), min(BLOCK_EDGE, height - y0)))
     return out
 
 
-def _row_blocks(rows: np.ndarray, edge: int) -> list[np.ndarray]:
+def _row_blocks(rows: np.ndarray) -> list[np.ndarray]:
     """One block row as (blocks, rows, cols) views: the full blocks, then the right edge."""
     bh, w = rows.shape
-    full = w - w % edge
+    full = w - w % BLOCK_EDGE
     views = []
     if full:
-        views.append(rows[:, :full].reshape(bh, -1, edge).transpose(1, 0, 2))
+        views.append(rows[:, :full].reshape(bh, -1, BLOCK_EDGE).transpose(1, 0, 2))
     if full < w:
         views.append(rows[None, :, full:])
     return views
 
 
-def residual_transform(img: np.ndarray, edge: int = BLOCK_EDGE) -> bytes:
-    """Above-pixel residuals per block, serialized block by block."""
+def residual_transform(img: np.ndarray) -> bytes:
+    """Above-pixel residuals per 64x64 block (the edge the container format
+    fixes), serialized block by block."""
     img = np.asarray(img, dtype=np.uint8)
     h, w = img.shape
     out = np.empty(h * w, dtype=np.uint8)
     pos = 0
-    for y0 in range(0, h, edge):
-        for blk in _row_blocks(img[y0 : y0 + edge], edge):
+    for y0 in range(0, h, BLOCK_EDGE):
+        for blk in _row_blocks(img[y0 : y0 + BLOCK_EDGE]):
             res = out[pos : pos + blk.size].reshape(blk.shape)
             pos += blk.size
             # uint8 arithmetic wraps mod 256
@@ -96,8 +98,9 @@ def residual_transform(img: np.ndarray, edge: int = BLOCK_EDGE) -> bytes:
     return out.tobytes()
 
 
-def residual_inverse(data: bytes, width: int, height: int, edge: int = BLOCK_EDGE) -> np.ndarray:
-    """Rebuild the image from block-serialized residuals."""
+def residual_inverse(data: bytes, width: int, height: int) -> np.ndarray:
+    """Rebuild the image from residuals serialized per 64x64 block (the edge
+    the container format fixes)."""
     if len(data) != width * height:
         raise FormatError(
             f"residuals hold {len(data)} bytes, a {width}x{height} image needs {width * height}"
@@ -105,8 +108,8 @@ def residual_inverse(data: bytes, width: int, height: int, edge: int = BLOCK_EDG
     img = np.empty((height, width), dtype=np.uint8)
     res = np.frombuffer(data, dtype=np.uint8)
     pos = 0
-    for y0 in range(0, height, edge):
-        for blk in _row_blocks(img[y0 : y0 + edge], edge):
+    for y0 in range(0, height, BLOCK_EDGE):
+        for blk in _row_blocks(img[y0 : y0 + BLOCK_EDGE]):
             blk[...] = res[pos : pos + blk.size].reshape(blk.shape)
             pos += blk.size
             # uint8 sums wrap mod 256: first rows run left to right, then columns down

@@ -4,14 +4,16 @@ import numpy as np
 import pytest
 
 from ricemarlin import (
+    DictionarySet,
     MarlinDictionary,
+    QuotientAlphabet,
     SymbolDistribution,
     SyntheticFamily,
+    abr_estimate,
     build_dictionary_set,
     make_distribution,
-    split_alphabet,
 )
-from ricemarlin.dictionary import link_word_lists
+from ricemarlin.dictionary import link_word_lists, split_alphabet
 
 # Four-symbol alphabet used across the worked-example tests: bytes 0..3
 # stand in for a..d, most probable first.
@@ -109,6 +111,22 @@ def binary_word_sets(o: int) -> tuple[SymbolDistribution, MarlinDictionary]:
     words = [w for n in range(1, 9) for w in product((zero, one), repeat=n)]
     words += [(zero,) * 9, (zero,) * 8 + (one,)]
     return dist, MarlinDictionary.from_tables(9, o, alphabet, [words] * (1 << o))
+
+
+def select(dset: DictionarySet, hist: SymbolDistribution, block_n: int) -> int:
+    """Index of the dictionary with the lowest modeled ABR on ``hist``: the
+    model reference that the codec's ``quick_select`` is checked against."""
+    best_i, best_abr = 0, float("inf")
+    for i, dct in enumerate(dset.dictionaries):
+        abr = abr_estimate(dct, hist, block_n)
+        if abr < best_abr:
+            best_i, best_abr = i, abr
+    return best_i
+
+
+def excluded(alphabet: QuotientAlphabet) -> frozenset[int]:
+    """Byte symbols whose quotient is unrepresented."""
+    return frozenset(np.flatnonzero(alphabet.rank_lut < 0).tolist())
 
 
 def skewed_distribution(top: float = 0.9) -> SymbolDistribution:

@@ -24,9 +24,11 @@ from ricemarlin import (
     make_distribution,
     save_dictset,
     shift_efficiency_bound,
-    split_alphabet,
 )
+from ricemarlin.dictionary import split_alphabet
 from ricemarlin.source import point_mass, uniform
+
+from conftest import excluded
 
 FRACTIONS = (0.02, 0.1, 0.3, 0.5, 0.7, 0.9, 0.98)
 SOURCES = [(fam, f) for fam in ("laplacian", "poisson", "exponential") for f in FRACTIONS]
@@ -94,9 +96,9 @@ def exhaustive_best(dist, k, o, block_n=4096, shifts=D.SHIFT_RANGE,
             except BuildError as exc:
                 errors.append(f"S={shift} thr={threshold:g}: {exc}")
                 continue
-            if (shift, alphabet.excluded) in seen:
+            if (shift, excluded(alphabet)) in seen:
                 continue
-            seen.add((shift, alphabet.excluded))
+            seen.add((shift, excluded(alphabet)))
             try:
                 dct = eager_from_alphabet(dist, k, o, alphabet, block_n=block_n)
             except BuildError as exc:

@@ -166,7 +166,7 @@ def test_decode_matches_oracle_on_built_set(oracle_set):
                 got = decode_quotients(DecoderTable(dct), block.quotient_stream, n)
                 want = oracle_decode_quotients(oracle, block.quotient_stream, n)
                 assert got.dtype == np.uint8 and np.array_equal(got, want)
-            assert decode_block(dct, block, n) == oracle_decode_block(oracle, block, n) == msg
+            assert decode_block(dct, block) == oracle_decode_block(oracle, block, n) == msg
 
 
 def test_decode_matches_oracle_on_acceptance_grid(grid_distributions, grid_set):
@@ -181,7 +181,7 @@ def test_decode_matches_oracle_on_acceptance_grid(grid_distributions, grid_set):
                 block = parse_block(payload, size, grid_set)
                 oracle = None if block.is_raw else oracles[block.dict_index]
                 want = oracle_decode_block(oracle, block, size)
-                assert decode_block(grid_set, block, size) == want == data[pos : pos + size]
+                assert decode_block(grid_set, block) == want == data[pos : pos + size]
                 pos += size
                 checked += 1
     assert checked == len(grid_distributions) * 21

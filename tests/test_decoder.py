@@ -86,14 +86,14 @@ def test_inserted_quotient_byte_is_corrupt():
     dist = make_distribution(SyntheticFamily("laplacian", 0.5))
     dct = MarlinDictionary.build(dist, k=8, o=4, shift=2, threshold=2**-10)
     msg = dist.sample(4096, seed=8)
-    buf = serialize_block(encode_block(dct, msg), 4096)
+    buf = serialize_block(encode_block(dct, msg))
     assert buf[0] == 0  # not raw: the quotient section starts at byte 2
     dset = DictionarySet([dct])
-    assert decode_block(dset, parse_block(buf, 4096, dset), 4096) == msg
+    assert decode_block(dset, parse_block(buf, 4096, dset)) == msg
     for at in (2, 3, 40):  # first, second and a middle quotient byte
         bad = buf[:at] + bytes([buf[at]]) + buf[at:]
         with pytest.raises(CorruptBlockError):
-            decode_block(dset, parse_block(bad, 4096, dset), 4096)
+            decode_block(dset, parse_block(bad, 4096, dset))
 
 
 def test_decode_quotients_matches_encoder_stage_one():
@@ -117,16 +117,16 @@ def test_decode_quotients_matches_encoder_stage_one():
 
 def test_decode_block_raw_passthrough():
     blk = CompressedBlock(dict_index=255, n=3, raw=bytes([9, 8, 7]))
-    assert decode_block(None, blk, 3) == bytes([9, 8, 7])
+    assert decode_block(None, blk) == bytes([9, 8, 7])
     with pytest.raises(CorruptBlockError):
-        decode_block(None, blk, 4)
+        decode_block(None, CompressedBlock(dict_index=255, n=4, raw=bytes([9, 8, 7])))
 
 
 def test_decode_block_full_shift_outputs_reminders():
     dct = MarlinDictionary.build(uniform(), k=8, o=4, shift=8, threshold=0.0)
     payload = bytes(range(64))
     blk = CompressedBlock(dict_index=0, n=64, reminders=payload)
-    assert decode_block(dct, blk, 64) == payload
+    assert decode_block(dct, blk) == payload
 
 
 def test_decode_block_bad_escape_location():
@@ -137,14 +137,14 @@ def test_decode_block_bad_escape_location():
     assert not blk.is_raw
     blk.escapes.append((100, 0))  # beyond the block
     with pytest.raises(CorruptBlockError):
-        decode_block(dct, blk, 100)
+        decode_block(dct, blk)
 
 
 def test_decode_is_deterministic(worked_dictionary):
     msg = bytes([A, A, A, B, A, C] * 10)
     blk = encode_block(worked_dictionary, msg)
-    a = decode_block(worked_dictionary, blk, len(msg))
-    b = decode_block(worked_dictionary, blk, len(msg))
+    a = decode_block(worked_dictionary, blk)
+    b = decode_block(worked_dictionary, blk)
     assert a == b == msg
 
 
@@ -157,4 +157,4 @@ def test_full_pipeline_fuzz(fam, frac):
         n = int(rng.integers(0, 1500))
         msg = dist.sample(n, seed=int(rng.integers(1 << 30)))
         blk = encode_block(dct, msg)
-        assert decode_block(dct, blk, n) == msg
+        assert decode_block(dct, blk) == msg

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import A, B, C, D, chapter_words, skewed_distribution
+from conftest import A, B, C, D, chapter_words, excluded, select, skewed_distribution
 from ricemarlin import (
     BuildError,
     EncoderMatrix,
@@ -12,13 +12,11 @@ from ricemarlin import (
     best_dictionary_for,
     build_dictionary_set,
     efficiency,
-    grow_chapter,
     make_distribution,
     shift_efficiency_bound,
-    split_alphabet,
 )
 import ricemarlin.dictionary as rd
-from ricemarlin.dictionary import DictionarySet, assign_codewords
+from ricemarlin.dictionary import DictionarySet, assign_codewords, grow_chapter, split_alphabet
 from ricemarlin.source import point_mass, uniform
 
 
@@ -39,7 +37,7 @@ def test_split_zero_shift_zero_threshold_is_identity():
     dist = make_distribution(SyntheticFamily("laplacian", 0.5))
     alpha = split_alphabet(dist, shift=0, threshold=0.0)
     assert len(alpha) == 256
-    assert alpha.excluded == frozenset()
+    assert excluded(alpha) == frozenset()
     assert alpha.values[0] == 0  # most probable residual
 
 
@@ -50,8 +48,8 @@ def test_split_threshold_excludes_rare_quotients():
     alpha = split_alphabet(dist, shift=0, threshold=0.01)
     # the rare support symbol is escaped; the zero-probability tail follows
     # the same sub-threshold rule and carries no escape mass
-    assert 255 in alpha.excluded
-    assert 0 not in alpha.excluded and 1 not in alpha.excluded
+    assert 255 in excluded(alpha)
+    assert 0 not in excluded(alpha) and 1 not in excluded(alpha)
     assert alpha.p_escape == pytest.approx(0.001, abs=1e-12)
     assert alpha.values[0] == 0
     assert alpha.values == (0, 1)
@@ -82,7 +80,7 @@ def test_split_validates_arguments():
 
 def test_grow_greedy_trace_at_level_zero(abcd_dist):
     alpha = split_alphabet(abcd_dist, 0, 2**-16)
-    words = set(map(tuple, grow_chapter(alpha, 0, 8).words))
+    words = set(map(tuple, grow_chapter(alpha.coding_probs, 0, 8).words))
     # the four singles plus the highest-probability extensions of the rule:
     # aa (.49), aaa (.343), aaaa (.2401), aaaaa (.16807) all beat ba (.105)
     assert words == {
@@ -93,7 +91,7 @@ def test_grow_greedy_trace_at_level_zero(abcd_dist):
 
 def test_grow_excluding_top_symbol(abcd_dist):
     alpha = split_alphabet(abcd_dist, 0, 2**-16)
-    words = list(map(tuple, grow_chapter(alpha, 1, 8).words))
+    words = list(map(tuple, grow_chapter(alpha.coding_probs, 1, 8).words))
     assert len(words) == 8
     assert len(set(words)) == 8
     assert all(w[0] >= 1 for w in words)  # nothing starts with 'a'
@@ -105,20 +103,20 @@ def test_grow_no_room_to_grow():
     p = np.zeros(256)
     p[0], p[1] = 0.6, 0.4
     alpha = split_alphabet(SymbolDistribution(p), 0, 2**-16)
-    assert set(map(tuple, grow_chapter(alpha, 0, 2).words)) == {(0,), (1,)}
+    assert set(map(tuple, grow_chapter(alpha.coding_probs, 0, 2).words)) == {(0,), (1,)}
 
 
 def test_grow_rejects_bad_sizes(abcd_dist):
     alpha = split_alphabet(abcd_dist, 0, 2**-16)
     with pytest.raises(BuildError):
-        grow_chapter(alpha, 4, 8)  # no admissible quotients
+        grow_chapter(alpha.coding_probs, 4, 8)  # no admissible quotients
     with pytest.raises(BuildError):
-        grow_chapter(alpha, 0, 2)  # more quotients than slots
+        grow_chapter(alpha.coding_probs, 0, 2)  # more quotients than slots
 
 
 def test_grow_child_counts_are_prefixes(abcd_dist):
     alpha = split_alphabet(abcd_dist, 0, 2**-16)
-    growth = grow_chapter(alpha, 0, 16)
+    growth = grow_chapter(alpha.coding_probs, 0, 16)
     words = list(map(tuple, growth.words))
     index = set(words)
     for w, k in zip(words, growth.kvals):
@@ -177,7 +175,7 @@ def test_assignment_all_leaf_words_need_level_zero_slots():
 def test_assignment_with_no_overlap_uses_single_chapter(abcd_dist):
     dct = MarlinDictionary.build(abcd_dist, k=3, o=0, shift=0, threshold=2**-16)
     assert dct.levels == (0,)
-    assert all(dct.next_chapter(cw) == 0 for cw in range(dct.n_codewords))
+    assert all((cw & (dct.n_chapters - 1)) == 0 for cw in range(dct.n_codewords))
 
 
 def test_assignment_all_leaves_forces_chapter_zero():
@@ -187,7 +185,7 @@ def test_assignment_all_leaves_forces_chapter_zero():
     dist = SymbolDistribution(p)
     dct = MarlinDictionary.build(dist, k=3, o=1, shift=0, threshold=2**-16)
     for cw in range(dct.n_codewords):
-        lvl = dct.levels[dct.next_chapter(cw)]
+        lvl = dct.levels[cw & (dct.n_chapters - 1)]
         words = chapter_words(dct, cw >> dct.k)
         word = words[cw & (dct.words_per_chapter - 1)]
         index = {w: i for i, w in enumerate(words)}
@@ -458,18 +456,18 @@ def small_set():
 def test_select_training_distribution_wins(small_set):
     for i, frac in enumerate((0.1, 0.3, 0.5, 0.7, 0.9)):
         dist = make_distribution(SyntheticFamily("laplacian", frac))
-        chosen = small_set.select(dist, 4096)
+        chosen = select(small_set, dist, 4096)
         assert abr_estimate(small_set[chosen], dist, 4096) <= abr_estimate(
             small_set[i], dist, 4096
         ) + 1e-12
 
 
 def test_select_point_mass_takes_lowest_entropy(small_set):
-    assert small_set.select(skewed_distribution(0.999), 4096) == 0
+    assert select(small_set, skewed_distribution(0.999), 4096) == 0
 
 
 def test_select_uniform_takes_largest_shift(small_set):
-    chosen = small_set.select(uniform(), 4096)
+    chosen = select(small_set, uniform(), 4096)
     max_shift = max(d.shift for d in small_set.dictionaries)
     assert small_set[chosen].shift == max_shift
 
@@ -481,7 +479,7 @@ def test_quick_select_agrees_with_exact_on_training_data(small_set):
             np.frombuffer(dist.sample(4096, seed=8), np.uint8), minlength=256
         )
         qi = small_set.quick_select(counts, 4096)
-        ei = small_set.select(SymbolDistribution(counts / counts.sum()), 4096)
+        ei = select(small_set, SymbolDistribution(counts / counts.sum()), 4096)
         # the screen may pick a neighbor; its modeled cost must stay close
         hist = SymbolDistribution(counts / counts.sum())
         assert abr_estimate(small_set[qi], hist, 4096) <= abr_estimate(
@@ -536,7 +534,7 @@ def test_overlapped_twelve_bit_parameterization():
     assert max(dct.levels) >= 1  # overlap carries exclusion information
     msg = dist.sample(20000, seed=6)
     blk = encode_block(dct, msg)
-    assert decode_block(dct, blk, len(msg)) == msg
+    assert decode_block(dct, blk) == msg
     # a single unsearched (S, threshold) point still lands near the curve
     assert efficiency(dct, dist, 4096) > 0.85
 
@@ -563,7 +561,7 @@ def _scalar_cost_matrix(dset: DictionarySet, block_n: int) -> np.ndarray:
     for dct in dset.dictionaries:
         cost = np.full(ALPHABET_SIZE, float(dct.shift))
         if dct.empty_quotient:
-            excl = np.array([b in dct.alphabet.excluded for b in range(ALPHABET_SIZE)])
+            excl = np.array([b in excluded(dct.alphabet) for b in range(ALPHABET_SIZE)])
             cost[excl] += esc_bits
             rows.append(cost)
             continue
@@ -595,8 +593,8 @@ def table_set(small_set):
     lap = make_distribution(SyntheticFamily("laplacian", 0.3))
     escaping = MarlinDictionary.build(lap, k=8, o=4, shift=4, threshold=0.5)
     plain = MarlinDictionary.build(uniform(), k=8, o=4, shift=8, threshold=0.0)
-    assert escaping.empty_quotient and escaping.alphabet.excluded
-    assert plain.empty_quotient and not plain.alphabet.excluded
+    assert escaping.empty_quotient and excluded(escaping.alphabet)
+    assert plain.empty_quotient and not excluded(plain.alphabet)
     return DictionarySet(list(small_set.dictionaries) + [escaping, plain])
 
 

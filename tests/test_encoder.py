@@ -116,8 +116,8 @@ def test_encode_records_escapes_in_order():
     locs = [loc for loc, _ in block.escapes]
     assert locs == sorted(locs)
     assert all(sym == 200 for _, sym in block.escapes)
-    assert block.unrep_count == 20
-    assert decode_block(dct, block, len(msg)) == msg
+    assert len(block.escapes) == 20
+    assert decode_block(dct, block) == msg
 
 
 def test_encode_too_many_escapes_falls_back_to_raw():
@@ -150,8 +150,8 @@ def test_placeholder_substitution_keeps_reminders():
     msg = (bytes([0, 2] * 50) + bytes([255])) * 3
     block = encode_block(dct, msg)
     assert not block.is_raw
-    assert block.unrep_count == 3
-    assert decode_block(dct, block, len(msg)) == msg
+    assert len(block.escapes) == 3
+    assert decode_block(dct, block) == msg
 
 
 def test_emitted_units_count_matches_parse(worked_dictionary):
