@@ -251,34 +251,37 @@ def grow_chapter(coding: np.ndarray, level: int, size: int) -> Growth:
         raise BuildError(
             f"{admissible} admissible quotients exceed the {size} dictionary slots"
         )
-    roots = _conditional_roots(coding, level)
+    raws: list[float] = _conditional_roots(coding, level).tolist()
     symbols = [bytes((r,)) for r in range(nq)]
     words = symbols[level:]
-    raws: list[float] = [float(roots[r - level]) for r in range(level, nq)]
     kvals: list[int] = [0] * len(words)
     parents: list[int] = [-1] * len(words)
 
-    heap: list[tuple[float, int, int, int]] = []
-    seq = 0
-    for i in range(len(words)):
-        heapq.heappush(heap, (-raws[i] * coding[0], seq, i, 0))
-        seq += 1
-    while len(words) < size:
-        _, _, parent, child = heapq.heappop(heap)
-        new_word = words[parent] + symbols[child]
-        new_raw = raws[parent] * float(coding[child])
-        kvals[parent] += 1
-        if kvals[parent] < nq:
-            heapq.heappush(
-                heap, (-raws[parent] * coding[kvals[parent]], seq, parent, kvals[parent])
-            )
+    # a candidate is (-probability, seq, word): the word extended by its
+    # next successor, rank kvals[word]; seq breaks ties in push order
+    probs = coding.tolist()
+    top = probs[0]
+    heap = [(-raw * top, i, i) for i, raw in enumerate(raws)]
+    heapq.heapify(heap)
+    seq = len(heap)
+    replace, push = heapq.heapreplace, heapq.heappush
+    for new in range(len(words), size):
+        parent = heap[0][2]
+        child = kvals[parent]
+        raw = raws[parent]
+        new_raw = raw * probs[child]
+        words.append(words[parent] + symbols[child])
+        kvals[parent] = child = child + 1
+        if child < nq:
+            replace(heap, (-raw * probs[child], seq, parent))
+            push(heap, (-new_raw * top, seq + 1, new))
+            seq += 2
+        else:
+            replace(heap, (-new_raw * top, seq, new))
             seq += 1
-        words.append(new_word)
         raws.append(new_raw)
         kvals.append(0)
         parents.append(parent)
-        heapq.heappush(heap, (-new_raw * coding[0], seq, len(words) - 1, 0))
-        seq += 1
     return Growth(words, kvals, raws, parents)
 
 
@@ -314,23 +317,17 @@ def assign_codewords(growth: Growth, levels: list[int], k: int, o: int) -> list[
     words, kvals, raws, *_ = growth
     cap = 1 << (k - o)
     order = sorted(range(len(words)), key=lambda i: (-kvals[i], -raws[i], words[i]))
-    used = [False] * len(order)
     layout: list[int] = [-1] * (1 << k)
-    for v in sorted(range(1 << o), key=lambda v: (-levels[v], -v)):
-        took = 0
-        for i in order:
-            if used[i] or kvals[i] < levels[v]:
-                continue
-            layout[v + (took << o)] = i
-            used[i] = True
-            took += 1
-            if took == cap:
-                break
-        if took < cap:
+    # by child count first: the eligible words left are always the head of
+    # what is left, so the i-th slot value takes the i-th run of cap words
+    for i, v in enumerate(sorted(range(1 << o), key=lambda v: (-levels[v], -v))):
+        take = order[i * cap : (i + 1) * cap]
+        if len(take) < cap or kvals[take[-1]] < levels[v]:
             raise BuildError(
                 f"cannot place {cap} words on next-chapter value {v} "
                 f"(exclusion level {levels[v]})"
             )
+        layout[v :: 1 << o] = take
     return layout
 
 
@@ -473,24 +470,28 @@ class MarlinDictionary:
             return None
 
         while (floor := stuck()) is not None:
-            # demote the chapter with the hardest exclusion promise.  A
+            # demote the last chapter with the hardest exclusion promise.  A
             # demotion above ``floor`` leaves the failing set, its level and
             # the slots below that level as they were, so the check would fail
-            # again: demote on until the top level comes down to ``floor``
-            while True:
-                top = max(levels)
-                levels[max(i for i, v in enumerate(levels) if v == top)] = top - 1
-                if max(levels) <= floor:
-                    break
+            # again: demote on until the top level comes down to ``floor``,
+            # which clamps every level to it.  ``floor`` can be the top level
+            # itself, so one demotion comes first
+            top = max(levels)
+            levels[max(i for i, v in enumerate(levels) if v == top)] = top - 1
+            levels[:] = [min(v, floor) for v in levels]
         in_use = sorted(set(levels))
         words, parents = [], []
         for lvl in in_use:
             growth = grown[lvl]
             layout = assign_codewords(growth, levels, k, o)
-            offset = {i: p for p, i in enumerate(layout)}  # growth index -> codeword offset
-            words += [growth.words[i] for i in layout]
-            parents += [offset.get(growth.parents[i], -1) for i in layout]
-        word_sets = link_word_sets(in_use, [1 << k] * len(in_use), *_ragged(words), parents)
+            words += map(growth.words.__getitem__, layout)
+            # a parent's growth index becomes its codeword offset; a single's
+            # stays -1
+            up = np.array(growth.parents)[layout]
+            parents.append(np.where(up >= 0, np.argsort(layout)[up], -1))
+        word_sets = link_word_sets(
+            in_use, [1 << k] * len(in_use), *_ragged(words), np.concatenate(parents)
+        )
         dct = cls(
             k, o, alphabet, tuple(word_sets), tuple(in_use.index(lvl) for lvl in levels),
             source_id=source_id, block_n=block_n,
@@ -667,68 +668,66 @@ class _ParseChain:
         cum = np.concatenate([[0.0], np.cumsum(coding)])
         suffix = float(cum[-1]) - cum  # suffix[e] = total prob at ranks >= e
 
-        # per word set: first rank, emit weight, child count, length, and slot
-        # value of every word in codeword-offset order
+        # per word set: first rank, emit weight, capped child count and
+        # length of every word in codeword-offset order
         per_set = []
-        evals = {0}
         for lw in dct.word_sets:
-            kv, n = lw.kvals, len(lw.lengths)
-            # a word with every extension present is never emitted (its emit
-            # weight below is zero); cap its exclusion state to keep rows defined
-            kv_state = np.minimum(kv, nq - 1)
-            evals.update(kv_state.tolist())
+            kv = lw.kvals
             r1 = lw.ranks[lw.offsets[:-1]]
             # P(source continues with word[1:]), multiplied rank by rank from
-            # the left; depth d of a word shorter than d + 1 multiplies by 1.0
-            depth = np.ones((int(lw.lengths.max()), n))
+            # the left (the reduce takes row after row); depth d of a word
+            # shorter than d + 1 multiplies by 1.0
+            depth = np.ones((int(lw.lengths.max()), len(kv)))
             depth.T[np.arange(len(depth)) < lw.lengths[:, None]] = coding[lw.ranks]
-            tails = np.ones(n)
-            for row in depth[1:]:
-                tails *= row
-            base = tails * (1.0 - cum[np.minimum(kv, nq)])
-            lengths = lw.lengths.astype(np.float64)
-            slots = np.arange(n) & omask
-            per_set.append((r1, base, kv_state, lengths, slots))
+            base = np.multiply.reduce(depth[1:], axis=0) * (1.0 - cum[np.minimum(kv, nq)])
+            # a word with every extension present is never emitted (its emit
+            # weight is zero); cap its exclusion state to keep rows defined
+            per_set.append((r1, base, np.minimum(kv, nq - 1), lw.lengths))
         # per word set, for emission_probs
         self.first_ranks_and_weights = [(r1, base) for r1, base, *_ in per_set]
 
-        self.evals = sorted(evals)
-        self.states = states = [
-            (c, e) for c, lvl in enumerate(dct.levels) for e in self.evals if e >= lvl
-        ]
-        sidx = {s: i for i, s in enumerate(states)}
+        evals = np.flatnonzero(np.bincount(np.concatenate([[0]] + [kv for _, _, kv, _ in per_set])))
+        self.evals = evals.tolist()
+        # the states are the (chapter, exclusion) pairs at or above the
+        # chapter's level, chapter-major; index[c, j] numbers (c, evals[j])
+        live = evals >= np.array(dct.levels)[:, None]
+        index = np.where(live, np.cumsum(live).reshape(live.shape) - 1, -1)
+        chapters, cols = np.nonzero(live)
+        state_e = evals[cols]
+        self.states = states = list(zip(chapters.tolist(), state_e.tolist()))
         ns = len(states)
+        set_of = np.array(dct.chapter_sets, dtype=np.intp)[chapters]
 
         T = np.zeros((ns, ns))
         length_exp = np.zeros(ns)
         # rows depend on the word set and the exclusion level only; identical
         # chapters share them
-        rows = []
-        for r1, base, kv, lengths, slots in per_set:
-            targets = np.array([sidx[(int(v), int(kw))] for v, kw in zip(slots, kv)])
-            m = np.zeros((nq + 1, ns))
-            mlen = np.zeros(nq + 1)
-            w_first = coding[r1] * base
-            np.add.at(m, (r1, targets), w_first)
-            np.add.at(mlen, r1, w_first * lengths)
-            m_u = np.zeros((nq + 1, ns))
-            mlen_u = np.zeros(nq + 1)
-            np.add.at(m_u, (r1, targets), base)
-            np.add.at(mlen_u, r1, base * lengths)
-            rows.append((
-                np.flip(np.cumsum(np.flip(m, 0), axis=0), 0),
-                np.flip(np.cumsum(np.flip(mlen))),
-                np.flip(np.cumsum(np.flip(m_u, 0), axis=0), 0),
-                np.flip(np.cumsum(np.flip(mlen_u))),
-            ))
-        for si, (c, e) in enumerate(states):
-            msuf, msuf_len, msuf_u, msuf_ulen = rows[dct.chapter_sets[c]]
-            if suffix[e] > 0:
-                T[si] = msuf[e] / suffix[e]
-                length_exp[si] = msuf_len[e] / suffix[e]
-            else:
-                T[si] = msuf_u[e] / (nq - e)
-                length_exp[si] = msuf_ulen[e] / (nq - e)
+        for s, (r1, base, kv, lengths) in enumerate(per_set):
+            slots = np.arange(len(kv)) & omask
+            targets = index[slots, np.searchsorted(evals, kv)]
+            if (targets < 0).any():
+                v = int(slots[np.argmax(targets < 0)])
+                raise BuildError(
+                    f"unsafe word set {s}: a word with fewer than {dct.levels[v]} "
+                    f"children feeds chapter {v}"
+                )
+            # weights summed in word order per (first rank, target) cell and
+            # per first rank, then over first ranks >= e for every row e; only
+            # the states some word leads to get a column
+            hit = np.flatnonzero(np.bincount(targets, minlength=ns))
+            cells = np.ravel_multi_index((r1, np.searchsorted(hit, targets)), (nq + 1, len(hit)))
+            weights = (coding[r1] * base, base)
+            sums = [np.bincount(cells, w, (nq + 1) * len(hit)).reshape(nq + 1, -1) for w in weights]
+            sums += [np.bincount(r1, w * lengths, nq + 1) for w in weights]
+            m, m_u, mlen, mlen_u = (np.flip(np.cumsum(np.flip(a, 0), axis=0), 0) for a in sums)
+            rows = np.flatnonzero(set_of == s)
+            e = state_e[rows]
+            seen = suffix[e] > 0
+            # a state whose admissible ranks all have probability zero reads
+            # them as equally likely
+            z = np.where(seen, suffix[e], nq - e)
+            T[np.ix_(rows, hit)] = np.where(seen[:, None], m[e], m_u[e]) / z[:, None]
+            length_exp[rows] = np.where(seen, mlen[e], mlen_u[e]) / z
         if not np.isfinite(T).all():
             raise BuildError("parse chain produced non-finite transition rows")
         self.T = T

@@ -4,13 +4,19 @@ The library grows a chapter only when the layout check reaches its
 exclusion level, and it skips shifts whose efficiency bound cannot beat the
 best dictionary found so far.  This file keeps the eager chapter loop and
 the exhaustive (S, threshold) search as the reference, and asserts that both
-build byte-identical dictionary sets.
+build byte-identical dictionary sets.  The reference grows and lays out
+chapters with scalar copies of the library's ``grow_chapter`` and
+``assign_codewords``: a heap of numpy-scalar priorities filled one push at a
+time, and a layout that scans every word for every slot value.
 """
 
+import heapq
 from bisect import bisect_left
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ricemarlin.dictionary as D
 from ricemarlin import (
@@ -25,13 +31,93 @@ from ricemarlin import (
     save_dictset,
     shift_efficiency_bound,
 )
-from ricemarlin.dictionary import split_alphabet
+from ricemarlin.dictionary import Growth, _conditional_roots, split_alphabet
 from ricemarlin.source import point_mass, uniform
 
 from conftest import excluded
 
 FRACTIONS = (0.02, 0.1, 0.3, 0.5, 0.7, 0.9, 0.98)
 SOURCES = [(fam, f) for fam in ("laplacian", "poisson", "exponential") for f in FRACTIONS]
+
+
+def oracle_grow_chapter(coding: np.ndarray, level: int, size: int) -> Growth:
+    """Grow a plurally parsable word set of exactly ``size`` words from the
+    parser's quotient probabilities by rank (``QuotientAlphabet.coding_probs``).
+
+    Seeds every admissible quotient (rank >= level) as a single-symbol word,
+    then repeatedly adds the candidate extension with the highest probability
+    of occurring, where each word exposes one candidate at a time: itself
+    extended by its next-most-probable successor.
+    """
+    nq = len(coding)
+    admissible = nq - level
+    if admissible < 1:
+        raise BuildError(f"no admissible quotients at exclusion level {level}")
+    if admissible > size:
+        raise BuildError(
+            f"{admissible} admissible quotients exceed the {size} dictionary slots"
+        )
+    roots = _conditional_roots(coding, level)
+    symbols = [bytes((r,)) for r in range(nq)]
+    words = symbols[level:]
+    raws: list[float] = [float(roots[r - level]) for r in range(level, nq)]
+    kvals: list[int] = [0] * len(words)
+    parents: list[int] = [-1] * len(words)
+
+    heap: list[tuple[float, int, int, int]] = []
+    seq = 0
+    for i in range(len(words)):
+        heapq.heappush(heap, (-raws[i] * coding[0], seq, i, 0))
+        seq += 1
+    while len(words) < size:
+        _, _, parent, child = heapq.heappop(heap)
+        new_word = words[parent] + symbols[child]
+        new_raw = raws[parent] * float(coding[child])
+        kvals[parent] += 1
+        if kvals[parent] < nq:
+            heapq.heappush(
+                heap, (-raws[parent] * coding[kvals[parent]], seq, parent, kvals[parent])
+            )
+            seq += 1
+        words.append(new_word)
+        raws.append(new_raw)
+        kvals.append(0)
+        parents.append(parent)
+        heapq.heappush(heap, (-new_raw * coding[0], seq, len(words) - 1, 0))
+        seq += 1
+    return Growth(words, kvals, raws, parents)
+
+
+def oracle_assign_codewords(growth: Growth, levels: list[int], k: int, o: int) -> list[int]:
+    """Assign each word of a grown set a codeword offset within its chapter's range.
+
+    Offset low O bits select the next chapter; a word may only feed chapters
+    whose exclusion level its child count covers.  Slot groups are filled from
+    the highest exclusion level downward, preferring words with the largest
+    child counts, then the most probable; overflow demotes words to lower
+    slots (level 0 always fits).  Returns word indices in codeword-offset order.
+    """
+    words, kvals, raws, *_ = growth
+    cap = 1 << (k - o)
+    order = sorted(range(len(words)), key=lambda i: (-kvals[i], -raws[i], words[i]))
+    used = [False] * len(order)
+    layout: list[int] = [-1] * (1 << k)
+    for v in sorted(range(1 << o), key=lambda v: (-levels[v], -v)):
+        took = 0
+        for i in order:
+            if used[i] or kvals[i] < levels[v]:
+                continue
+            layout[v + (took << o)] = i
+            used[i] = True
+            took += 1
+            if took == cap:
+                break
+        if took < cap:
+            raise BuildError(
+                f"cannot place {cap} words on next-chapter value {v} "
+                f"(exclusion level {levels[v]})"
+            )
+    return layout
 
 
 def _eager_assignable(kvals, levels, k, o):
@@ -63,14 +149,14 @@ def eager_from_alphabet(dist, k, o, alphabet, block_n=4096, source_id=None):
     while True:
         for lvl in set(levels):
             if lvl not in grown:
-                grown[lvl] = D.grow_chapter(coding, lvl, 1 << k)
+                grown[lvl] = oracle_grow_chapter(coding, lvl, 1 << k)
         if all(_eager_assignable(grown[lvl].kvals, levels, k, o) for lvl in set(levels)):
             break
         top = max(levels)
         levels[max(i for i, v in enumerate(levels) if v == top)] = top - 1
     in_use = sorted(set(levels))
     word_sets = tuple(D.link_word_lists(in_use, [
-        [grown[lvl].words[i] for i in D.assign_codewords(grown[lvl], levels, k, o)]
+        [grown[lvl].words[i] for i in oracle_assign_codewords(grown[lvl], levels, k, o)]
         for lvl in in_use
     ]))
     dct = MarlinDictionary(
@@ -242,3 +328,53 @@ def test_plain_shift_bound_can_be_exceeded():
     top = max(eta for _, eta in candidates)
     assert top > shift_efficiency_bound(dist, 2, thresholds=(0.0,))
     assert top <= shift_efficiency_bound(dist, 2) + 1e-12
+
+
+# Coding vectors with exact ties: dyadic values multiply exactly, so equal
+# products reached in different orders tie bit for bit, and repeated values
+# tie outright; a zero tail leaves ranks that no word may extend by.
+TIE_VALUES = (0.5, 0.25, 0.125, 0.0625, 0.03125, 0.3, 0.2, 0.1, 0.05)
+
+
+@st.composite
+def _growths(draw):
+    nq = draw(st.integers(2, 24))
+    coding = np.array(sorted(
+        draw(st.lists(st.sampled_from(TIE_VALUES), min_size=nq, max_size=nq)), reverse=True
+    ))
+    coding[nq - draw(st.integers(0, nq - 1)):] = 0.0
+    k = draw(st.integers(1, 9))
+    o = draw(st.integers(0, k))
+    level = draw(st.integers(0, nq - 1))
+    # levels as the builder starts them, or drawn freely
+    levels = draw(st.one_of(
+        st.just([min(c, nq - 1) for c in range(1 << o)]),
+        st.lists(st.integers(0, min(nq - 1, 3)), min_size=1 << o, max_size=1 << o),
+    ))
+    return coding, level, k, o, levels, draw(st.booleans())
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except BuildError as exc:
+        return str(exc)
+
+
+# 400 draws take about 3 s
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(_growths())
+def test_grow_and_assign_match_scalar_copies(draw):
+    coding, level, k, o, levels, demote = draw
+    got = _outcome(D.grow_chapter, coding, level, 1 << k)
+    want = _outcome(oracle_grow_chapter, coding, level, 1 << k)
+    assert got == want  # every Growth field, or the same error message
+    if not isinstance(want, Growth):
+        return
+    # demoted as the eager builder demotes, the levels fit this set; as
+    # drawn, they may not
+    while demote and not _eager_assignable(want.kvals, levels, k, o):
+        top = max(levels)
+        levels[max(i for i, v in enumerate(levels) if v == top)] = top - 1
+    assert _outcome(D.assign_codewords, got, levels, k, o) == _outcome(
+        oracle_assign_codewords, want, levels, k, o)

@@ -1,18 +1,26 @@
 """Differential test: the parse chain built from word-set arrays against a tuple-driven build.
 
 ``OracleChain`` is the earlier constructor of ``_ParseChain`` kept as the
-reference: it reads each word set as tuples and finds every word's tail
-probability through a dict keyed by its prefix.  The library's chain must
-give exactly the same states, transition matrix and expected parse lengths,
-so the ABR a built dictionary stores does not move by a bit.
+reference: it reads each word set as tuples, finds every word's tail
+probability through a dict keyed by its prefix, sums the weights with
+``np.add.at`` and fills the transition matrix state by state.  The
+library's chain must give exactly the same states, transition matrix and
+expected parse lengths, so the ABR a built dictionary stores does not move
+by a bit.  On random built dictionaries, a set file holding each one must
+also load and save back to the same bytes.
 """
 
 import numpy as np
+from hypothesis import HealthCheck, assume, example, given, settings
+from hypothesis import strategies as st
 
-from ricemarlin import MarlinDictionary, load_dictset, save_dictset
+from ricemarlin import DictionarySet, MarlinDictionary, load_dictset, save_dictset
 from ricemarlin.dictionary import _ParseChain
+from ricemarlin.errors import BuildError, EntropyTargetError
+from ricemarlin.source import FAMILIES
 
 from conftest import words_of
+from test_walk_oracle import EDGE_DRAWS, THRESHOLDS, _built, _geometries
 
 
 def _word_tails(words, coding):
@@ -111,3 +119,35 @@ def test_chain_matches_oracle_on_long_words(long_word_set):
 
 def test_chain_matches_oracle_on_worked_example(worked_dictionary):
     assert_same_chain(worked_dictionary)
+
+
+def _with_edge_draws(test):
+    for ko, family, fraction, shift, threshold in EDGE_DRAWS:
+        test = example(ko=ko, family=family, fraction=fraction, shift=shift,
+                       threshold=threshold)(test)
+    return test
+
+
+# The walk oracle's random built dictionaries, K <= 11 and O <= 4: 300
+# examples take about 4 s.  Dictionaries that code no quotients have no
+# chain but still go through the set file.
+@settings(max_examples=300, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+@_with_edge_draws
+@given(
+    ko=_geometries(),
+    family=st.sampled_from(FAMILIES),
+    fraction=st.floats(0.02, 0.98),
+    shift=st.integers(0, 7),
+    threshold=st.sampled_from(THRESHOLDS),
+)
+def test_chain_and_set_file_match_on_random_dictionaries(ko, family, fraction, shift, threshold):
+    try:
+        dct = _built(ko, family, fraction, shift, threshold)
+    except (BuildError, EntropyTargetError):
+        dct = None
+    assume(dct is not None)
+    if not dct.empty_quotient:
+        assert_same_chain(dct)
+    data = save_dictset(DictionarySet([dct]))
+    assert save_dictset(load_dictset(data)) == data

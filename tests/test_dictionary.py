@@ -1,7 +1,11 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from conftest import A, B, C, D, chapter_words, excluded, select, skewed_distribution
+from conftest import (
+    A, B, C, D, chapter_words, excluded, select, skewed_distribution, unsafe_copy,
+)
 from ricemarlin import (
     BuildError,
     EncoderMatrix,
@@ -13,6 +17,7 @@ from ricemarlin import (
     build_dictionary_set,
     efficiency,
     make_distribution,
+    save_dictset,
     shift_efficiency_bound,
 )
 import ricemarlin.dictionary as rd
@@ -259,6 +264,13 @@ def test_emission_probs_sum_to_one_and_match_definition(worked_dictionary, abcd_
             assert emit[i] == pytest.approx(expected, abs=1e-12)
 
 
+def test_chain_of_an_unsafe_dictionary_names_the_word_set(worked_dictionary, abcd_dist):
+    # "aaaa", without children, feeds chapter 1 at level 1: the chain has no
+    # state for where it leads
+    with pytest.raises(BuildError, match="unsafe word set 0: .* feeds chapter 1$"):
+        efficiency(unsafe_copy(worked_dictionary), abcd_dist)
+
+
 # ---------------------------------------------------------------------------
 # ABR estimate and efficiency
 
@@ -409,6 +421,22 @@ def test_build_set_counts_grid_points():
     grid = [("laplacian", round(0.05 * i, 2)) for i in range(1, 20)]
     dset = build_dictionary_set({"grid": grid, "k": 8, "o": 2, "block_n": 4096})
     assert len(dset) == 19
+
+
+def test_five_source_set_bytes_are_pinned():
+    """The set the benchmark's dictset-build workload builds, pinned by sha256.
+
+    Its dictionaries sit at shifts 0, 1, 2 and 5.  The digest was taken on
+    x86-64 Linux with numpy 2.4; a change to the builder that keeps its
+    output must keep it.
+    """
+    grid = [("laplacian", 0.2), ("laplacian", 0.45), ("laplacian", 0.6),
+            ("laplacian", 0.9), ("poisson", 0.3)]
+    dset = build_dictionary_set({"grid": grid, "k": 8, "o": 4, "block_n": 4096})
+    assert sorted({dct.shift for dct in dset.dictionaries}) == [0, 1, 2, 5]
+    assert hashlib.sha256(save_dictset(dset)).hexdigest() == (
+        "19d9e9e8c752ab93a3f02b6d31da00f2f10a3d00b866f03b1b6f9f2eca2f1375"
+    )
 
 
 def test_default_set_config_quality():
