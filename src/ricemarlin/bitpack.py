@@ -74,6 +74,12 @@ def _unpack_wide(buf: bytes, width: int, count: int) -> np.ndarray:
     return (windows[starts >> 3] >> drop) & np.uint32((1 << width) - 1)
 
 
+# field i of a group of 8 is shifted left by (7 - i) * s, for s in 1..7
+_FIELD_WEIGHTS = {
+    s: np.uint64(1) << np.arange(7 * s, -1, -s, dtype=np.uint64) for s in range(1, 8)
+}
+
+
 def pack_low_bits(message: np.ndarray, s: int) -> bytes:
     """Reminder field: the low ``s`` bits of every byte, MSB-first.
 
@@ -90,7 +96,7 @@ def pack_low_bits(message: np.ndarray, s: int) -> bytes:
     n = len(msg)
     fields = np.zeros(-(-n // 8) * 8, dtype=np.uint64)
     fields[:n] = msg & ((1 << s) - 1)
-    words = fields.reshape(-1, 8) @ (np.uint64(1) << np.arange(7 * s, -1, -s, dtype=np.uint64))
+    words = fields.reshape(-1, 8) @ _FIELD_WEIGHTS[s]
     rows = words.astype(">u8").view(np.uint8).reshape(-1, 8)
     return rows[:, 8 - s :].tobytes()[: (n * s + 7) // 8]
 

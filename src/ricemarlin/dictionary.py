@@ -83,6 +83,18 @@ class QuotientAlphabet:
         lut.setflags(write=False)
         return lut
 
+    @cached_property
+    def rank_table(self) -> bytes:
+        """``bytes.translate`` table of ``rank_lut``: byte value -> quotient
+        rank, escaped bytes -> 0, the placeholder rank they are parsed as."""
+        return np.maximum(self.rank_lut, 0).astype(np.uint8).tobytes()
+
+    @cached_property
+    def represented(self) -> bytes:
+        """Byte values whose quotient is represented, ascending: deleting them
+        with ``bytes.translate`` leaves a message's escaped bytes in order."""
+        return np.flatnonzero(self.rank_lut >= 0).astype(np.uint8).tobytes()
+
 
 def split_alphabet(dist: SymbolDistribution, shift: int, threshold: float) -> QuotientAlphabet:
     """Split bytes into quotient/reminder and drop quotients below ``threshold``."""
@@ -455,11 +467,15 @@ class MarlinDictionary:
         levels = [min(c, nq - 1) for c in range(1 << o)]
         grown: dict[int, Growth] = {}
         sorted_kvals: dict[int, list[int]] = {}
+        # a demotion only lowers levels, which adds room below every level
+        # and adds no level a set fitting before could fail at, so a set that
+        # fits keeps fitting
+        fits: set[int] = set()
 
         def stuck() -> int | None:
             """The first word set that does not fit, and its failing level:
             the higher of the two, or None when every set fits."""
-            for lvl in sorted(set(levels)):
+            for lvl in sorted(set(levels) - fits):
                 # a word set is grown only once the check reaches its level
                 if lvl not in grown:
                     grown[lvl] = grow_chapter(coding, lvl, 1 << k)
@@ -467,6 +483,7 @@ class MarlinDictionary:
                 failing = _hall_violation(sorted_kvals[lvl], levels, k, o)
                 if failing is not None:
                     return max(lvl, failing)
+                fits.add(lvl)
             return None
 
         while (floor := stuck()) is not None:

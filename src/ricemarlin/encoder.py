@@ -4,7 +4,8 @@ Stage 1 walks the prefix tree, as a graph of (word set, offset) nodes, over
 the quotient stream (escaped quotients already substituted by the
 placeholder), several ranks per step, and emits K-bit codeword units.
 Stage 2 records each escaped symbol as a location/value pair.  Stage 3 packs
-the S low bits of every original byte.
+the S low bits of every original byte.  The quotient stream and the escaped
+symbols both come from ``bytes.translate`` with the alphabet's tables.
 """
 
 from __future__ import annotations
@@ -133,9 +134,11 @@ class EncoderMatrix:
         while nq > 1 and classes * nq ** (m + 1) <= STEP_TABLE_CAP:
             m += 1
         self.m = m
-        # keys below 256 travel as one bytes object, whose items are cached ints
+        # keys below 256 travel as one bytes object, whose items are cached
+        # ints; uint8 weights then give them exactly, from uint8 ranks
         self.byte_keys = nq**m <= 1 << 8
-        self._key_weights = nq ** np.arange(m - 1, -1, -1, dtype=np.intp)
+        weights = nq ** np.arange(m - 1, -1, -1, dtype=np.intp)
+        self._key_weights = weights.astype(np.uint8) if self.byte_keys else weights
         tab = self.class_nxt
         for _ in range(m - 1):
             tab = self.class_nxt[tab].reshape(classes, -1)
@@ -146,10 +149,11 @@ class EncoderMatrix:
 
         Python steps ``m`` ranks at a time through ``rows``; numpy fills in
         the classes between those anchors and then recovers the node of each
-        emitted word.  Raises ``CorruptBlockError`` when the ranks are
+        emitted word.  The encoder's uint8 ranks are walked without
+        widening.  Raises ``CorruptBlockError`` when the ranks are
         inadmissible from ``chapter`` (a state is the trap).
         """
-        ranks = np.asarray(ranks, dtype=np.intp)
+        ranks = np.asarray(ranks)
         n = len(ranks)
         if n == 0:
             return np.zeros(0, dtype=np.int64)
@@ -159,7 +163,7 @@ class EncoderMatrix:
         rest = ranks[1:]
         body = (n - 1) // m * m
         keys = rest[:body].reshape(-1, m) @ self._key_weights
-        keys = keys.astype(np.uint8).tobytes() if self.byte_keys else keys.tolist()
+        keys = keys.astype(np.uint8, copy=False).tobytes() if self.byte_keys else keys.tolist()
         states = np.empty(n, dtype=self._dtype)
         states[0] = state
         rows = self.rows
@@ -200,21 +204,27 @@ def pack_reminders(message: bytes, s: int) -> bytes:
 
 
 def encode_block(dct: MarlinDictionary, message: bytes, dict_index: int = 0) -> CompressedBlock:
-    """Encode one block with ``dct.matrix``; falls back to a raw block when
-    escapes overflow the one-byte counter or compression would not save a byte."""
+    """Encode one block (``bytes`` or ``bytearray``) with ``dct.matrix``; falls
+    back to a raw block when escapes overflow the one-byte counter or
+    compression would not save a byte."""
     n = len(message)
     if n == 0:
         return CompressedBlock(dict_index=RAW_INDEX, n=0, raw=b"")
-    msg = np.frombuffer(message, dtype=np.uint8)
-    rank = dct.alphabet.rank_lut[msg]
-    esc_pos = np.nonzero(rank < 0)[0]
-    if len(esc_pos) > 255:
+    alphabet = dct.alphabet
+    escaped = message.translate(None, alphabet.represented)
+    if len(escaped) > 255:
         return CompressedBlock(dict_index=RAW_INDEX, n=n, raw=message)
-    escapes = [(int(i), int(message[i])) for i in esc_pos.tolist()]
+    # every occurrence of an escaped byte is an escape, so each one's
+    # location is the next occurrence of its byte after the one before
+    escapes, at = [], -1
+    for symbol in escaped:
+        at = message.find(symbol, at + 1)
+        escapes.append((at, symbol))
     if dct.empty_quotient:
         stream = b""
     else:
-        codewords = dct.matrix.walk(np.where(rank < 0, 0, rank))
+        ranks = np.frombuffer(message.translate(alphabet.rank_table), dtype=np.uint8)
+        codewords = dct.matrix.walk(ranks)
         stream = pack_units(codewords & (dct.words_per_chapter - 1), dct.k)
     reminders = pack_reminders(message, dct.shift)
     block = CompressedBlock(

@@ -2,6 +2,8 @@ from itertools import pairwise, product
 
 import numpy as np
 import pytest
+from hypothesis import example
+from hypothesis import strategies as st
 
 from ricemarlin import (
     DictionarySet,
@@ -13,7 +15,7 @@ from ricemarlin import (
     build_dictionary_set,
     make_distribution,
 )
-from ricemarlin.dictionary import link_word_lists, split_alphabet
+from ricemarlin.dictionary import MAX_CODE_BITS, link_word_lists, split_alphabet
 
 # Four-symbol alphabet used across the worked-example tests: bytes 0..3
 # stand in for a..d, most probable first.
@@ -161,7 +163,52 @@ def long_word_set():
 
 
 @pytest.fixture(scope="session")
+def default_set():
+    """The documented default set: 58 dictionaries at K=8, O=4."""
+    return build_dictionary_set()
+
+
+@pytest.fixture(scope="session")
 def grid_set(grid_distributions):
     return build_dictionary_set(
         {"grid": list(grid_distributions), "k": 8, "o": 4, "block_n": 4096}
     )
+
+
+# Random built dictionaries, drawn by the oracle properties.  K stays at or
+# below 11 and O at or below 4 so the scalar oracles' per-codeword Python
+# builds stay cheap; every such pair is a valid geometry.  hypothesis seeds
+# derandomized draws from the test body's source, so a property body that
+# renames ``_built`` draws different examples.
+THRESHOLDS = (0.0,) + tuple(2.0**-j for j in range(4, 17, 2))
+# (K, O), family, fraction, shift, threshold: m = 14 at nq = 2, m = 7 at
+# nq = 4, and 257 and 269 classes, just past the byte-wide rows
+EDGE_DRAWS = (
+    ((3, 1), "laplacian", 0.1, 2, 2**-8),
+    ((4, 0), "laplacian", 0.1, 6, 0.0),
+    ((8, 2), "laplacian", 0.5, 2, 2**-5),
+    ((8, 1), "laplacian", 0.6, 5, 2**-8),
+)
+
+
+@st.composite
+def _geometries(draw):
+    k = draw(st.integers(1, 11))
+    return k, draw(st.integers(0, min(k, 4, MAX_CODE_BITS - k)))
+
+
+def _built(ko, family, fraction, shift, threshold):
+    dist = make_distribution(SyntheticFamily(family, fraction))
+    return MarlinDictionary.build(dist, k=ko[0], o=ko[1], shift=shift, threshold=threshold)
+
+
+def _with_edge_draws(**fixed):
+    """Adds every ``EDGE_DRAWS`` entry as an explicit example of a property
+    over (ko, family, fraction, shift, threshold), with its other arguments
+    set to ``fixed``."""
+    def add(test):
+        for ko, family, fraction, shift, threshold in EDGE_DRAWS:
+            test = example(ko=ko, family=family, fraction=fraction, shift=shift,
+                           threshold=threshold, **fixed)(test)
+        return test
+    return add

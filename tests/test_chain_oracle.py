@@ -11,7 +11,7 @@ also load and save back to the same bytes.
 """
 
 import numpy as np
-from hypothesis import HealthCheck, assume, example, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from ricemarlin import DictionarySet, MarlinDictionary, load_dictset, save_dictset
@@ -19,8 +19,7 @@ from ricemarlin.dictionary import _ParseChain
 from ricemarlin.errors import BuildError, EntropyTargetError
 from ricemarlin.source import FAMILIES
 
-from conftest import words_of
-from test_walk_oracle import EDGE_DRAWS, THRESHOLDS, _built, _geometries
+from conftest import THRESHOLDS, _built, _geometries, _with_edge_draws, words_of
 
 
 def _word_tails(words, coding):
@@ -121,19 +120,12 @@ def test_chain_matches_oracle_on_worked_example(worked_dictionary):
     assert_same_chain(worked_dictionary)
 
 
-def _with_edge_draws(test):
-    for ko, family, fraction, shift, threshold in EDGE_DRAWS:
-        test = example(ko=ko, family=family, fraction=fraction, shift=shift,
-                       threshold=threshold)(test)
-    return test
-
-
 # The walk oracle's random built dictionaries, K <= 11 and O <= 4: 300
 # examples take about 4 s.  Dictionaries that code no quotients have no
 # chain but still go through the set file.
 @settings(max_examples=300, derandomize=True, database=None, deadline=None,
           suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
-@_with_edge_draws
+@_with_edge_draws()
 @given(
     ko=_geometries(),
     family=st.sampled_from(FAMILIES),

@@ -439,13 +439,13 @@ def test_five_source_set_bytes_are_pinned():
     )
 
 
-def test_default_set_config_quality():
+def test_default_set_config_quality(default_set):
     from ricemarlin import default_set_config, load_dictset, save_dictset
     from ricemarlin.source import SyntheticFamily as SF
 
     cfg = default_set_config()
     assert len(cfg["grid"]) == 58  # 49 laplacian + 9 poisson fractions
-    dset = build_dictionary_set(cfg)
+    dset = default_set  # build_dictionary_set() builds the default config
     assert len(dset) == 58
     for (family, fraction), dct in zip(cfg["grid"], dset.dictionaries):
         if not 0.15 <= fraction <= 0.95:
