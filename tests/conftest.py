@@ -177,9 +177,9 @@ def grid_set(grid_distributions):
 
 # Random built dictionaries, drawn by the oracle properties.  K stays at or
 # below 11 and O at or below 4 so the scalar oracles' per-codeword Python
-# builds stay cheap; every such pair is a valid geometry.  hypothesis seeds
-# derandomized draws from the test body's source, so a property body that
-# renames ``_built`` draws different examples.
+# builds stay cheap; every such pair is a valid geometry.  Each property
+# pins its draws with ``hypothesis.seed(2018)``: derandomized draws would be
+# seeded from the test body's source, so any edit to a body would swap them.
 THRESHOLDS = (0.0,) + tuple(2.0**-j for j in range(4, 17, 2))
 # (K, O), family, fraction, shift, threshold: m = 14 at nq = 2, m = 7 at
 # nq = 4, and 257 and 269 classes, just past the byte-wide rows

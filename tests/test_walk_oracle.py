@@ -10,6 +10,7 @@ from array import array
 
 import numpy as np
 import pytest
+import hypothesis
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
@@ -321,8 +322,9 @@ def test_edge_draws_reach_long_steps_and_wide_rows():
 
 
 # Random built dictionaries against the scalar walk: the oracle's
-# per-codeword Python build makes 300 examples take 16-22 s (pytest
+# per-codeword Python build makes 300 examples take about 13 s (pytest
 # --durations on a shared 2-vCPU host).
+@hypothesis.seed(2018)
 @settings(max_examples=300, derandomize=True, database=None, deadline=None,
           suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
 @_with_edge_draws(seed=0)
