@@ -12,6 +12,7 @@ from .dictionary import (
     DictionarySet,
     MarlinDictionary,
     _eta,
+    _validate_ko,
     best_dictionary_for,
     shift_efficiency_bound,
 )
@@ -80,9 +81,17 @@ def synthetic_study(
     """Predicted and measured efficiency per (family, fraction, size, shift).
 
     ``sizes`` are dictionary word counts (powers of two); each maps to
-    K = log2(size) with the given overlap.  Unreachable entropy targets and
+    K = log2(size) with the given overlap.  An invalid (K, O) raises
+    ``BuildError`` before any build; unreachable entropy targets and
     unbuildable candidates are skipped.
     """
+    ks = []
+    for size in sizes:
+        k = int(size).bit_length() - 1
+        _validate_ko(k, o)
+        if 1 << k != size:
+            raise ValueError(f"dictionary size {size} is not a power of two")
+        ks.append(k)
     rows = []
     for family in families:
         for fraction in fractions:
@@ -91,10 +100,7 @@ def synthetic_study(
             except EntropyTargetError:
                 continue
             sample = dist.sample(sample_bytes, seed=seed)
-            for size in sizes:
-                k = int(size).bit_length() - 1
-                if 1 << k != size:
-                    raise ValueError(f"dictionary size {size} is not a power of two")
+            for size, k in zip(sizes, ks):
                 for shift in shifts:
                     try:
                         dct = best_dictionary_for(dist, k, o, block_n=block_n, shifts=(shift,))
@@ -160,6 +166,21 @@ class BenchReport:
             f"encode {self.encode_mib_s:.2f} MiB/s  "
             f"decode {self.decode_mib_s:.2f} MiB/s"
         )
+
+    def to_csv(self) -> str:
+        """A header line and one row of the report."""
+        buf = io.StringIO()
+        w = csv.writer(buf, lineterminator="\n")
+        w.writerow(
+            ["original_bytes", "compressed_bytes", "ratio", "encode_mib_s", "decode_mib_s"]
+        )
+        w.writerow(
+            [
+                self.original_bytes, self.compressed_bytes, f"{self.ratio:.6f}",
+                f"{self.encode_mib_s:.3f}", f"{self.decode_mib_s:.3f}",
+            ]
+        )
+        return buf.getvalue()
 
 
 def speed_bench(

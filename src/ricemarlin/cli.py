@@ -148,7 +148,7 @@ def _cmd_bench_speed(args) -> int:
     report = speed_bench(corpus, dset, args.block_size, runs=args.runs)
     print(report.summary())
     if args.csv:
-        Path(args.csv).write_text(report.summary() + "\n")
+        Path(args.csv).write_text(report.to_csv())
     return EXIT_OK
 
 

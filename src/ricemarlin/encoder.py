@@ -78,6 +78,14 @@ class EncoderMatrix:
     classes, else an ``array`` of 16- or 32-bit entries.  When
     ``nq**m <= 256`` (``byte_keys``) the keys are one ``bytes`` object too,
     whose items are Python's cached small ints.
+
+    A cell ``r * stride + c`` is the transition on rank ``r`` out of class
+    ``c``.  Start class ``n_classes + j`` stands before a walk from chapter
+    ``j``: its rank ``r`` reaches the single-symbol word ``(r,)`` there.
+    Flush rank ``nq`` ends the last word.  Per cell, ``cell_next`` is the
+    class reached, ``cell_ends`` whether the word before the transition ends
+    (the node reached starts a word) and ``cell_units`` the K-bit unit of the
+    node reached, which every node of a class gives.
     """
 
     def __init__(self, dct: MarlinDictionary):
@@ -105,7 +113,7 @@ class EncoderMatrix:
         nxt = np.where(emit, self.single[feeds], child)
         self.nxt = np.vstack([nxt, np.full((1, nq), nn, dtype=np.int32)])
         # emitting moves to a single-symbol word and extending never does, so
-        # the walk reads emissions off the states with a 1-D gather
+        # a transition ends a word exactly when the node it reaches starts one
         self.starts_word = np.zeros(nn + 1, dtype=bool)
         self.starts_word[self.single[self.single < nn]] = True
 
@@ -117,7 +125,8 @@ class EncoderMatrix:
         _, self.rep, self.node_class = np.unique(keys, return_index=True, return_inverse=True)
         self.n_classes = classes = len(self.rep)
         # the walk's anchors come back from the rows as a list of small ints,
-        # which bytearray() and array("I") convert fastest
+        # which bytearray() and array("I") convert fastest, and np.asarray
+        # views either
         if classes <= 1 << 8:
             self._dtype, self._pack, store = np.uint8, bytearray, bytes
         else:
@@ -125,10 +134,14 @@ class EncoderMatrix:
             self._pack, store = partial(array, "I"), partial(array, np.dtype(self._dtype).char)
         self.class_nxt = self.node_class[self.nxt[self.rep]].astype(self._dtype)
         self.class_starts = self.starts_word[self.rep]
-        # flat offsets into class_nxt and, for the walk's node recovery, into
-        # nxt at each class's representative
-        self._class_base = np.arange(classes) * nq
-        self._rep_base = self.rep * nq
+        # the cell tables, rank-major: the start classes follow the real
+        # ones, and the flush rank follows the real ranks
+        self.stride = classes + dct.n_chapters
+        reached = np.vstack([self.nxt[self.rep], self.single[chapter_sets]]).T
+        self.cell_next = self.node_class[reached].astype(self._dtype).ravel()
+        self.cell_ends = np.append(self.starts_word[reached], np.ones(self.stride, bool))
+        units = reached & (dct.words_per_chapter - 1)
+        self.cell_units = units.astype(np.min_scalar_type(dct.words_per_chapter - 1)).ravel()
 
         m = 1
         while nq > 1 and classes * nq ** (m + 1) <= STEP_TABLE_CAP:
@@ -145,55 +158,49 @@ class EncoderMatrix:
         self.rows = [store(row.tobytes()) for row in tab]
 
     def walk(self, ranks, chapter: int = 0) -> np.ndarray:
-        """Longest-match parse; returns emitted codewords including the flush.
+        """Longest-match parse; returns the K-bit unit of every emitted word,
+        the flush included.
 
-        Python steps ``m`` ranks at a time through ``rows``; numpy fills in
-        the classes between those anchors and then recovers the node of each
-        emitted word.  The encoder's uint8 ranks are walked without
-        widening.  Raises ``CorruptBlockError`` when the ranks are
-        inadmissible from ``chapter`` (a state is the trap).
+        Cell ``p`` is the transition into position ``p``, from the start
+        class at ``p = 0``, and cell ``n`` is the flush.  Python steps ``m``
+        ranks at a time through ``rows``; numpy fills in the cells between
+        those anchors, one column per phase of the step, and reads the word
+        ends and the units off the cell tables.  The encoder's uint8 ranks
+        are walked without widening.  Raises ``CorruptBlockError`` when the
+        ranks are inadmissible from ``chapter`` (the walk reaches the trap).
         """
         ranks = np.asarray(ranks)
         n = len(ranks)
         if n == 0:
-            return np.zeros(0, dtype=np.int64)
-        m, class_nxt, base = self.m, self.class_nxt, self._class_base
-        first = int(self.single[self.dct.chapter_sets[chapter], ranks[0]])
-        state = int(self.node_class[first])
-        rest = ranks[1:]
-        body = (n - 1) // m * m
-        keys = rest[:body].reshape(-1, m) @ self._key_weights
+            return self.cell_units[:0]
+        if not 0 <= chapter < self.dct.n_chapters:
+            raise ValueError(f"chapter {chapter} is not in [0, {self.dct.n_chapters})")
+        m, cell_next = self.m, self.cell_next
+        cell = np.empty(n + 1, dtype=np.intp)
+        np.multiply(ranks, self.stride, out=cell[:n], dtype=np.intp)
+        cell[n] = len(cell_next)  # the flush rank's block
+        cell[0] += self.n_classes + chapter
+        state = int(cell_next[cell[0]])
+        steps = (n - 1) // m
+        body = steps * m
+        keys = ranks[1 : body + 1].reshape(-1, m) @ self._key_weights
         keys = keys.astype(np.uint8, copy=False).tobytes() if self.byte_keys else keys.tolist()
-        states = np.empty(n, dtype=self._dtype)
-        states[0] = state
         rows = self.rows
-        anchors = [state := rows[state][key] for key in keys]
-        states[m : body + 1 : m] = self._pack(anchors)
-        # 1-D takes at flat offsets class * nq + rank beat 2-D subscripts
+        heads = self._pack([state, *[state := rows[state][key] for key in keys]])
+        # the anchors are the classes at positions 0, m, ..., body, and each
+        # phase's classes come from the cells of the phase before
+        cell[1 : body + 2 : m] += np.asarray(heads)
         for t in range(1, m):
-            at = base.take(states[t - 1 : body : m]) + rest[t - 1 : body : m]
-            states[t:body:m] = class_nxt.take(at)
-        for p in range(body + 1, n):
-            states[p] = class_nxt[states[p - 1], rest[p - 1]]
-        if states[-1] == self.n_classes - 1:  # the trap absorbs, so any trap reaches the end
+            cell[t + 1 : body + 1 : m] += cell_next.take(cell[t:body:m])
+        for p in range(body + 2, n + 1):
+            state = int(cell_next[cell[p - 1]])
+            cell[p] += state
+        if state == self.n_classes - 1:  # the trap absorbs, so any trap reaches the end
             raise CorruptBlockError("encoder walk reached a trap transition")
-        # a word ends where the next state starts a word, and at the flush
-        ends = self.class_starts[states]
-        ends[:-1] = ends[1:]
-        ends[-1] = True
-        # the node at p >= 1 is one full-graph step from any node of the
-        # class at p - 1, since a class's nodes share their rows
-        lead, before = int(ends[0]), np.flatnonzero(ends[1:])
-        units = np.empty(lead + len(before), dtype=np.intp)
-        units[0] = first
-        units[lead:] = self.nxt.take(self._rep_base.take(states.take(before)) + rest.take(before))
-        units &= self.dct.words_per_chapter - 1
-        codewords = np.empty_like(units)
-        codewords[0] = chapter
-        codewords[1:] = units[:-1] & (self.dct.n_chapters - 1)
-        codewords <<= self.dct.k
-        codewords |= units
-        return codewords
+        # the word at p ends where cell p + 1 reaches a word start, and at
+        # the flush; its unit is that of the node cell p reaches
+        ends = self.cell_ends.take(cell[1:])
+        return self.cell_units.take(cell.take(ends.nonzero()[0]))
 
 
 def pack_reminders(message: bytes, s: int) -> bytes:
@@ -224,8 +231,7 @@ def encode_block(dct: MarlinDictionary, message: bytes, dict_index: int = 0) -> 
         stream = b""
     else:
         ranks = np.frombuffer(message.translate(alphabet.rank_table), dtype=np.uint8)
-        codewords = dct.matrix.walk(ranks)
-        stream = pack_units(codewords & (dct.words_per_chapter - 1), dct.k)
+        stream = pack_units(dct.matrix.walk(ranks), dct.k)
     reminders = pack_reminders(message, dct.shift)
     block = CompressedBlock(
         dict_index=dict_index,

@@ -78,6 +78,19 @@ def chapter_words(dct: MarlinDictionary, c: int) -> list[tuple[int, ...]]:
     return words_of(dct.word_sets[dct.chapter_sets[c]])
 
 
+def codewords(dct: MarlinDictionary, units, chapter: int = 0) -> np.ndarray:
+    """The full codewords, ``chapter << K | unit``, of a walk's units.
+
+    A word's chapter is the low O bits of the unit before it; the first
+    word's is ``chapter``, the chapter the walk started from.
+    """
+    units = np.asarray(units, dtype=np.int64)
+    chapters = np.empty_like(units)
+    chapters[:1] = chapter
+    chapters[1:] = units[:-1] & (dct.n_chapters - 1)
+    return chapters << dct.k | units
+
+
 def from_tables_copy(dct: MarlinDictionary) -> MarlinDictionary:
     """``dct`` re-assembled by ``from_tables``: one word set per chapter."""
     values = dct.alphabet.values

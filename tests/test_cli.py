@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -245,6 +247,36 @@ def test_bench_synthetic_csv(tmp_path, set_path):
     lines = csv_path.read_text().strip().splitlines()
     assert lines[0].startswith("family,")
     assert len(lines) == 3
+
+
+@pytest.mark.parametrize("sizes, o, got", [("16", "5", "K=4, O=5"), ("0", "0", "K=-1, O=0")])
+def test_bench_synthetic_rejects_invalid_geometry(tmp_path, capsys, sizes, o, got):
+    # checked before any build: no rows, no header, exit 1 with the geometry
+    out = tmp_path / "rows.csv"
+    rc = main(["bench-synthetic", "--families", "laplacian", "--fractions", "0.5",
+               "--sizes", sizes, "--o", o, "--shifts", "0", "--csv", str(out)])
+    assert rc == EXIT_FAILURE
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: need 1 <= K") and got in captured.err
+    assert captured.out == "" and not out.exists()
+
+
+def test_bench_speed_csv(tmp_path, set_path):
+    corpus = tmp_path / "corpus.bin"
+    corpus.write_bytes(make_distribution(SyntheticFamily("laplacian", 0.5)).sample(1 << 16, seed=2))
+    out = tmp_path / "speed.csv"
+    rc = main(["bench-speed", str(corpus), "--set", str(set_path), "--runs", "1",
+               "--csv", str(out)])
+    assert rc == EXIT_OK
+    with out.open(newline="") as f:
+        (row,) = csv.DictReader(f)
+    assert list(row) == [
+        "original_bytes", "compressed_bytes", "ratio", "encode_mib_s", "decode_mib_s"]
+    assert int(row["original_bytes"]) == 1 << 16
+    size = int(row["compressed_bytes"])
+    assert 0 < size < 1 << 16
+    assert float(row["ratio"]) == pytest.approx((1 << 16) / size, abs=1e-6)
+    assert float(row["encode_mib_s"]) > 0 and float(row["decode_mib_s"]) > 0
 
 
 def test_bench_speed_smoke(tmp_path, set_path, capsys):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import (
-    A, B, C, D, chapter_words, excluded, select, skewed_distribution, unsafe_copy,
+    A, B, C, D, chapter_words, codewords, excluded, select, skewed_distribution,
+    unsafe_copy,
 )
 from ricemarlin import (
     BuildError,
@@ -236,7 +237,7 @@ def test_stationary_matches_monte_carlo_toy(abcd_dist):
     matrix = EncoderMatrix(dct)
     msg = abcd_dist.sample(10**7, seed=42)
     ranks = dct.alphabet.rank_lut[np.frombuffer(msg, np.uint8)].tolist()
-    cws = np.asarray(matrix.walk(ranks))
+    cws = codewords(dct, matrix.walk(ranks))
     mc_pi = np.bincount(cws >> dct.k, minlength=dct.n_chapters) / len(cws)
     mc_lbar = len(ranks) / len(cws)
     assert np.abs(dct.chapter_stationary(abcd_dist) - mc_pi).max() < 1e-3

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import A, B, C, D, chapter_words
+from conftest import A, B, C, D, chapter_words, codewords
 from ricemarlin import (
     EncoderMatrix,
     MarlinDictionary,
@@ -54,17 +54,15 @@ def test_matrix_chain_dictionary_emits_every_max_length():
     m = EncoderMatrix(dct)
     max_len = dct.max_word_len
     assert max_len == (1 << 3) - len(dct.alphabet) + 1
-    codewords = m.walk([0] * (3 * max_len))
-    assert len(codewords) == 3
+    assert len(m.walk([0] * (3 * max_len))) == 3
 
 
 def test_walk_worked_example_bitstream(worked_dictionary):
     dct = worked_dictionary
     m = EncoderMatrix(dct)
-    codewords = m.walk([A, A, A, B, A, C]).tolist()
-    assert codewords == [0b0101, 0b1001, 0b1101]
-    units = [cw & 0b111 for cw in codewords]
-    assert units == [0b101, 0b001, 0b101]
+    units = m.walk([A, A, A, B, A, C])
+    assert units.tolist() == [0b101, 0b001, 0b101]
+    assert codewords(dct, units).tolist() == [0b0101, 0b1001, 0b1101]
 
 
 def test_encode_block_worked_example(worked_dictionary):
@@ -161,8 +159,7 @@ def test_emitted_units_count_matches_parse(worked_dictionary):
     for _ in range(50):
         n = int(rng.integers(1, 64))
         ranks = rng.integers(0, 4, n).tolist()
-        codewords = m.walk(ranks)
-        stream = len(codewords) * 3  # K bits per emitted word
+        stream = len(m.walk(ranks)) * 3  # K bits per emitted word
         block = encode_block(dct, bytes(ranks))
         if not block.is_raw:
             assert len(block.quotient_stream) == (stream + 7) // 8
@@ -192,9 +189,23 @@ def test_per_chapter_walks_start_anywhere(worked_dictionary):
         for _ in range(200):
             n = int(rng.integers(1, 32))
             seq = rng.integers(lvl, 4, 1).tolist() + rng.integers(0, 4, n).tolist()
-            codewords = m.walk(seq, chapter=c)
+            words = codewords(dct, m.walk(seq, chapter=c), c)
             total = sum(
                 len(chapter_words(dct, cw >> dct.k)[cw & (dct.words_per_chapter - 1)])
-                for cw in codewords.tolist()
+                for cw in words.tolist()
             )
             assert total == len(seq)
+
+
+def test_units_wider_than_16_bits_round_trip():
+    # K = 17 at O = 0: one word set, m = 1 over about 92 000 classes, and
+    # units that need 32-bit cell tables and the wide unit packer
+    dist = make_distribution(SyntheticFamily("laplacian", 0.3))
+    dct = MarlinDictionary.build(dist, k=17, o=0, shift=5, threshold=0.0)
+    m = EncoderMatrix(dct)
+    assert m.m == 1 and m.cell_units.dtype == np.uint32
+    msg = dist.sample(20_000, seed=17)
+    block = encode_block(dct, msg)
+    assert not block.is_raw and decode_block(dct, block) == msg
+    units = m.walk(np.frombuffer(msg.translate(dct.alphabet.rank_table), dtype=np.uint8))
+    assert units.max() > 1 << 16

@@ -125,6 +125,23 @@ def _same(got: np.ndarray, want: np.ndarray) -> bool:
     return got.dtype == want.dtype and got.shape == want.shape and np.array_equal(got, want)
 
 
+def assert_same_cells(got: EncoderMatrix, want: OracleMatrix, dct: MarlinDictionary) -> None:
+    """The cell tables, one cell at a time: rank-major over the classes and
+    then one start class per chapter, and a flush rank that ends every word."""
+    nq, classes = len(dct.alphabet), want.n_classes
+    reached = [
+        int(want.nxt[want.rep[c], r]) if c < classes
+        else int(want.single[dct.chapter_sets[c - classes], r])
+        for r in range(nq) for c in range(classes + dct.n_chapters)
+    ]
+    assert got.stride == classes + dct.n_chapters
+    assert got.cell_next.dtype == want.class_nxt.dtype
+    assert got.cell_next.tolist() == [int(want.node_class[v]) for v in reached]
+    assert got.cell_ends.tolist() == [bool(want.starts_word[v]) for v in reached] + [True] * got.stride
+    assert got.cell_units.dtype.itemsize == (1 if dct.k <= 8 else 2 if dct.k <= 16 else 4)
+    assert got.cell_units.tolist() == [v % dct.words_per_chapter for v in reached]
+
+
 def assert_same_tables(dct: MarlinDictionary) -> None:
     got, want = EncoderMatrix(dct), OracleMatrix(dct)
     assert got.nn == want.nn and got.n_classes == want.n_classes and got.m == want.m
@@ -135,6 +152,7 @@ def assert_same_tables(dct: MarlinDictionary) -> None:
     for a, b in zip(got.rows, want.rows):
         assert type(a) is type(b) and a == b
         assert isinstance(a, bytes) or a.typecode == b.typecode
+    assert_same_cells(got, want, dct)
     got, want = DecoderTable(dct), OracleTable(dct)
     assert got.max_word_len == want.max_word_len
     assert _same(got.words, want.words) and _same(got.lengths, want.lengths)

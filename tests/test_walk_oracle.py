@@ -2,8 +2,10 @@
 
 ``OracleMatrix`` is the earlier encoder kept as the reference: a 2**(K+O)
 row cell matrix and a loop that consumes one rank per Python step.  The
-stepped walk must emit exactly the codewords it emits, from every chapter,
-for every stream length, and must raise where its checked loop raises.
+stepped walk emits K-bit units; with each word's chapter read off the unit
+before it, they must be exactly the codewords the oracle emits, from every
+chapter, for every stream length, and the walk must raise where the
+oracle's checked loop raises.
 """
 
 from array import array
@@ -27,8 +29,8 @@ from ricemarlin.source import FAMILIES, point_mass
 
 from conftest import (
     A, B, C, EDGE_DRAWS, THRESHOLDS, _built, _geometries, _with_edge_draws,
-    abcd_distribution, binary_word_sets, chapter_words, from_tables_copy, unsafe_copy,
-    words_of,
+    abcd_distribution, binary_word_sets, chapter_words, codewords, from_tables_copy,
+    unsafe_copy, words_of,
 )
 
 TRAP = -2  # cell for transitions the safety invariant makes unreachable
@@ -133,8 +135,9 @@ def _assert_same_walks(dct, seed, chapters=None):
     for chapter in range(dct.n_chapters) if chapters is None else chapters:
         for n in LENGTHS:
             ranks = _stream(rng, dct, chapter, n, skewed=(n + chapter) % 2 == 0)
-            codewords = got.walk(np.asarray(ranks), chapter=chapter)
-            assert codewords.tolist() == want.walk(ranks, check=True, chapter=chapter)
+            units = got.walk(np.asarray(ranks), chapter=chapter)
+            assert codewords(dct, units, chapter).tolist() == want.walk(
+                ranks, check=True, chapter=chapter)
     return got
 
 
@@ -281,6 +284,12 @@ def test_walk_of_nothing_is_empty(worked_dictionary):
     assert EncoderMatrix(worked_dictionary).walk([]).tolist() == []
 
 
+def test_walk_from_a_chapter_out_of_range_raises(worked_dictionary):
+    for chapter in (-1, worked_dictionary.n_chapters):
+        with pytest.raises(ValueError, match="chapter"):
+            EncoderMatrix(worked_dictionary).walk([A], chapter=chapter)
+
+
 def test_inadmissible_start_raises(worked_dictionary, grid_set):
     dct = worked_dictionary
     assert dct.levels[1] == 1
@@ -311,7 +320,8 @@ def test_trap_mid_stream_raises(worked_dictionary):
             with pytest.raises(CorruptBlockError):
                 got.walk(np.asarray(ranks))
     # streams that never emit "aaaa" into chapter 1 still match the oracle
-    assert got.walk([A, A, B, A, C]).tolist() == want.walk([A, A, B, A, C], check=True)
+    units = got.walk([A, A, B, A, C])
+    assert codewords(dct, units).tolist() == want.walk([A, A, B, A, C], check=True)
 
 
 def test_edge_draws_reach_long_steps_and_wide_rows():
@@ -348,7 +358,8 @@ def test_walk_matches_oracle_on_random_dictionaries(ko, family, fraction, shift,
     for chapter in sorted({0, top}):
         for n in sorted({1, got.m, got.m + 1, (1 << dct.k) - 1, (1 << dct.k) + 1}):
             ranks = _stream(rng, dct, chapter, n, skewed=True)
-            assert got.walk(np.asarray(ranks), chapter=chapter).tolist() == want.walk(
+            units = got.walk(np.asarray(ranks), chapter=chapter)
+            assert codewords(dct, units, chapter).tolist() == want.walk(
                 ranks, check=True, chapter=chapter)
     _entry_width(got)
     if dct.levels[top] > 0:  # rank 0 is inadmissible there: both walks raise
