@@ -70,11 +70,11 @@ class EncoderMatrix:
     the same word set and agree on ``starts_word`` merge into one class;
     every other node, the trap included, is a class of its own.
     ``node_class[node]`` is a node's class and ``rep[c]`` one node of class
-    ``c``; ``class_nxt`` and ``class_starts`` are ``nxt`` and
-    ``starts_word`` over classes, exact because a class's nodes share their
-    rows.  ``rows[c][key]`` is the class after the ``m`` ranks from class
-    ``c`` whose mixed-radix value is ``key`` (``r1 * nq**(m-1) + ...``), so a
-    walk step is two subscripts.  A row is a ``bytes`` object for at most 256
+    ``c``; ``class_nxt`` is ``nxt`` over classes, exact because a class's
+    nodes share their rows.  ``rows[c][key]`` is the class after the ``m``
+    ranks from class ``c`` whose mixed-radix value is ``key``
+    (``r1 * nq**(m-1) + ...``), so a walk step is two subscripts.  A row is
+    a ``bytes`` object for at most 256
     classes, else an ``array`` of 16- or 32-bit entries.  When
     ``nq**m <= 256`` (``byte_keys``) the keys are one ``bytes`` object too,
     whose items are Python's cached small ints.
@@ -133,7 +133,6 @@ class EncoderMatrix:
             self._dtype = np.uint16 if classes <= 1 << 16 else np.uint32
             self._pack, store = partial(array, "I"), partial(array, np.dtype(self._dtype).char)
         self.class_nxt = self.node_class[self.nxt[self.rep]].astype(self._dtype)
-        self.class_starts = self.starts_word[self.rep]
         # the cell tables, rank-major: the start classes follow the real
         # ones, and the flush rank follows the real ranks
         self.stride = classes + dct.n_chapters

@@ -89,7 +89,6 @@ class OracleMatrix:
             [[node_class[v] for v in self.nxt[first[c]].tolist()] for c in range(classes)],
             dtype=dtype,
         )
-        self.class_starts = np.array([starts[first[c]] for c in range(classes)], dtype=bool)
         m = 1
         while nq > 1 and classes * nq ** (m + 1) <= STEP_TABLE_CAP:
             m += 1
@@ -145,7 +144,7 @@ def assert_same_cells(got: EncoderMatrix, want: OracleMatrix, dct: MarlinDiction
 def assert_same_tables(dct: MarlinDictionary) -> None:
     got, want = EncoderMatrix(dct), OracleMatrix(dct)
     assert got.nn == want.nn and got.n_classes == want.n_classes and got.m == want.m
-    names = ("nxt", "single", "starts_word", "node_class", "rep", "class_nxt", "class_starts")
+    names = ("nxt", "single", "starts_word", "node_class", "rep", "class_nxt")
     for name in names:
         assert _same(getattr(got, name), getattr(want, name)), name
     assert got.byte_keys == want.byte_keys and len(got.rows) == len(want.rows)

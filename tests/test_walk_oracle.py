@@ -231,7 +231,6 @@ def assert_classes_share_rows(m, dct):
     assert np.array_equal(m.nxt, m.nxt[m.rep][c])
     assert np.array_equal(m.starts_word, m.starts_word[m.rep][c])
     assert np.array_equal(m.class_nxt, c[m.nxt[m.rep]])
-    assert np.array_equal(m.class_starts, m.starts_word[m.rep])
     sizes = np.bincount(c)
     kvals = np.concatenate([lw.kvals for lw in dct.word_sets])
     assert (kvals[sizes[c[:-1]] > 1] == 0).all()
