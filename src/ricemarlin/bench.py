@@ -85,13 +85,11 @@ def synthetic_study(
     ``BuildError`` before any build; unreachable entropy targets and
     unbuildable candidates are skipped.
     """
-    ks = []
-    for size in sizes:
-        k = int(size).bit_length() - 1
+    ks = [int(size).bit_length() - 1 for size in sizes]
+    for size, k in zip(sizes, ks):
         _validate_ko(k, o)
         if 1 << k != size:
             raise ValueError(f"dictionary size {size} is not a power of two")
-        ks.append(k)
     rows = []
     for family in families:
         for fraction in fractions:
@@ -169,18 +167,11 @@ class BenchReport:
 
     def to_csv(self) -> str:
         """A header line and one row of the report."""
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(
-            ["original_bytes", "compressed_bytes", "ratio", "encode_mib_s", "decode_mib_s"]
+        return (
+            "original_bytes,compressed_bytes,ratio,encode_mib_s,decode_mib_s\n"
+            f"{self.original_bytes},{self.compressed_bytes},{self.ratio:.6f},"
+            f"{self.encode_mib_s:.3f},{self.decode_mib_s:.3f}\n"
         )
-        w.writerow(
-            [
-                self.original_bytes, self.compressed_bytes, f"{self.ratio:.6f}",
-                f"{self.encode_mib_s:.3f}", f"{self.decode_mib_s:.3f}",
-            ]
-        )
-        return buf.getvalue()
 
 
 def speed_bench(

@@ -13,9 +13,9 @@ time, and a layout that scans every word for every slot value.
 import heapq
 from bisect import bisect_left
 
+import hypothesis
 import numpy as np
 import pytest
-import hypothesis
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

@@ -10,8 +10,8 @@ by a bit.  On random built dictionaries, a set file holding each one must
 also load and save back to the same bytes.
 """
 
-import numpy as np
 import hypothesis
+import numpy as np
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 

@@ -8,8 +8,8 @@ The library must give the same block for every message, from the same two
 alphabet tables on every dictionary, and the block must decode back.
 """
 
-import numpy as np
 import hypothesis
+import numpy as np
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
@@ -24,8 +24,8 @@ from ricemarlin.errors import BuildError, EntropyTargetError
 from ricemarlin.source import FAMILIES, point_mass
 
 from conftest import (
-    THRESHOLDS, _built, _geometries, _with_edge_draws, binary_word_sets, codewords,
-    excluded, skewed_distribution,
+    THRESHOLDS, _built, _geometries, _with_edge_draws, binary_word_sets, excluded,
+    skewed_distribution,
 )
 
 
@@ -42,8 +42,7 @@ def oracle_encode_block(dct: MarlinDictionary, message: bytes, dict_index: int =
     if dct.empty_quotient:
         stream = b""
     else:
-        words = codewords(dct, dct.matrix.walk(np.where(rank < 0, 0, rank)))
-        stream = pack_units(words & (dct.words_per_chapter - 1), dct.k)
+        stream = pack_units(dct.matrix.walk(np.where(rank < 0, 0, rank)), dct.k)
     block = CompressedBlock(
         dict_index=dict_index, n=n, quotient_stream=stream, escapes=escapes,
         reminders=pack_reminders(message, dct.shift),

@@ -10,9 +10,9 @@ oracle's checked loop raises.
 
 from array import array
 
+import hypothesis
 import numpy as np
 import pytest
-import hypothesis
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
