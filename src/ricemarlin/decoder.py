@@ -27,8 +27,8 @@ class DecoderTable:
     """
 
     def __init__(self, dct: MarlinDictionary):
-        self.dct = dct
-        self.max_word_len = width = dct.max_word_len
+        self.k = k = dct.k
+        width = dct.max_word_len
         values = np.asarray(dct.alphabet.values, dtype=np.uint8)
         # chapters that share a word set share their words at every offset, so
         # one (2^K, width) block per set, gathered in chapter order, is the table
@@ -42,7 +42,7 @@ class DecoderTable:
         self.lengths = lengths[chapter_sets].reshape(dct.n_codewords)
         offset = np.int32 if dct.n_codewords * width < 1 << 31 else np.intp
         self.ends = (np.arange(dct.n_codewords) * width + self.lengths).astype(offset)
-        self.window = (np.arange(1 << dct.k) & (dct.n_chapters - 1)) << dct.k
+        self.window = (np.arange(1 << k) & (dct.n_chapters - 1)) << k
 
 
 def decode_quotients(table: DecoderTable, stream: bytes, n: int) -> np.ndarray:
@@ -56,7 +56,7 @@ def decode_quotients(table: DecoderTable, stream: bytes, n: int) -> np.ndarray:
         if stream:
             raise CorruptBlockError("quotient section present for an empty block")
         return np.zeros(0, dtype=np.uint8)
-    k = table.dct.k
+    k = table.k
     avail = (len(stream) * 8) // k
     if avail == 0:
         raise CorruptBlockError("quotient stream exhausted before any symbol")

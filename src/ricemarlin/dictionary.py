@@ -411,7 +411,7 @@ class MarlinDictionary:
 
     @cached_property
     def matrix(self) -> EncoderMatrix:
-        """The encoder's node graph, compiled on first use."""
+        """The encoder's step rows and cell tables, compiled on first use."""
         from .encoder import EncoderMatrix
 
         return EncoderMatrix(self)

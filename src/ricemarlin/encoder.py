@@ -52,29 +52,22 @@ class CompressedBlock:
 
 
 class EncoderMatrix:
-    """Prefix tree as a node graph, walked ``m`` ranks per Python step over
-    its leaf-merged class graph.
+    """Prefix tree compiled to per-class step rows and cell tables, walked
+    ``m`` ranks per Python step.
 
-    Chapters that share a word set also share its codeword layout, so a
-    walk state is a node ``ki * 2**K + offset``: word set ``ki`` (an index
-    into ``dct.word_sets``) at a K-bit codeword offset.
-    ``nxt[node, r]`` is the node after rank ``r``: the child word when ``r``
-    extends the node's word, else (the word is emitted) the single-symbol
-    word ``(r,)`` of chapter ``offset & omask``.  ``starts_word[node]`` is
-    true for single-symbol words, so a transition emits exactly when it
-    lands on one.  Inadmissible transitions lead to the absorbing trap node
-    ``nn``.
+    The node graph they come from exists only while they are compiled.  A
+    node is ``ki * 2**K + offset``: word set ``ki`` (an index into
+    ``dct.word_sets``, whose chapters share its codeword layout) at a K-bit
+    offset.  Rank ``r`` leads to the child word when it extends the node's
+    word, else (the word is emitted) to the single-symbol word ``(r,)`` of
+    chapter ``offset & omask``; inadmissible ranks lead to an absorbing trap.
+    Leaves (words without children) emit on every rank, so those that feed
+    the same word set and agree on starting a word merge into one class;
+    every other node is a class of its own, the trap last.
 
-    A leaf word (no children) emits on every rank, so its ``nxt`` row is the
-    ``single`` row of the word set its next chapter uses.  Leaves that feed
-    the same word set and agree on ``starts_word`` merge into one class;
-    every other node, the trap included, is a class of its own.
-    ``node_class[node]`` is a node's class and ``rep[c]`` one node of class
-    ``c``; ``class_nxt`` is ``nxt`` over classes, exact because a class's
-    nodes share their rows.  ``rows[c][key]`` is the class after the ``m``
-    ranks from class ``c`` whose mixed-radix value is ``key``
-    (``r1 * nq**(m-1) + ...``), so a walk step is two subscripts.  A row is
-    a ``bytes`` object for at most 256
+    ``rows[c][key]`` is the class after the ``m`` ranks from class ``c``
+    whose mixed-radix value is ``key`` (``r1 * nq**(m-1) + ...``), so a walk
+    step is two subscripts.  A row is a ``bytes`` object for at most 256
     classes, else an ``array`` of 16- or 32-bit entries.  When
     ``nq**m <= 256`` (``byte_keys``) the keys are one ``bytes`` object too,
     whose items are Python's cached small ints.
@@ -89,10 +82,8 @@ class EncoderMatrix:
     """
 
     def __init__(self, dct: MarlinDictionary):
-        self.dct = dct
-        k, nq = dct.k, len(dct.alphabet)
-        sets = dct.word_sets
-        self.nn = nn = len(sets) << k
+        k, nq, sets = dct.k, len(dct.alphabet), dct.word_sets
+        nn = len(sets) << k
         # node ki * 2**K + i is word i of set ki; its parent and last rank
         # give the one edge into it
         words = np.arange(nn)
@@ -103,42 +94,41 @@ class EncoderMatrix:
         linked = parents >= 0
         child = np.full((nn, nq), nn, dtype=np.int32)
         child[parents[linked] + (words[linked] >> k << k), last[linked]] = words[linked]
-        single = lengths == 1
-        self.single = np.full((len(sets), nq), nn, dtype=np.int32)
-        self.single[words[single] >> k, last[single]] = words[single]
+        is_single = lengths == 1
+        single = np.full((len(sets), nq), nn, dtype=np.int32)
+        single[words[is_single] >> k, last[is_single]] = words[is_single]
         offsets = words & (dct.words_per_chapter - 1)
         emit = np.arange(nq) >= kvals[:, None]
         chapter_sets = np.array(dct.chapter_sets, dtype=np.intp)
         feeds = chapter_sets[offsets & (dct.n_chapters - 1)]
-        nxt = np.where(emit, self.single[feeds], child)
-        self.nxt = np.vstack([nxt, np.full((1, nq), nn, dtype=np.int32)])
+        nxt = np.vstack([np.where(emit, single[feeds], child), np.full((1, nq), nn, np.int32)])
         # emitting moves to a single-symbol word and extending never does, so
         # a transition ends a word exactly when the node it reaches starts one
-        self.starts_word = np.zeros(nn + 1, dtype=bool)
-        self.starts_word[self.single[self.single < nn]] = True
+        starts_word = np.zeros(nn + 1, dtype=bool)
+        starts_word[single[single < nn]] = True
 
         # a leaf's class key is (fed set, starts_word); the others, the trap
         # last, get keys past every leaf key
         keys = np.arange(nn + 1) + 2 * len(sets)
         leaf = np.flatnonzero(kvals == 0)
-        keys[leaf] = 2 * feeds[leaf] + self.starts_word[leaf]
-        _, self.rep, self.node_class = np.unique(keys, return_index=True, return_inverse=True)
-        self.n_classes = classes = len(self.rep)
+        keys[leaf] = 2 * feeds[leaf] + starts_word[leaf]
+        _, rep, node_class = np.unique(keys, return_index=True, return_inverse=True)
+        self.n_classes = classes = len(rep)
         # the walk's anchors come back from the rows as a list of small ints,
         # which bytearray() and array("I") convert fastest, and np.asarray
         # views either
         if classes <= 1 << 8:
-            self._dtype, self._pack, store = np.uint8, bytearray, bytes
+            dtype, self._pack, store = np.uint8, bytearray, bytes
         else:
-            self._dtype = np.uint16 if classes <= 1 << 16 else np.uint32
-            self._pack, store = partial(array, "I"), partial(array, np.dtype(self._dtype).char)
-        self.class_nxt = self.node_class[self.nxt[self.rep]].astype(self._dtype)
+            dtype = np.uint16 if classes <= 1 << 16 else np.uint32
+            self._pack, store = partial(array, "I"), partial(array, np.dtype(dtype).char)
         # the cell tables, rank-major: the start classes follow the real
         # ones, and the flush rank follows the real ranks
+        self.n_chapters = dct.n_chapters
         self.stride = classes + dct.n_chapters
-        reached = np.vstack([self.nxt[self.rep], self.single[chapter_sets]]).T
-        self.cell_next = self.node_class[reached].astype(self._dtype).ravel()
-        self.cell_ends = np.append(self.starts_word[reached], np.ones(self.stride, bool))
+        reached = np.vstack([nxt[rep], single[chapter_sets]]).T
+        self.cell_next = node_class[reached].astype(dtype).ravel()
+        self.cell_ends = np.append(starts_word[reached], np.ones(self.stride, bool))
         units = reached & (dct.words_per_chapter - 1)
         self.cell_units = units.astype(np.min_scalar_type(dct.words_per_chapter - 1)).ravel()
 
@@ -151,9 +141,11 @@ class EncoderMatrix:
         self.byte_keys = nq**m <= 1 << 8
         weights = nq ** np.arange(m - 1, -1, -1, dtype=np.intp)
         self._key_weights = weights.astype(np.uint8) if self.byte_keys else weights
-        tab = self.class_nxt
+        # the class graph, row c the class after each rank from class c
+        class_nxt = self.cell_next.reshape(nq, self.stride)[:, :classes].T.copy()
+        tab = class_nxt
         for _ in range(m - 1):
-            tab = self.class_nxt[tab].reshape(classes, -1)
+            tab = class_nxt[tab].reshape(classes, -1)
         self.rows = [store(row.tobytes()) for row in tab]
 
     def walk(self, ranks, chapter: int = 0) -> np.ndarray:
@@ -165,15 +157,21 @@ class EncoderMatrix:
         ranks at a time through ``rows``; numpy fills in the cells between
         those anchors, one column per phase of the step, and reads the word
         ends and the units off the cell tables.  The encoder's uint8 ranks
-        are walked without widening.  Raises ``CorruptBlockError`` when the
-        ranks are inadmissible from ``chapter`` (the walk reaches the trap).
+        are walked without widening.  Raises ``ValueError`` for a rank
+        outside ``[0, nq)`` and ``CorruptBlockError`` when the ranks are
+        inadmissible from ``chapter`` (the walk reaches the trap).
         """
         ranks = np.asarray(ranks)
         n = len(ranks)
         if n == 0:
             return self.cell_units[:0]
-        if not 0 <= chapter < self.dct.n_chapters:
-            raise ValueError(f"chapter {chapter} is not in [0, {self.dct.n_chapters})")
+        if not 0 <= chapter < self.n_chapters:
+            raise ValueError(f"chapter {chapter} is not in [0, {self.n_chapters})")
+        nq = len(self.cell_next) // self.stride
+        low = 0 if ranks.dtype.kind == "u" else int(ranks.min())
+        bad = low if low < 0 else int(ranks.max())
+        if not 0 <= bad < nq:
+            raise ValueError(f"rank {bad} is not in [0, {nq})")
         m, cell_next = self.m, self.cell_next
         cell = np.empty(n + 1, dtype=np.intp)
         np.multiply(ranks, self.stride, out=cell[:n], dtype=np.intp)

@@ -489,6 +489,8 @@ def compress_bytes(
     header implies."""
     if not 1 <= block_size <= 0xFFFFFFFF:
         raise ValueError("block size must be in [1, 2^32 - 1]")
+    if flags & FLAG_IMAGE and width * height != len(data):
+        raise ValueError(f"image {width}x{height} needs {width * height} bytes, got {len(data)}")
     header = ContainerHeader(
         k=dset.k, o=dset.o, block_size=block_size, total_size=len(data),
         flags=flags, width=width, height=height, digest=dset.digest,

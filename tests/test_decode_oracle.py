@@ -133,7 +133,7 @@ def test_unpack_low_bits_matches_oracle(s):
 
 def _assert_same_table(dct):
     got, want = DecoderTable(dct), OracleTable(dct)
-    assert got.max_word_len == want.max_word_len
+    assert got.words.shape[1] == want.max_word_len
     assert got.words.dtype == want.words.dtype and got.words.shape == want.words.shape
     assert np.array_equal(got.words, want.words)
     assert got.lengths.dtype == want.lengths.dtype

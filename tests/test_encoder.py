@@ -14,6 +14,7 @@ from ricemarlin import (
 from ricemarlin.dictionary import RAW_INDEX
 from ricemarlin.decoder import decode_block
 from ricemarlin.source import point_mass
+from test_table_oracle import OracleMatrix as GraphOracle
 
 
 def cw_of(dct, chapter, word_values):
@@ -25,27 +26,38 @@ def cw_of(dct, chapter, word_values):
 # encoder matrix against the worked dictionary
 
 
-def node_of(m, dct, chapter, word_values):
+def node_of(dct, chapter, word_values):
     cw = cw_of(dct, chapter, word_values)
     return dct.chapter_sets[chapter] * dct.words_per_chapter + (cw & (dct.words_per_chapter - 1))
 
 
+def step(dct, node, rank):
+    """The oracle's node after ``rank`` and whether it starts a word; the
+    compiled cell of that transition must agree."""
+    g, m = GraphOracle(dct), EncoderMatrix(dct)
+    nxt = int(g.nxt[node, rank])
+    cell = rank * m.stride + g.node_class[node]
+    assert m.cell_next[cell] == g.node_class[nxt] and m.cell_ends[cell] == g.starts_word[nxt]
+    assert m.cell_units[cell] == nxt & (dct.words_per_chapter - 1)
+    return nxt, bool(g.starts_word[nxt])
+
+
 def test_matrix_extends_within_chapter(worked_dictionary):
     dct = worked_dictionary
-    m = EncoderMatrix(dct)
-    node_aa = node_of(m, dct, 0, (A, A))  # 0011
-    assert not m.starts_word[m.nxt[node_aa, A]]  # no emit
-    assert m.nxt[node_aa, A] == node_of(m, dct, 0, (A, A, A))  # go to "aaa"
+    node_aa = node_of(dct, 0, (A, A))  # 0011
+    nxt, emits = step(dct, node_aa, A)
+    assert not emits  # no emit
+    assert nxt == node_of(dct, 0, (A, A, A))  # go to "aaa"
 
 
 def test_matrix_emits_on_mismatch(worked_dictionary):
     dct = worked_dictionary
-    m = EncoderMatrix(dct)
-    node_aa = node_of(m, dct, 0, (A, A))
-    assert m.starts_word[m.nxt[node_aa, B]]  # emit the current codeword (0011)
+    node_aa = node_of(dct, 0, (A, A))
+    nxt, emits = step(dct, node_aa, B)
+    assert emits  # emit the current codeword (0011)
     # "aa" has an odd codeword, so the next chapter is 1: its word "b"
     assert node_aa & 1 == 1
-    assert m.nxt[node_aa, B] == node_of(m, dct, 1, (B,))  # 1111
+    assert nxt == node_of(dct, 1, (B,))  # 1111
 
 
 def test_matrix_chain_dictionary_emits_every_max_length():

@@ -170,7 +170,9 @@ def test_dictset_roundtrip_reproduces_tables(tiny_set):
         assert np.array_equal(ta.words, tb.words)
         assert np.array_equal(ta.lengths, tb.lengths)
         ma, mb = EncoderMatrix(a), EncoderMatrix(b)
-        assert np.array_equal(ma.nxt, mb.nxt) and ma.rows == mb.rows
+        assert ma.rows == mb.rows
+        for name in ("cell_next", "cell_ends", "cell_units"):
+            assert np.array_equal(getattr(ma, name), getattr(mb, name)), name
     # byte-identical re-serialization
     assert save_dictset(loaded) == data
 
@@ -925,6 +927,15 @@ def test_container_rejects_image_size_mismatch(tiny_set):
     )
     with pytest.raises(CorruptBlockError, match="geometry 64x64 implies 4096"):
         decompress_bytes(comp, tiny_set)
+
+
+def test_compress_rejects_image_of_another_size(tiny_set):
+    # decompress_bytes rejects a container whose image and size disagree
+    with pytest.raises(ValueError, match="image 10x10 needs 100 bytes, got 50"):
+        compress_bytes(bytes(50), tiny_set, flags=FLAG_IMAGE, width=10, height=10)
+    data = make_distribution(SyntheticFamily("laplacian", 0.5)).sample(100, seed=3)
+    comp = compress_bytes(data, tiny_set, flags=FLAG_IMAGE, width=10, height=10)
+    assert decompress_bytes(comp, tiny_set) == data
 
 
 @pytest.mark.parametrize("n_blocks", [2, 4, 2**32 - 1])

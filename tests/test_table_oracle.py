@@ -9,6 +9,8 @@ theirs array for array, for built, loaded and ``from_tables`` sets.
 repeat flag the same way, for hostile word sets too.
 """
 
+import gc
+import weakref
 from array import array
 from itertools import chain
 
@@ -141,19 +143,21 @@ def assert_same_cells(got: EncoderMatrix, want: OracleMatrix, dct: MarlinDiction
     assert got.cell_units.tolist() == [v % dct.words_per_chapter for v in reached]
 
 
-def assert_same_tables(dct: MarlinDictionary) -> None:
-    got, want = EncoderMatrix(dct), OracleMatrix(dct)
-    assert got.nn == want.nn and got.n_classes == want.n_classes and got.m == want.m
-    names = ("nxt", "single", "starts_word", "node_class", "rep", "class_nxt")
-    for name in names:
-        assert _same(getattr(got, name), getattr(want, name)), name
+def assert_same_matrix(got: EncoderMatrix, want: OracleMatrix, dct: MarlinDictionary) -> None:
+    """Everything the walk reads: the step rows, type and typecode included,
+    and the cell tables."""
+    assert got.n_classes == want.n_classes and got.m == want.m
     assert got.byte_keys == want.byte_keys and len(got.rows) == len(want.rows)
     for a, b in zip(got.rows, want.rows):
         assert type(a) is type(b) and a == b
         assert isinstance(a, bytes) or a.typecode == b.typecode
     assert_same_cells(got, want, dct)
+
+
+def assert_same_tables(dct: MarlinDictionary) -> None:
+    assert_same_matrix(EncoderMatrix(dct), OracleMatrix(dct), dct)
     got, want = DecoderTable(dct), OracleTable(dct)
-    assert got.max_word_len == want.max_word_len
+    assert got.k == dct.k
     assert _same(got.words, want.words) and _same(got.lengths, want.lengths)
     # the gather tables, one codeword and one unit at a time
     width, omask = want.max_word_len, dct.n_chapters - 1
@@ -187,6 +191,27 @@ def test_tables_match_oracle_on_from_tables_dictionaries(worked_dictionary):
     for dct in (worked_dictionary, from_tables_copy(built)):
         assert len(dct.word_sets) == dct.n_chapters
         assert_same_tables(dct)
+
+
+def test_compiled_tables_keep_only_what_coding_reads(worked_dictionary):
+    dct = from_tables_copy(worked_dictionary)
+    assert set(vars(EncoderMatrix(dct))) == {
+        "rows", "cell_next", "cell_ends", "cell_units", "stride", "n_classes", "m",
+        "byte_keys", "_key_weights", "_pack", "n_chapters"}
+    assert set(vars(DecoderTable(dct))) == {"k", "words", "lengths", "ends", "window"}
+
+
+def test_compiled_tables_do_not_keep_their_dictionary_alive(worked_dictionary):
+    dct = from_tables_copy(worked_dictionary)
+    refs = [weakref.ref(dct.matrix), weakref.ref(dct.table)]
+    enabled = gc.isenabled()
+    gc.disable()  # only reference counting may free them
+    try:
+        del dct
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _assert_links(sets) -> int:

@@ -1,4 +1,4 @@
-"""Differential tests: the stepped node-graph walk against the scalar walk.
+"""Differential tests: the stepped class walk against the scalar walk.
 
 ``OracleMatrix`` is the earlier encoder kept as the reference: a 2**(K+O)
 row cell matrix and a loop that consumes one rank per Python step.  The
@@ -32,6 +32,7 @@ from conftest import (
     abcd_distribution, binary_word_sets, chapter_words, codewords, from_tables_copy,
     unsafe_copy, words_of,
 )
+from test_table_oracle import OracleMatrix as GraphOracle, assert_same_cells, assert_same_matrix
 
 TRAP = -2  # cell for transitions the safety invariant makes unreachable
 LENGTHS = tuple(range(1, 65)) + (4095, 4096, 4097)
@@ -208,15 +209,15 @@ def test_walk_matches_oracle_at_every_table_width(long_word_set):
 
 
 def test_walk_matches_oracle_on_worked_dictionary(worked_dictionary):
-    m = _assert_same_walks(worked_dictionary, seed=100)
-    assert m.nn == worked_dictionary.n_codewords  # one word set per chapter
+    _assert_same_walks(worked_dictionary, seed=100)
+    # one word set per chapter
+    assert GraphOracle(worked_dictionary).nn == worked_dictionary.n_codewords
 
 
 @pytest.mark.parametrize("name", sorted(EXTRA))
 def test_walk_matches_oracle_on_extra_dictionaries(name):
     dct = EXTRA[name]()
     m = _assert_same_walks(dct, seed=len(name))
-    assert m.nn == len(dct.word_sets) << dct.k
     if name.startswith("from-tables"):
         assert len(dct.word_sets) == dct.n_chapters
     assert _entry_width(m) == (2 if name in ("k10-o2", "from-tables-k12-o4") else 1)
@@ -224,17 +225,21 @@ def test_walk_matches_oracle_on_extra_dictionaries(name):
 
 
 def assert_classes_share_rows(m, dct):
-    """Every node's ``nxt`` row and ``starts_word`` are its class's; only
-    leaves share a class, and the trap is the last class, alone."""
-    c = m.node_class
-    assert np.array_equal(c[m.rep], np.arange(m.n_classes))
-    assert np.array_equal(m.nxt, m.nxt[m.rep][c])
-    assert np.array_equal(m.starts_word, m.starts_word[m.rep][c])
-    assert np.array_equal(m.class_nxt, c[m.nxt[m.rep]])
+    """In the oracle's node graph, every node's ``nxt`` row and
+    ``starts_word`` are its class's; only leaves share a class, and the trap
+    is the last class, alone.  The compiled cells are made from that graph."""
+    g = GraphOracle(dct)
+    c = g.node_class
+    assert np.array_equal(c[g.rep], np.arange(g.n_classes))
+    assert np.array_equal(g.nxt, g.nxt[g.rep][c])
+    assert np.array_equal(g.starts_word, g.starts_word[g.rep][c])
+    assert np.array_equal(g.class_nxt, c[g.nxt[g.rep]])
     sizes = np.bincount(c)
     kvals = np.concatenate([lw.kvals for lw in dct.word_sets])
     assert (kvals[sizes[c[:-1]] > 1] == 0).all()
-    assert c[m.nn] == m.n_classes - 1 and sizes[-1] == 1
+    assert c[g.nn] == g.n_classes - 1 and sizes[-1] == 1
+    assert_same_cells(m, g, dct)
+    return g
 
 
 def test_classes_share_rows(grid_set, long_word_set, worked_dictionary):
@@ -242,28 +247,28 @@ def test_classes_share_rows(grid_set, long_word_set, worked_dictionary):
     dicts += [d for d in grid_set.dictionaries + long_word_set.dictionaries if not d.empty_quotient]
     merged = 0
     for dct in dicts:
-        m = EncoderMatrix(dct)
-        assert_classes_share_rows(m, dct)
-        merged += m.n_classes < m.nn + 1
+        g = assert_classes_share_rows(EncoderMatrix(dct), dct)
+        merged += g.n_classes < g.nn + 1
     assert merged == len(dicts)
 
 
 def test_step_rows_are_per_class(grid_set):
     dct = grid_set[3]
-    m = EncoderMatrix(dct)
+    m, g = EncoderMatrix(dct), GraphOracle(dct)
     classes, nq = m.n_classes, len(dct.alphabet)
     assert classes * nq**m.m <= (1 << 18) < classes * nq ** (m.m + 1)
     assert len(m.rows) == classes and _entry_width(m) == 1
     assert all(len(row) == nq**m.m for row in m.rows)
     rng = np.random.default_rng(7)
     for _ in range(200):
-        # m steps of the full graph land in the class the node's class row names
-        node = int(rng.integers(m.nn + 1))
+        # m steps of the oracle's node graph land in the class the node's
+        # class row names
+        node = int(rng.integers(g.nn + 1))
         ranks = rng.integers(0, nq, m.m).tolist()
         key, want = 0, node
         for r in ranks:
-            key, want = key * nq + r, int(m.nxt[want, r])
-        assert m.rows[m.node_class[node]][key] == m.node_class[want]
+            key, want = key * nq + r, int(g.nxt[want, r])
+        assert m.rows[g.node_class[node]][key] == g.node_class[want]
 
 
 def test_byte_keys_exactly_when_every_key_fits_a_byte(grid_set, long_word_set):
@@ -287,6 +292,17 @@ def test_walk_from_a_chapter_out_of_range_raises(worked_dictionary):
     for chapter in (-1, worked_dictionary.n_chapters):
         with pytest.raises(ValueError, match="chapter"):
             EncoderMatrix(worked_dictionary).walk([A], chapter=chapter)
+
+
+def test_walk_rejects_ranks_out_of_range(worked_dictionary):
+    # rank nq is the cell tables' flush rank, never a quotient's
+    m, nq = EncoderMatrix(worked_dictionary), len(worked_dictionary.alphabet)
+    for bad in (nq, nq + 3, -1):
+        ranks = [A] * 9
+        ranks[4] = bad
+        for given in (ranks, np.array(ranks, dtype=np.int8 if bad < 0 else np.uint8)):
+            with pytest.raises(ValueError, match=f"rank {bad} is not in"):
+                m.walk(given)
 
 
 def test_inadmissible_start_raises(worked_dictionary, grid_set):
@@ -330,9 +346,10 @@ def test_edge_draws_reach_long_steps_and_wide_rows():
     assert [m.byte_keys for m in mats] == [False, False, True, False]
 
 
-# Random built dictionaries against the scalar walk: the oracle's
-# per-codeword Python build makes 300 examples take about 13 s (pytest
-# --durations on a shared 2-vCPU host).
+# Random built dictionaries against the scalar walk, and their rows and
+# cells against the table oracle: the two oracles' per-codeword Python
+# builds make 300 examples take about 14 s, 10 s without the table oracle
+# (pytest --durations on a shared 2-vCPU host).
 @hypothesis.seed(2018)
 @settings(max_examples=300, derandomize=True, database=None, deadline=None,
           suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
@@ -352,6 +369,7 @@ def test_walk_matches_oracle_on_random_dictionaries(ko, family, fraction, shift,
         dct = None
     assume(dct is not None and not dct.empty_quotient)
     got, want = EncoderMatrix(dct), OracleMatrix(dct)
+    assert_same_matrix(got, GraphOracle(dct), dct)
     top = max(range(dct.n_chapters), key=dct.levels.__getitem__)
     rng = np.random.default_rng(seed)
     for chapter in sorted({0, top}):
