@@ -82,9 +82,11 @@ def synthetic_study(
 
     ``sizes`` are dictionary word counts (powers of two); each maps to
     K = log2(size) with the given overlap.  An invalid (K, O) raises
-    ``BuildError`` before any build; unreachable entropy targets and
-    unbuildable candidates are skipped.
+    ``BuildError``, and an empty sample or block ``ValueError``, before any
+    build; unreachable entropy targets and unbuildable candidates are skipped.
     """
+    if sample_bytes < 1 or block_n < 1:
+        raise ValueError(f"need sample_bytes, block_n >= 1; got {sample_bytes}, {block_n}")
     ks = [int(size).bit_length() - 1 for size in sizes]
     for size, k in zip(sizes, ks):
         _validate_ko(k, o)

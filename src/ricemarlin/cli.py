@@ -28,6 +28,8 @@ def _parse_fractions(text: str) -> list[float]:
     if not all(map(math.isfinite, values)):
         raise ValueError(f"fractions {text!r} are not all finite")
     if ":" in text:
+        if len(values) != 3:
+            raise ValueError(f"fraction range {text!r} is not start:stop:step")
         start, stop, step = values
         if not step > 0:
             raise ValueError("range step must be positive")

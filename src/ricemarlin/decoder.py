@@ -2,8 +2,8 @@
 
 Each step peeks N = K + O bits (the O-bit window carried from the previous
 codeword plus K fresh bits) and keeps only the low O bits as the next
-window.  A block's symbols then come out of the flat word table in one
-gather.  Reminders and escape pairs are merged afterwards.
+window.  A block's symbols then come out of the word sets' concatenated
+symbols in one gather.  Reminders and escape pairs are merged afterwards.
 """
 
 from __future__ import annotations
@@ -17,31 +17,27 @@ from .errors import CorruptBlockError
 
 
 class DecoderTable:
-    """Flat array of 2^N fixed-width rows: word symbols plus a length.
+    """The word sets' symbols, concatenated once per set, and per-codeword
+    gather tables.
 
-    Two gather tables are compiled with it: ``ends[cw] = cw * width +
-    len(cw)``, the flat offset just past codeword ``cw``'s word (int32
-    whenever the table's size fits it), and ``window[u] = (u & omask) << K``,
+    Codeword ``cw``'s word is ``symbols[ends[cw] - lengths[cw]:ends[cw]]``:
+    ``ends`` is the cumulative sum of the sets' word lengths, gathered in
+    chapter order (int32 whenever ``symbols`` fits it), so chapters that
+    share a word set share its symbols.  ``window[u] = (u & omask) << K`` is
     the O-bit window that the K-bit unit ``u`` carries into the next
     codeword.
     """
 
     def __init__(self, dct: MarlinDictionary):
         self.k = k = dct.k
-        width = dct.max_word_len
         values = np.asarray(dct.alphabet.values, dtype=np.uint8)
-        # chapters that share a word set share their words at every offset, so
-        # one (2^K, width) block per set, gathered in chapter order, is the table
-        sets = dct.word_sets
-        lengths = np.stack([lw.lengths for lw in sets]).astype(np.int64)
-        ranks = np.concatenate([lw.ranks for lw in sets])
-        words = np.zeros((len(sets), dct.words_per_chapter, width), dtype=np.uint8)
-        words[np.arange(width) < lengths[..., None]] = values[ranks]
-        chapter_sets = list(dct.chapter_sets)
-        self.words = words[chapter_sets].reshape(dct.n_codewords, width)
+        sets, chapter_sets = dct.word_sets, list(dct.chapter_sets)
+        self.symbols = values[np.concatenate([lw.ranks for lw in sets])]
+        lengths = np.stack([lw.lengths for lw in sets])
+        offset = np.int32 if len(self.symbols) < 1 << 31 else np.intp
+        ends = np.cumsum(lengths, dtype=offset).reshape(lengths.shape)
         self.lengths = lengths[chapter_sets].reshape(dct.n_codewords)
-        offset = np.int32 if dct.n_codewords * width < 1 << 31 else np.intp
-        self.ends = (np.arange(dct.n_codewords) * width + self.lengths).astype(offset)
+        self.ends = ends[chapter_sets].reshape(dct.n_codewords)
         self.window = (np.arange(1 << k) & (dct.n_chapters - 1)) << k
 
 
@@ -76,10 +72,10 @@ def decode_quotients(table: DecoderTable, stream: bytes, n: int) -> np.ndarray:
             f"quotient section is {len(stream)} bytes, its {used} codewords "
             f"need {(used * k + 7) // 8}"
         )
-    # symbol j of word i sits at ends[cw_i] - len_i + j in the flat table and
+    # symbol j of word i sits at ends[cw_i] - len_i + j in ``symbols`` and
     # at total_i - len_i + j in the output
     starts = table.ends[codewords[:used]] - total[:used]
-    return table.words.reshape(-1)[np.repeat(starts, lens[:used]) + np.arange(n)]
+    return table.symbols[np.repeat(starts, lens[:used]) + np.arange(n)]
 
 
 def decode_block(dset: DictionarySet | MarlinDictionary, block: CompressedBlock) -> bytes:

@@ -78,6 +78,16 @@ def chapter_words(dct: MarlinDictionary, c: int) -> list[tuple[int, ...]]:
     return words_of(dct.word_sets[dct.chapter_sets[c]])
 
 
+def padded_rows(table, width: int) -> np.ndarray:
+    """A decoder table's words as rows zero-padded to ``width``, filled one
+    codeword at a time: codeword ``cw``'s word is the ``lengths[cw]``
+    symbols that end at ``ends[cw]`` in ``symbols``."""
+    rows = np.zeros((len(table.lengths), width), dtype=table.symbols.dtype)
+    for cw, (end, n) in enumerate(zip(table.ends.tolist(), table.lengths.tolist())):
+        rows[cw, :n] = table.symbols[end - n : end]
+    return rows
+
+
 def codewords(dct: MarlinDictionary, units, chapter: int = 0) -> np.ndarray:
     """The full codewords, ``chapter << K | unit``, of a walk's units.
 

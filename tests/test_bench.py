@@ -52,6 +52,18 @@ def test_synthetic_study_skips_unreachable_targets():
     assert rows == []
 
 
+@pytest.mark.parametrize("sizes", [dict(sample_bytes=0), dict(block_n=0), dict(block_n=-1)])
+def test_synthetic_study_rejects_empty_samples_and_blocks(sizes, monkeypatch):
+    import ricemarlin.bench
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("built a dictionary")
+
+    monkeypatch.setattr(ricemarlin.bench, "best_dictionary_for", no_build)
+    with pytest.raises(ValueError, match="need sample_bytes, block_n >= 1"):
+        synthetic_study(families=["laplacian"], fractions=[0.5], sizes=[256], shifts=[0], **sizes)
+
+
 def test_speed_bench_reports_and_ratio(lap_set):
     dist = make_distribution(SyntheticFamily("laplacian", 0.5))
     corpus = dist.sample(1 << 20, seed=77)

@@ -54,6 +54,8 @@ def test_fraction_range_step_must_be_positive(tmp_path, capsys, command, fractio
     ("0.9:0.1:0.1", "holds no values"),  # reversed: empty, not the default grid
     ("0:1:0.001", "hold more than 255 values"),
     ("1e20:1e21:1", "hold more than 255 values"),  # a step the sum cannot take
+    ("0.1:0.9", "'0.1:0.9' is not start:stop:step"),
+    ("0.1:0.9:0.1:0.2", "'0.1:0.9:0.1:0.2' is not start:stop:step"),
 ])
 def test_fractions_are_finite_and_fit_a_set(tmp_path, capsys, command, fractions, message):
     out = tmp_path / "out"
@@ -258,6 +260,18 @@ def test_bench_synthetic_rejects_invalid_geometry(tmp_path, capsys, sizes, o, go
     assert rc == EXIT_FAILURE
     captured = capsys.readouterr()
     assert captured.err.startswith("error: need 1 <= K") and got in captured.err
+    assert captured.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize("size_flag", ["--sample-mib", "--block-size"])
+def test_bench_synthetic_rejects_empty_samples_and_blocks(tmp_path, capsys, size_flag):
+    # checked before any build, as the geometry is
+    out = tmp_path / "rows.csv"
+    rc = main(["bench-synthetic", "--families", "laplacian", "--fractions", "0.5",
+               "--sizes", "256", "--shifts", "0", size_flag, "0", "--csv", str(out)])
+    assert rc == EXIT_FAILURE
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: need sample_bytes, block_n >= 1")
     assert captured.out == "" and not out.exists()
 
 

@@ -37,9 +37,11 @@ def test_table_entries_worked_dictionary(worked_dictionary):
     values = worked_dictionary.alphabet.values
     for cw in range(worked_dictionary.n_codewords):
         word = tuple(values[r] for r in words[cw])
+        end = int(table.ends[cw])
         assert table.lengths[cw] == len(word)
-        assert tuple(table.words[cw, : len(word)]) == word
-        assert not table.words[cw, len(word) :].any()
+        assert tuple(table.symbols[end - len(word) : end]) == word
+    # each of the two word sets once, without padding
+    assert len(table.symbols) == sum(map(len, words))
 
 
 def test_table_near_identity_dictionary():

@@ -167,8 +167,8 @@ def test_dictset_roundtrip_reproduces_tables(tiny_set):
         assert a.levels == b.levels
         assert a.abr == pytest.approx(b.abr, rel=1e-12)
         ta, tb = DecoderTable(a), DecoderTable(b)
-        assert np.array_equal(ta.words, tb.words)
-        assert np.array_equal(ta.lengths, tb.lengths)
+        for name in ("symbols", "lengths", "ends"):
+            assert np.array_equal(getattr(ta, name), getattr(tb, name)), name
         ma, mb = EncoderMatrix(a), EncoderMatrix(b)
         assert ma.rows == mb.rows
         for name in ("cell_next", "cell_ends", "cell_units"):
@@ -727,6 +727,38 @@ def test_long_words_load_in_memory_in_proportion_to_the_file(k, long_word):
     finally:
         tracemalloc.stop()
     assert peak < 48 * len(data) + (1 << 20), (peak, len(data))
+
+
+def test_shared_long_chain_compiles_its_decoder_table_in_proportion_to_the_file():
+    # K=9, O=9 over two quotients: one word set holding both singles and the
+    # chain of zeros up to 511 ranks, named by all 512 chapters.  A table of
+    # 2^18 codewords padded to the longest word would take 133 MB; the
+    # decoder keeps the set's symbols once, plus 12 bytes per codeword
+    import tracemalloc
+
+    p = np.full(256, 0.01 / 254)
+    p[:2] = (0.9, 0.09)
+    dist = SymbolDistribution(p)
+    words = [b"\x00", b"\x01"] + [bytes(n) for n in range(2, 512)]
+    dct = MarlinDictionary(
+        9, 9, split_alphabet(dist, 0, 0.05), tuple(link_word_lists([0], [words])), (0,) * 512
+    )
+    dct.check(BuildError)
+    data = save_dictset(DictionarySet([dct]))
+    assert len(data) < 140_000
+    dset = load_dictset(data)
+    tracemalloc.start()
+    try:
+        table = dset[0].table
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << 20, peak
+    assert len(table.symbols) == sum(map(len, words))
+    msg = dist.sample(4096, seed=5)
+    block = encode_block(dset[0], msg)
+    assert not block.is_raw
+    assert decode_block(dset, parse_block(serialize_block(block), 4096, dset)) == msg
 
 
 def _resigned(data: bytes, at: int, edit) -> bytes:

@@ -4,7 +4,8 @@
 ``EncoderMatrix`` and ``DecoderTable`` kept as the reference: they read each
 word set as tuples, count children by probing ``w + (r,)`` in a dict, and
 fill the child table one word at a time.  The compiled tables must equal
-theirs array for array, for built, loaded and ``from_tables`` sets.
+theirs array for array, the decoder's words codeword by codeword against
+the oracle's padded rows, for built, loaded and ``from_tables`` sets.
 ``reference_links`` recomputes each word's parent, child count and the
 repeat flag the same way, for hostile word sets too.
 """
@@ -12,7 +13,7 @@ repeat flag the same way, for hostile word sets too.
 import gc
 import weakref
 from array import array
-from itertools import chain
+from itertools import accumulate, chain
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from ricemarlin import (
 from ricemarlin.dictionary import link_word_lists
 from ricemarlin.encoder import STEP_TABLE_CAP
 
-from conftest import abcd_distribution, from_tables_copy, words_of
+from conftest import abcd_distribution, from_tables_copy, padded_rows, words_of
 
 
 def reference_links(words: list[tuple[int, ...]]) -> tuple[list[int], list[int], bool]:
@@ -158,12 +159,22 @@ def assert_same_tables(dct: MarlinDictionary) -> None:
     assert_same_matrix(EncoderMatrix(dct), OracleMatrix(dct), dct)
     got, want = DecoderTable(dct), OracleTable(dct)
     assert got.k == dct.k
-    assert _same(got.words, want.words) and _same(got.lengths, want.lengths)
-    # the gather tables, one codeword and one unit at a time
-    width, omask = want.max_word_len, dct.n_chapters - 1
-    ends = [cw * width + int(n) for cw, n in enumerate(want.lengths)]
+    assert _same(padded_rows(got, want.max_word_len), want.words)
+    assert _same(got.lengths, want.lengths)
+    # the gather tables, one codeword and one unit at a time: each set's words
+    # follow each other in ``symbols``, the sets in order, so a chapter's
+    # ends are its set's running total of the oracle's lengths
+    size, omask = dct.words_per_chapter, dct.n_chapters - 1
+    set_lengths = {s: want.lengths[c * size : (c + 1) * size].tolist()
+                   for c, s in enumerate(dct.chapter_sets)}
+    set_ends, total = [], 0
+    for s in range(len(dct.word_sets)):
+        set_ends.append(list(accumulate(set_lengths[s], initial=total))[1:])
+        total = set_ends[s][-1]
+    ends = [end for s in dct.chapter_sets for end in set_ends[s]]
     window = [(u & omask) << dct.k for u in range(1 << dct.k)]
-    assert got.ends.dtype == (np.int32 if dct.n_codewords * width < 2**31 else np.intp)
+    assert len(got.symbols) == total  # no padding, no per-chapter copies
+    assert got.ends.dtype == (np.int32 if total < 2**31 else np.intp)
     assert got.window.dtype == np.intp
     assert got.ends.tolist() == ends and got.window.tolist() == window
 
@@ -198,7 +209,7 @@ def test_compiled_tables_keep_only_what_coding_reads(worked_dictionary):
     assert set(vars(EncoderMatrix(dct))) == {
         "rows", "cell_next", "cell_ends", "cell_units", "stride", "n_classes", "m",
         "byte_keys", "_key_weights", "_pack", "n_chapters"}
-    assert set(vars(DecoderTable(dct))) == {"k", "words", "lengths", "ends", "window"}
+    assert set(vars(DecoderTable(dct))) == {"k", "symbols", "lengths", "ends", "window"}
 
 
 def test_compiled_tables_do_not_keep_their_dictionary_alive(worked_dictionary):
