@@ -18,7 +18,7 @@ from .dictionary import (
 )
 from .encoder import encode_block
 from .errors import BuildError, EntropyTargetError
-from .format import compress_bytes, decompress_bytes, serialize_block
+from .format import compress_bytes, decompress_bytes
 from .source import SymbolDistribution, SyntheticFamily, make_distribution
 
 
@@ -30,8 +30,7 @@ def measured_bits_per_symbol(
     for pos in range(0, len(sample), block_n):
         chunk = sample[pos : pos + block_n]
         block = encode_block(dct, chunk, dict_index=dict_index)
-        payload = len(serialize_block(block))
-        total_bits += 8 * (payload - (1 if block.is_raw else 2))
+        total_bits += 8 * (block.serialized_size() - (1 if block.is_raw else 2))
     return total_bits / len(sample)
 
 

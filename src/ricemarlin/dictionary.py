@@ -866,9 +866,12 @@ def best_dictionary_for(
     tried in decreasing order of an upper bound on their eta, and a shift
     whose bound is below the best eta found so far is skipped.  No
     dictionary at such a shift could win, so the result is that of trying
-    every shift.
+    every shift.  A ``block_n`` that a set file cannot store as a u32 raises
+    ``ValueError`` before any build.
     """
     _validate_ko(k, o)
+    if not 1 <= block_n <= 0xFFFFFFFF:
+        raise ValueError(f"block size {block_n} is not in [1, 2^32 - 1]")
     bounds = {
         shift: shift_efficiency_bound(dist, shift, block_n, thresholds) for shift in shifts
     }

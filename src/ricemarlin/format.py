@@ -211,14 +211,15 @@ def dictset_digest(dset: DictionarySet) -> bytes:
 
 
 class _Reader:
-    """Bounds-checked cursor over the bytes of a set file or one of its parts."""
+    """Bounds-checked cursor over a set file, a container or one of their
+    parts; every read past the end, or byte left over, raises ``error``."""
 
-    def __init__(self, buf: bytes, what: str):
-        self.buf, self.pos, self.what = buf, 0, what
+    def __init__(self, buf: bytes, what: str, error: type[Exception]):
+        self.buf, self.pos, self.what, self.error = buf, 0, what, error
 
     def take(self, n: int) -> bytes:
         if self.pos + n > len(self.buf):
-            raise FormatError(f"{self.what} truncated at byte {self.pos}")
+            raise self.error(f"{self.what} truncated at byte {self.pos}")
         self.pos += n
         return self.buf[self.pos - n : self.pos]
 
@@ -227,8 +228,8 @@ class _Reader:
 
     def finish(self) -> None:
         if self.pos != len(self.buf):
-            raise FormatError(
-                f"{self.what} has {len(self.buf) - self.pos} bytes after its end"
+            raise self.error(
+                f"{self.what} has {len(self.buf) - self.pos} trailing bytes at offset {self.pos}"
             )
 
 
@@ -245,7 +246,7 @@ class _Table(NamedTuple):
 
 
 def _read_table(table: bytes, k: int, o: int) -> _Table:
-    t = _Reader(table, "dictionary table")
+    t = _Reader(table, "dictionary table", FormatError)
     shift, nq = t.unpack("<BH")
     values = tuple(t.take(nq))
     (n_sets,) = t.unpack("<H")
@@ -329,7 +330,7 @@ def _read_word_sets(tables: list[_Table], k: int) -> list[tuple[LevelWords, ...]
 def _parse_dict(
     t: _Table, word_sets: tuple[LevelWords, ...], meta: bytes, k: int, o: int
 ) -> MarlinDictionary:
-    m = _Reader(meta, "dictionary metadata")
+    m = _Reader(meta, "dictionary metadata", FormatError)
     p_escape, abr, qbits, thr, block_n = m.unpack("<ddddI")
     (sid_len,) = m.unpack("<H")
     try:
@@ -365,7 +366,7 @@ def load_dictset(buf: bytes) -> DictionarySet:
         raise FormatError(f"unsupported dictionary-set version {data[4]}")
     if len(data) < 12 or zlib.crc32(data[:-4]) != int.from_bytes(data[-4:], "little"):
         raise FormatError("dictionary-set checksum mismatch: the file is truncated or damaged")
-    r = _Reader(data[:-4], "dictionary-set file")
+    r = _Reader(data[:-4], "dictionary-set file", FormatError)
     _, _, k, o, count = r.unpack("<4sBBBB")
     if count == 0:
         raise FormatError("a dictionary set must contain at least one dictionary")
@@ -410,41 +411,47 @@ class ContainerHeader:
             self.digest, n_blocks,
         )
 
+    def check(self, error: type[Exception]) -> None:
+        """Raise ``error`` unless the fields keep the header's rules: the
+        encoder checks what it would write, the decoder what it read."""
+        if not 1 <= self.block_size <= 0xFFFFFFFF:
+            raise error(f"block size is {self.block_size}, not in [1, 2^32 - 1]")
+        if self.flags & ~FLAG_IMAGE:
+            raise error(f"unknown container flags {self.flags:#x}")
+        w, h = self.width, self.height
+        if self.flags & FLAG_IMAGE and w * h != self.total_size:
+            raise error(f"image {w}x{h} needs {w * h} bytes, got {self.total_size}")
+        if not self.flags & FLAG_IMAGE and (w or h):
+            raise error(f"a container that is not an image has sides {w}x{h}")
+
     @classmethod
-    def unpack(cls, buf: bytes) -> "ContainerHeader":
-        """The header at the start of ``buf``, whose blocks start at ``HEADER_SIZE``;
-        its stored block count must equal :meth:`block_count`."""
-        if len(buf) < HEADER_SIZE:
-            raise CorruptBlockError("container header truncated")
-        magic, version, flags, k, o, block_size, total, w, h, digest, nb = (
-            _HEADER.unpack_from(buf)
+    def read(cls, r: _Reader) -> "ContainerHeader":
+        """The checked header at ``r``'s position; its stored block count must
+        equal :meth:`block_count`, and that many blocks must fit after it."""
+        magic, version, flags, k, o, block_size, total, w, h, digest, nb = _HEADER.unpack(
+            r.take(HEADER_SIZE)
         )
         if magic != CONTAINER_MAGIC:
             raise CorruptBlockError("not a compressed container")
         if version != CONTAINER_VERSION:
             raise CorruptBlockError(f"unsupported container version {version}")
-        if block_size == 0:
-            raise CorruptBlockError("container block size is 0")
-        hdr = cls(
-            k=k, o=o, block_size=block_size, total_size=total, flags=flags,
-            width=w, height=h, digest=digest,
-        )
-        if flags & FLAG_IMAGE and total != w * h:
-            raise CorruptBlockError(
-                f"image container holds {total} bytes, geometry {w}x{h} implies {w * h}"
-            )
+        hdr = cls(k, o, block_size, total, flags, w, h, digest)
+        hdr.check(CorruptBlockError)
         implied = hdr.block_count()
         if implied != nb:
-            raise CorruptBlockError(
-                f"container lists {nb} blocks, geometry implies {implied}"
-            )
+            raise CorruptBlockError(f"container lists {nb} blocks, geometry implies {implied}")
         # every block takes at least a 4-byte length and a 1-byte body
-        if nb * 5 > len(buf) - HEADER_SIZE:
+        if nb * 5 > len(r.buf) - r.pos:
             raise CorruptBlockError(
-                f"container lists {nb} blocks, but only {len(buf) - HEADER_SIZE} bytes "
-                f"follow the header at offset {HEADER_SIZE}"
+                f"container lists {nb} blocks, but only {len(r.buf) - r.pos} bytes "
+                f"follow the header at offset {r.pos}"
             )
         return hdr
+
+    @classmethod
+    def unpack(cls, buf: bytes) -> "ContainerHeader":
+        """The checked header at the start of ``buf``, a whole container."""
+        return cls.read(_Reader(buf, "container", CorruptBlockError))
 
     def block_count(self) -> int:
         """Number of blocks the header implies, computed without listing them."""
@@ -487,14 +494,11 @@ def compress_bytes(
 ) -> bytes:
     """Compress ``data`` into a standalone container, in the blocks its
     header implies."""
-    if not 1 <= block_size <= 0xFFFFFFFF:
-        raise ValueError("block size must be in [1, 2^32 - 1]")
-    if flags & FLAG_IMAGE and width * height != len(data):
-        raise ValueError(f"image {width}x{height} needs {width * height} bytes, got {len(data)}")
     header = ContainerHeader(
         k=dset.k, o=dset.o, block_size=block_size, total_size=len(data),
         flags=flags, width=width, height=height, digest=dset.digest,
     )
+    header.check(ValueError)
     payloads = compress_blocks(data, dset, header.block_sizes())
     out = bytearray(header.pack(len(payloads)))
     for p in payloads:
@@ -504,29 +508,24 @@ def compress_bytes(
 
 
 def decompress_bytes(buf: bytes, dset: DictionarySet) -> bytes:
-    """Decompress a container produced by :func:`compress_bytes`."""
-    header = ContainerHeader.unpack(buf)
+    """Decompress a container produced by :func:`compress_bytes`; a damaged
+    block raises :class:`CorruptBlockError` naming it and its offset."""
+    r = _Reader(buf, "container", CorruptBlockError)
+    header = ContainerHeader.read(r)
     if header.digest != dset.digest:
-        raise FormatError(
-            "container was compressed with a different dictionary set"
-        )
+        raise FormatError("container was compressed with a different dictionary set")
+    # the digest covers the set's K and O: once it matches, only a damaged header differs
+    if (header.k, header.o) != (dset.k, dset.o):
+        raise CorruptBlockError(f"header K={header.k}, O={header.o}, set K={dset.k}, O={dset.o}")
     out = bytearray()
-    pos = HEADER_SIZE
-    for n in header.block_sizes():
-        if pos + 4 > len(buf):
-            raise CorruptBlockError("container truncated at a block header")
-        (clen,) = struct.unpack_from("<I", buf, pos)
-        pos += 4
-        payload = buf[pos : pos + clen]
-        if len(payload) != clen:
-            raise CorruptBlockError("container truncated inside a block")
-        pos += clen
-        block = parse_block(payload, n, dset)
-        out += decode_block(dset, block)
-    if pos != len(buf):
-        raise CorruptBlockError(
-            f"{len(buf) - pos} trailing bytes after the last block at offset {pos}"
-        )
+    for i, n in enumerate(header.block_sizes()):
+        at = r.pos
+        try:
+            clen = int.from_bytes(r.take(4), "little")
+            out += decode_block(dset, parse_block(r.take(clen), n, dset))
+        except CorruptBlockError as exc:
+            raise CorruptBlockError(f"block {i} at offset {at}: {exc}") from exc
+    r.finish()
     if len(out) != header.total_size:
         raise CorruptBlockError(
             f"decoded {len(out)} bytes, header promised {header.total_size}"

@@ -5,6 +5,7 @@ import pytest
 
 from ricemarlin import SyntheticFamily, make_distribution
 from ricemarlin.cli import EXIT_CORRUPT, EXIT_FAILURE, EXIT_OK, main
+from ricemarlin.format import HEADER_SIZE
 from ricemarlin.image import read_pgm, write_pgm
 
 from test_format import SET_FILE_MUTATIONS, edited_set_file, small_laplacian_dictionary
@@ -22,6 +23,17 @@ def set_path(tmp_path_factory):
     )
     assert rc == EXIT_OK
     return path
+
+
+@pytest.mark.parametrize("block_size", ["-5", "0", "4294967296"])
+def test_build_dictset_rejects_block_sizes_a_set_cannot_store(tmp_path, capsys, block_size):
+    # the set file stores the block size as a u32; checked before any build
+    out = tmp_path / "x.rmds"
+    rc = main(["build-dictset", "--out", str(out), "--block-size", block_size])
+    assert rc == EXIT_FAILURE
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: block size {block_size} is not in [1, 2^32 - 1]")
+    assert "Traceback" not in err and not out.exists()
 
 
 def test_build_dictset_rejects_bad_overlap(tmp_path, capsys):
@@ -98,23 +110,28 @@ def test_decompress_corrupt_container_exit_code(tmp_path, set_path):
     assert rc == EXIT_CORRUPT
 
 
-@pytest.mark.parametrize("damage", ["zero-block-size", "appended-junk"])
+@pytest.mark.parametrize("damage", ["zero-block-size", "appended-junk", "cut-in-block-1"])
 def test_decompress_bad_container_exits_corrupt(tmp_path, set_path, capsys, damage):
     src = tmp_path / "x.bin"
     src.write_bytes(bytes(range(256)) * 20)
     comp = tmp_path / "x.rm"
     assert main(["compress", str(src), str(comp), "--set", str(set_path)]) == EXIT_OK
     blob = bytearray(comp.read_bytes())
+    named = ""
     if damage == "zero-block-size":
         blob[8:12] = bytes(4)  # the header's little-endian uint32 block size
-    else:
+    elif damage == "appended-junk":
         blob += b"junk"
+    else:  # block 1 starts after block 0's length field and payload
+        at = HEADER_SIZE + 4 + int.from_bytes(blob[HEADER_SIZE : HEADER_SIZE + 4], "little")
+        del blob[at + 6 :]
+        named = f"block 1 at offset {at}: "
     comp.write_bytes(bytes(blob))
     capsys.readouterr()
     rc = main(["decompress", str(comp), str(tmp_path / "y"), "--set", str(set_path)])
     err = capsys.readouterr().err
     assert rc == EXIT_CORRUPT
-    assert err.startswith("error: ")
+    assert err.startswith("error: " + named)
     assert "Traceback" not in err
 
 

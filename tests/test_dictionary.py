@@ -389,6 +389,14 @@ def test_best_dictionary_validates_parameters():
         best_dictionary_for(uniform(), 8, 9)
 
 
+@pytest.mark.parametrize("block_n", [-5, 0, 1 << 32])
+def test_best_dictionary_rejects_block_sizes_a_set_cannot_store(monkeypatch, block_n):
+    # a set file stores block_n as a u32; checked before any candidate is bounded
+    monkeypatch.setattr(rd, "shift_efficiency_bound", lambda *args: pytest.fail("searched"))
+    with pytest.raises(ValueError, match=rf"block size {block_n} is not in \[1, 2\^32 - 1\]"):
+        best_dictionary_for(uniform(), 8, 4, block_n=block_n)
+
+
 def test_each_candidate_builds_one_parse_chain(monkeypatch):
     """The search ranks candidates by their stored ABR: one chain each."""
     owners, built = [], []

@@ -1,5 +1,7 @@
 import dataclasses
 import hashlib
+import random
+import re
 import struct
 import zlib
 
@@ -957,14 +959,22 @@ def test_container_rejects_image_size_mismatch(tiny_set):
     comp = _with_header(
         _valid_container(tiny_set), 1, flags=FLAG_IMAGE, width=64, height=64,
     )
-    with pytest.raises(CorruptBlockError, match="geometry 64x64 implies 4096"):
+    with pytest.raises(CorruptBlockError, match="image 64x64 needs 4096 bytes"):
         decompress_bytes(comp, tiny_set)
 
 
 def test_compress_rejects_image_of_another_size(tiny_set):
-    # decompress_bytes rejects a container whose image and size disagree
+    # decompress_bytes rejects these headers with the same check
     with pytest.raises(ValueError, match="image 10x10 needs 100 bytes, got 50"):
         compress_bytes(bytes(50), tiny_set, flags=FLAG_IMAGE, width=10, height=10)
+    for fields, match in (
+        ({"flags": 0x02}, "unknown container flags 0x2"),
+        ({"flags": FLAG_IMAGE | 0x80, "width": 10, "height": 10}, "unknown container flags 0x81"),
+        ({"width": 10, "height": 10}, "not an image has sides 10x10"),
+        ({"height": 100}, "not an image has sides 0x100"),
+    ):
+        with pytest.raises(ValueError, match=match):
+            compress_bytes(bytes(100), tiny_set, **fields)
     data = make_distribution(SyntheticFamily("laplacian", 0.5)).sample(100, seed=3)
     comp = compress_bytes(data, tiny_set, flags=FLAG_IMAGE, width=10, height=10)
     assert decompress_bytes(comp, tiny_set) == data
@@ -982,3 +992,71 @@ def test_container_rejects_trailing_bytes(tiny_set):
     assert decompress_bytes(comp, tiny_set)
     with pytest.raises(CorruptBlockError, match=f"trailing bytes .* offset {len(comp)}$"):
         decompress_bytes(comp + b"junk", tiny_set)
+
+
+# ---------------------------------------------------------------------------
+# damaged containers
+
+
+def _flipped(buf: bytes, bit: int) -> bytes:
+    out = bytearray(buf)
+    out[bit // 8] ^= 1 << (bit % 8)
+    return bytes(out)
+
+
+def test_every_header_bit_flip_is_rejected(tiny_set):
+    # K and O must be the set's, no flag but the image flag may be set, and
+    # a container of bytes has sides 0x0
+    data = make_distribution(SyntheticFamily("laplacian", 0.3)).sample(10_000, seed=1)
+    comp = compress_bytes(data, tiny_set)
+    for bit in range(8 * HEADER_SIZE):
+        with pytest.raises((CorruptBlockError, FormatError)):
+            decompress_bytes(_flipped(comp, bit), tiny_set)
+    # an image's flags, total size, width and height (bytes 5 and 12-27 of
+    # the header); nothing reads an image's block size
+    image = compress_bytes(data[:130 * 70], tiny_set, flags=FLAG_IMAGE, width=130, height=70)
+    for bit in (*range(40, 48), *range(96, 224)):
+        with pytest.raises((CorruptBlockError, FormatError)):
+            decompress_bytes(_flipped(image, bit), tiny_set)
+
+
+@pytest.fixture(scope="module")
+def four_sources(tiny_set):
+    data = b"".join(
+        make_distribution(SyntheticFamily(family, fraction)).sample(16_384, seed=1)
+        for family, fraction in (
+            ("laplacian", 0.3), ("poisson", 0.5), ("exponential", 0.7), ("laplacian", 0.85)
+        )
+    )
+    return data, compress_bytes(data, tiny_set)
+
+
+def test_truncations_and_insertions_name_their_offset(tiny_set, four_sources):
+    # past the header, every block error names the block's offset, and the
+    # reader's own errors name theirs
+    _, comp = four_sources
+    rng = random.Random(7)
+    for i in range(400):
+        at = rng.randrange(len(comp))
+        damaged = comp[:at] if i % 2 else comp[:at] + bytes([rng.randrange(256)]) + comp[at:]
+        try:
+            decompress_bytes(damaged, tiny_set)
+        except CorruptBlockError as exc:
+            assert at < HEADER_SIZE or re.search(r"offset \d+", str(exc)), (i, at, exc)
+        except FormatError:
+            assert at < HEADER_SIZE, (i, at)
+        else:
+            pytest.fail(f"damage {i} at byte {at} decoded")
+
+
+def test_bit_flips_raise_or_decode_to_the_promised_size(tiny_set, four_sources):
+    # flips in reminder and quotient bytes can decode to wrong bytes of the
+    # right length: only a per-block checksum would catch them
+    data, comp = four_sources
+    rng = random.Random(7)
+    for _ in range(1000):
+        try:
+            out = decompress_bytes(_flipped(comp, rng.randrange(8 * len(comp))), tiny_set)
+        except (CorruptBlockError, FormatError):
+            continue
+        assert len(out) == len(data)
