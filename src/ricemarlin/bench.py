@@ -22,14 +22,12 @@ from .format import compress_bytes, decompress_bytes
 from .source import SymbolDistribution, SyntheticFamily, make_distribution
 
 
-def measured_bits_per_symbol(
-    dct: MarlinDictionary, sample: bytes, block_n: int = 4096, dict_index: int = 0
-) -> float:
+def measured_bits_per_symbol(dct: MarlinDictionary, sample: bytes, block_n: int = 4096) -> float:
     """Actual compressed bits per symbol, excluding per-block headers."""
     total_bits = 0
     for pos in range(0, len(sample), block_n):
         chunk = sample[pos : pos + block_n]
-        block = encode_block(dct, chunk, dict_index=dict_index)
+        block = encode_block(dct, chunk)
         total_bits += 8 * (block.serialized_size() - (1 if block.is_raw else 2))
     return total_bits / len(sample)
 

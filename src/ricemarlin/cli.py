@@ -49,17 +49,14 @@ def _parse_fractions(text: str) -> list[float]:
 def _cmd_build_dictset(args) -> int:
     from .dictionary import _eta, build_dictionary_set, default_set_config
     from .format import save_dictset
-    from .source import SyntheticFamily, make_distribution
+    from .source import FAMILIES, SyntheticFamily, make_distribution
 
     cfg = default_set_config()
     cfg["k"], cfg["o"], cfg["block_n"] = args.k, args.o, args.block_size
-    grid: list[tuple[str, float]] = []
-    if args.laplacian:
-        grid += [("laplacian", f) for f in _parse_fractions(args.laplacian)]
-    if args.poisson:
-        grid += [("poisson", f) for f in _parse_fractions(args.poisson)]
-    if args.exponential:
-        grid += [("exponential", f) for f in _parse_fractions(args.exponential)]
+    grid = [
+        (family, f) for family in FAMILIES if getattr(args, family)
+        for f in _parse_fractions(getattr(args, family))
+    ]
     if grid:
         cfg["grid"] = grid
     dset = build_dictionary_set(cfg)

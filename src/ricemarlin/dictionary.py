@@ -434,14 +434,11 @@ class MarlinDictionary:
         shift: int,
         threshold: float,
         block_n: int = 4096,
-        source_id: str | None = None,
     ) -> "MarlinDictionary":
         """Build and evaluate a dictionary for one (S, threshold) choice."""
         _validate_ko(k, o)
         alphabet = split_alphabet(dist, shift, threshold)
-        return cls.from_alphabet(
-            dist, k, o, alphabet, block_n=block_n, source_id=source_id
-        )
+        return cls.from_alphabet(dist, k, o, alphabet, block_n=block_n)
 
     @classmethod
     def from_alphabet(
@@ -451,12 +448,10 @@ class MarlinDictionary:
         o: int,
         alphabet: QuotientAlphabet,
         block_n: int = 4096,
-        source_id: str | None = None,
     ) -> "MarlinDictionary":
         nq = len(alphabet)
-        source_id = source_id if source_id is not None else dist.source_id
         if nq == 1:
-            dct = cls(k, o, alphabet, (), (), source_id=source_id, block_n=block_n)
+            dct = cls(k, o, alphabet, (), (), source_id=dist.source_id, block_n=block_n)
             dct._finalize(dist)
             return dct
         if nq >= (1 << k):
@@ -511,7 +506,7 @@ class MarlinDictionary:
         )
         dct = cls(
             k, o, alphabet, tuple(word_sets), tuple(in_use.index(lvl) for lvl in levels),
-            source_id=source_id, block_n=block_n,
+            source_id=dist.source_id, block_n=block_n,
         )
         dct._finalize(dist)
         return dct
@@ -524,7 +519,6 @@ class MarlinDictionary:
         alphabet: QuotientAlphabet,
         chapters: list[list[tuple[int, ...]]],
         block_n: int = 4096,
-        source_id: str = "tables",
     ) -> "MarlinDictionary":
         """Assemble a dictionary from explicit per-chapter word lists.
 
@@ -547,7 +541,7 @@ class MarlinDictionary:
         levels = [min((w[0] for w in words if w), default=0) for words in word_lists]
         dct = cls(
             k, o, alphabet, tuple(link_word_lists(levels, word_lists)), tuple(range(1 << o)),
-            source_id=source_id, block_n=block_n,
+            source_id="tables", block_n=block_n,
         )
         dct.check(BuildError)
         return dct
@@ -613,6 +607,9 @@ class MarlinDictionary:
                         f"unsafe word set {s}: a word with fewer than {level} "
                         f"children feeds chapter {v}"
                     )
+        # a block's first codeword is read with a zero window, in chapter 0
+        if self.levels[0]:
+            raise error(f"chapter 0 has level {self.levels[0]}, but every block starts there")
 
     # -- statistics -----------------------------------------------------------
 
@@ -704,7 +701,6 @@ class _ParseChain:
         self.first_ranks_and_weights = [(r1, base) for r1, base, *_ in per_set]
 
         evals = np.flatnonzero(np.bincount(np.concatenate([[0]] + [kv for _, _, kv, _ in per_set])))
-        self.evals = evals.tolist()
         # the states are the (chapter, exclusion) pairs at or above the
         # chapter's level, chapter-major; index[c, j] numbers (c, evals[j])
         live = evals >= np.array(dct.levels)[:, None]
@@ -858,7 +854,6 @@ def best_dictionary_for(
     block_n: int = 4096,
     shifts: range | tuple = SHIFT_RANGE,
     thresholds: tuple[float, ...] = THRESHOLD_GRID,
-    source_id: str | None = None,
 ) -> MarlinDictionary:
     """Search (S, threshold) and return the dictionary maximizing H(X)/ABR.
 
@@ -895,9 +890,7 @@ def best_dictionary_for(
                 continue
             seen.add(sig)
             try:
-                dct = MarlinDictionary.from_alphabet(
-                    dist, k, o, alphabet, block_n=block_n, source_id=source_id
-                )
+                dct = MarlinDictionary.from_alphabet(dist, k, o, alphabet, block_n=block_n)
             except BuildError as exc:
                 errors[shift].append(f"S={shift} thr={threshold:g}: {exc}")
                 continue
@@ -1022,12 +1015,18 @@ def default_set_config() -> dict:
 
 
 def build_dictionary_set(config: dict | None = None) -> DictionarySet:
-    """Build one best dictionary per grid point; deterministic for a config."""
+    """Build one best dictionary per grid point; deterministic for a config.
+
+    ``config`` overrides keys of :func:`default_set_config`; any other key
+    raises ``ValueError`` before any build.
+    """
     from .source import SyntheticFamily, make_distribution
 
-    cfg = dict(default_set_config())
-    if config:
-        cfg.update(config)
+    cfg, config = default_set_config(), config or {}
+    unknown = sorted(map(repr, set(config) - set(cfg)))
+    if unknown:
+        raise ValueError(f"unknown dictionary-set config keys: {', '.join(unknown)}")
+    cfg.update(config)
     grid = cfg["grid"]
     if not grid:
         raise BuildError("dictionary-set grid is empty")

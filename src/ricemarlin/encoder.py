@@ -73,12 +73,13 @@ class EncoderMatrix:
     whose items are Python's cached small ints.
 
     A cell ``r * stride + c`` is the transition on rank ``r`` out of class
-    ``c``.  Start class ``n_classes + j`` stands before a walk from chapter
-    ``j``: its rank ``r`` reaches the single-symbol word ``(r,)`` there.
-    Flush rank ``nq`` ends the last word.  Per cell, ``cell_next`` is the
-    class reached, ``cell_ends`` whether the word before the transition ends
-    (the node reached starts a word) and ``cell_units`` the K-bit unit of the
-    node reached, which every node of a class gives.
+    ``c``.  Start class ``n_classes`` stands before a walk, which starts in
+    chapter 0 as the decoder's window does: its rank ``r`` reaches the
+    single-symbol word ``(r,)`` there.  Flush rank ``nq`` ends the last
+    word.  Per cell, ``cell_next`` is the class reached, ``cell_ends``
+    whether the word before the transition ends (the node reached starts a
+    word) and ``cell_units`` the K-bit unit of the node reached, which every
+    node of a class gives.
     """
 
     def __init__(self, dct: MarlinDictionary):
@@ -122,11 +123,10 @@ class EncoderMatrix:
         else:
             dtype = np.uint16 if classes <= 1 << 16 else np.uint32
             self._pack, store = partial(array, "I"), partial(array, np.dtype(dtype).char)
-        # the cell tables, rank-major: the start classes follow the real
+        # the cell tables, rank-major: the start class follows the real
         # ones, and the flush rank follows the real ranks
-        self.n_chapters = dct.n_chapters
-        self.stride = classes + dct.n_chapters
-        reached = np.vstack([nxt[rep], single[chapter_sets]]).T
+        self.stride = classes + 1
+        reached = np.vstack([nxt[rep], single[chapter_sets[:1]]]).T
         self.cell_next = node_class[reached].astype(dtype).ravel()
         self.cell_ends = np.append(starts_word[reached], np.ones(self.stride, bool))
         units = reached & (dct.words_per_chapter - 1)
@@ -148,7 +148,7 @@ class EncoderMatrix:
             tab = class_nxt[tab].reshape(classes, -1)
         self.rows = [store(row.tobytes()) for row in tab]
 
-    def walk(self, ranks, chapter: int = 0) -> np.ndarray:
+    def walk(self, ranks) -> np.ndarray:
         """Longest-match parse; returns the K-bit unit of every emitted word,
         the flush included.
 
@@ -159,14 +159,12 @@ class EncoderMatrix:
         ends and the units off the cell tables.  The encoder's uint8 ranks
         are walked without widening.  Raises ``ValueError`` for a rank
         outside ``[0, nq)`` and ``CorruptBlockError`` when the ranks are
-        inadmissible from ``chapter`` (the walk reaches the trap).
+        inadmissible (the walk reaches the trap).
         """
         ranks = np.asarray(ranks)
         n = len(ranks)
         if n == 0:
             return self.cell_units[:0]
-        if not 0 <= chapter < self.n_chapters:
-            raise ValueError(f"chapter {chapter} is not in [0, {self.n_chapters})")
         nq = len(self.cell_next) // self.stride
         low = 0 if ranks.dtype.kind == "u" else int(ranks.min())
         bad = low if low < 0 else int(ranks.max())
@@ -176,7 +174,7 @@ class EncoderMatrix:
         cell = np.empty(n + 1, dtype=np.intp)
         np.multiply(ranks, self.stride, out=cell[:n], dtype=np.intp)
         cell[n] = len(cell_next)  # the flush rank's block
-        cell[0] += self.n_classes + chapter
+        cell[0] += self.n_classes
         state = int(cell_next[cell[0]])
         steps = (n - 1) // m
         body = steps * m

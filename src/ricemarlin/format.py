@@ -10,7 +10,6 @@ from __future__ import annotations
 import hashlib
 import struct
 import zlib
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -393,16 +392,15 @@ def load_dictset(buf: bytes) -> DictionarySet:
 # container
 
 
-@dataclass(frozen=True)
-class ContainerHeader:
+class ContainerHeader(NamedTuple):
     k: int
     o: int
     block_size: int
     total_size: int
-    flags: int = 0
-    width: int = 0
-    height: int = 0
-    digest: bytes = b"\x00" * 32
+    flags: int
+    width: int
+    height: int
+    digest: bytes
 
     def pack(self, n_blocks: int) -> bytes:
         return _HEADER.pack(
@@ -413,16 +411,23 @@ class ContainerHeader:
 
     def check(self, error: type[Exception]) -> None:
         """Raise ``error`` unless the fields keep the header's rules: the
-        encoder checks what it would write, the decoder what it read."""
+        encoder checks what it would write, the decoder what it read.  An
+        image is coded in its ``BLOCK_EDGE``-square grid, so its block size
+        is that of a full grid block."""
         if not 1 <= self.block_size <= 0xFFFFFFFF:
             raise error(f"block size is {self.block_size}, not in [1, 2^32 - 1]")
         if self.flags & ~FLAG_IMAGE:
             raise error(f"unknown container flags {self.flags:#x}")
         w, h = self.width, self.height
-        if self.flags & FLAG_IMAGE and w * h != self.total_size:
+        if not (0 <= w <= 0xFFFFFFFF and 0 <= h <= 0xFFFFFFFF):
+            raise error(f"sides {w}x{h} are not in [0, 2^32 - 1]")
+        if not self.flags & FLAG_IMAGE:
+            if w or h:
+                raise error(f"a container that is not an image has sides {w}x{h}")
+        elif w * h != self.total_size:
             raise error(f"image {w}x{h} needs {w * h} bytes, got {self.total_size}")
-        if not self.flags & FLAG_IMAGE and (w or h):
-            raise error(f"a container that is not an image has sides {w}x{h}")
+        elif self.block_size != BLOCK_EDGE**2:
+            raise error(f"an image's block size is {BLOCK_EDGE**2}, not {self.block_size}")
 
     @classmethod
     def read(cls, r: _Reader) -> "ContainerHeader":

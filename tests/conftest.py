@@ -88,15 +88,14 @@ def padded_rows(table, width: int) -> np.ndarray:
     return rows
 
 
-def codewords(dct: MarlinDictionary, units, chapter: int = 0) -> np.ndarray:
+def codewords(dct: MarlinDictionary, units) -> np.ndarray:
     """The full codewords, ``chapter << K | unit``, of a walk's units.
 
     A word's chapter is the low O bits of the unit before it; the first
-    word's is ``chapter``, the chapter the walk started from.
+    word's is 0, where every walk starts.
     """
     units = np.asarray(units, dtype=np.int64)
-    chapters = np.empty_like(units)
-    chapters[:1] = chapter
+    chapters = np.zeros_like(units)
     chapters[1:] = units[:-1] & (dct.n_chapters - 1)
     return chapters << dct.k | units
 
@@ -123,6 +122,15 @@ def unsafe_copy(worked: MarlinDictionary) -> MarlinDictionary:
     return MarlinDictionary(
         worked.k, worked.o, worked.alphabet, (swapped, second), worked.chapter_sets,
     )
+
+
+def level_one_start() -> tuple[QuotientAlphabet, list[list[tuple[int, ...]]]]:
+    """K=2/O=1 word lists over quotient values 0 and 1 at shift 7 whose
+    chapter 0 has level 1: every word there starts with the second value.
+    The lists are otherwise valid and safe, but a block whose first quotient
+    is 0 cannot start in chapter 0."""
+    alphabet = QuotientAlphabet(shift=7, values=(0, 1), probs=np.array([0.6, 0.4]), p_escape=0.0)
+    return alphabet, [[(1,), (1, 1), (1, 0), (1, 0, 0)], [(0,), (1,), (0, 0), (0, 0, 0)]]
 
 
 def binary_word_sets(o: int) -> tuple[SymbolDistribution, MarlinDictionary]:

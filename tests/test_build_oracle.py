@@ -132,13 +132,12 @@ def _eager_assignable(kvals, levels, k, o):
     return True
 
 
-def eager_from_alphabet(dist, k, o, alphabet, block_n=4096, source_id=None):
+def eager_from_alphabet(dist, k, o, alphabet, block_n=4096):
     """The builder before lazy growth: every level in use is grown up front."""
     nq = len(alphabet)
-    source_id = source_id if source_id is not None else dist.source_id
     if nq == 1:
         dct = MarlinDictionary(
-            k, o, alphabet, (), (), source_id=source_id, block_n=block_n,
+            k, o, alphabet, (), (), source_id=dist.source_id, block_n=block_n,
         )
         dct._finalize(dist)
         return dct
@@ -162,7 +161,7 @@ def eager_from_alphabet(dist, k, o, alphabet, block_n=4096, source_id=None):
     ]))
     dct = MarlinDictionary(
         k, o, alphabet, word_sets, tuple(in_use.index(lvl) for lvl in levels),
-        source_id=source_id, block_n=block_n,
+        source_id=dist.source_id, block_n=block_n,
     )
     dct._finalize(dist)
     return dct

@@ -198,6 +198,18 @@ def test_compress_block_size_beyond_the_header_fails_cleanly(tmp_path, set_path,
     assert not comp.exists()
 
 
+def test_compress_image_with_another_block_size_fails_cleanly(tmp_path, set_path, capsys):
+    # an image is coded in its 64x64 grid, so its block size is 4096
+    src = tmp_path / "img.pgm"
+    src.write_bytes(write_pgm(np.zeros((70, 130), dtype=np.uint8)))
+    comp = tmp_path / "img.rm"
+    argv = ["compress", str(src), str(comp), "--set", str(set_path), "--image"]
+    assert main(argv + ["--block-size", "8192"]) == EXIT_FAILURE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "block size is 4096" in err
+    assert not comp.exists()
+
+
 def test_image_mode_roundtrip(tmp_path, set_path):
     rng = np.random.default_rng(3)
     base = np.add.outer(

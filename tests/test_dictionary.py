@@ -471,6 +471,15 @@ def test_build_set_rejects_empty_grid():
         build_dictionary_set({"grid": []})
 
 
+def test_build_set_rejects_unknown_config_keys(monkeypatch):
+    # "K" is not "k": without the check it silently built a K = 8 set
+    monkeypatch.setattr(rd, "best_dictionary_for", lambda *args, **kw: pytest.fail("built"))
+    for config, named in (({"grid": [("laplacian", 0.5)], "K": 12}, "'K'"),
+                          ({"k": 8, "blocks": 4096, "O": 2}, "'O', 'blocks'")):
+        with pytest.raises(ValueError, match=f"unknown dictionary-set config keys: {named}$"):
+            build_dictionary_set(config)
+
+
 def test_build_set_rejects_oversized_grid():
     grid = [("laplacian", 0.5)] * 256
     with pytest.raises(BuildError):

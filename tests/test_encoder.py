@@ -191,24 +191,6 @@ def test_matrix_never_consults_traps_across_fuzz():
             encode_block(dct, msg)  # raises on any trap hit
 
 
-def test_per_chapter_walks_start_anywhere(worked_dictionary):
-    # parsing from any chapter over admissible sequences always succeeds
-    dct = worked_dictionary
-    m = EncoderMatrix(dct)
-    rng = np.random.default_rng(17)
-    for c in range(dct.n_chapters):
-        lvl = dct.levels[c]
-        for _ in range(200):
-            n = int(rng.integers(1, 32))
-            seq = rng.integers(lvl, 4, 1).tolist() + rng.integers(0, 4, n).tolist()
-            words = codewords(dct, m.walk(seq, chapter=c), c)
-            total = sum(
-                len(chapter_words(dct, cw >> dct.k)[cw & (dct.words_per_chapter - 1)])
-                for cw in words.tolist()
-            )
-            assert total == len(seq)
-
-
 def test_units_wider_than_16_bits_round_trip():
     # K = 17 at O = 0: one word set, m = 1 over about 92 000 classes, and
     # units that need 32-bit cell tables and the wide unit packer

@@ -56,6 +56,7 @@ from conftest import (
     binary_word_sets,
     excluded,
     from_tables_copy,
+    level_one_start,
     select,
     unsafe_copy,
 )
@@ -484,6 +485,18 @@ def test_invalid_word_sets_are_rejected(worked_dictionary, offset, word, rule):
         load_dictset(save_dictset(DictionarySet([dct])))
 
 
+def test_chapter_0_of_level_1_is_rejected():
+    # every block's first word is read in chapter 0: a set whose chapter 0
+    # has level 1 would trap the encoder on a first quotient of rank 0
+    alphabet, chapters = level_one_start()
+    with pytest.raises(BuildError, match="chapter 0 has level 1"):
+        MarlinDictionary.from_tables(2, 1, alphabet, chapters)
+    word_sets = tuple(link_word_lists([1, 0], [list(map(bytes, ws)) for ws in chapters]))
+    dct = MarlinDictionary(2, 1, alphabet, word_sets, (0, 1))
+    with pytest.raises(FormatError, match="chapter 0 has level 1"):
+        load_dictset(save_dictset(DictionarySet([dct])))
+
+
 def test_from_tables_rejects_chapters_without_2k_distinct_words(worked_dictionary):
     # a short chapter, empty ones, and eight empty words
     alphabet = worked_dictionary.alphabet
@@ -907,16 +920,13 @@ def test_container_detects_truncation(tiny_set):
 
 
 def test_container_header_derives_block_sizes():
-    hdr = ContainerHeader(k=8, o=4, block_size=4096, total_size=10000)
+    hdr = ContainerHeader(8, 4, 4096, 10000, 0, 0, 0, bytes(32))
     assert hdr.block_sizes() == [4096, 4096, 1808]
     assert hdr.block_count() == 3
-    empty = ContainerHeader(k=8, o=4, block_size=4096, total_size=0)
+    empty = hdr._replace(total_size=0)
     assert empty.block_sizes() == []
     assert empty.block_count() == 0
-    img = ContainerHeader(
-        k=8, o=4, block_size=4096, total_size=130 * 65, flags=FLAG_IMAGE,
-        width=130, height=65,
-    )
+    img = hdr._replace(total_size=130 * 65, flags=FLAG_IMAGE, width=130, height=65)
     assert img.block_count() == len(img.block_sizes()) == 6
 
 
@@ -932,7 +942,7 @@ def _valid_container(dset) -> bytes:
 def _with_header(comp: bytes, n_blocks: int, **fields) -> bytes:
     """``comp`` with its header rewritten; ``fields`` override header fields."""
     hdr = ContainerHeader.unpack(comp)
-    return dataclasses.replace(hdr, **fields).pack(n_blocks) + comp[HEADER_SIZE:]
+    return hdr._replace(**fields).pack(n_blocks) + comp[HEADER_SIZE:]
 
 
 def test_container_rejects_zero_block_size(tiny_set):
@@ -972,6 +982,12 @@ def test_compress_rejects_image_of_another_size(tiny_set):
         ({"flags": FLAG_IMAGE | 0x80, "width": 10, "height": 10}, "unknown container flags 0x81"),
         ({"width": 10, "height": 10}, "not an image has sides 10x10"),
         ({"height": 100}, "not an image has sides 0x100"),
+        # the sides are u32 fields, and an image's blocks are its 64x64 grid
+        ({"flags": FLAG_IMAGE, "width": -10, "height": -10}, "sides -10x-10 are not in"),
+        ({"flags": FLAG_IMAGE, "width": 0, "height": 2**32}, "sides 0x4294967296 are not in"),
+        ({"width": 2**32}, "sides 4294967296x0 are not in"),
+        ({"flags": FLAG_IMAGE, "width": 10, "height": 10, "block_size": 8192},
+         "an image's block size is 4096, not 8192"),
     ):
         with pytest.raises(ValueError, match=match):
             compress_bytes(bytes(100), tiny_set, **fields)
@@ -1005,19 +1021,14 @@ def _flipped(buf: bytes, bit: int) -> bytes:
 
 
 def test_every_header_bit_flip_is_rejected(tiny_set):
-    # K and O must be the set's, no flag but the image flag may be set, and
-    # a container of bytes has sides 0x0
+    # K and O must be the set's, no flag but the image flag may be set, a
+    # container of bytes has sides 0x0, and an image's block size is 4096
     data = make_distribution(SyntheticFamily("laplacian", 0.3)).sample(10_000, seed=1)
-    comp = compress_bytes(data, tiny_set)
-    for bit in range(8 * HEADER_SIZE):
-        with pytest.raises((CorruptBlockError, FormatError)):
-            decompress_bytes(_flipped(comp, bit), tiny_set)
-    # an image's flags, total size, width and height (bytes 5 and 12-27 of
-    # the header); nothing reads an image's block size
     image = compress_bytes(data[:130 * 70], tiny_set, flags=FLAG_IMAGE, width=130, height=70)
-    for bit in (*range(40, 48), *range(96, 224)):
-        with pytest.raises((CorruptBlockError, FormatError)):
-            decompress_bytes(_flipped(image, bit), tiny_set)
+    for comp in (compress_bytes(data, tiny_set), image):
+        for bit in range(8 * HEADER_SIZE):
+            with pytest.raises((CorruptBlockError, FormatError)):
+                decompress_bytes(_flipped(comp, bit), tiny_set)
 
 
 @pytest.fixture(scope="module")

@@ -129,14 +129,15 @@ def _same(got: np.ndarray, want: np.ndarray) -> bool:
 
 def assert_same_cells(got: EncoderMatrix, want: OracleMatrix, dct: MarlinDictionary) -> None:
     """The cell tables, one cell at a time: rank-major over the classes and
-    then one start class per chapter, and a flush rank that ends every word."""
+    then the one start class, chapter 0's, and a flush rank that ends every
+    word."""
     nq, classes = len(dct.alphabet), want.n_classes
     reached = [
         int(want.nxt[want.rep[c], r]) if c < classes
-        else int(want.single[dct.chapter_sets[c - classes], r])
-        for r in range(nq) for c in range(classes + dct.n_chapters)
+        else int(want.single[dct.chapter_sets[0], r])
+        for r in range(nq) for c in range(classes + 1)
     ]
-    assert got.stride == classes + dct.n_chapters
+    assert got.stride == classes + 1
     assert got.cell_next.dtype == want.class_nxt.dtype
     assert got.cell_next.tolist() == [int(want.node_class[v]) for v in reached]
     assert got.cell_ends.tolist() == [bool(want.starts_word[v]) for v in reached] + [True] * got.stride
@@ -208,7 +209,7 @@ def test_compiled_tables_keep_only_what_coding_reads(worked_dictionary):
     dct = from_tables_copy(worked_dictionary)
     assert set(vars(EncoderMatrix(dct))) == {
         "rows", "cell_next", "cell_ends", "cell_units", "stride", "n_classes", "m",
-        "byte_keys", "_key_weights", "_pack", "n_chapters"}
+        "byte_keys", "_key_weights", "_pack"}
     assert set(vars(DecoderTable(dct))) == {"k", "symbols", "lengths", "ends", "window"}
 
 

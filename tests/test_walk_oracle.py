@@ -3,9 +3,9 @@
 ``OracleMatrix`` is the earlier encoder kept as the reference: a 2**(K+O)
 row cell matrix and a loop that consumes one rank per Python step.  The
 stepped walk emits K-bit units; with each word's chapter read off the unit
-before it, they must be exactly the codewords the oracle emits, from every
-chapter, for every stream length, and the walk must raise where the
-oracle's checked loop raises.
+before it, they must be exactly the codewords the oracle emits from
+chapter 0, where every block starts, for every stream length, and the walk
+must raise where the oracle's checked loop raises.
 """
 
 from array import array
@@ -24,13 +24,14 @@ from ricemarlin import (
     best_dictionary_for,
     make_distribution,
 )
+from ricemarlin.dictionary import link_word_lists
 from ricemarlin.errors import BuildError, CorruptBlockError, EntropyTargetError
 from ricemarlin.source import FAMILIES, point_mass
 
 from conftest import (
     A, B, C, EDGE_DRAWS, THRESHOLDS, _built, _geometries, _with_edge_draws,
     abcd_distribution, binary_word_sets, chapter_words, codewords, from_tables_copy,
-    unsafe_copy, words_of,
+    level_one_start, unsafe_copy, words_of,
 )
 from test_table_oracle import OracleMatrix as GraphOracle, assert_same_cells, assert_same_matrix
 
@@ -87,7 +88,6 @@ class OracleMatrix:
             [(e >> 1) if e >= 0 else TRAP for e in row]
             for row in emit_target.tolist()
         ]
-        self.start_base = self._starts[0]
 
     def walk(self, ranks: list[int], check: bool = False, chapter: int = 0) -> list[int]:
         """Longest-match parse; returns emitted codewords including the flush."""
@@ -118,27 +118,23 @@ class OracleMatrix:
         return out
 
 
-def _stream(rng, dct, chapter, n, skewed):
-    """Ranks admissible from ``chapter``: any first rank at or above its level."""
+def _stream(rng, dct, n, skewed):
+    """``n`` ranks, all admissible from chapter 0, whose level is 0."""
     nq = len(dct.alphabet)
-    first = int(rng.integers(dct.levels[chapter], nq))
     if skewed:  # long words: draw from the coding distribution
         p = dct.alphabet.coding_probs
-        rest = rng.choice(nq, n - 1, p=p / p.sum())
-    else:
-        rest = rng.integers(0, nq, n - 1)
-    return [first] + rest.tolist()
+        return rng.choice(nq, n, p=p / p.sum()).tolist()
+    return rng.integers(0, nq, n).tolist()
 
 
-def _assert_same_walks(dct, seed, chapters=None):
+def _assert_same_walks(dct, seed):
     got, want = EncoderMatrix(dct), OracleMatrix(dct)
     rng = np.random.default_rng(seed)
-    for chapter in range(dct.n_chapters) if chapters is None else chapters:
-        for n in LENGTHS:
-            ranks = _stream(rng, dct, chapter, n, skewed=(n + chapter) % 2 == 0)
-            units = got.walk(np.asarray(ranks), chapter=chapter)
-            assert codewords(dct, units, chapter).tolist() == want.walk(
-                ranks, check=True, chapter=chapter)
+    for n in LENGTHS:
+        for skewed in (False, True):
+            ranks = _stream(rng, dct, n, skewed)
+            units = got.walk(np.asarray(ranks))
+            assert codewords(dct, units).tolist() == want.walk(ranks, check=True)
     return got
 
 
@@ -204,7 +200,7 @@ def test_walk_matches_oracle_at_every_table_width(long_word_set):
     walked = [_assert_same_walks(dct, seed=200 + i)
               for i, dct in enumerate(long_word_set.dictionaries)]
     _, wide = binary_word_sets(9)
-    walked.append(_assert_same_walks(wide, seed=300, chapters=(0, 1, 255, 256, 511)))
+    walked.append(_assert_same_walks(wide, seed=300))
     assert [_entry_width(m) for m in walked] == [2, 2, 1, 4]
 
 
@@ -288,12 +284,6 @@ def test_walk_of_nothing_is_empty(worked_dictionary):
     assert EncoderMatrix(worked_dictionary).walk([]).tolist() == []
 
 
-def test_walk_from_a_chapter_out_of_range_raises(worked_dictionary):
-    for chapter in (-1, worked_dictionary.n_chapters):
-        with pytest.raises(ValueError, match="chapter"):
-            EncoderMatrix(worked_dictionary).walk([A], chapter=chapter)
-
-
 def test_walk_rejects_ranks_out_of_range(worked_dictionary):
     # rank nq is the cell tables' flush rank, never a quotient's
     m, nq = EncoderMatrix(worked_dictionary), len(worked_dictionary.alphabet)
@@ -305,21 +295,27 @@ def test_walk_rejects_ranks_out_of_range(worked_dictionary):
                 m.walk(given)
 
 
-def test_inadmissible_start_raises(worked_dictionary, grid_set):
-    dct = worked_dictionary
-    assert dct.levels[1] == 1
+def test_inadmissible_start_raises(worked_dictionary):
+    # the oracle from a level-1 chapter, and both walks of a set whose
+    # chapter 0 has level 1, which the check rejects: it is assembled here
+    # without the check
     for n in (1, 2, 7, 64):
         ranks = [A] + [B] * (n - 1)
         with pytest.raises(CorruptBlockError):
-            OracleMatrix(dct).walk(ranks, check=True, chapter=1)
+            OracleMatrix(worked_dictionary).walk(ranks, check=True, chapter=1)
+    alphabet, word_lists = level_one_start()
+    word_sets = link_word_lists([1, 0], [list(map(bytes, ws)) for ws in word_lists])
+    dct = MarlinDictionary(2, 1, alphabet, tuple(word_sets), (0, 1))
+    assert dct.levels == (1, 0)
+    for n in (1, 2, 7, 64):
+        ranks = [A] + [B] * (n - 1)
         with pytest.raises(CorruptBlockError):
-            EncoderMatrix(dct).walk(ranks, chapter=1)
-    for dct in grid_set.dictionaries:
-        levels = list(dct.levels)
-        if not dct.empty_quotient and max(levels) > 0:
-            chapter = levels.index(max(levels))
-            with pytest.raises(CorruptBlockError):
-                EncoderMatrix(dct).walk([0] * 4096, chapter=chapter)
+            OracleMatrix(dct).walk(ranks, check=True)
+        with pytest.raises(CorruptBlockError):
+            EncoderMatrix(dct).walk(ranks)
+    # from rank B, both walks read it
+    assert codewords(dct, EncoderMatrix(dct).walk([B, A, A])).tolist() == OracleMatrix(
+        dct).walk([B, A, A], check=True)
 
 
 def test_trap_mid_stream_raises(worked_dictionary):
@@ -370,18 +366,9 @@ def test_walk_matches_oracle_on_random_dictionaries(ko, family, fraction, shift,
     assume(dct is not None and not dct.empty_quotient)
     got, want = EncoderMatrix(dct), OracleMatrix(dct)
     assert_same_matrix(got, GraphOracle(dct), dct)
-    top = max(range(dct.n_chapters), key=dct.levels.__getitem__)
     rng = np.random.default_rng(seed)
-    for chapter in sorted({0, top}):
-        for n in sorted({1, got.m, got.m + 1, (1 << dct.k) - 1, (1 << dct.k) + 1}):
-            ranks = _stream(rng, dct, chapter, n, skewed=True)
-            units = got.walk(np.asarray(ranks), chapter=chapter)
-            assert codewords(dct, units, chapter).tolist() == want.walk(
-                ranks, check=True, chapter=chapter)
+    for n in sorted({1, got.m, got.m + 1, (1 << dct.k) - 1, (1 << dct.k) + 1}):
+        ranks = _stream(rng, dct, n, skewed=True)
+        units = got.walk(np.asarray(ranks))
+        assert codewords(dct, units).tolist() == want.walk(ranks, check=True)
     _entry_width(got)
-    if dct.levels[top] > 0:  # rank 0 is inadmissible there: both walks raise
-        for n in (1, got.m + 1):
-            with pytest.raises(CorruptBlockError):
-                want.walk([0] * n, check=True, chapter=top)
-            with pytest.raises(CorruptBlockError):
-                got.walk(np.zeros(n, dtype=np.intp), chapter=top)
