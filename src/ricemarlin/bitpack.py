@@ -1,4 +1,6 @@
-"""MSB-first bit packing for codeword units and reminder fields."""
+"""MSB-first bit fields, the layout of both a block's codeword units and its
+reminders: fixed-width fields, most significant bit first, the last byte
+zero-padded."""
 
 from __future__ import annotations
 
@@ -18,30 +20,52 @@ def loc_bytes(n: int) -> int:
     raise ValueError(f"messages of {n} symbols are not supported")
 
 
+# field i of a group of 8 is shifted left by (7 - i) * w, for w in 1..7
+_FIELD_WEIGHTS = {
+    w: np.uint64(1) << np.arange(7 * w, -1, -w, dtype=np.uint64) for w in range(1, 8)
+}
+
+
 def pack_units(values: np.ndarray, width: int) -> bytes:
-    """Concatenate ``width``-bit units MSB-first; the last byte is zero-padded."""
-    if len(values) == 0:
+    """Concatenate the low ``width`` bits (0 to 24) of every value MSB-first;
+    the last byte is zero-padded.
+
+    Below 8 bits every 8 fields become one 64-bit word, field i shifted left
+    by ``(7 - i) * width`` (a dot product with powers of two, which is the
+    shift-or since the fields do not overlap), and the word's low ``width``
+    bytes, big-endian, are the group's bytes.  Above 8 bits every field is
+    spread to a row of bits.
+    """
+    n = len(values)
+    if width == 0 or n == 0:
         return b""
     if width == 8:
-        return values.astype(np.uint8).tobytes()
+        return np.asarray(values).astype(np.uint8, copy=False).tobytes()
+    if width < 8:
+        fields = np.zeros(-(-n // 8) * 8, dtype=np.uint64)
+        fields[:n] = np.asarray(values) & ((1 << width) - 1)
+        words = fields.reshape(-1, 8) @ _FIELD_WEIGHTS[width]
+        rows = words.astype(">u8").view(np.uint8).reshape(-1, 8)
+        return rows[:, 8 - width :].tobytes()[: (n * width + 7) // 8]
     v = np.asarray(values, dtype=np.uint32)
     bits = (v[:, None] >> np.arange(width - 1, -1, -1, dtype=np.uint32)) & 1
     return np.packbits(bits.astype(np.uint8).ravel()).tobytes()
 
 
 def unpack_units(buf: bytes, width: int, count: int) -> np.ndarray:
-    """Read ``count`` MSB-first ``width``-bit units from ``buf``, as ``intp`` table indices."""
-    if count == 0:
-        return np.zeros(0, dtype=np.intp)
+    """Inverse of :func:`pack_units`: ``count`` fields of ``buf``, as uint8
+    up to 8 bits (a read-only view of ``buf`` at 8) and as uint32 above."""
     if len(buf) * 8 < count * width:
         raise CorruptBlockError(
-            f"quotient section holds {len(buf) * 8} bits, need {count * width}"
+            f"section holds {len(buf) * 8} bits, {count} {width}-bit fields need {count * width}"
         )
+    if width == 0 or count == 0:
+        return np.zeros(count, dtype=np.uint8 if width <= 8 else np.uint32)
     if width == 8:
-        return np.frombuffer(buf, dtype=np.uint8, count=count).astype(np.intp)
+        return np.frombuffer(buf, dtype=np.uint8, count=count)
     if width < 8:
-        return _unpack_narrow(buf, width, count).astype(np.intp)
-    return _unpack_wide(buf, width, count).astype(np.intp)
+        return _unpack_narrow(buf, width, count)
+    return _unpack_wide(buf, width, count)
 
 
 def _unpack_narrow(buf: bytes, width: int, count: int) -> np.ndarray:
@@ -74,41 +98,7 @@ def _unpack_wide(buf: bytes, width: int, count: int) -> np.ndarray:
     return (windows[starts >> 3] >> drop) & np.uint32((1 << width) - 1)
 
 
-# field i of a group of 8 is shifted left by (7 - i) * s, for s in 1..7
-_FIELD_WEIGHTS = {
-    s: np.uint64(1) << np.arange(7 * s, -1, -s, dtype=np.uint64) for s in range(1, 8)
-}
-
-
-def pack_low_bits(message: np.ndarray, s: int) -> bytes:
-    """Reminder field: the low ``s`` bits of every byte, MSB-first.
-
-    The inverse of :func:`_unpack_narrow`: every 8 fields become one 64-bit
-    word, field i shifted left by ``(7 - i) * s`` (a dot product with powers
-    of two, which is the shift-or since the fields do not overlap), and the
-    word's low ``s`` bytes, big-endian, are the group's bytes.
-    """
-    if s == 0 or len(message) == 0:
-        return b""
-    msg = np.asarray(message, dtype=np.uint8)
-    if s == 8:
-        return msg.tobytes()
-    n = len(msg)
-    fields = np.zeros(-(-n // 8) * 8, dtype=np.uint64)
-    fields[:n] = msg & ((1 << s) - 1)
-    words = fields.reshape(-1, 8) @ _FIELD_WEIGHTS[s]
-    rows = words.astype(">u8").view(np.uint8).reshape(-1, 8)
-    return rows[:, 8 - s :].tobytes()[: (n * s + 7) // 8]
-
-
-def unpack_low_bits(buf: bytes, s: int, n: int) -> np.ndarray:
-    """Inverse of :func:`pack_low_bits`; returns ``n`` reminder values."""
-    if s == 0 or n == 0:
-        return np.zeros(n, dtype=np.uint8)
-    if len(buf) * 8 < n * s:
-        raise CorruptBlockError(
-            f"reminder section holds {len(buf) * 8} bits, need {n * s}"
-        )
-    if s == 8:
-        return np.frombuffer(buf, dtype=np.uint8, count=n).copy()
-    return _unpack_narrow(buf, s, n)
+# the reminder section (the low S bits of every byte) has the same layout; its
+# call sites keep names of their own, so a tracer can time the two sections apart
+pack_low_bits = pack_units
+unpack_low_bits = unpack_units

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .bitpack import unpack_low_bits, unpack_units
-from .dictionary import RAW_INDEX, DictionarySet, MarlinDictionary
+from .dictionary import DictionarySet, MarlinDictionary
 from .encoder import CompressedBlock
 from .errors import CorruptBlockError
 
@@ -56,7 +56,7 @@ def decode_quotients(table: DecoderTable, stream: bytes, n: int) -> np.ndarray:
     avail = (len(stream) * 8) // k
     if avail == 0:
         raise CorruptBlockError("quotient stream exhausted before any symbol")
-    codewords = unpack_units(stream, k, avail)
+    codewords = unpack_units(stream, k, avail).astype(np.intp)
     codewords[1:] |= table.window[codewords[:-1]]
     lens = table.lengths[codewords]
     total = np.cumsum(lens)
@@ -78,9 +78,10 @@ def decode_quotients(table: DecoderTable, stream: bytes, n: int) -> np.ndarray:
     return table.symbols[np.repeat(starts, lens[:used]) + np.arange(n)]
 
 
-def decode_block(dset: DictionarySet | MarlinDictionary, block: CompressedBlock) -> bytes:
-    """Reconstruct the original ``block.n`` bytes of one block (a raw block
-    must hold exactly that many)."""
+def decode_block(dset: DictionarySet, block: CompressedBlock) -> bytes:
+    """Reconstruct the original ``block.n`` bytes of one block with
+    ``dset[block.dict_index]``; a raw block must hold exactly that many bytes
+    and needs no set."""
     n = block.n
     if block.is_raw:
         if len(block.raw) != n:
@@ -88,7 +89,9 @@ def decode_block(dset: DictionarySet | MarlinDictionary, block: CompressedBlock)
                 f"raw block holds {len(block.raw)} bytes, expected {n}"
             )
         return bytes(block.raw)
-    dct = _resolve(dset, block.dict_index)
+    if not 0 <= block.dict_index < len(dset):
+        raise CorruptBlockError(f"unknown dictionary index {block.dict_index}")
+    dct = dset[block.dict_index]
     if n == 0:
         return b""
     shift = dct.shift
@@ -103,11 +106,3 @@ def decode_block(dset: DictionarySet | MarlinDictionary, block: CompressedBlock)
             raise CorruptBlockError("escape location outside the block")
         out[locs] = [sym for _, sym in block.escapes]
     return out.tobytes()
-
-
-def _resolve(dset, index: int) -> MarlinDictionary:
-    if isinstance(dset, MarlinDictionary):
-        return dset
-    if index == RAW_INDEX or index >= len(dset):
-        raise CorruptBlockError(f"unknown dictionary index {index}")
-    return dset[index]

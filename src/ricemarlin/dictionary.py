@@ -436,7 +436,6 @@ class MarlinDictionary:
         block_n: int = 4096,
     ) -> "MarlinDictionary":
         """Build and evaluate a dictionary for one (S, threshold) choice."""
-        _validate_ko(k, o)
         alphabet = split_alphabet(dist, shift, threshold)
         return cls.from_alphabet(dist, k, o, alphabet, block_n=block_n)
 
@@ -449,6 +448,7 @@ class MarlinDictionary:
         alphabet: QuotientAlphabet,
         block_n: int = 4096,
     ) -> "MarlinDictionary":
+        _validate_ko(k, o)  # before any chapter is grown
         nq = len(alphabet)
         if nq == 1:
             dct = cls(k, o, alphabet, (), (), source_id=dist.source_id, block_n=block_n)
@@ -1032,10 +1032,8 @@ def build_dictionary_set(config: dict | None = None) -> DictionarySet:
         raise BuildError("dictionary-set grid is empty")
     if len(grid) > MAX_SET_SIZE:
         raise BuildError(f"grid of {len(grid)} exceeds the {MAX_SET_SIZE}-entry cap")
-    dicts = []
-    for family, fraction in grid:
-        dist = make_distribution(SyntheticFamily(family, fraction))
-        dicts.append(
-            best_dictionary_for(dist, cfg["k"], cfg["o"], block_n=cfg["block_n"])
-        )
-    return DictionarySet(dicts)
+    # every grid point is checked before the first build
+    dists = [make_distribution(SyntheticFamily(f, x)) for f, x in grid]
+    return DictionarySet(
+        [best_dictionary_for(d, cfg["k"], cfg["o"], block_n=cfg["block_n"]) for d in dists]
+    )

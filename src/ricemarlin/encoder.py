@@ -208,7 +208,10 @@ def pack_reminders(message: bytes, s: int) -> bytes:
 def encode_block(dct: MarlinDictionary, message: bytes, dict_index: int = 0) -> CompressedBlock:
     """Encode one block (``bytes`` or ``bytearray``) with ``dct.matrix``; falls
     back to a raw block when escapes overflow the one-byte counter or
-    compression would not save a byte."""
+    compression would not save a byte.  ``dict_index`` labels a coded block
+    and must be below ``RAW_INDEX``, which marks a raw one."""
+    if not 0 <= dict_index < RAW_INDEX:
+        raise ValueError(f"dictionary index {dict_index} is not in [0, {RAW_INDEX})")
     n = len(message)
     if n == 0:
         return CompressedBlock(dict_index=RAW_INDEX, n=0, raw=b"")

@@ -41,6 +41,30 @@ def test_units_roundtrip(width):
     assert np.array_equal(out, vals)
 
 
+def test_one_codec_serves_both_sections():
+    assert pack_low_bits is pack_units and unpack_low_bits is unpack_units
+
+
+def oracle_pack_units(values: np.ndarray, width: int) -> bytes:
+    """The bit-matrix packer: every field spread to a row of its low bits."""
+    v = np.asarray(values, dtype=np.uint32)
+    bits = (v[:, None] >> np.arange(width - 1, -1, -1, dtype=np.uint32)) & 1
+    return np.packbits(bits.astype(np.uint8).ravel()).tobytes()
+
+
+@pytest.mark.parametrize("width", range(1, 25))
+def test_pack_units_matches_bit_matrix(width):
+    # full 32-bit draws check that only the low bits are packed; in-range
+    # draws in the narrowest dtype are what the walk's units look like
+    rng = np.random.default_rng(200 + width)
+    narrow = np.min_scalar_type((1 << width) - 1)
+    for n in [*range(18), 4095, 4096, 4097]:
+        vals = rng.integers(0, 1 << 32, size=n, dtype=np.uint64).astype(np.uint32)
+        assert pack_units(vals, width) == oracle_pack_units(vals, width), n
+        vals &= np.uint32((1 << width) - 1)
+        assert pack_units(vals.astype(narrow), width) == oracle_pack_units(vals, width), n
+
+
 def test_unpack_units_truncated():
     with pytest.raises(CorruptBlockError):
         unpack_units(b"\x00", 8, 2)

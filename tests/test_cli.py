@@ -36,6 +36,18 @@ def test_build_dictset_rejects_block_sizes_a_set_cannot_store(tmp_path, capsys, 
     assert "Traceback" not in err and not out.exists()
 
 
+def test_build_dictset_checks_every_fraction_before_building(tmp_path, capsys, monkeypatch):
+    # a bad last fraction used to fail only after every earlier build
+    from ricemarlin import dictionary as rd
+
+    monkeypatch.setattr(rd, "best_dictionary_for", lambda *args, **kw: pytest.fail("built"))
+    out = tmp_path / "x.rmds"
+    argv = ["build-dictset", "--out", str(out), "--laplacian", "0.3", "--exponential", "1.5"]
+    assert main(argv) == EXIT_FAILURE
+    assert capsys.readouterr().err.startswith("error: target_entropy_fraction must be in (0, 1)")
+    assert not out.exists()
+
+
 def test_build_dictset_rejects_bad_overlap(tmp_path, capsys):
     rc = main(
         ["build-dictset", "--out", str(tmp_path / "x"), "--k", "8", "--o", "9",

@@ -124,11 +124,20 @@ def test_decode_block_raw_passthrough():
         decode_block(None, CompressedBlock(dict_index=255, n=4, raw=bytes([9, 8, 7])))
 
 
+@pytest.mark.parametrize("index", [-1, 1, 255])
+def test_decode_block_rejects_an_index_outside_the_set(index):
+    # a set holds at most 255 dictionaries, so 255 is never a coded block's
+    dct = MarlinDictionary.build(uniform(), k=8, o=4, shift=8, threshold=0.0)
+    blk = CompressedBlock(dict_index=index, n=64, reminders=bytes(range(64)))
+    with pytest.raises(CorruptBlockError, match=f"unknown dictionary index {index}$"):
+        decode_block(DictionarySet([dct]), blk)
+
+
 def test_decode_block_full_shift_outputs_reminders():
     dct = MarlinDictionary.build(uniform(), k=8, o=4, shift=8, threshold=0.0)
     payload = bytes(range(64))
     blk = CompressedBlock(dict_index=0, n=64, reminders=payload)
-    assert decode_block(dct, blk) == payload
+    assert decode_block(DictionarySet([dct]), blk) == payload
 
 
 def test_decode_block_bad_escape_location():
@@ -139,14 +148,15 @@ def test_decode_block_bad_escape_location():
     assert not blk.is_raw
     blk.escapes.append((100, 0))  # beyond the block
     with pytest.raises(CorruptBlockError):
-        decode_block(dct, blk)
+        decode_block(DictionarySet([dct]), blk)
 
 
 def test_decode_is_deterministic(worked_dictionary):
     msg = bytes([A, A, A, B, A, C] * 10)
     blk = encode_block(worked_dictionary, msg)
-    a = decode_block(worked_dictionary, blk)
-    b = decode_block(worked_dictionary, blk)
+    dset = DictionarySet([worked_dictionary])
+    a = decode_block(dset, blk)
+    b = decode_block(dset, blk)
     assert a == b == msg
 
 
@@ -159,4 +169,4 @@ def test_full_pipeline_fuzz(fam, frac):
         n = int(rng.integers(0, 1500))
         msg = dist.sample(n, seed=int(rng.integers(1 << 30)))
         blk = encode_block(dct, msg)
-        assert decode_block(dct, blk) == msg
+        assert decode_block(DictionarySet([dct]), blk) == msg

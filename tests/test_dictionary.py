@@ -10,6 +10,7 @@ from conftest import (
 from ricemarlin import (
     BuildError,
     EncoderMatrix,
+    EntropyTargetError,
     MarlinDictionary,
     SymbolDistribution,
     SyntheticFamily,
@@ -480,6 +481,27 @@ def test_build_set_rejects_unknown_config_keys(monkeypatch):
             build_dictionary_set(config)
 
 
+@pytest.mark.parametrize("k,o", [(30, 0), (21, 4), (8, 9)])
+def test_from_alphabet_checks_geometry_before_growing(abcd_dist, monkeypatch, k, o):
+    # these asked for 2^30-, 2^21- and 256-word chapters before the check
+    monkeypatch.setattr(rd, "grow_chapter", lambda *args: pytest.fail("grew a chapter"))
+    alphabet = split_alphabet(abcd_dist, 0, 2**-16)
+    with pytest.raises(BuildError, match=f"got K={k}, O={o}$"):
+        MarlinDictionary.from_alphabet(abcd_dist, k, o, alphabet)
+    with pytest.raises(BuildError, match=f"got K={k}, O={o}$"):
+        MarlinDictionary.build(abcd_dist, k, o, shift=0, threshold=2**-16)
+
+
+@pytest.mark.parametrize("grid,error", [
+    ([("laplacian", 0.3), ("laplacian", 0.5), ("exponential", 1.5)], ValueError),
+    ([("laplacian", 0.3), ("poisson", 0.999)], EntropyTargetError),
+])
+def test_build_set_checks_every_grid_point_before_building(monkeypatch, grid, error):
+    monkeypatch.setattr(rd, "best_dictionary_for", lambda *args, **kw: pytest.fail("built"))
+    with pytest.raises(error):
+        build_dictionary_set({"grid": grid})
+
+
 def test_build_set_rejects_oversized_grid():
     grid = [("laplacian", 0.5)] * 256
     with pytest.raises(BuildError):
@@ -580,7 +602,7 @@ def test_overlapped_twelve_bit_parameterization():
     assert max(dct.levels) >= 1  # overlap carries exclusion information
     msg = dist.sample(20000, seed=6)
     blk = encode_block(dct, msg)
-    assert decode_block(dct, blk) == msg
+    assert decode_block(DictionarySet([dct]), blk) == msg
     # a single unsearched (S, threshold) point still lands near the curve
     assert efficiency(dct, dist, 4096) > 0.85
 

@@ -18,7 +18,7 @@ from ricemarlin import (
     pack_reminders,
 )
 from ricemarlin.bitpack import pack_units
-from ricemarlin.dictionary import RAW_INDEX, split_alphabet
+from ricemarlin.dictionary import RAW_INDEX, DictionarySet, split_alphabet
 from ricemarlin.encoder import CompressedBlock
 from ricemarlin.errors import BuildError, EntropyTargetError
 from ricemarlin.source import FAMILIES, point_mass
@@ -83,7 +83,7 @@ def test_translate_tables_match_rank_lut(default_set):
 def assert_same_block(dct: MarlinDictionary, message: bytes | bytearray) -> None:
     block = encode_block(dct, message, dict_index=3)
     assert block == oracle_encode_block(dct, message, dict_index=3)
-    assert decode_block(dct, block) == message
+    assert decode_block(DictionarySet([dct] * 4), block) == message
 
 
 def test_front_end_matches_oracle_on_fixed_dictionaries(worked_dictionary):

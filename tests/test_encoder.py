@@ -11,7 +11,7 @@ from ricemarlin import (
     make_distribution,
     pack_reminders,
 )
-from ricemarlin.dictionary import RAW_INDEX
+from ricemarlin.dictionary import RAW_INDEX, DictionarySet
 from ricemarlin.decoder import decode_block
 from ricemarlin.source import point_mass
 from test_table_oracle import OracleMatrix as GraphOracle
@@ -115,6 +115,16 @@ def test_encode_empty_message_is_minimal():
     assert block.serialized_size() == 1
 
 
+@pytest.mark.parametrize("index", [-1, RAW_INDEX, 300])
+def test_encode_block_rejects_an_index_a_coded_block_cannot_carry(worked_dictionary, index):
+    # 255 marks a raw block: parse_block would read a coded block so labelled
+    # as raw, and the wire holds one byte
+    msg = bytes([A, A, A, B, A, C] * 10)
+    with pytest.raises(ValueError, match=rf"dictionary index {index} is not in \[0, 255\)"):
+        encode_block(worked_dictionary, msg, dict_index=index)
+    assert encode_block(worked_dictionary, msg, dict_index=RAW_INDEX - 1).dict_index == 254
+
+
 def test_encode_records_escapes_in_order():
     p = np.zeros(256)
     p[0], p[1], p[200] = 0.9, 0.0999, 0.0001
@@ -127,7 +137,7 @@ def test_encode_records_escapes_in_order():
     assert locs == sorted(locs)
     assert all(sym == 200 for _, sym in block.escapes)
     assert len(block.escapes) == 20
-    assert decode_block(dct, block) == msg
+    assert decode_block(DictionarySet([dct]), block) == msg
 
 
 def test_encode_too_many_escapes_falls_back_to_raw():
@@ -161,7 +171,7 @@ def test_placeholder_substitution_keeps_reminders():
     block = encode_block(dct, msg)
     assert not block.is_raw
     assert len(block.escapes) == 3
-    assert decode_block(dct, block) == msg
+    assert decode_block(DictionarySet([dct]), block) == msg
 
 
 def test_emitted_units_count_matches_parse(worked_dictionary):
@@ -200,6 +210,6 @@ def test_units_wider_than_16_bits_round_trip():
     assert m.m == 1 and m.cell_units.dtype == np.uint32
     msg = dist.sample(20_000, seed=17)
     block = encode_block(dct, msg)
-    assert not block.is_raw and decode_block(dct, block) == msg
+    assert not block.is_raw and decode_block(DictionarySet([dct]), block) == msg
     units = m.walk(np.frombuffer(msg.translate(dct.alphabet.rank_table), dtype=np.uint8))
     assert units.max() > 1 << 16
