@@ -448,7 +448,8 @@ class MarlinDictionary:
         alphabet: QuotientAlphabet,
         block_n: int = 4096,
     ) -> "MarlinDictionary":
-        _validate_ko(k, o)  # before any chapter is grown
+        _validate_block_n(block_n)  # before any chapter is grown
+        _validate_ko(k, o)
         nq = len(alphabet)
         if nq == 1:
             dct = cls(k, o, alphabet, (), (), source_id=dist.source_id, block_n=block_n)
@@ -526,6 +527,7 @@ class MarlinDictionary:
         ``c * 2**K + i``.  Each chapter gets its own word set, which must pass
         :meth:`check`; otherwise :class:`BuildError` is raised.
         """
+        _validate_block_n(block_n)
         _validate_ko(k, o)
         if len(chapters) != 1 << o:
             raise BuildError(f"need {1 << o} chapters, got {len(chapters)}")
@@ -653,6 +655,12 @@ class MarlinDictionary:
     def emission_probs(self, c: int, dist: SymbolDistribution) -> np.ndarray:
         """Per-word emission probabilities of chapter ``c`` under its own level."""
         return self._chain(dist).emission_probs(c, self.levels[c])
+
+
+def _validate_block_n(block_n: int) -> None:
+    """A set file stores a dictionary's block size as a u32."""
+    if not 1 <= block_n <= 0xFFFFFFFF:
+        raise ValueError(f"block size {block_n} is not in [1, 2^32 - 1]")
 
 
 def _validate_ko(k: int, o: int) -> None:
@@ -864,9 +872,8 @@ def best_dictionary_for(
     every shift.  A ``block_n`` that a set file cannot store as a u32 raises
     ``ValueError`` before any build.
     """
+    _validate_block_n(block_n)
     _validate_ko(k, o)
-    if not 1 <= block_n <= 0xFFFFFFFF:
-        raise ValueError(f"block size {block_n} is not in [1, 2^32 - 1]")
     bounds = {
         shift: shift_efficiency_bound(dist, shift, block_n, thresholds) for shift in shifts
     }

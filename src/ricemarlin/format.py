@@ -8,9 +8,10 @@ stores compressed lengths and derives original sizes from its header.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import struct
 import zlib
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -402,11 +403,12 @@ class ContainerHeader(NamedTuple):
     height: int
     digest: bytes
 
-    def pack(self, n_blocks: int) -> bytes:
+    def pack(self) -> bytes:
+        """The header's bytes; the block count stored is :meth:`block_count`."""
         return _HEADER.pack(
             CONTAINER_MAGIC, CONTAINER_VERSION, self.flags, self.k, self.o,
             self.block_size, self.total_size, self.width, self.height,
-            self.digest, n_blocks,
+            self.digest, self.block_count(),
         )
 
     def check(self, error: type[Exception]) -> None:
@@ -464,29 +466,12 @@ class ContainerHeader(NamedTuple):
             return -(-self.width // BLOCK_EDGE) * -(-self.height // BLOCK_EDGE)
         return -(-self.total_size // self.block_size)
 
-    def block_sizes(self) -> list[int]:
-        """Original size of every block, derived from the header alone."""
+    def block_sizes(self) -> Iterator[int]:
+        """Original size of every block, derived lazily from the header alone."""
         if self.flags & FLAG_IMAGE:
-            return [bw * bh for bw, bh in block_geometry(self.width, self.height)]
-        if self.total_size == 0:
-            return []
-        bs = self.block_size
-        full, rem = divmod(self.total_size, bs)
-        return [bs] * full + ([rem] if rem else [])
-
-
-def compress_blocks(data: bytes, dset: DictionarySet, sizes: list[int]) -> list[bytes]:
-    """Encode consecutive slices of ``data`` given by ``sizes``."""
-    out = []
-    pos = 0
-    for n in sizes:
-        chunk = data[pos : pos + n]
-        pos += n
-        counts = np.bincount(np.frombuffer(chunk, dtype=np.uint8), minlength=256)
-        idx = dset.quick_select(counts, n)
-        block = encode_block(dset[idx], chunk, dict_index=idx)
-        out.append(serialize_block(block))
-    return out
+            return (bw * bh for bw, bh in block_geometry(self.width, self.height))
+        full, rem = divmod(self.total_size, self.block_size)
+        return itertools.chain(itertools.repeat(self.block_size, full), [rem] if rem else [])
 
 
 def compress_bytes(
@@ -498,17 +483,22 @@ def compress_bytes(
     height: int = 0,
 ) -> bytes:
     """Compress ``data`` into a standalone container, in the blocks its
-    header implies."""
+    header implies; each block is framed into the output as it is encoded."""
     header = ContainerHeader(
         k=dset.k, o=dset.o, block_size=block_size, total_size=len(data),
         flags=flags, width=width, height=height, digest=dset.digest,
     )
     header.check(ValueError)
-    payloads = compress_blocks(data, dset, header.block_sizes())
-    out = bytearray(header.pack(len(payloads)))
-    for p in payloads:
-        out += struct.pack("<I", len(p))
-        out += p
+    out = bytearray(header.pack())
+    pos = 0
+    for n in header.block_sizes():
+        chunk = data[pos : pos + n]
+        pos += n
+        counts = np.bincount(np.frombuffer(chunk, dtype=np.uint8), minlength=256)
+        idx = dset.quick_select(counts, n)
+        payload = serialize_block(encode_block(dset[idx], chunk, dict_index=idx))
+        out += struct.pack("<I", len(payload))
+        out += payload
     return bytes(out)
 
 

@@ -15,6 +15,7 @@ from ricemarlin import (
     SymbolDistribution,
     SyntheticFamily,
     build_dictionary_set,
+    compress_bytes,
     decode_block,
     decode_quotients,
     encode_block,
@@ -23,7 +24,7 @@ from ricemarlin import (
 )
 from ricemarlin.bitpack import pack_low_bits, pack_units, unpack_low_bits, unpack_units
 from ricemarlin.encoder import CompressedBlock
-from ricemarlin.format import compress_blocks
+from ricemarlin.format import HEADER_SIZE, ContainerHeader
 
 from conftest import GRID_SIZES, chapter_words, padded_rows
 
@@ -175,13 +176,17 @@ def test_decode_matches_oracle_on_acceptance_grid(grid_distributions, grid_set):
     for i, dist in enumerate(grid_distributions.values()):
         for j, n in enumerate(GRID_SIZES):
             data = dist.sample(n, seed=1000 + j)
-            sizes = [4096] * (n // 4096) + ([n % 4096] if n % 4096 else [])
-            pos = 0
-            for size, payload in zip(sizes, compress_blocks(data, grid_set, sizes)):
-                block = parse_block(payload, size, grid_set)
+            comp = compress_bytes(data, grid_set)
+            pos, at = 0, HEADER_SIZE
+            # each block as the container frames it: a u32 length, then its body
+            for size in ContainerHeader.unpack(comp).block_sizes():
+                clen = int.from_bytes(comp[at : at + 4], "little")
+                block = parse_block(comp[at + 4 : at + 4 + clen], size, grid_set)
+                at += 4 + clen
                 oracle = None if block.is_raw else oracles[block.dict_index]
                 want = oracle_decode_block(oracle, block, size)
                 assert decode_block(grid_set, block) == want == data[pos : pos + size]
                 pos += size
                 checked += 1
+            assert (at, pos) == (len(comp), n)
     assert checked == len(grid_distributions) * 21

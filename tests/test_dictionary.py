@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import (
-    A, B, C, D, chapter_words, codewords, excluded, select, skewed_distribution,
-    unsafe_copy,
+    A, B, C, D, WORKED_CHAPTER_0, WORKED_CHAPTER_1, abcd_distribution, chapter_words,
+    codewords, excluded, select, skewed_distribution, unsafe_copy,
 )
 from ricemarlin import (
     BuildError,
@@ -390,12 +390,31 @@ def test_best_dictionary_validates_parameters():
         best_dictionary_for(uniform(), 8, 9)
 
 
-@pytest.mark.parametrize("block_n", [-5, 0, 1 << 32])
-def test_best_dictionary_rejects_block_sizes_a_set_cannot_store(monkeypatch, block_n):
-    # a set file stores block_n as a u32; checked before any candidate is bounded
+_BUILDERS = {
+    "search": lambda n: best_dictionary_for(uniform(), 8, 4, block_n=n),
+    "build": lambda n: MarlinDictionary.build(
+        make_distribution(SyntheticFamily("laplacian", 0.5)), k=8, o=4, shift=2,
+        threshold=2**-10, block_n=n,
+    ),
+    "from_tables": lambda n: MarlinDictionary.from_tables(
+        3, 1, split_alphabet(abcd_distribution(), 0, 2**-16),
+        [WORKED_CHAPTER_0, WORKED_CHAPTER_1], block_n=n,
+    ),
+}
+
+
+@pytest.mark.parametrize("builder, block_n", [
+    *(pytest.param("search", n, id=str(n)) for n in (-5, 0, 1 << 32)),
+    *(pytest.param(b, n, id=f"{b}-{n}")
+      for b in ("build", "from_tables") for n in (-5, 0, 1 << 32, 1 << 33)),
+])
+def test_best_dictionary_rejects_block_sizes_a_set_cannot_store(monkeypatch, builder, block_n):
+    # a set file stores block_n as a u32; every builder checks it before any
+    # candidate is bounded or any chapter is grown
     monkeypatch.setattr(rd, "shift_efficiency_bound", lambda *args: pytest.fail("searched"))
+    monkeypatch.setattr(rd, "grow_chapter", lambda *args: pytest.fail("grown"))
     with pytest.raises(ValueError, match=rf"block size {block_n} is not in \[1, 2\^32 - 1\]"):
-        best_dictionary_for(uniform(), 8, 4, block_n=block_n)
+        _BUILDERS[builder](block_n)
 
 
 def test_each_candidate_builds_one_parse_chain(monkeypatch):

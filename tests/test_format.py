@@ -1,3 +1,4 @@
+import collections.abc
 import dataclasses
 import hashlib
 import random
@@ -34,11 +35,13 @@ from ricemarlin.encoder import CompressedBlock
 from ricemarlin.image import residual_inverse, residual_transform
 from ricemarlin.source import uniform
 from ricemarlin.format import (
+    _HEADER,
+    CONTAINER_MAGIC,
+    CONTAINER_VERSION,
     FLAG_IMAGE,
     HEADER_SIZE,
     ContainerHeader,
     _tables_digest,
-    compress_blocks,
     dictset_digest,
 )
 
@@ -893,11 +896,29 @@ def test_block_size_must_fit_the_header(tiny_set):
 
 
 def test_empty_blocks_are_raw(tiny_set):
-    data = make_distribution(SyntheticFamily("laplacian", 0.5)).sample(5, seed=1)
-    payloads = compress_blocks(data, tiny_set, [0, 5, 0])
-    assert len(payloads) == 3
-    assert payloads[0] == payloads[2] == b"\xff"
-    assert decode_block(tiny_set, parse_block(payloads[1], 5, tiny_set)) == data
+    # an empty block is stored as the raw index alone, whichever dictionary coded it
+    for i in range(len(tiny_set)):
+        payload = serialize_block(encode_block(tiny_set[i], b"", dict_index=i))
+        assert payload == b"\xff"
+        block = parse_block(payload, 0, tiny_set)
+        assert block.is_raw and decode_block(tiny_set, block) == b""
+
+
+def test_compress_holds_one_copy_of_the_container_beside_its_result(tiny_set):
+    # each block is framed into the output as it is encoded: the output
+    # buffer and the bytes returned are the two copies, and no list of every
+    # block body is held beside them
+    import tracemalloc
+
+    data = make_distribution(SyntheticFamily("laplacian", 0.5)).sample(1 << 20, seed=9)
+    tracemalloc.start()
+    try:
+        comp = compress_bytes(data, tiny_set, block_size=4096)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert decompress_bytes(comp, tiny_set) == data
+    assert peak < 2.5 * len(comp), (peak, len(comp))
 
 
 def test_container_rejects_wrong_set(tiny_set):
@@ -919,15 +940,41 @@ def test_container_detects_truncation(tiny_set):
         decompress_bytes(comp[:10], tiny_set)
 
 
-def test_container_header_derives_block_sizes():
-    hdr = ContainerHeader(8, 4, 4096, 10000, 0, 0, 0, bytes(32))
-    assert hdr.block_sizes() == [4096, 4096, 1808]
-    assert hdr.block_count() == 3
-    empty = hdr._replace(total_size=0)
-    assert empty.block_sizes() == []
-    assert empty.block_count() == 0
-    img = hdr._replace(total_size=130 * 65, flags=FLAG_IMAGE, width=130, height=65)
-    assert img.block_count() == len(img.block_sizes()) == 6
+def _bytes_header(block_size: int, total: int) -> ContainerHeader:
+    return ContainerHeader(8, 4, block_size, total, 0, 0, 0, bytes(32))
+
+
+def _image_header(w: int, h: int) -> ContainerHeader:
+    return ContainerHeader(8, 4, 4096, w * h, FLAG_IMAGE, w, h, bytes(32))
+
+
+_GEOMETRY = [
+    *(pytest.param(_bytes_header(1, t), [1] * t, id=f"bytes-{t}-in-1")
+      for t in (0, 1, 4095, 4096, 4097, 10_000)),
+    *(pytest.param(_bytes_header(4096, t), want, id=f"bytes-{t}-in-4096") for t, want in (
+        (0, []), (1, [1]), (4095, [4095]), (4096, [4096]), (4097, [4096, 1]),
+        (10_000, [4096, 4096, 1808]),
+    )),
+    *(pytest.param(_bytes_header(2**32 - 1, t), [t] if t else [], id=f"bytes-{t}-in-2^32-1")
+      for t in (0, 1, 4095, 4096, 4097, 10_000)),
+    # an image's blocks are its 64x64 grid in raster order, edges included
+    *(pytest.param(_image_header(w, h), want, id=f"image-{w}x{h}") for w, h, want in (
+        (0, 5, []), (5, 0, []), (64, 64, [4096]), (65, 1, [64, 1]),
+        (130, 70, [4096, 4096, 128, 384, 384, 12]), (1, 200, [64, 64, 64, 8]),
+    )),
+]
+
+
+@pytest.mark.parametrize("hdr, want", _GEOMETRY)
+def test_container_header_derives_block_sizes(hdr, want):
+    sizes = hdr.block_sizes()
+    assert isinstance(sizes, collections.abc.Iterator)  # lazy: nothing is listed
+    sizes = list(sizes)
+    assert sizes == want
+    assert sum(sizes) == hdr.total_size and len(sizes) == hdr.block_count()
+    assert all(1 <= n <= hdr.block_size for n in sizes)
+    # the stored count is always the one the geometry implies
+    assert int.from_bytes(hdr.pack()[-4:], "little") == hdr.block_count()
 
 
 # ---------------------------------------------------------------------------
@@ -940,9 +987,13 @@ def _valid_container(dset) -> bytes:
 
 
 def _with_header(comp: bytes, n_blocks: int, **fields) -> bytes:
-    """``comp`` with its header rewritten; ``fields`` override header fields."""
-    hdr = ContainerHeader.unpack(comp)
-    return hdr._replace(**fields).pack(n_blocks) + comp[HEADER_SIZE:]
+    """``comp`` with a forged header: ``fields`` override header fields, and
+    ``n_blocks`` is stored as the block count whatever they imply."""
+    h = ContainerHeader.unpack(comp)._replace(**fields)
+    return _HEADER.pack(
+        CONTAINER_MAGIC, CONTAINER_VERSION, h.flags, h.k, h.o, h.block_size, h.total_size,
+        h.width, h.height, h.digest, n_blocks,
+    ) + comp[HEADER_SIZE:]
 
 
 def test_container_rejects_zero_block_size(tiny_set):
