@@ -3,7 +3,8 @@
 Each step peeks N = K + O bits (the O-bit window carried from the previous
 codeword plus K fresh bits) and keeps only the low O bits as the next
 window.  A block's symbols then come out of the word sets' concatenated
-symbols in one gather.  Reminders and escape pairs are merged afterwards.
+symbols in one gather.  Reminders and escape pairs are then merged into
+that array in place; at S = 0 there are no reminders to read.
 """
 
 from __future__ import annotations
@@ -57,15 +58,15 @@ def decode_quotients(table: DecoderTable, stream: bytes, n: int) -> np.ndarray:
     if avail == 0:
         raise CorruptBlockError("quotient stream exhausted before any symbol")
     codewords = unpack_units(stream, k, avail).astype(np.intp)
-    codewords[1:] |= table.window[codewords[:-1]]
-    lens = table.lengths[codewords]
-    total = np.cumsum(lens)
-    if total[-1] < n:
+    codewords[1:] |= table.window.take(codewords[:-1])
+    lens = table.lengths.take(codewords)
+    total = lens.cumsum()
+    used = int(total.searchsorted(n)) + 1
+    if used > avail:
         raise CorruptBlockError(
             f"quotient stream exhausted after {int(total[-1])} of {n} symbols"
         )
-    used = int(np.searchsorted(total, n, side="left")) + 1
-    if int(total[used - 1]) != n:
+    if total[used - 1] != n:
         raise CorruptBlockError("final word overruns the block boundary")
     if len(stream) != (used * k + 7) // 8:
         raise CorruptBlockError(
@@ -74,8 +75,10 @@ def decode_quotients(table: DecoderTable, stream: bytes, n: int) -> np.ndarray:
         )
     # symbol j of word i sits at ends[cw_i] - len_i + j in ``symbols`` and
     # at total_i - len_i + j in the output
-    starts = table.ends[codewords[:used]] - total[:used]
-    return table.symbols[np.repeat(starts, lens[:used]) + np.arange(n)]
+    starts = table.ends.take(codewords[:used]) - total[:used]
+    index = starts.repeat(lens[:used])
+    index += np.arange(n)
+    return table.symbols.take(index)
 
 
 def decode_block(dset: DictionarySet, block: CompressedBlock) -> bytes:
@@ -96,13 +99,15 @@ def decode_block(dset: DictionarySet, block: CompressedBlock) -> bytes:
         return b""
     shift = dct.shift
     if dct.empty_quotient:
-        quotients = np.full(n, dct.alphabet.values[0], dtype=np.uint8)
+        out = np.full(n, dct.alphabet.values[0], dtype=np.uint8)
     else:
-        quotients = decode_quotients(dct.table, block.quotient_stream, n)
-    out = (quotients << shift) | unpack_low_bits(block.reminders, shift, n)
+        out = decode_quotients(dct.table, block.quotient_stream, n)
+    if shift:
+        out <<= shift
+        out |= unpack_low_bits(block.reminders, shift, n)
     if block.escapes:
-        locs = np.array([loc for loc, _ in block.escapes])
-        if (locs >= n).any() or (locs < 0).any():
+        locs, syms = zip(*block.escapes)
+        if min(locs) < 0 or max(locs) >= n:
             raise CorruptBlockError("escape location outside the block")
-        out[locs] = [sym for _, sym in block.escapes]
+        out.put(locs, syms)
     return out.tobytes()

@@ -151,6 +151,19 @@ def test_decode_block_bad_escape_location():
         decode_block(DictionarySet([dct]), blk)
 
 
+@pytest.mark.parametrize("where", ["n", "-1"])
+def test_decode_block_rejects_an_escape_outside_the_block(where):
+    # -1 would otherwise write the block's last byte
+    dist = make_distribution(SyntheticFamily("laplacian", 0.5))
+    dct = MarlinDictionary.build(dist, k=8, o=4, shift=2, threshold=2**-10)
+    msg = dist.sample(100, seed=4)
+    blk = encode_block(dct, msg)
+    assert not blk.is_raw
+    blk.escapes = [(0, 7), (100 if where == "n" else -1, 7)]
+    with pytest.raises(CorruptBlockError, match="^escape location outside the block$"):
+        decode_block(DictionarySet([dct]), blk)
+
+
 def test_decode_is_deterministic(worked_dictionary):
     msg = bytes([A, A, A, B, A, C] * 10)
     blk = encode_block(worked_dictionary, msg)

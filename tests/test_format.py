@@ -102,6 +102,32 @@ def test_escape_section_width_scales_with_message_size(tiny_set):
     assert parsed.escapes == [(5, 200), (200, 200)]
 
 
+@pytest.mark.parametrize("second, message", [
+    (300, "escape location outside the block"),
+    (65535, "escape location outside the block"),
+    (5, "escape locations must be strictly ascending"),
+    (4, "escape locations must be strictly ascending"),
+])
+def test_container_rejects_bad_escape_locations(second, message):
+    # the escapes at 5 and 200 of a 300-symbol block take 2 location bytes
+    # each; the second is rewritten in place in the container
+    p = np.zeros(256)
+    p[0], p[1], p[200] = 0.9, 0.0999, 0.0001
+    dist = SymbolDistribution(p)
+    dct = MarlinDictionary.build(dist, k=8, o=4, shift=0, threshold=0.01)
+    one = DictionarySet([dct])
+    msg = bytearray(dist.sample(300, seed=1).replace(bytes([200]), bytes([0])))
+    msg[5], msg[200] = 200, 200
+    blk = encode_block(dct, bytes(msg), dict_index=0)
+    buf = bytearray(compress_bytes(bytes(msg), one))
+    second_at = HEADER_SIZE + 4 + 2 + len(blk.quotient_stream) + 3
+    assert buf[second_at : second_at + 3] == bytes([200, 0, 200])
+    assert decompress_bytes(bytes(buf), one) == msg
+    buf[second_at : second_at + 2] = second.to_bytes(2, "little")
+    with pytest.raises(CorruptBlockError, match=f"^block 0 at offset {HEADER_SIZE}: {message}$"):
+        decompress_bytes(bytes(buf), one)
+
+
 def test_parse_inverts_serialize_fuzzed(tiny_set):
     rng = np.random.default_rng(3)
     dist = make_distribution(SyntheticFamily("laplacian", 0.5))
