@@ -152,9 +152,6 @@ class BenchReport:
     compressed_bytes: int
     encode_mib_s: float
     decode_mib_s: float
-    messages: int
-    encode_us: float  # median time to compress one message
-    decode_us: float  # median time to decompress one message's container
 
     @property
     def ratio(self) -> float:
@@ -164,35 +161,16 @@ class BenchReport:
         return (
             f"ratio {self.ratio:.4f}  "
             f"encode {self.encode_mib_s:.2f} MiB/s  "
-            f"decode {self.decode_mib_s:.2f} MiB/s  "
-            f"{self.messages} messages, median per message: "
-            f"encode {self.encode_us:.1f} us  decode {self.decode_us:.1f} us"
+            f"decode {self.decode_mib_s:.2f} MiB/s"
         )
 
     def to_csv(self) -> str:
         """A header line and one row of the report."""
         return (
-            "original_bytes,compressed_bytes,ratio,encode_mib_s,decode_mib_s,"
-            "messages,encode_us_per_message,decode_us_per_message\n"
+            "original_bytes,compressed_bytes,ratio,encode_mib_s,decode_mib_s\n"
             f"{self.original_bytes},{self.compressed_bytes},{self.ratio:.6f},"
-            f"{self.encode_mib_s:.3f},{self.decode_mib_s:.3f},"
-            f"{self.messages},{self.encode_us:.3f},{self.decode_us:.3f}\n"
+            f"{self.encode_mib_s:.3f},{self.decode_mib_s:.3f}\n"
         )
-
-
-def _timed_passes(fn, items: list, runs: int) -> tuple[float, float]:
-    """Median over ``runs`` passes of one pass's time, and median time of one
-    call over every pass, of ``fn`` on each of ``items``."""
-    passes, calls = [], []
-    for _ in range(runs):
-        times = []
-        for item in items:
-            t0 = time.perf_counter()
-            fn(item)
-            times.append(time.perf_counter() - t0)
-        passes.append(sum(times))
-        calls += times
-    return median(passes), median(calls)
 
 
 def speed_bench(
@@ -200,37 +178,30 @@ def speed_bench(
     dset: DictionarySet,
     block_size: int = 4096,
     runs: int = 5,
-    message_size: int | None = None,
 ) -> BenchReport:
-    """Warm-up pass plus ``runs`` timed passes; reports median throughput
-    and the median time per message.
-
-    The corpus is cut into ``message_size``-byte messages (the last may be
-    shorter), each compressed into its own container; by default it is one
-    message.
-    """
+    """Warm-up pass plus ``runs`` timed passes; reports median throughput."""
     if len(corpus) == 0:
         raise ValueError("benchmark corpus is empty")
     if runs < 1:
         raise ValueError(f"runs must be at least 1, got {runs}")
-    if message_size is None:
-        message_size = len(corpus)
-    if message_size < 1:
-        raise ValueError(f"message size must be at least 1, got {message_size}")
-    messages = [corpus[i : i + message_size] for i in range(0, len(corpus), message_size)]
     mib = len(corpus) / (1 << 20)
-    containers = [compress_bytes(m, dset, block_size) for m in messages]
-    enc_pass, enc_call = _timed_passes(lambda m: compress_bytes(m, dset, block_size), messages, runs)
-    # warm-up and correctness check
-    if [decompress_bytes(c, dset) for c in containers] != messages:
+    compressed = compress_bytes(corpus, dset, block_size)
+    enc_times = []
+    for _ in range(runs):
+        t0 = time.perf_counter()
+        compress_bytes(corpus, dset, block_size)
+        enc_times.append(time.perf_counter() - t0)
+    out = decompress_bytes(compressed, dset)  # warm-up and correctness check
+    if out != corpus:
         raise BuildError("benchmark round trip failed")
-    dec_pass, dec_call = _timed_passes(lambda c: decompress_bytes(c, dset), containers, runs)
+    dec_times = []
+    for _ in range(runs):
+        t0 = time.perf_counter()
+        decompress_bytes(compressed, dset)
+        dec_times.append(time.perf_counter() - t0)
     return BenchReport(
         original_bytes=len(corpus),
-        compressed_bytes=sum(map(len, containers)),
-        encode_mib_s=mib / enc_pass,
-        decode_mib_s=mib / dec_pass,
-        messages=len(messages),
-        encode_us=enc_call * 1e6,
-        decode_us=dec_call * 1e6,
+        compressed_bytes=len(compressed),
+        encode_mib_s=mib / median(enc_times),
+        decode_mib_s=mib / median(dec_times),
     )

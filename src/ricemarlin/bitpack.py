@@ -24,12 +24,6 @@ def loc_bytes(n: int) -> int:
 # for w in 1..7
 _FIELD_SHIFTS = {w: np.arange(7 * w, -1, -w, dtype=np.uint64) for w in range(1, 8)}
 _FIELD_WEIGHTS = {w: np.uint64(1) << shifts for w, shifts in _FIELD_SHIFTS.items()}
-# at a width that divides 8 every byte holds whole fields: row b of the
-# width's table is byte b's 8 // w fields (3.5 KiB for the three widths)
-_BYTE_FIELDS = {
-    w: (np.arange(256)[:, None] >> np.arange(8 - w, -1, -w) & (1 << w) - 1).astype(np.uint8)
-    for w in (1, 2, 4)
-}
 
 
 def pack_units(values: np.ndarray, width: int) -> bytes:
@@ -81,12 +75,8 @@ def _unpack_narrow(buf: bytes, width: int, count: int) -> np.ndarray:
     bytes in front of the section, the big-endian 64-bit word that starts
     ``g * width`` bytes in ends at group g's last byte, so one strided view
     reads every group; its high bytes hold the bytes before the group, which
-    the field shifts and the mask drop.  Widths 1, 2 and 4 take a second
-    path, one row of ``_BYTE_FIELDS`` per byte, which is several times faster.
+    the field shifts and the mask drop.
     """
-    if width in _BYTE_FIELDS:
-        src = np.frombuffer(buf, np.uint8, -(-count * width // 8))
-        return _BYTE_FIELDS[width].take(src, axis=0).reshape(-1)[:count]
     groups = -(-count // 8)
     size = groups * width
     padded = (bytes(8 - width) + buf[:size]).ljust(8 - width + size, b"\0")

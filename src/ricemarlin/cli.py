@@ -144,9 +144,7 @@ def _cmd_bench_speed(args) -> int:
 
     dset = _load_set(args.set)
     corpus = b"".join(Path(p).read_bytes() for p in args.corpus)
-    report = speed_bench(
-        corpus, dset, args.block_size, runs=args.runs, message_size=args.message_size
-    )
+    report = speed_bench(corpus, dset, args.block_size, runs=args.runs)
     print(report.summary())
     if args.csv:
         Path(args.csv).write_text(report.to_csv())
@@ -202,10 +200,6 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--set", required=True)
     v.add_argument("--block-size", type=int, default=4096)
     v.add_argument("--runs", type=int, default=5)
-    v.add_argument(
-        "--message-size", type=int,
-        help="cut the corpus into messages of this many bytes, each its own container",
-    )
     v.add_argument("--csv")
     v.set_defaults(fn=_cmd_bench_speed)
     return p

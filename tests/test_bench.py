@@ -1,12 +1,6 @@
 import pytest
 
-from ricemarlin import (
-    BuildError,
-    SyntheticFamily,
-    build_dictionary_set,
-    compress_bytes,
-    make_distribution,
-)
+from ricemarlin import SyntheticFamily, build_dictionary_set, make_distribution
 from ricemarlin.bench import (
     measured_bits_per_symbol,
     rows_to_csv,
@@ -77,44 +71,6 @@ def test_speed_bench_reports_and_ratio(lap_set):
     assert report.ratio > 1.5
     assert report.encode_mib_s > 0 and report.decode_mib_s > 0
     assert "ratio" in report.summary()
-
-
-def test_speed_bench_cuts_the_corpus_into_messages(lap_set):
-    corpus = make_distribution(SyntheticFamily("laplacian", 0.5)).sample(1000, seed=5)
-    report = speed_bench(corpus, lap_set, runs=2, message_size=64)
-    # 15 full messages and one of 40 bytes, each its own container
-    assert report.messages == 16
-    assert report.original_bytes == 1000
-    assert report.compressed_bytes == sum(
-        len(compress_bytes(corpus[i : i + 64], lap_set)) for i in range(0, 1000, 64))
-    whole = speed_bench(corpus, lap_set, runs=1)
-    assert whole.messages == 1
-    assert whole.compressed_bytes == len(compress_bytes(corpus, lap_set))
-    assert "16 messages, median per message" in report.summary()
-
-
-def test_speed_bench_checks_every_message_round_trip(lap_set, monkeypatch):
-    import ricemarlin.bench
-
-    real = ricemarlin.bench.decompress_bytes
-    calls = []
-
-    def last_message_wrong(buf, dset):
-        calls.append(buf)
-        out = real(buf, dset)
-        return out[:-1] if len(calls) == 4 else out
-
-    monkeypatch.setattr(ricemarlin.bench, "decompress_bytes", last_message_wrong)
-    corpus = make_distribution(SyntheticFamily("laplacian", 0.5)).sample(250, seed=6)
-    with pytest.raises(BuildError, match="round trip failed"):
-        speed_bench(corpus, lap_set, runs=1, message_size=64)
-    assert len(calls) == 4
-
-
-@pytest.mark.parametrize("size", [0, -64])
-def test_speed_bench_rejects_empty_messages(lap_set, size):
-    with pytest.raises(ValueError, match="message size must be at least 1"):
-        speed_bench(b"abc", lap_set, message_size=size)
 
 
 def test_speed_bench_rejects_empty(lap_set):

@@ -326,40 +326,12 @@ def test_bench_speed_csv(tmp_path, set_path):
     with out.open(newline="") as f:
         (row,) = csv.DictReader(f)
     assert list(row) == [
-        "original_bytes", "compressed_bytes", "ratio", "encode_mib_s", "decode_mib_s",
-        "messages", "encode_us_per_message", "decode_us_per_message"]
+        "original_bytes", "compressed_bytes", "ratio", "encode_mib_s", "decode_mib_s"]
     assert int(row["original_bytes"]) == 1 << 16
-    assert int(row["messages"]) == 1
     size = int(row["compressed_bytes"])
     assert 0 < size < 1 << 16
     assert float(row["ratio"]) == pytest.approx((1 << 16) / size, abs=1e-6)
     assert float(row["encode_mib_s"]) > 0 and float(row["decode_mib_s"]) > 0
-
-
-def test_bench_speed_message_size_csv(tmp_path, set_path):
-    data = make_distribution(SyntheticFamily("laplacian", 0.5)).sample(5000, seed=3)
-    corpus = tmp_path / "corpus.bin"
-    corpus.write_bytes(data)
-    out = tmp_path / "speed.csv"
-    rc = main(["bench-speed", str(corpus), "--set", str(set_path), "--runs", "1",
-               "--message-size", "512", "--csv", str(out)])
-    assert rc == EXIT_OK
-    with out.open(newline="") as f:
-        (row,) = csv.DictReader(f)
-    assert int(row["original_bytes"]) == 5000
-    assert int(row["messages"]) == 10  # nine of 512 bytes and one of 392
-    # every message is its own container, with its own 64-byte header
-    assert int(row["compressed_bytes"]) > 10 * HEADER_SIZE
-    assert float(row["encode_us_per_message"]) > 0
-    assert float(row["decode_us_per_message"]) > 0
-
-
-def test_bench_speed_rejects_an_empty_message_size(tmp_path, set_path, capsys):
-    corpus = tmp_path / "corpus.bin"
-    corpus.write_bytes(b"abc")
-    rc = main(["bench-speed", str(corpus), "--set", str(set_path), "--message-size", "0"])
-    assert rc == EXIT_FAILURE
-    assert "message size must be at least 1" in capsys.readouterr().err
 
 
 def test_bench_speed_smoke(tmp_path, set_path, capsys):

@@ -146,22 +146,11 @@ def test_decode_block_bad_escape_location():
     msg = dist.sample(100, seed=4)
     blk = encode_block(dct, msg)
     assert not blk.is_raw
-    blk.escapes.append((100, 0))  # beyond the block
-    with pytest.raises(CorruptBlockError):
-        decode_block(DictionarySet([dct]), blk)
-
-
-@pytest.mark.parametrize("where", ["n", "-1"])
-def test_decode_block_rejects_an_escape_outside_the_block(where):
-    # -1 would otherwise write the block's last byte
-    dist = make_distribution(SyntheticFamily("laplacian", 0.5))
-    dct = MarlinDictionary.build(dist, k=8, o=4, shift=2, threshold=2**-10)
-    msg = dist.sample(100, seed=4)
-    blk = encode_block(dct, msg)
-    assert not blk.is_raw
-    blk.escapes = [(0, 7), (100 if where == "n" else -1, 7)]
-    with pytest.raises(CorruptBlockError, match="^escape location outside the block$"):
-        decode_block(DictionarySet([dct]), blk)
+    # beyond the block, and -1, which would otherwise write its last byte
+    for loc in (100, -1):
+        blk.escapes = [(0, 7), (loc, 7)]
+        with pytest.raises(CorruptBlockError, match="^escape location outside the block$"):
+            decode_block(DictionarySet([dct]), blk)
 
 
 def test_decode_is_deterministic(worked_dictionary):

@@ -23,7 +23,7 @@ def test_readme_cli_examples_parse():
         for line in block.replace("\\\n", " ").splitlines()
         if line.startswith("ricemarlin ")
     ]
-    assert len(commands) == 8
+    assert len(commands) == 7
     parser = build_parser()
     for argv in commands:
         parser.parse_args(argv)
