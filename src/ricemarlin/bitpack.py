@@ -25,6 +25,14 @@ def loc_bytes(n: int) -> int:
 _FIELD_SHIFTS = {w: np.arange(7 * w, -1, -w, dtype=np.uint64) for w in range(1, 8)}
 _FIELD_WEIGHTS = {w: np.uint64(1) << shifts for w, shifts in _FIELD_SHIFTS.items()}
 
+# field i of a group of 8 starts at the group's byte (i * w) >> 3; the
+# big-endian 32-bit word there holds it (32 - w - (i * w & 7)) bits up,
+# for w in 9..25
+_WIDE_COLUMNS = {w: (np.arange(8) * w) >> 3 for w in range(9, 26)}
+_WIDE_SHIFTS = {
+    w: (32 - w - (np.arange(8) * w & 7)).astype(np.uint32) for w in range(9, 26)
+}
+
 
 def pack_units(values: np.ndarray, width: int) -> bytes:
     """Concatenate the low ``width`` bits (0 to 24) of every value MSB-first;
@@ -89,14 +97,19 @@ def _unpack_narrow(buf: bytes, width: int, count: int) -> np.ndarray:
 def _unpack_wide(buf: bytes, width: int, count: int) -> np.ndarray:
     """``count`` MSB-first fields of 9 <= ``width`` <= 25 bits, as uint32.
 
-    Such a field spans at most 4 bytes, so each is cut from the big-endian
-    32-bit window that starts at its first byte.
+    Every 8 fields fill exactly ``width`` bytes, and field i of a group
+    starts ``(i * width) & 7`` bits into the group's byte ``(i * width) >> 3``,
+    so it lies within the big-endian 32-bit word that starts there.  One
+    strided view holds the word at every byte of every group; the per-width
+    columns pick each field's word, and its shift and the mask cut it out.
     """
-    starts = np.arange(count, dtype=np.int64) * width
-    b = np.frombuffer(bytes(buf) + b"\0\0\0", dtype=np.uint8).astype(np.uint32)
-    windows = (b[:-3] << 24) | (b[1:-2] << 16) | (b[2:-1] << 8) | b[3:]
-    drop = (32 - width - (starts & 7)).astype(np.uint32)
-    return (windows[starts >> 3] >> drop) & np.uint32((1 << width) - 1)
+    groups = -(-count // 8)
+    size = groups * width
+    padded = bytes(buf[:size]).ljust(size + 3, b"\0")
+    words = np.ndarray((groups, width), ">u4", padded, strides=(width, 1))
+    fields = words.take(_WIDE_COLUMNS[width], axis=1) >> _WIDE_SHIFTS[width]
+    fields &= np.uint32((1 << width) - 1)
+    return fields.reshape(-1)[:count]
 
 
 # the reminder section (the low S bits of every byte) has the same layout; its

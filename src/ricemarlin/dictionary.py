@@ -13,7 +13,6 @@ dictionary gives chapters with equal levels one shared set.
 from __future__ import annotations
 
 import heapq
-import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
@@ -817,6 +816,18 @@ def efficiency(dct: MarlinDictionary, dist: SymbolDistribution, block_n: int | N
     return _eta(dist.entropy(), abr_estimate(dct, dist, block_n))
 
 
+def _eta_ceiling(h: float, alphabet: QuotientAlphabet, esc_bits: float) -> float:
+    """Upper bound on eta for every dictionary over ``alphabet``.
+
+    A dictionary is a lossless code for the quotient stream with escapes
+    parsed as the placeholder, so its quotient bits are at least that
+    stream's entropy: ABR >= S + H(coding) + escape mass * ``esc_bits``.
+    """
+    return _eta(
+        h, alphabet.shift + entropy(alphabet.coding_probs) + alphabet.p_escape * esc_bits
+    )
+
+
 def shift_efficiency_bound(
     dist: SymbolDistribution,
     shift: int,
@@ -825,33 +836,29 @@ def shift_efficiency_bound(
 ) -> float:
     """Upper bound on eta for every dictionary at ``shift`` and ``thresholds``.
 
-    A dictionary is a lossless code for the quotient stream with escapes
-    parsed as the placeholder, so its quotient bits are at least that
-    stream's entropy: ABR >= S + H(coding) + escape bits at each threshold,
-    with escapes priced as :func:`abr_estimate` prices them for ``block_n``.
-    With ``thresholds=(0.0,)`` nothing is escaped and the bound is
-    H(X) / (S + H(quotient)), reminders stored verbatim.  The default grid
-    can lie slightly above that: an escaped quotient rarer than about
-    2^-(8 * (1 + location bytes)) is modelled below its information.
+    The highest :func:`_eta_ceiling` over the thresholds that leave a
+    quotient, with escapes priced as :func:`abr_estimate` prices them for
+    ``block_n``; 0.0 when none does.  With ``thresholds=(0.0,)`` nothing is
+    escaped and the bound is H(X) / (S + H(quotient)), reminders stored
+    verbatim.  The default grid can lie slightly above that: an escaped
+    quotient rarer than about 2^-(8 * (1 + location bytes)) is modelled
+    below its information.
     """
-    qp = dist.quotient_probs(shift)
-    esc_bits = _escape_bits(loc_bytes(block_n))
-    floor = math.inf
+    h, esc_bits = dist.entropy(), _escape_bits(loc_bytes(block_n))
+    ceilings = []
     for threshold in thresholds:
-        keep = qp >= threshold
-        if keep.any():
-            coding = qp[keep]
-            p_esc = float(qp[~keep].sum())
-            coding[np.argmax(coding)] += p_esc
-            floor = min(floor, entropy(coding) + p_esc * esc_bits)
-    return _eta(dist.entropy(), shift + floor)
+        try:
+            ceilings.append(_eta_ceiling(h, split_alphabet(dist, shift, threshold), esc_bits))
+        except BuildError:  # the threshold excludes every quotient
+            continue
+    return max(ceilings, default=0.0)
 
 
 # ---------------------------------------------------------------------------
 # search
 
-#: eta and its bound are rounded along different paths; a shift is skipped
-#: only when its bound falls short by more than this
+#: eta and its bound are rounded along different paths; a candidate is
+#: skipped only when its bound falls short by more than this
 _PRUNE_SLACK = 1e-12
 
 
@@ -865,48 +872,51 @@ def best_dictionary_for(
 ) -> MarlinDictionary:
     """Search (S, threshold) and return the dictionary maximizing H(X)/ABR.
 
-    Ties prefer the smaller shift, then the smaller threshold.  Shifts are
-    tried in decreasing order of an upper bound on their eta, and a shift
-    whose bound is below the best eta found so far is skipped.  No
-    dictionary at such a shift could win, so the result is that of trying
-    every shift.  A ``block_n`` that a set file cannot store as a u32 raises
-    ``ValueError`` before any build.
+    Ties prefer the smaller shift, then the smaller threshold.  Thresholds
+    that give a shift the same alphabet are one candidate, the first of
+    them.  Candidates are built in decreasing order of an upper bound on
+    their eta (:func:`_eta_ceiling`, from the alphabet alone), and the
+    search stops at the first whose bound is below the best eta found so
+    far.  No later candidate could win, so the result is that of building
+    every candidate.  A ``block_n`` that a set file cannot store as a u32
+    raises ``ValueError`` before any build.
     """
     _validate_block_n(block_n)
     _validate_ko(k, o)
-    bounds = {
-        shift: shift_efficiency_bound(dist, shift, block_n, thresholds) for shift in shifts
-    }
-    h = dist.entropy()
-    best: tuple[float, int, float] | None = None
-    best_dct: MarlinDictionary | None = None
-    # failures per shift, kept in the caller's order for the error message
-    errors: dict[int, list[str]] = {shift: [] for shift in bounds}
+    h, esc_bits = dist.entropy(), _escape_bits(loc_bytes(block_n))
+    # failures keyed by (shift, threshold) position, joined in the caller's order
+    errors: dict[tuple[int, int], str] = {}
+    candidates: list[tuple[float, int, float, tuple[int, int], QuotientAlphabet]] = []
     seen: set[tuple[int, tuple[int, ...]]] = set()
-    for shift in sorted(bounds, key=lambda s: (-bounds[s], s)):
-        if best is not None and bounds[shift] + _PRUNE_SLACK < -best[0]:
-            continue
-        for threshold in thresholds:
+    for i, shift in enumerate(dict.fromkeys(shifts)):
+        for j, threshold in enumerate(thresholds):
             try:
                 alphabet = split_alphabet(dist, shift, threshold)
             except BuildError as exc:
-                errors[shift].append(f"S={shift} thr={threshold:g}: {exc}")
+                errors[i, j] = f"S={shift} thr={threshold:g}: {exc}"
                 continue
             sig = (shift, alphabet.values)
-            if sig in seen:
-                continue
-            seen.add(sig)
-            try:
-                dct = MarlinDictionary.from_alphabet(dist, k, o, alphabet, block_n=block_n)
-            except BuildError as exc:
-                errors[shift].append(f"S={shift} thr={threshold:g}: {exc}")
-                continue
-            key = (-_eta(h, dct.abr), shift, threshold)
-            if best is None or key < best:
-                best = key
-                best_dct = dct
+            if sig not in seen:
+                seen.add(sig)
+                bound = _eta_ceiling(h, alphabet, esc_bits)
+                candidates.append((-bound, shift, threshold, (i, j), alphabet))
+    candidates.sort(key=lambda c: c[:3])
+    best: tuple[float, int, float] | None = None
+    best_dct: MarlinDictionary | None = None
+    for neg_bound, shift, threshold, pos, alphabet in candidates:
+        if best is not None and -neg_bound + _PRUNE_SLACK < -best[0]:
+            break
+        try:
+            dct = MarlinDictionary.from_alphabet(dist, k, o, alphabet, block_n=block_n)
+        except BuildError as exc:
+            errors[pos] = f"S={shift} thr={threshold:g}: {exc}"
+            continue
+        key = (-_eta(h, dct.abr), shift, threshold)
+        if best is None or key < best:
+            best = key
+            best_dct = dct
     if best_dct is None:
-        failures = [e for msgs in errors.values() for e in msgs]
+        failures = [errors[pos] for pos in sorted(errors)]
         raise BuildError(
             "no (S, threshold) candidate could be built: " + "; ".join(failures[:4])
         )

@@ -108,3 +108,28 @@ def test_pack_low_bits_matches_oracle(s):
     for n in [*range(18), 4095, 4096, 4097]:
         msg = rng.integers(0, 256, size=n, dtype=np.uint8)
         assert pack_low_bits(msg, s) == oracle_pack_low_bits(msg, s), n
+
+
+def oracle_unpack_wide(buf: bytes, width: int, count: int) -> np.ndarray:
+    """The window unpack: a big-endian 32-bit window at every byte of the
+    section, and each field cut from the window at its first byte."""
+    starts = np.arange(count, dtype=np.int64) * width
+    b = np.frombuffer(bytes(buf) + b"\0\0\0", dtype=np.uint8).astype(np.uint32)
+    windows = (b[:-3] << 24) | (b[1:-2] << 16) | (b[2:-1] << 8) | b[3:]
+    drop = (32 - width - (starts & 7)).astype(np.uint32)
+    return (windows[starts >> 3] >> drop) & np.uint32((1 << width) - 1)
+
+
+@pytest.mark.parametrize("width", range(9, 25))
+def test_unpack_wide_matches_window_oracle(width):
+    # the section alone, and with a ragged tail of set bits after it that the
+    # strided read's last words reach into
+    rng = np.random.default_rng(300 + width)
+    for n in (0, 1, 7, 8, 9, 337, 4096):
+        vals = rng.integers(0, 1 << width, size=n, dtype=np.uint32)
+        buf = pack_units(vals, width)
+        for section in (buf, buf + b"\xff" * 5, memoryview(buf + b"\xa5\xff")):
+            got = unpack_units(section, width, n)
+            want = oracle_unpack_wide(section, width, n)
+            assert got.dtype == want.dtype == np.uint32, n
+            assert np.array_equal(got, want) and np.array_equal(got, vals), n

@@ -1,10 +1,13 @@
 """Differential oracle for the dictionary builder.
 
 The library grows a chapter only when the layout check reaches its
-exclusion level, and it skips shifts whose efficiency bound cannot beat the
-best dictionary found so far.  This file keeps the eager chapter loop and
-the exhaustive (S, threshold) search as the reference, and asserts that both
-build byte-identical dictionary sets.  The reference grows and lays out
+exclusion level, and it builds (S, threshold) candidates in decreasing order
+of an efficiency bound taken from each candidate's alphabet, stopping at the
+first whose bound cannot beat the best dictionary found so far.  This file
+keeps the eager chapter loop and the exhaustive (S, threshold) search as the
+reference, asserts that both build byte-identical dictionary sets and that
+every candidate's efficiency stays within its own bound, and counts the
+candidates the pruned search builds.  The reference grows and lays out
 chapters with scalar copies of the library's ``grow_chapter`` and
 ``assign_codewords``: a heap of numpy-scalar priorities filled one push at a
 time, and a layout that scans every word for every slot value.
@@ -171,7 +174,8 @@ def exhaustive_best(dist, k, o, block_n=4096, shifts=D.SHIFT_RANGE,
                     thresholds=D.THRESHOLD_GRID):
     """The search before pruning: every (S, threshold) in order.
 
-    Returns the winner and ``(shift, eta)`` for every candidate built.
+    Returns the winner and ``(shift, threshold, eta)`` for every candidate
+    built.
     """
     best = best_dct = None
     errors, candidates, seen = [], [], set()
@@ -192,7 +196,7 @@ def exhaustive_best(dist, k, o, block_n=4096, shifts=D.SHIFT_RANGE,
                 continue
             dct.search_threshold = threshold
             eta = efficiency(dct, dist, block_n)
-            candidates.append((shift, eta))
+            candidates.append((shift, threshold, eta))
             key = (-eta, shift, threshold)
             if best is None or key < best:
                 best, best_dct = key, dct
@@ -208,12 +212,15 @@ def _set_bytes(dicts):
 
 
 def _check_point(dist, k, o, **search):
-    """Build with both searches; every reference candidate must obey its bound."""
+    """Build with both searches; every reference candidate must obey its
+    shift's bound and its own: the bound at its threshold alone."""
     ref, candidates = exhaustive_best(dist, k, o, **search)
     got = best_dictionary_for(dist, k, o, **search)
-    for shift, eta in candidates:
+    for shift, threshold, eta in candidates:
         bound = shift_efficiency_bound(dist, shift)
         assert eta <= bound + 1e-12, (dist.source_id, shift, eta, bound)
+        own = shift_efficiency_bound(dist, shift, thresholds=(threshold,))
+        assert eta <= own + 1e-12, (dist.source_id, shift, threshold, eta, own)
     assert (got.shift, got.search_threshold) == (ref.shift, ref.search_threshold)
     return ref, got
 
@@ -285,6 +292,32 @@ def test_no_candidate_error_message_is_unchanged():
     assert str(got_exc.value) == str(ref_exc.value)
 
 
+# the five sources of the dictset-build benchmark workload
+FIVE_SOURCES = [("laplacian", 0.2), ("laplacian", 0.45), ("laplacian", 0.6),
+                ("laplacian", 0.9), ("poisson", 0.3)]
+
+
+@pytest.mark.parametrize("sources, most", [
+    pytest.param(FIVE_SOURCES, 85, id="five-sources"),
+    pytest.param([("laplacian", 0.3)], 10, id="laplacian-0.3"),
+])
+def test_pruned_search_builds_few_candidates(monkeypatch, sources, most):
+    # building every candidate whose shift's bound can win builds 123 and 18;
+    # the exhaustive search builds 180 and 35
+    built = []
+    from_alphabet = MarlinDictionary.from_alphabet.__func__
+
+    def counting(cls, *args, **kwargs):
+        dct = from_alphabet(cls, *args, **kwargs)
+        built.append(dct)
+        return dct
+
+    monkeypatch.setattr(MarlinDictionary, "from_alphabet", classmethod(counting))
+    for fam, frac in sources:
+        best_dictionary_for(make_distribution(SyntheticFamily(fam, frac)), 8, 4)
+    assert len(built) <= most
+
+
 def test_from_alphabet_grows_only_kept_chapters(monkeypatch):
     """Each level is grown once, and only when the layout check reaches it.
 
@@ -325,7 +358,7 @@ def test_plain_shift_bound_can_be_exceeded():
     # information, so only the bound that prices escapes as the model does holds
     dist = make_distribution(SyntheticFamily("poisson", 0.02))
     _, candidates = exhaustive_best(dist, 8, 4, shifts=(2,))
-    top = max(eta for _, eta in candidates)
+    top = max(eta for *_, eta in candidates)
     assert top > shift_efficiency_bound(dist, 2, thresholds=(0.0,))
     assert top <= shift_efficiency_bound(dist, 2) + 1e-12
 
