@@ -24,6 +24,8 @@ def loc_bytes(n: int) -> int:
 # for w in 1..7
 _FIELD_SHIFTS = {w: np.arange(7 * w, -1, -w, dtype=np.uint64) for w in range(1, 8)}
 _FIELD_WEIGHTS = {w: np.uint64(1) << shifts for w, shifts in _FIELD_SHIFTS.items()}
+# a group's w bytes are the low w of its big-endian 64-bit word
+_LOW_BYTES = {w: np.arange(8 - w, 8) for w in range(1, 8)}
 
 # field i of a group of 8 starts at the group's byte (i * w) >> 3; the
 # big-endian 32-bit word there holds it (32 - w - (i * w & 7)) bits up,
@@ -54,7 +56,7 @@ def pack_units(values: np.ndarray, width: int) -> bytes:
         fields[:n] = np.asarray(values) & ((1 << width) - 1)
         words = fields.reshape(-1, 8) @ _FIELD_WEIGHTS[width]
         rows = words.astype(">u8").view(np.uint8).reshape(-1, 8)
-        return rows[:, 8 - width :].tobytes()[: (n * width + 7) // 8]
+        return rows.take(_LOW_BYTES[width], axis=1).tobytes()[: (n * width + 7) // 8]
     v = np.asarray(values, dtype=np.uint32)
     bits = (v[:, None] >> np.arange(width - 1, -1, -1, dtype=np.uint32)) & 1
     return np.packbits(bits.astype(np.uint8).ravel()).tobytes()

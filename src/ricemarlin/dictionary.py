@@ -989,7 +989,7 @@ class DictionarySet:
         table = self._cost_tables.get(lb)
         if table is None:
             table = self._cost_tables[lb] = _cost_matrix(self, lb)
-        return int(np.argmin(table @ counts))
+        return int((table @ counts).argmin())
 
 
 def _cost_matrix(dset: DictionarySet, loc_width: int) -> np.ndarray:

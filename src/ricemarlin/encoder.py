@@ -70,7 +70,9 @@ class EncoderMatrix:
     step is two subscripts.  A row is a ``bytes`` object for at most 256
     classes, else an ``array`` of 16- or 32-bit entries.  When
     ``nq**m <= 256`` (``byte_keys``) the keys are one ``bytes`` object too,
-    whose items are Python's cached small ints.
+    whose items are Python's cached small ints.  The walk builds the keys
+    by Horner's rule in place, in ``key_dtype``, the narrowest unsigned type
+    that holds ``nq**m - 1``.
 
     A cell ``r * stride + c`` is the transition on rank ``r`` out of class
     ``c``.  Start class ``n_classes`` stands before a walk, which starts in
@@ -137,16 +139,19 @@ class EncoderMatrix:
             m += 1
         self.m = m
         # keys below 256 travel as one bytes object, whose items are cached
-        # ints; uint8 weights then give them exactly, from uint8 ranks
+        # ints; Horner's rule builds them in the narrowest type that holds
+        # nq**m - 1
         self.byte_keys = nq**m <= 1 << 8
-        weights = nq ** np.arange(m - 1, -1, -1, dtype=np.intp)
-        self._key_weights = weights.astype(np.uint8) if self.byte_keys else weights
+        self.key_dtype = np.min_scalar_type(nq**m - 1)
         # the class graph, row c the class after each rank from class c
         class_nxt = self.cell_next.reshape(nq, self.stride)[:, :classes].T.copy()
         tab = class_nxt
         for _ in range(m - 1):
             tab = class_nxt[tab].reshape(classes, -1)
         self.rows = [store(row.tobytes()) for row in tab]
+        # the class after each rank from the start class, for the walk's
+        # first anchor
+        self._start = self.cell_next[classes :: self.stride].tolist()
 
     def walk(self, ranks) -> np.ndarray:
         """Longest-match parse; returns the K-bit unit of every emitted word,
@@ -154,43 +159,53 @@ class EncoderMatrix:
 
         Cell ``p`` is the transition into position ``p``, from the start
         class at ``p = 0``, and cell ``n`` is the flush.  Python steps ``m``
-        ranks at a time through ``rows``; numpy fills in the cells between
-        those anchors, one column per phase of the step, and reads the word
+        ranks at a time through ``rows``, from the start class's successor
+        at ``p = 1``, with keys built by Horner's rule over strided views of
+        the ranks.  The classes it reaches are the anchors at ``p = 1, m + 1,
+        ...``; numpy fills in every other cell, the tail after the last full
+        step included, one column per phase of the step, and reads the word
         ends and the units off the cell tables.  The encoder's uint8 ranks
-        are walked without widening.  Raises ``ValueError`` for a rank
-        outside ``[0, nq)`` and ``CorruptBlockError`` when the ranks are
-        inadmissible (the walk reaches the trap).
+        are walked without widening.  Raises ``ValueError`` unless the ranks
+        are a 1-D integer sequence in ``[0, nq)``, and ``CorruptBlockError``
+        when they are inadmissible (the walk reaches the trap).
         """
         ranks = np.asarray(ranks)
+        if ranks.ndim != 1:
+            raise ValueError(f"ranks must be one-dimensional, not of shape {ranks.shape}")
         n = len(ranks)
         if n == 0:
             return self.cell_units[:0]
-        nq = len(self.cell_next) // self.stride
-        low = 0 if ranks.dtype.kind == "u" else int(ranks.min())
+        kind = ranks.dtype.kind
+        if kind not in "ui":
+            raise ValueError(f"ranks must be integers, not {ranks.dtype}")
+        nq = len(self._start)
+        low = 0 if kind == "u" else int(ranks.min())
         bad = low if low < 0 else int(ranks.max())
         if not 0 <= bad < nq:
             raise ValueError(f"rank {bad} is not in [0, {nq})")
-        m, cell_next = self.m, self.cell_next
+        ranks = ranks.astype(np.uint8, copy=False)  # every rank fits: nq <= 256
+        m, cell_next, flush = self.m, self.cell_next, len(self.cell_next)
         cell = np.empty(n + 1, dtype=np.intp)
         np.multiply(ranks, self.stride, out=cell[:n], dtype=np.intp)
-        cell[n] = len(cell_next)  # the flush rank's block
+        cell[n] = flush  # the flush rank's block
         cell[0] += self.n_classes
-        state = int(cell_next[cell[0]])
-        steps = (n - 1) // m
-        body = steps * m
-        keys = ranks[1 : body + 1].reshape(-1, m) @ self._key_weights
-        keys = keys.astype(np.uint8, copy=False).tobytes() if self.byte_keys else keys.tolist()
-        rows = self.rows
-        heads = self._pack([state, *[state := rows[state][key] for key in keys]])
-        # the anchors are the classes at positions 0, m, ..., body, and each
-        # phase's classes come from the cells of the phase before
-        cell[1 : body + 2 : m] += np.asarray(heads)
+        body = (n - 1) // m * m
+        # in place, so the keys keep their type under any scalar promotion rule
+        keys = ranks[1 : body + 1 : m].astype(self.key_dtype)
+        for j in range(2, m + 1):
+            keys *= nq
+            keys += ranks[j : body + 1 : m]
+        keys = keys.tobytes() if self.byte_keys else keys.tolist()
+        rows, state = self.rows, self._start[ranks[0]]
+        cell[1] += state
+        # the other anchors, the classes at positions m + 1, 2m + 1, ..., body + 1
+        anchors = self._pack([state := rows[state][key] for key in keys])
+        cell[m + 1 : body + 2 : m] += np.asarray(anchors)
+        # each phase's classes come from the cells of the phase before; the
+        # columns run to the flush cell, so they fill the tail too
         for t in range(1, m):
-            cell[t + 1 : body + 1 : m] += cell_next.take(cell[t:body:m])
-        for p in range(body + 2, n + 1):
-            state = int(cell_next[cell[p - 1]])
-            cell[p] += state
-        if state == self.n_classes - 1:  # the trap absorbs, so any trap reaches the end
+            cell[t + 1 : n + 1 : m] += cell_next.take(cell[t:n:m])
+        if cell[n] == flush + self.n_classes - 1:  # the trap absorbs, so any trap reaches the end
             raise CorruptBlockError("encoder walk reached a trap transition")
         # the word at p ends where cell p + 1 reaches a word start, and at
         # the flush; its unit is that of the node cell p reaches
@@ -228,16 +243,10 @@ def encode_block(dct: MarlinDictionary, message: bytes, dict_index: int = 0) -> 
     if dct.empty_quotient:
         stream = b""
     else:
-        ranks = np.frombuffer(message.translate(alphabet.rank_table), dtype=np.uint8)
+        ranks = np.frombuffer(message.translate(alphabet.rank_table), np.uint8)
         stream = pack_units(dct.matrix.walk(ranks), dct.k)
     reminders = pack_reminders(message, dct.shift)
-    block = CompressedBlock(
-        dict_index=dict_index,
-        n=n,
-        quotient_stream=stream,
-        escapes=escapes,
-        reminders=reminders,
-    )
+    block = CompressedBlock(dict_index, n, stream, escapes, reminders)
     if block.serialized_size() >= 1 + n:
         return CompressedBlock(dict_index=RAW_INDEX, n=n, raw=message)
     return block

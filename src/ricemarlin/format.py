@@ -45,11 +45,15 @@ HEADER_SIZE = _HEADER.size  # a container's first block starts here
 # block wire format
 
 
-def serialize_block(block: CompressedBlock) -> bytes:
+def serialize_block(block: CompressedBlock) -> bytearray:
     """#D | #U | quotient section | escape pairs | reminder bitfield; escape
-    locations take ``loc_bytes(block.n)`` bytes, and ``n`` travels out of band."""
+    locations take ``loc_bytes(block.n)`` bytes, and ``n`` travels out of band.
+    The bytes come back in the ``bytearray`` they were written to, which
+    :func:`compress_bytes` appends to its container without another copy."""
     if block.is_raw:
-        return bytes([RAW_INDEX]) + block.raw
+        out = bytearray([RAW_INDEX])
+        out += block.raw
+        return out
     if len(block.escapes) > 255:
         raise ValueError("a block cannot carry more than 255 escapes")
     lb = loc_bytes(block.n)
@@ -59,7 +63,7 @@ def serialize_block(block: CompressedBlock) -> bytes:
         out += loc.to_bytes(lb, "little")
         out.append(sym)
     out += block.reminders
-    return bytes(out)
+    return out
 
 
 def parse_block(buf: bytes, n: int, dset: DictionarySet) -> CompressedBlock:
@@ -482,19 +486,20 @@ def compress_bytes(
     width: int = 0,
     height: int = 0,
 ) -> bytes:
-    """Compress ``data`` into a standalone container, in the blocks its
-    header implies; each block is framed into the output as it is encoded."""
+    """Compress ``data`` (``bytes`` or any contiguous buffer, read as its
+    bytes) into a standalone container, in the blocks its header implies;
+    each block is framed into the output as it is encoded."""
+    view = data if isinstance(data, bytes) else memoryview(data).cast("B")
     header = ContainerHeader(
-        k=dset.k, o=dset.o, block_size=block_size, total_size=len(data),
-        flags=flags, width=width, height=height, digest=dset.digest,
+        dset.k, dset.o, block_size, len(view), flags, width, height, dset.digest
     )
     header.check(ValueError)
     out = bytearray(header.pack())
     pos = 0
     for n in header.block_sizes():
-        chunk = data[pos : pos + n]
+        chunk = bytes(view[pos : pos + n])
         pos += n
-        counts = np.bincount(np.frombuffer(chunk, dtype=np.uint8), minlength=256)
+        counts = np.bincount(np.frombuffer(chunk, np.uint8), minlength=256)
         idx = dset.quick_select(counts, n)
         payload = serialize_block(encode_block(dset[idx], chunk, dict_index=idx))
         out += struct.pack("<I", len(payload))

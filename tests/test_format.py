@@ -947,6 +947,23 @@ def test_compress_holds_one_copy_of_the_container_beside_its_result(tiny_set):
     assert peak < 2.5 * len(comp), (peak, len(comp))
 
 
+@pytest.mark.parametrize("wrap", [
+    bytes, bytearray, memoryview,
+    lambda data: memoryview(bytearray(data)).cast("H"),  # read as its bytes
+], ids=["bytes", "bytearray", "memoryview", "memoryview-u16"])
+def test_compress_reads_any_contiguous_buffer_as_its_bytes(tiny_set, wrap):
+    data = make_distribution(SyntheticFamily("laplacian", 0.5)).sample(5000, seed=4)
+    for block_size in (4096, 1024):
+        comp = compress_bytes(wrap(data), tiny_set, block_size=block_size)
+        assert comp == compress_bytes(data, tiny_set, block_size=block_size)
+        assert type(comp) is bytes and decompress_bytes(comp, tiny_set) == data
+
+
+def test_compress_rejects_a_strided_buffer(tiny_set):
+    with pytest.raises(TypeError, match="C-contiguous"):
+        compress_bytes(memoryview(bytes(100))[::2], tiny_set)
+
+
 def test_container_rejects_wrong_set(tiny_set):
     other = build_dictionary_set(
         {"grid": [("laplacian", 0.4)], "k": 8, "o": 4, "block_n": 4096}

@@ -209,7 +209,7 @@ def test_compiled_tables_keep_only_what_coding_reads(worked_dictionary):
     dct = from_tables_copy(worked_dictionary)
     assert set(vars(EncoderMatrix(dct))) == {
         "rows", "cell_next", "cell_ends", "cell_units", "stride", "n_classes", "m",
-        "byte_keys", "_key_weights", "_pack"}
+        "key_dtype", "byte_keys", "_start", "_pack"}
     assert set(vars(DecoderTable(dct))) == {"k", "symbols", "lengths", "ends", "window"}
 
 

@@ -46,10 +46,10 @@ def test_traced_round_trip_reaches_every_codec_layer():
         tracer.uninstall()
     assert out == data
     self_s, _ = tracer.take()
-    for name in ("bitpack.pack_low_bits", "bitpack.unpack_low_bits", "bitpack.unpack_units",
-                 "encoder.walk", "decoder.decode_quotients", "format.container",
-                 "encoder.encode_block", "format.serialize_block", "format.parse_block",
-                 "decoder.decode_block", "dictionary.quick_select"):
+    for name in ("bitpack.pack_units", "bitpack.pack_low_bits", "bitpack.unpack_low_bits",
+                 "bitpack.unpack_units", "encoder.walk", "decoder.decode_quotients",
+                 "format.container", "encoder.encode_block", "format.serialize_block",
+                 "format.parse_block", "decoder.decode_block", "dictionary.quick_select"):
         assert self_s[name] > 0, name
     for owner, attr, original in saved:
         assert vars(owner)[attr] is original, (owner.__name__, attr)

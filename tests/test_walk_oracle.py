@@ -127,14 +127,30 @@ def _stream(rng, dct, n, skewed):
     return rng.integers(0, nq, n).tolist()
 
 
+def _assert_key_type(m, nq):
+    """Horner's rule builds the keys in ``key_dtype``, the narrowest type
+    that holds ``nq**m - 1``."""
+    keys = nq**m.m
+    assert m.byte_keys == (keys <= 256) == (m.key_dtype == np.uint8)
+    assert isinstance(m.key_dtype, np.dtype) and m.key_dtype.kind == "u"
+    assert np.iinfo(m.key_dtype).max >= keys - 1
+    assert m.key_dtype == np.min_scalar_type(keys - 1)
+
+
 def _assert_same_walks(dct, seed):
+    """Every length in ``LENGTHS`` and every one up to ``3m + 2``: no step,
+    a body of ``n - 1`` ranks and each tail length from 1 to ``m - 1``; the
+    ranks as the encoder's uint8 and as int64."""
     got, want = EncoderMatrix(dct), OracleMatrix(dct)
+    _assert_key_type(got, len(dct.alphabet))
     rng = np.random.default_rng(seed)
-    for n in LENGTHS:
+    for n in sorted({*LENGTHS, *range(1, 3 * got.m + 3)}):
         for skewed in (False, True):
             ranks = _stream(rng, dct, n, skewed)
-            units = got.walk(np.asarray(ranks))
-            assert codewords(dct, units).tolist() == want.walk(ranks, check=True)
+            expect = want.walk(ranks, check=True)
+            for dtype in (np.uint8, np.int64):
+                units = got.walk(np.array(ranks, dtype=dtype))
+                assert codewords(dct, units).tolist() == expect
     return got
 
 
@@ -145,6 +161,16 @@ def _one_symbol_chain():
         shift=6, values=(0,), probs=np.array([1.0]), p_escape=0.0,
     )
     return MarlinDictionary.from_tables(2, 0, alphabet, [[(0,), (0, 0), (0, 0, 0), (0, 0, 0, 0)]])
+
+
+def _singles(nq):
+    """One chapter of the ``nq`` single-symbol words at K = log2(nq): one
+    leaf class and the trap, so m is as large as the step-table cap allows."""
+    k = (nq - 1).bit_length()
+    alphabet = QuotientAlphabet(
+        shift=8 - k, values=tuple(range(nq)), probs=np.full(nq, 1 / nq), p_escape=0.0,
+    )
+    return MarlinDictionary.from_tables(k, 0, alphabet, [[(v,) for v in range(nq)]])
 
 
 def _abcd(k, o):
@@ -167,6 +193,10 @@ EXTRA = {
     # two default-set entries at m = 2: nq**m = 256 keys fit a byte, 289 do not
     "key-edge-256": lambda: _built((8, 4), "laplacian", 0.44, 1, 2**-12),
     "key-edge-289": lambda: _built((8, 4), "laplacian", 0.56, 2, 2**-13),
+    # two classes: 256 quotients at m = 2 give 65 536 keys, which fit 16
+    # bits; 2 quotients at m = 17 give 131 072, which do not
+    "key-edge-65536": lambda: _singles(256),
+    "key-edge-131072": lambda: _singles(2),
 }
 
 
@@ -280,6 +310,22 @@ def test_byte_keys_exactly_when_every_key_fits_a_byte(grid_set, long_word_set):
     assert seen[256] is True and seen[289] is False
 
 
+def test_key_type_holds_every_key_at_the_edges():
+    for name, (keys, dtype) in {
+        "key-edge-256": (256, np.uint8), "key-edge-289": (289, np.uint16),
+        "key-edge-65536": (65536, np.uint16), "key-edge-131072": (131072, np.uint32),
+    }.items():
+        dct = EXTRA[name]()
+        m = EncoderMatrix(dct)
+        assert len(dct.alphabet) ** m.m == keys and m.key_dtype == dtype, name
+        _assert_key_type(m, len(dct.alphabet))
+
+
+def test_walk_matches_oracle_on_edge_draws():
+    for i, draw in enumerate(EDGE_DRAWS):
+        _assert_same_walks(_built(*draw), seed=400 + i)
+
+
 def test_walk_of_nothing_is_empty(worked_dictionary):
     assert EncoderMatrix(worked_dictionary).walk([]).tolist() == []
 
@@ -293,6 +339,16 @@ def test_walk_rejects_ranks_out_of_range(worked_dictionary):
         for given in (ranks, np.array(ranks, dtype=np.int8 if bad < 0 else np.uint8)):
             with pytest.raises(ValueError, match=f"rank {bad} is not in"):
                 m.walk(given)
+    # ranks that are not a 1-D integer sequence name their type or shape
+    for given, what in (
+        (np.full(9, float(A)), "must be integers, not float64"),
+        ([0.5] * 9, "must be integers, not float64"),
+        (np.full(9, True), "must be integers, not bool"),
+        (np.full((3, 3), A, dtype=np.uint8), r"must be one-dimensional, not of shape \(3, 3\)"),
+        (np.uint8(A), r"must be one-dimensional, not of shape \(\)"),
+    ):
+        with pytest.raises(ValueError, match=what):
+            m.walk(given)
 
 
 def test_inadmissible_start_raises(worked_dictionary):
