@@ -5,7 +5,7 @@ from __future__ import annotations
 import csv
 import io
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from statistics import median
 
 from .dictionary import (
@@ -32,24 +32,31 @@ def measured_bits_per_symbol(dct: MarlinDictionary, sample: bytes, block_n: int 
     return total_bits / len(sample)
 
 
+def _column(name: str, fmt: str = "{}", **kwargs):
+    """A :class:`SyntheticRow` field: CSV column ``name`` in ``fmt``, blank if ``None``."""
+    return field(metadata={"csv": name, "fmt": fmt}, **kwargs)
+
+
 @dataclass
 class SyntheticRow:
-    family: str
-    fraction: float
-    size: int
-    shift: int
-    threshold: float
-    entropy: float
-    predicted_eta: float
-    measured_eta: float
-    shift_bound: float
+    """A row of :func:`synthetic_study`; its fields are the CSV's columns, in order."""
+
+    family: str = _column("family")
+    fraction: float = _column("entropy_fraction", "{:g}")
+    size: int = _column("dict_size")
+    shift: int = _column("shift")
+    threshold: float = _column("threshold", "{:g}")
+    entropy: float = _column("entropy_bits", "{:.6f}")
+    predicted_eta: float = _column("predicted_efficiency", "{:.6f}")
+    measured_eta: float = _column("measured_efficiency", "{:.6f}")
+    shift_bound: float = _column("shift_bound", "{:.6f}")
     # the encoder's step table, None for an empty-quotient dictionary: fewer
     # quotients and classes raise m under STEP_TABLE_CAP
-    alphabet_size: int | None = None
-    classes: int | None = None
-    m: int | None = None
-    byte_keys: bool | None = None
-    step_table_bytes: int | None = None
+    alphabet_size: int | None = _column("alphabet_size", default=None)
+    classes: int | None = _column("classes", default=None)
+    m: int | None = _column("m", default=None)
+    byte_keys: bool | None = _column("byte_keys", "{:d}", default=None)
+    step_table_bytes: int | None = _column("step_table_bytes", default=None)
 
 
 def _step_table_columns(dct: MarlinDictionary) -> dict:
@@ -123,26 +130,13 @@ def synthetic_study(
 
 
 def rows_to_csv(rows: list[SyntheticRow]) -> str:
+    columns = fields(SyntheticRow)
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
-    w.writerow(
-        [
-            "family", "entropy_fraction", "dict_size", "shift", "threshold",
-            "entropy_bits", "predicted_efficiency", "measured_efficiency",
-            "shift_bound", "alphabet_size", "classes", "m", "byte_keys",
-            "step_table_bytes",
-        ]
-    )
+    w.writerow([c.metadata["csv"] for c in columns])
     for r in rows:
-        table = (r.alphabet_size, r.classes, r.m, r.byte_keys, r.step_table_bytes)
-        w.writerow(
-            [
-                r.family, f"{r.fraction:g}", r.size, r.shift, f"{r.threshold:g}",
-                f"{r.entropy:.6f}", f"{r.predicted_eta:.6f}",
-                f"{r.measured_eta:.6f}", f"{r.shift_bound:.6f}",
-                *("" if v is None else int(v) for v in table),
-            ]
-        )
+        cells = ((c.metadata["fmt"], getattr(r, c.name)) for c in columns)
+        w.writerow(["" if v is None else fmt.format(v) for fmt, v in cells])
     return buf.getvalue()
 
 

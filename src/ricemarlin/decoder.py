@@ -95,8 +95,6 @@ def decode_block(dset: DictionarySet, block: CompressedBlock) -> bytes:
     if not 0 <= block.dict_index < len(dset):
         raise CorruptBlockError(f"unknown dictionary index {block.dict_index}")
     dct = dset[block.dict_index]
-    if n == 0:
-        return b""
     shift = dct.shift
     if dct.empty_quotient:
         out = np.full(n, dct.alphabet.values[0], dtype=np.uint8)

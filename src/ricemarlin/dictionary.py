@@ -96,12 +96,11 @@ class QuotientAlphabet:
 
 
 def split_alphabet(dist: SymbolDistribution, shift: int, threshold: float) -> QuotientAlphabet:
-    """Split bytes into quotient/reminder and drop quotients below ``threshold``."""
-    if not 0 <= shift <= 8:
-        raise ValueError("shift must be in [0, 8]")
+    """Split bytes into quotient/reminder and drop quotients below ``threshold``;
+    :meth:`SymbolDistribution.quotient_probs` checks that ``shift`` is in [0, 8]."""
+    qp = dist.quotient_probs(shift)
     if not 0.0 <= threshold < 1.0:
         raise ValueError("threshold must be in [0, 1)")
-    qp = dist.quotient_probs(shift)
     keep = qp >= threshold
     if not keep.any():
         raise BuildError(
@@ -656,15 +655,16 @@ class MarlinDictionary:
         return self._chain(dist).emission_probs(c, self.levels[c])
 
 
-def _validate_block_n(block_n: int) -> None:
-    """A set file stores a dictionary's block size as a u32."""
+def _validate_block_n(block_n: int, error: type[Exception] = ValueError) -> None:
+    """Raise ``error`` unless ``block_n`` fits the u32 of a set file or container header."""
     if not 1 <= block_n <= 0xFFFFFFFF:
-        raise ValueError(f"block size {block_n} is not in [1, 2^32 - 1]")
+        raise error(f"block size {block_n} is not in [1, 2^32 - 1]")
 
 
-def _validate_ko(k: int, o: int) -> None:
+def _validate_ko(k: int, o: int, error: type[Exception] = BuildError) -> None:
+    """Raise ``error`` unless (K, O) is a geometry the builders and set files allow."""
     if k < 1 or o < 0 or o > k or k + o > MAX_CODE_BITS:
-        raise BuildError(
+        raise error(
             f"need 1 <= K, 0 <= O <= K, K+O <= {MAX_CODE_BITS}; got K={k}, O={o}"
         )
 
@@ -836,26 +836,47 @@ def shift_efficiency_bound(
 ) -> float:
     """Upper bound on eta for every dictionary at ``shift`` and ``thresholds``.
 
-    The highest :func:`_eta_ceiling` over the thresholds that leave a
-    quotient, with escapes priced as :func:`abr_estimate` prices them for
-    ``block_n``; 0.0 when none does.  With ``thresholds=(0.0,)`` nothing is
+    The highest bound among the search's :func:`_candidates` at ``shift``,
+    escapes priced as :func:`abr_estimate` prices them for ``block_n``; 0.0
+    when no threshold leaves a quotient.  With ``thresholds=(0.0,)`` nothing is
     escaped and the bound is H(X) / (S + H(quotient)), reminders stored
     verbatim.  The default grid can lie slightly above that: an escaped
     quotient rarer than about 2^-(8 * (1 + location bytes)) is modelled
     below its information.
     """
-    h, esc_bits = dist.entropy(), _escape_bits(loc_bytes(block_n))
-    ceilings = []
-    for threshold in thresholds:
-        try:
-            ceilings.append(_eta_ceiling(h, split_alphabet(dist, shift, threshold), esc_bits))
-        except BuildError:  # the threshold excludes every quotient
-            continue
-    return max(ceilings, default=0.0)
+    candidates, _ = _candidates(dist, (shift,), thresholds, block_n)
+    return max((c[0] for c in candidates), default=0.0)
 
 
 # ---------------------------------------------------------------------------
 # search
+
+
+def _candidates(
+    dist: SymbolDistribution, shifts: range | tuple, thresholds: tuple[float, ...], block_n: int
+) -> tuple[list[tuple], dict[tuple[int, int], str]]:
+    """``(bound, shift, threshold, position, alphabet)`` for each distinct
+    alphabet a shift's thresholds give, from the first threshold giving it,
+    with its :func:`_eta_ceiling`; and the error of each (shift, threshold)
+    position that leaves no quotient, keyed by that position."""
+    h, esc_bits = dist.entropy(), _escape_bits(loc_bytes(block_n))
+    errors: dict[tuple[int, int], str] = {}
+    candidates = []
+    seen: set[tuple[int, tuple[int, ...]]] = set()
+    for i, shift in enumerate(dict.fromkeys(shifts)):
+        for j, threshold in enumerate(thresholds):
+            try:
+                alphabet = split_alphabet(dist, shift, threshold)
+            except BuildError as exc:
+                errors[i, j] = f"S={shift} thr={threshold:g}: {exc}"
+                continue
+            sig = (shift, alphabet.values)
+            if sig not in seen:
+                seen.add(sig)
+                bound = _eta_ceiling(h, alphabet, esc_bits)
+                candidates.append((bound, shift, threshold, (i, j), alphabet))
+    return candidates, errors
+
 
 #: eta and its bound are rounded along different paths; a candidate is
 #: skipped only when its bound falls short by more than this
@@ -874,37 +895,23 @@ def best_dictionary_for(
 
     Ties prefer the smaller shift, then the smaller threshold.  Thresholds
     that give a shift the same alphabet are one candidate, the first of
-    them.  Candidates are built in decreasing order of an upper bound on
-    their eta (:func:`_eta_ceiling`, from the alphabet alone), and the
-    search stops at the first whose bound is below the best eta found so
-    far.  No later candidate could win, so the result is that of building
+    them (:func:`_candidates`).  Candidates are built in decreasing order
+    of an upper bound on their eta (:func:`_eta_ceiling`, from the alphabet
+    alone), and the search stops at the first whose bound is below the best
+    eta found so far.  No later candidate could win, so the result is that of building
     every candidate.  A ``block_n`` that a set file cannot store as a u32
     raises ``ValueError`` before any build.
     """
     _validate_block_n(block_n)
     _validate_ko(k, o)
-    h, esc_bits = dist.entropy(), _escape_bits(loc_bytes(block_n))
-    # failures keyed by (shift, threshold) position, joined in the caller's order
-    errors: dict[tuple[int, int], str] = {}
-    candidates: list[tuple[float, int, float, tuple[int, int], QuotientAlphabet]] = []
-    seen: set[tuple[int, tuple[int, ...]]] = set()
-    for i, shift in enumerate(dict.fromkeys(shifts)):
-        for j, threshold in enumerate(thresholds):
-            try:
-                alphabet = split_alphabet(dist, shift, threshold)
-            except BuildError as exc:
-                errors[i, j] = f"S={shift} thr={threshold:g}: {exc}"
-                continue
-            sig = (shift, alphabet.values)
-            if sig not in seen:
-                seen.add(sig)
-                bound = _eta_ceiling(h, alphabet, esc_bits)
-                candidates.append((-bound, shift, threshold, (i, j), alphabet))
-    candidates.sort(key=lambda c: c[:3])
+    h = dist.entropy()
+    # errors are keyed by (shift, threshold) position, joined in the caller's order
+    candidates, errors = _candidates(dist, shifts, thresholds, block_n)
+    candidates.sort(key=lambda c: (-c[0], c[1], c[2]))
     best: tuple[float, int, float] | None = None
     best_dct: MarlinDictionary | None = None
-    for neg_bound, shift, threshold, pos, alphabet in candidates:
-        if best is not None and -neg_bound + _PRUNE_SLACK < -best[0]:
+    for bound, shift, threshold, pos, alphabet in candidates:
+        if best is not None and bound + _PRUNE_SLACK < -best[0]:
             break
         try:
             dct = MarlinDictionary.from_alphabet(dist, k, o, alphabet, block_n=block_n)

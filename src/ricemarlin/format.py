@@ -17,12 +17,13 @@ import numpy as np
 
 from .bitpack import loc_bytes
 from .dictionary import (
-    MAX_CODE_BITS,
     RAW_INDEX,
     DictionarySet,
     LevelWords,
     MarlinDictionary,
     QuotientAlphabet,
+    _validate_block_n,
+    _validate_ko,
     link_word_sets,
 )
 from .encoder import CompressedBlock, encode_block
@@ -374,8 +375,7 @@ def load_dictset(buf: bytes) -> DictionarySet:
     _, _, k, o, count = r.unpack("<4sBBBB")
     if count == 0:
         raise FormatError("a dictionary set must contain at least one dictionary")
-    if k < 1 or o > k or k + o > MAX_CODE_BITS:
-        raise FormatError(f"unsupported code geometry K={k}, O={o}")
+    _validate_ko(k, o, FormatError)
     parts = []
     for _ in range(count):
         tlen, mlen = r.unpack("<II")
@@ -420,8 +420,7 @@ class ContainerHeader(NamedTuple):
         encoder checks what it would write, the decoder what it read.  An
         image is coded in its ``BLOCK_EDGE``-square grid, so its block size
         is that of a full grid block."""
-        if not 1 <= self.block_size <= 0xFFFFFFFF:
-            raise error(f"block size is {self.block_size}, not in [1, 2^32 - 1]")
+        _validate_block_n(self.block_size, error)
         if self.flags & ~FLAG_IMAGE:
             raise error(f"unknown container flags {self.flags:#x}")
         w, h = self.width, self.height

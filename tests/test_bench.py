@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from ricemarlin import SyntheticFamily, build_dictionary_set, make_distribution
@@ -134,3 +136,6 @@ def test_synthetic_study_reports_the_step_table():
                              str(r.step_table_bytes)]
         kinds.add(r.byte_keys)
     assert kinds == {True, False} and len(lines) == 8
+    # the whole table, byte for byte: headers, formats and blank cells
+    digest = hashlib.sha256(rows_to_csv(rows).encode()).hexdigest()
+    assert digest == "3fc44c93591c1ed2c8df1afac2ac86c94cfdbf4405e5e4876440777407ad23bb"

@@ -8,7 +8,7 @@ from ricemarlin.cli import EXIT_CORRUPT, EXIT_FAILURE, EXIT_OK, main
 from ricemarlin.format import HEADER_SIZE
 from ricemarlin.image import read_pgm, write_pgm
 
-from test_format import SET_FILE_MUTATIONS, edited_set_file, small_laplacian_dictionary
+from test_format import SET_FILE_MUTATIONS, _signed, edited_set_file, small_laplacian_dictionary
 
 
 @pytest.fixture(scope="module")
@@ -158,6 +158,22 @@ def test_decompress_wrong_set_exit_code(tmp_path, set_path):
     main(["compress", str(src), str(comp), "--set", str(set_path)])
     rc = main(["decompress", str(comp), str(tmp_path / "w"), "--set", str(other)])
     assert rc == EXIT_CORRUPT
+
+
+def test_decompress_with_a_set_of_no_dictionaries_exits_corrupt(tmp_path, set_path, capsys):
+    # the file's digest and CRC verify; only the loader's count check rejects it
+    src = tmp_path / "e.bin"
+    src.write_bytes(b"\x03" * 3000)
+    comp = tmp_path / "e.rm"
+    assert main(["compress", str(src), str(comp), "--set", str(set_path)]) == EXIT_OK
+    bad = tmp_path / "empty.rmds"
+    bad.write_bytes(_signed(8, 4, []))
+    capsys.readouterr()
+    rc = main(["decompress", str(comp), str(tmp_path / "e.out"), "--set", str(bad)])
+    assert rc == EXIT_CORRUPT
+    err = capsys.readouterr().err
+    assert err == "error: a dictionary set must contain at least one dictionary\n"
+    assert not (tmp_path / "e.out").exists()
 
 
 @pytest.mark.parametrize("keep", [10, 600])

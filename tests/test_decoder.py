@@ -153,6 +153,20 @@ def test_decode_block_bad_escape_location():
             decode_block(DictionarySet([dct]), blk)
 
 
+@pytest.mark.parametrize("shift", [0, 2])
+def test_an_empty_block_keeps_the_block_rules(shift):
+    # n = 0 takes the checks of every other size: a quotient byte or an
+    # escape in an empty block is damage, not an empty result
+    dist = make_distribution(SyntheticFamily("laplacian", 0.5))
+    dct = MarlinDictionary.build(dist, k=8, o=4, shift=shift, threshold=2**-10)
+    dset = DictionarySet([dct])
+    assert decode_block(dset, CompressedBlock(0, 0)) == b""
+    with pytest.raises(CorruptBlockError, match="^quotient section present for an empty block$"):
+        decode_block(dset, CompressedBlock(0, 0, b"\x01", [], b""))
+    with pytest.raises(CorruptBlockError, match="^escape location outside the block$"):
+        decode_block(dset, CompressedBlock(0, 0, b"", [(0, 9)], b""))
+
+
 def test_decode_is_deterministic(worked_dictionary):
     msg = bytes([A, A, A, B, A, C] * 10)
     blk = encode_block(worked_dictionary, msg)

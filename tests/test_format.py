@@ -30,10 +30,16 @@ from ricemarlin import (
     save_dictset,
     serialize_block,
 )
-from ricemarlin.dictionary import RAW_INDEX, DictionarySet, link_word_lists, split_alphabet
+from ricemarlin.dictionary import (
+    MAX_CODE_BITS,
+    RAW_INDEX,
+    DictionarySet,
+    link_word_lists,
+    split_alphabet,
+)
 from ricemarlin.encoder import CompressedBlock
 from ricemarlin.image import residual_inverse, residual_transform
-from ricemarlin.source import uniform
+from ricemarlin.source import point_mass, uniform
 from ricemarlin.format import (
     _HEADER,
     CONTAINER_MAGIC,
@@ -126,6 +132,47 @@ def test_container_rejects_bad_escape_locations(second, message):
     buf[second_at : second_at + 2] = second.to_bytes(2, "little")
     with pytest.raises(CorruptBlockError, match=f"^block 0 at offset {HEADER_SIZE}: {message}$"):
         decompress_bytes(bytes(buf), one)
+
+
+def _with_first_body(comp: bytes, body: bytes) -> bytes:
+    """``comp`` with block 0's body replaced by ``body`` and its length field fixed."""
+    clen = int.from_bytes(comp[HEADER_SIZE : HEADER_SIZE + 4], "little")
+    rest = comp[HEADER_SIZE + 4 + clen :]
+    return comp[:HEADER_SIZE] + struct.pack("<I", len(body)) + body + rest
+
+
+@pytest.mark.parametrize("case, message", [
+    ("raw-short", "raw block is 300 bytes, expected 301"),
+    ("one-byte", "block truncated before the escape counter"),
+    ("escapes-overrun", "block size is inconsistent with its sections"),
+    ("extra-quotient-byte", "empty-quotient dictionary with a quotient section"),
+])
+def test_container_rejects_blocks_their_sections_cannot_fill(tiny_set, case, message):
+    # each block body is rewritten in a valid one-block container of 300
+    # symbols, so only parse_block's size rules can reject it
+    dset = tiny_set
+    msg = make_distribution(SyntheticFamily("laplacian", 0.5)).sample(300, seed=2)
+    if case == "extra-quotient-byte":
+        # one quotient at S = 0: no bits per symbol, and decode_block never
+        # reads the quotient section, so the parser is the only guard
+        dct = MarlinDictionary.build(point_mass(7), 8, 4, shift=0, threshold=2**-16)
+        dset = DictionarySet([dct])
+        msg = bytes([7]) * 300
+    comp = compress_bytes(msg, dset)
+    body = comp[HEADER_SIZE + 4 :]
+    assert decompress_bytes(comp, dset) == msg
+    if case == "raw-short":
+        body = bytes([RAW_INDEX]) + msg[:-1]
+    elif case == "one-byte":
+        body = body[:1]
+    elif case == "escapes-overrun":
+        assert body[0] != RAW_INDEX and len(body) < 2 + 255 * 3
+        body = body[:1] + bytes([255]) + body[2:]
+    else:
+        assert body == bytes(2)
+        body += b"\x00"
+    with pytest.raises(CorruptBlockError, match=f"^block 0 at offset {HEADER_SIZE}: {message}$"):
+        decompress_bytes(_with_first_body(comp, body), dset)
 
 
 def test_parse_inverts_serialize_fuzzed(tiny_set):
@@ -593,6 +640,39 @@ def test_dictset_crc_covers_the_metadata(tiny_set):
     assert load_dictset(resigned)[0].abr == abr + 1.0
 
 
+def _flip_digest(data: bytes) -> bytes:
+    """``data`` with one digest bit flipped and its CRC recomputed."""
+    body = bytearray(data[:-4])
+    body[-32] ^= 0x01
+    return bytes(body) + struct.pack("<I", zlib.crc32(body))
+
+
+def _non_utf8_source_id(data: bytes) -> bytes:
+    """``data`` re-signed with its first source id's bytes set to 0xFF."""
+    k, o, parts = _split(data)
+    table, meta = parts[0]
+    (sid_len,) = struct.unpack_from("<H", meta, 36)
+    parts[0] = (table, meta[:38] + b"\xff" * sid_len + meta[38 + sid_len :])
+    return _signed(k, o, parts)
+
+
+@pytest.mark.parametrize("forge, message", [
+    (lambda data: _signed(8, 4, []), "^a dictionary set must contain at least one dictionary$"),
+    (
+        lambda data: _signed(0, *_split(data)[1:]),
+        rf"^need 1 <= K, 0 <= O <= K, K\+O <= {MAX_CODE_BITS}; got K=0, O=4$",
+    ),
+    (_flip_digest, "^dictionary-set digest mismatch$"),
+    (_non_utf8_source_id, "^dictionary source id is not UTF-8$"),
+], ids=["no-dictionaries", "k-zero", "digest-bit", "source-id"])
+def test_dictset_rejects_signed_files_it_cannot_hold(tiny_set, forge, message):
+    # every forged file carries a valid CRC, so only the loader's own checks
+    # reject it; a set without dictionaries would otherwise reach the word
+    # sets' concatenation with nothing to join
+    with pytest.raises(FormatError, match=message):
+        load_dictset(forge(save_dictset(tiny_set)))
+
+
 def _table_parents(table: bytes, k: int, o: int) -> tuple[int, np.ndarray, np.ndarray, int]:
     """A table's set count, word lengths and stored parents, and where the
     parents start."""
@@ -1041,7 +1121,7 @@ def _with_header(comp: bytes, n_blocks: int, **fields) -> bytes:
 
 def test_container_rejects_zero_block_size(tiny_set):
     comp = _with_header(_valid_container(tiny_set), 3, block_size=0)
-    with pytest.raises(CorruptBlockError, match="block size is 0"):
+    with pytest.raises(CorruptBlockError, match=r"block size 0 is not in \[1, 2\^32 - 1\]"):
         decompress_bytes(comp, tiny_set)
 
 
