@@ -12,6 +12,7 @@ from .dictionary import (
     DictionarySet,
     MarlinDictionary,
     _eta,
+    _validate_block_n,
     _validate_ko,
     best_dictionary_for,
     shift_efficiency_bound,
@@ -86,11 +87,13 @@ def synthetic_study(
 
     ``sizes`` are dictionary word counts (powers of two); each maps to
     K = log2(size) with the given overlap.  An invalid (K, O) raises
-    ``BuildError``, and an empty sample or block ``ValueError``, before any
-    build; unreachable entropy targets and unbuildable candidates are skipped.
+    ``BuildError``, and an empty sample or a block size outside
+    [1, 2^32 - 1] ``ValueError``, before any sample is drawn; unreachable
+    entropy targets and unbuildable candidates are skipped.
     """
-    if sample_bytes < 1 or block_n < 1:
-        raise ValueError(f"need sample_bytes, block_n >= 1; got {sample_bytes}, {block_n}")
+    if sample_bytes < 1:
+        raise ValueError(f"need sample_bytes >= 1; got {sample_bytes}")
+    _validate_block_n(block_n)
     ks = [int(size).bit_length() - 1 for size in sizes]
     for size, k in zip(sizes, ks):
         _validate_ko(k, o)

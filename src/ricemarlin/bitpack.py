@@ -23,9 +23,9 @@ def loc_bytes(n: int) -> int:
 # field i of a group of 8 sits (7 - i) * w bits above the group's last bit,
 # for w in 1..7
 _FIELD_SHIFTS = {w: np.arange(7 * w, -1, -w, dtype=np.uint64) for w in range(1, 8)}
-_FIELD_WEIGHTS = {w: np.uint64(1) << shifts for w, shifts in _FIELD_SHIFTS.items()}
-# a group's w bytes are the low w of its big-endian 64-bit word
-_LOW_BYTES = {w: np.arange(8 - w, 8) for w in range(1, 8)}
+# row b holds the low w bits of byte b, MSB first, for w in 1..7
+_BYTE_BITS = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1)
+_LOW_BITS = {w: np.ascontiguousarray(_BYTE_BITS[:, 8 - w :]) for w in range(1, 8)}
 
 # field i of a group of 8 starts at the group's byte (i * w) >> 3; the
 # big-endian 32-bit word there holds it (32 - w - (i * w & 7)) bits up,
@@ -40,26 +40,20 @@ def pack_units(values: np.ndarray, width: int) -> bytes:
     """Concatenate the low ``width`` bits (0 to 24) of every value MSB-first;
     the last byte is zero-padded.
 
-    Below 8 bits every 8 fields become one 64-bit word, field i shifted left
-    by ``(7 - i) * width`` (a dot product with powers of two, which is the
-    shift-or since the fields do not overlap), and the word's low ``width``
-    bytes, big-endian, are the group's bytes.  Above 8 bits every field is
-    spread to a row of bits.
+    Below 8 bits each field's low byte picks its row of bits from a table,
+    and the rows are packed in order.  Above 8 bits every field is spread to
+    a row of bits.
     """
-    n = len(values)
-    if width == 0 or n == 0:
+    if width == 0:
         return b""
-    if width == 8:
-        return np.asarray(values).astype(np.uint8, copy=False).tobytes()
+    if width > 8:
+        v = np.asarray(values, dtype=np.uint32)
+        bits = (v[:, None] >> np.arange(width - 1, -1, -1, dtype=np.uint32)) & 1
+        return np.packbits(bits.astype(np.uint8).ravel()).tobytes()
+    low = np.asarray(values).astype(np.uint8, copy=False)
     if width < 8:
-        fields = np.zeros(-(-n // 8) * 8, dtype=np.uint64)
-        fields[:n] = np.asarray(values) & ((1 << width) - 1)
-        words = fields.reshape(-1, 8) @ _FIELD_WEIGHTS[width]
-        rows = words.astype(">u8").view(np.uint8).reshape(-1, 8)
-        return rows.take(_LOW_BYTES[width], axis=1).tobytes()[: (n * width + 7) // 8]
-    v = np.asarray(values, dtype=np.uint32)
-    bits = (v[:, None] >> np.arange(width - 1, -1, -1, dtype=np.uint32)) & 1
-    return np.packbits(bits.astype(np.uint8).ravel()).tobytes()
+        return np.packbits(_LOW_BITS[width].take(low, axis=0)).tobytes()
+    return low.tobytes()
 
 
 def unpack_units(buf: bytes, width: int, count: int) -> np.ndarray:

@@ -96,6 +96,11 @@ def decode_block(dset: DictionarySet, block: CompressedBlock) -> bytes:
         raise CorruptBlockError(f"unknown dictionary index {block.dict_index}")
     dct = dset[block.dict_index]
     shift = dct.shift
+    if len(block.reminders) != (n * shift + 7) // 8:
+        raise CorruptBlockError(
+            f"reminder section is {len(block.reminders)} bytes, {n} {shift}-bit "
+            f"reminders need {(n * shift + 7) // 8}"
+        )
     if dct.empty_quotient:
         out = np.full(n, dct.alphabet.values[0], dtype=np.uint8)
     else:

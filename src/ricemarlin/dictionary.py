@@ -24,7 +24,7 @@ import numpy as np
 
 from .bitpack import loc_bytes
 from .errors import BuildError
-from .source import ALPHABET_SIZE, SymbolDistribution, entropy
+from .source import ALPHABET_SIZE, SymbolDistribution, _validate_shift, entropy
 
 if TYPE_CHECKING:
     from .decoder import DecoderTable
@@ -553,8 +553,7 @@ class MarlinDictionary:
         """
         a, sets = self.alphabet, self.word_sets
         nq = len(a)
-        if not 0 <= a.shift <= 8:
-            raise error(f"shift {a.shift} is outside [0, 8]")
+        _validate_shift(a.shift, error)
         qspace = ALPHABET_SIZE >> a.shift
         if not nq or len(set(a.values)) != nq or min(a.values) < 0 or max(a.values) >= qspace:
             raise error(f"quotient values must be one or more, distinct and below {qspace}")
@@ -961,8 +960,6 @@ class DictionarySet:
         k, o = self.dictionaries[0].k, self.dictionaries[0].o
         if any(d.k != k or d.o != o for d in self.dictionaries):
             raise BuildError("all dictionaries in a set must share (K, O)")
-        # quick_select cost tables keyed by escape-location width in bytes
-        self._cost_tables: dict[int, np.ndarray] = {}
 
     @property
     def k(self) -> int:
@@ -985,45 +982,39 @@ class DictionarySet:
 
         return dictset_digest(self)
 
-    def quick_select(self, counts: np.ndarray, block_n: int) -> int:
-        """Fast first-order selection from raw byte counts.
-
-        Scores each dictionary by a per-byte bit-cost table (cross-entropy of
-        the quotient against the training model, scaled by the dictionary's
-        trained coding efficiency, plus reminder and escape costs).
+    @cached_property
+    def _cost_rows(self) -> dict[int, np.ndarray]:
+        """Per-byte bit costs, one row per dictionary, for each escape-location
+        width, compiled together on first selection: S plus the quotient's
+        -log2 coding probability over the dictionary's trained coding
+        efficiency (0 for an empty quotient), and for an escaped byte S plus
+        its escape's bits and those of rank 0, the placeholder it is parsed as.
         """
-        lb = loc_bytes(block_n)
-        table = self._cost_tables.get(lb)
-        if table is None:
-            table = self._cost_tables[lb] = _cost_matrix(self, lb)
-        return int((table @ counts).argmin())
+        byte_bits, placeholder_bits = [], []
+        for dct in self.dictionaries:
+            qbits = np.zeros(1)
+            if not dct.empty_quotient:
+                coding = dct.alphabet.coding_probs
+                hq = entropy(coding)
+                eta_q = min(1.0, hq / dct.quotient_bits) if dct.quotient_bits > 0 else 1.0
+                with np.errstate(divide="ignore"):
+                    qbits = np.where(coding > 0, -np.log2(np.maximum(coding, 1e-300)), 64.0)
+                qbits = np.minimum(qbits / max(eta_q, 1e-9), 64.0)
+            byte_bits.append(qbits[dct.alphabet.rank_lut])
+            placeholder_bits.append(qbits[:1])
+        shift = np.array([float(d.shift) for d in self.dictionaries])[:, None]
+        escaped = [d.alphabet.rank_lut < 0 for d in self.dictionaries]
+        placeholder = np.array(placeholder_bits)
+        return {
+            width: shift + np.where(escaped, _escape_bits(width) + placeholder, byte_bits)
+            for width in (1, 2, 4)
+        }
 
-
-def _cost_matrix(dset: DictionarySet, loc_width: int) -> np.ndarray:
-    """Per-byte bit costs, one row per dictionary, for ``loc_width``-byte escapes.
-
-    The block size enters only through the escape cost, so one table serves
-    every block size with the same :func:`loc_bytes` width.
-    """
-    rows = []
-    esc_bits = _escape_bits(loc_width)
-    for dct in dset.dictionaries:
-        cost = np.full(ALPHABET_SIZE, float(dct.shift))
-        rank = dct.alphabet.rank_lut
-        escaped = rank < 0
-        if dct.empty_quotient:
-            cost[escaped] += esc_bits
-            rows.append(cost)
-            continue
-        coding = dct.alphabet.coding_probs
-        hq = entropy(coding)
-        eta_q = min(1.0, hq / dct.quotient_bits) if dct.quotient_bits > 0 else 1.0
-        with np.errstate(divide="ignore"):
-            qbits = np.where(coding > 0, -np.log2(np.maximum(coding, 1e-300)), 64.0)
-        qbits = np.minimum(qbits / max(eta_q, 1e-9), 64.0)
-        cost += np.where(escaped, esc_bits + qbits[0], qbits[rank])
-        rows.append(cost)
-    return np.array(rows)
+    def quick_select(self, counts: np.ndarray, block_n: int) -> int:
+        """Fast first-order selection from raw byte counts: the dictionary
+        whose cost row for ``block_n``'s escape width prices the counts
+        lowest, the first on a tie."""
+        return int((self._cost_rows[loc_bytes(block_n)] @ counts).argmin())
 
 
 def default_set_config() -> dict:

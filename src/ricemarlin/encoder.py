@@ -19,6 +19,7 @@ import numpy as np
 from .bitpack import loc_bytes, pack_low_bits, pack_units
 from .dictionary import RAW_INDEX, MarlinDictionary
 from .errors import CorruptBlockError
+from .source import _validate_shift
 
 # entries of an m-step table; m is the largest step count that fits, so the
 # tables of the dictionaries a run touches stay a few MiB in all
@@ -215,8 +216,7 @@ class EncoderMatrix:
 
 def pack_reminders(message: bytes, s: int) -> bytes:
     """Concatenated S low bits of each byte, most significant reminder bit first."""
-    if not 0 <= s <= 8:
-        raise ValueError("shift must be in [0, 8]")
+    _validate_shift(s)
     return pack_low_bits(np.frombuffer(message, dtype=np.uint8), s)
 
 

@@ -34,6 +34,12 @@ def entropy(probs: np.ndarray) -> float:
     return float(-(nz * np.log2(nz)).sum())
 
 
+def _validate_shift(shift: int, error: type[Exception] = ValueError) -> None:
+    """Raise ``error`` unless ``shift`` is a reminder width S in [0, 8]."""
+    if not 0 <= shift <= 8:
+        raise error(f"shift {shift} is not in [0, 8]")
+
+
 @dataclass(frozen=True)
 class SymbolDistribution:
     """An immutable probability vector over the 256 byte symbols."""
@@ -71,8 +77,7 @@ class SymbolDistribution:
 
     def quotient_probs(self, shift: int) -> np.ndarray:
         """Marginal distribution of ``x >> shift`` (length 256 >> shift)."""
-        if not 0 <= shift <= 8:
-            raise ValueError("shift must be in [0, 8]")
+        _validate_shift(shift)
         if shift == 0:
             return np.array(self.probs)
         return self.probs.reshape(ALPHABET_SIZE >> shift, 1 << shift).sum(axis=1)

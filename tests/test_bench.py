@@ -54,15 +54,23 @@ def test_synthetic_study_skips_unreachable_targets():
     assert rows == []
 
 
-@pytest.mark.parametrize("sizes", [dict(sample_bytes=0), dict(block_n=0), dict(block_n=-1)])
+@pytest.mark.parametrize(
+    "sizes", [dict(sample_bytes=0), dict(block_n=0), dict(block_n=-1), dict(block_n=2**32)]
+)
 def test_synthetic_study_rejects_empty_samples_and_blocks(sizes, monkeypatch):
     import ricemarlin.bench
 
     def no_build(*args, **kwargs):
         raise AssertionError("built a dictionary")
 
+    # both checks run before a source is made, so no sample is drawn
+    monkeypatch.setattr(ricemarlin.bench, "make_distribution", no_build)
     monkeypatch.setattr(ricemarlin.bench, "best_dictionary_for", no_build)
-    with pytest.raises(ValueError, match="need sample_bytes, block_n >= 1"):
+    if "sample_bytes" in sizes:
+        message = r"^need sample_bytes >= 1; got 0$"
+    else:
+        message = rf"^block size {sizes['block_n']} is not in \[1, 2\^32 - 1\]$"
+    with pytest.raises(ValueError, match=message):
         synthetic_study(families=["laplacian"], fractions=[0.5], sizes=[256], shifts=[0], **sizes)
 
 

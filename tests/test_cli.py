@@ -328,7 +328,10 @@ def test_bench_synthetic_rejects_empty_samples_and_blocks(tmp_path, capsys, size
                "--sizes", "256", "--shifts", "0", size_flag, "0", "--csv", str(out)])
     assert rc == EXIT_FAILURE
     captured = capsys.readouterr()
-    assert captured.err.startswith("error: need sample_bytes, block_n >= 1")
+    assert captured.err.startswith({
+        "--sample-mib": "error: need sample_bytes >= 1; got 0",
+        "--block-size": "error: block size 0 is not in [1, 2^32 - 1]",
+    }[size_flag])
     assert captured.out == "" and not out.exists()
 
 

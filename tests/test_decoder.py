@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -165,6 +167,21 @@ def test_an_empty_block_keeps_the_block_rules(shift):
         decode_block(dset, CompressedBlock(0, 0, b"\x01", [], b""))
     with pytest.raises(CorruptBlockError, match="^escape location outside the block$"):
         decode_block(dset, CompressedBlock(0, 0, b"", [(0, 9)], b""))
+
+
+@pytest.mark.parametrize("shift", [0, 2])
+def test_reminder_bytes_past_the_block_are_corrupt(shift):
+    # the reminder section holds exactly ceil(n * S / 8) bytes, none at S = 0
+    dist = make_distribution(SyntheticFamily("laplacian", 0.5))
+    dct = MarlinDictionary.build(dist, k=8, o=4, shift=shift, threshold=2**-10)
+    dset = DictionarySet([dct])
+    msg = dist.sample(100, seed=5)
+    blk = encode_block(dct, msg)
+    assert not blk.is_raw and len(blk.reminders) == (100 * shift + 7) // 8
+    assert decode_block(dset, blk) == msg
+    long = dataclasses.replace(blk, reminders=blk.reminders + b"\x00\x00")
+    with pytest.raises(CorruptBlockError, match="^reminder section is"):
+        decode_block(dset, long)
 
 
 def test_decode_is_deterministic(worked_dictionary):

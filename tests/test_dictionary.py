@@ -676,13 +676,16 @@ MIXED_SIZES = [4096, 100, 4096, 3000, 64, 256, 257, 65536, 65537]
 
 @pytest.fixture(scope="module")
 def table_set(small_set):
-    """small_set plus both kinds of empty-quotient row: with and without escapes."""
+    """small_set plus both kinds of empty-quotient row (with and without
+    escapes) and one at S = 0, where a nonzero quotient cost would show."""
     lap = make_distribution(SyntheticFamily("laplacian", 0.3))
     escaping = MarlinDictionary.build(lap, k=8, o=4, shift=4, threshold=0.5)
     plain = MarlinDictionary.build(uniform(), k=8, o=4, shift=8, threshold=0.0)
+    point = MarlinDictionary.build(point_mass(7), 8, 4, shift=0, threshold=2**-16)
     assert escaping.empty_quotient and excluded(escaping.alphabet)
     assert plain.empty_quotient and not excluded(plain.alphabet)
-    return DictionarySet(list(small_set.dictionaries) + [escaping, plain])
+    assert point.empty_quotient and point.shift == 0
+    return DictionarySet(list(small_set.dictionaries) + [escaping, plain, point])
 
 
 def _mixed_counts(n: int, i: int) -> np.ndarray:
@@ -693,10 +696,9 @@ def _mixed_counts(n: int, i: int) -> np.ndarray:
 
 @pytest.mark.parametrize("width", sorted(WIDTH_SIZES))
 def test_cost_tables_match_scalar_oracle(table_set, width):
-    from ricemarlin.dictionary import _cost_matrix
-
     oracle = _scalar_cost_matrix(table_set, WIDTH_SIZES[width])
-    assert np.array_equal(_cost_matrix(table_set, width), oracle)
+    rows = table_set._cost_rows[width]
+    assert np.array_equal(rows, oracle) and rows.tobytes() == oracle.tobytes()
 
 
 def test_quick_select_matches_oracle_over_mixed_sizes(table_set):
@@ -707,20 +709,14 @@ def test_quick_select_matches_oracle_over_mixed_sizes(table_set):
         assert dset.quick_select(counts, n) == int(np.argmin(oracles[n] @ counts))
 
 
-def test_quick_select_builds_one_table_per_width(table_set, monkeypatch):
-    import ricemarlin.dictionary as dictionary
-
-    built = []
-    real = dictionary._cost_matrix
-
-    def counting(dset, width):
-        built.append(width)
-        return real(dset, width)
-
-    monkeypatch.setattr(dictionary, "_cost_matrix", counting)
+def test_quick_select_builds_one_table_per_width(table_set):
     dset = DictionarySet(list(table_set.dictionaries))
+    assert "_cost_rows" not in vars(dset)  # nothing is compiled before a selection
     counts = {n: _mixed_counts(n, i) for i, n in enumerate(MIXED_SIZES)}
+    dset.quick_select(counts[100], 100)
+    rows = vars(dset)["_cost_rows"]
+    assert sorted(rows) == [1, 2, 4]
     for i in range(200):
         n = MIXED_SIZES[i % len(MIXED_SIZES)]
         dset.quick_select(counts[n], n)
-    assert sorted(built) == [1, 2, 4]
+    assert vars(dset)["_cost_rows"] is rows
