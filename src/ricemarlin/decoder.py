@@ -9,6 +9,8 @@ that array in place; at S = 0 there are no reminders to read.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 from .bitpack import unpack_low_bits, unpack_units
@@ -84,7 +86,15 @@ def decode_quotients(table: DecoderTable, stream: bytes, n: int) -> np.ndarray:
 def decode_block(dset: DictionarySet, block: CompressedBlock) -> bytes:
     """Reconstruct the original ``block.n`` bytes of one block with
     ``dset[block.dict_index]``; a raw block must hold exactly that many bytes
-    and needs no set."""
+    and needs no set.
+
+    This states every rule of a coded block, parsed or built in memory: the
+    index names a dictionary of the set; the reminder section is exactly
+    ``ceil(n * S / 8)`` bytes; an empty-quotient dictionary has no quotient
+    section, and any other's is one :func:`decode_quotients` accepts; escape
+    locations lie in the block and strictly ascend, and their symbols are
+    bytes.
+    """
     n = block.n
     if block.is_raw:
         if len(block.raw) != n:
@@ -102,6 +112,8 @@ def decode_block(dset: DictionarySet, block: CompressedBlock) -> bytes:
             f"reminders need {(n * shift + 7) // 8}"
         )
     if dct.empty_quotient:
+        if block.quotient_stream:
+            raise CorruptBlockError("empty-quotient dictionary with a quotient section")
         out = np.full(n, dct.alphabet.values[0], dtype=np.uint8)
     else:
         out = decode_quotients(dct.table, block.quotient_stream, n)
@@ -112,5 +124,9 @@ def decode_block(dset: DictionarySet, block: CompressedBlock) -> bytes:
         locs, syms = zip(*block.escapes)
         if min(locs) < 0 or max(locs) >= n:
             raise CorruptBlockError("escape location outside the block")
+        if any(map(operator.ge, locs, locs[1:])):
+            raise CorruptBlockError("escape locations must be strictly ascending")
+        if min(syms) < 0 or max(syms) > 255:
+            raise CorruptBlockError("escape symbol outside [0, 255]")
         out.put(locs, syms)
     return out.tobytes()

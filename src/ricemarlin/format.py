@@ -68,59 +68,37 @@ def serialize_block(block: CompressedBlock) -> bytearray:
 
 
 def parse_block(buf: bytes, n: int, dset: DictionarySet) -> CompressedBlock:
-    """Inverse of :func:`serialize_block`; sizes are supplied out of band."""
+    """Inverse of :func:`serialize_block`; sizes are supplied out of band.
+
+    It only cuts ``buf`` into sections, and raises only when it cannot: an
+    empty buffer, an unknown index (whose shift sizes the reminder section),
+    a block truncated before the escape counter, or sections that do not
+    fit.  Every other rule of a block is :func:`decode_block`'s.
+    """
     if len(buf) < 1:
         raise CorruptBlockError("empty block buffer")
     dict_index = buf[0]
     if dict_index == RAW_INDEX:
-        if len(buf) != 1 + n:
-            raise CorruptBlockError(
-                f"raw block is {len(buf)} bytes, expected {1 + n}"
-            )
         return CompressedBlock(dict_index=RAW_INDEX, n=n, raw=bytes(buf[1:]))
     if dict_index >= len(dset):
         raise CorruptBlockError(f"unknown dictionary index {dict_index}")
     if len(buf) < 2:
         raise CorruptBlockError("block truncated before the escape counter")
-    dct = dset[dict_index]
-    unrep = buf[1]
     lb = loc_bytes(n)
-    rem_bytes = (n * dct.shift + 7) // 8
-    esc_bytes = unrep * (lb + 1)
-    q_bytes = len(buf) - 2 - esc_bytes - rem_bytes
-    if q_bytes < 0:
+    esc_end = len(buf) - (n * dset[dict_index].shift + 7) // 8
+    q_end = esc_end - buf[1] * (lb + 1)
+    if q_end < 2:
         raise CorruptBlockError("block size is inconsistent with its sections")
-    if dct.empty_quotient:
-        if q_bytes != 0:
-            raise CorruptBlockError(
-                "empty-quotient dictionary with a quotient section"
-            )
-    elif n > 0:
-        min_units = -(-n // dct.max_word_len)
-        if q_bytes * 8 < min_units * dct.k:
-            raise CorruptBlockError(
-                f"quotient section of {q_bytes} bytes cannot span {n} symbols"
-            )
-    pos = 2
-    stream = bytes(buf[pos : pos + q_bytes])
-    pos += q_bytes
-    escapes = []
-    prev = -1
-    for _ in range(unrep):
-        loc = int.from_bytes(buf[pos : pos + lb], "little")
-        sym = buf[pos + lb]
-        if loc <= prev:
-            raise CorruptBlockError("escape locations must be strictly ascending")
-        prev = loc
-        escapes.append((loc, sym))
-        pos += lb + 1
-    reminders = bytes(buf[pos:])
+    escapes = [
+        (int.from_bytes(buf[pos : pos + lb], "little"), buf[pos + lb])
+        for pos in range(q_end, esc_end, lb + 1)
+    ]
     return CompressedBlock(
         dict_index=dict_index,
         n=n,
-        quotient_stream=stream,
+        quotient_stream=bytes(buf[2:q_end]),
         escapes=escapes,
-        reminders=reminders,
+        reminders=bytes(buf[esc_end:]),
     )
 
 
@@ -337,6 +315,7 @@ def _parse_dict(
 ) -> MarlinDictionary:
     m = _Reader(meta, "dictionary metadata", FormatError)
     p_escape, abr, qbits, thr, block_n = m.unpack("<ddddI")
+    _validate_block_n(block_n, FormatError)
     (sid_len,) = m.unpack("<H")
     try:
         source_id = m.take(sid_len).decode("utf-8")

@@ -1,7 +1,13 @@
 import dataclasses
+import functools
+import random
+import tracemalloc
 
+import hypothesis
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import A, B, C, D, chapter_words
 from ricemarlin import (
@@ -18,7 +24,7 @@ from ricemarlin import (
 from ricemarlin.dictionary import DictionarySet
 from ricemarlin.encoder import CompressedBlock
 from ricemarlin.format import parse_block, serialize_block
-from ricemarlin.source import uniform
+from ricemarlin.source import point_mass, uniform
 
 
 def test_quotient_reminder_identity_exhaustive():
@@ -153,6 +159,53 @@ def test_decode_block_bad_escape_location():
         blk.escapes = [(0, 7), (loc, 7)]
         with pytest.raises(CorruptBlockError, match="^escape location outside the block$"):
             decode_block(DictionarySet([dct]), blk)
+    # descending and repeated locations, as the wire parser used to reject them
+    for escapes in ([(50, 7), (5, 7)], [(5, 7), (5, 7), (50, 7)]):
+        blk.escapes = escapes
+        with pytest.raises(
+            CorruptBlockError, match="^escape locations must be strictly ascending$"
+        ):
+            decode_block(DictionarySet([dct]), blk)
+    # symbols that are not bytes: numpy would raise OverflowError, or wrap
+    for sym in (300, -1):
+        blk.escapes = [(5, sym)]
+        with pytest.raises(CorruptBlockError, match=r"^escape symbol outside \[0, 255\]$"):
+            decode_block(DictionarySet([dct]), blk)
+
+
+def test_empty_quotient_block_rejects_a_quotient_section():
+    # an empty-quotient dictionary codes no bits per quotient, so any byte
+    # of a quotient section is damage
+    dct = MarlinDictionary.build(point_mass(7), 8, 4, shift=0, threshold=2**-16)
+    dset = DictionarySet([dct])
+    blk = encode_block(dct, bytes([7]) * 100)
+    assert not blk.is_raw and blk.quotient_stream == b""
+    assert decode_block(dset, blk) == bytes([7]) * 100
+    stray = dataclasses.replace(blk, quotient_stream=b"\x55\x66")
+    with pytest.raises(
+        CorruptBlockError, match="^empty-quotient dictionary with a quotient section$"
+    ):
+        decode_block(dset, stray)
+
+
+def test_a_short_quotient_section_allocates_nothing_for_its_declared_size():
+    # a 1-byte quotient section declared to hold 2^32 - 1 symbols: the
+    # decoder unpacks the one unit it holds and stops, so the failing decode
+    # allocates nothing in proportion to n
+    dist = make_distribution(SyntheticFamily("laplacian", 0.3))
+    dct = MarlinDictionary.build(dist, k=8, o=4, shift=0, threshold=2**-10)
+    assert not dct.empty_quotient
+    dset = DictionarySet([dct])
+    dct.table  # compiled before the trace: the table is the set's, not the block's
+    n = 2**32 - 1
+    tracemalloc.start()
+    try:
+        with pytest.raises(CorruptBlockError, match="^quotient stream exhausted"):
+            decode_block(dset, parse_block(bytes([0, 0, 0x00]), n, dset))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 @pytest.mark.parametrize("shift", [0, 2])
@@ -203,3 +256,86 @@ def test_full_pipeline_fuzz(fam, frac):
         msg = dist.sample(n, seed=int(rng.integers(1 << 30)))
         blk = encode_block(dct, msg)
         assert decode_block(DictionarySet([dct]), blk) == msg
+
+
+@functools.cache
+def _differential_set() -> tuple[DictionarySet, tuple]:
+    """Sources and a set of one dictionary per source: S = 0 and S > 0, and
+    the empty-quotient ``point_mass(7)``."""
+    sources = (
+        (make_distribution(SyntheticFamily("laplacian", 0.5)), 0),
+        (make_distribution(SyntheticFamily("laplacian", 0.5)), 2),
+        (make_distribution(SyntheticFamily("poisson", 0.6)), 1),
+        (make_distribution(SyntheticFamily("exponential", 0.5)), 3),
+        (point_mass(7), 0),
+    )
+    dset = DictionarySet([
+        MarlinDictionary.build(dist, k=8, o=4, shift=shift, threshold=2**-10)
+        for dist, shift in sources
+    ])
+    return dset, tuple(dist for dist, _ in sources)
+
+
+def _one_field_edits(blk: CompressedBlock, rnd: random.Random):
+    """Copies of ``blk`` with one field changed: a raw body lengthened or
+    shortened; a quotient or reminder byte added or dropped; an escape
+    repeated, moved or dropped, or the escapes reversed."""
+    replace = dataclasses.replace
+    if blk.is_raw:
+        yield replace(blk, raw=blk.raw + bytes([rnd.randrange(256)]))
+        yield replace(blk, raw=blk.raw[:-1])
+        return
+    for name in ("quotient_stream", "reminders"):
+        data = getattr(blk, name)
+        at = rnd.randint(0, len(data))
+        yield replace(blk, **{name: data[:at] + bytes([rnd.randrange(256)]) + data[at:]})
+        if data:
+            at = rnd.randrange(len(data))
+            yield replace(blk, **{name: data[:at] + data[at + 1 :]})
+    esc = blk.escapes
+    if esc:
+        i = rnd.randrange(len(esc))
+        moved = list(esc)
+        moved[i] = (rnd.randrange(blk.n + 2), esc[i][1])
+        yield replace(blk, escapes=esc[: i + 1] + esc[i:])
+        yield replace(blk, escapes=moved)
+        yield replace(blk, escapes=esc[:i] + esc[i + 1 :])
+        yield replace(blk, escapes=esc[::-1])
+
+
+def _outcome(decode):
+    """The bytes ``decode()`` returns, or ``CorruptBlockError`` if it raises that."""
+    try:
+        return decode()
+    except CorruptBlockError:
+        return CorruptBlockError
+
+
+# The wire path against the in-memory path: 150 examples take about 0.5 s
+# (pytest --durations on a shared 2-vCPU host).
+@hypothesis.seed(2018)
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(
+    index=st.integers(0, 4),
+    n=st.integers(0, 700),
+    rare=st.lists(st.tuples(st.integers(0, 699), st.integers(0, 255)), max_size=4),
+    seed=st.integers(0, 2**30),
+)
+def test_parsed_blocks_decode_as_the_blocks_they_were_written_from(index, n, rare, seed):
+    # every block that serialize_block can write decodes the same, or is
+    # rejected, whether it is decoded in memory or after a trip over the wire
+    dset, sources = _differential_set()
+    msg = bytearray(sources[index].sample(n, seed=seed))
+    for at, sym in rare:  # bytes the dictionary may escape
+        if at < n:
+            msg[at] = sym
+    blk = encode_block(dset[index], bytes(msg), dict_index=index)
+    assert decode_block(dset, blk) == msg
+    for changed in _one_field_edits(blk, random.Random(seed)):
+        try:
+            wire = bytes(serialize_block(changed))
+        except (ValueError, OverflowError):  # a location wider than its field
+            continue
+        assert _outcome(lambda: decode_block(dset, changed)) == _outcome(
+            lambda: decode_block(dset, parse_block(wire, n, dset))
+        )

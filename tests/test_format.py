@@ -142,19 +142,20 @@ def _with_first_body(comp: bytes, body: bytes) -> bytes:
 
 
 @pytest.mark.parametrize("case, message", [
-    ("raw-short", "raw block is 300 bytes, expected 301"),
+    ("raw-short", "raw block holds 299 bytes, expected 300"),
     ("one-byte", "block truncated before the escape counter"),
     ("escapes-overrun", "block size is inconsistent with its sections"),
     ("extra-quotient-byte", "empty-quotient dictionary with a quotient section"),
 ])
 def test_container_rejects_blocks_their_sections_cannot_fill(tiny_set, case, message):
     # each block body is rewritten in a valid one-block container of 300
-    # symbols, so only parse_block's size rules can reject it
+    # symbols, so only the block's own rules can reject it: parse_block's
+    # when the sections cannot be cut, decode_block's otherwise
     dset = tiny_set
     msg = make_distribution(SyntheticFamily("laplacian", 0.5)).sample(300, seed=2)
     if case == "extra-quotient-byte":
-        # one quotient at S = 0: no bits per symbol, and decode_block never
-        # reads the quotient section, so the parser is the only guard
+        # one quotient at S = 0: no bits per symbol, and decode_quotients
+        # never runs, so decode_block must reject the section itself
         dct = MarlinDictionary.build(point_mass(7), 8, 4, shift=0, threshold=2**-16)
         dset = DictionarySet([dct])
         msg = bytes([7]) * 300
@@ -656,6 +657,14 @@ def _non_utf8_source_id(data: bytes) -> bytes:
     return _signed(k, o, parts)
 
 
+def _block_n_zero(data: bytes) -> bytes:
+    """``data`` re-signed with its first dictionary's block size set to 0."""
+    k, o, parts = _split(data)
+    table, meta = parts[0]
+    parts[0] = (table, meta[:32] + struct.pack("<I", 0) + meta[36:])
+    return _signed(k, o, parts)
+
+
 @pytest.mark.parametrize("forge, message", [
     (lambda data: _signed(8, 4, []), "^a dictionary set must contain at least one dictionary$"),
     (
@@ -664,7 +673,8 @@ def _non_utf8_source_id(data: bytes) -> bytes:
     ),
     (_flip_digest, "^dictionary-set digest mismatch$"),
     (_non_utf8_source_id, "^dictionary source id is not UTF-8$"),
-], ids=["no-dictionaries", "k-zero", "digest-bit", "source-id"])
+    (_block_n_zero, r"^block size 0 is not in \[1, 2\^32 - 1\]$"),
+], ids=["no-dictionaries", "k-zero", "digest-bit", "source-id", "block-n-zero"])
 def test_dictset_rejects_signed_files_it_cannot_hold(tiny_set, forge, message):
     # every forged file carries a valid CRC, so only the loader's own checks
     # reject it; a set without dictionaries would otherwise reach the word
