@@ -12,8 +12,13 @@ import math
 import sys
 from pathlib import Path
 
-from .dictionary import MAX_SET_SIZE
+from .dictionary import MAX_SET_SIZE, _eta, build_dictionary_set, default_set_config
 from .errors import CorruptBlockError, FormatError, RiceMarlinError
+from .format import (
+    FLAG_IMAGE, ContainerHeader, compress_bytes, decompress_bytes, load_dictset, save_dictset,
+)
+from .image import read_pgm, residual_inverse, residual_transform, write_pgm
+from .source import FAMILIES, SyntheticFamily, make_distribution
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -47,10 +52,6 @@ def _parse_fractions(text: str) -> list[float]:
 
 
 def _cmd_build_dictset(args) -> int:
-    from .dictionary import _eta, build_dictionary_set, default_set_config
-    from .format import save_dictset
-    from .source import FAMILIES, SyntheticFamily, make_distribution
-
     cfg = default_set_config()
     cfg["k"], cfg["o"], cfg["block_n"] = args.k, args.o, args.block_size
     grid = [
@@ -74,15 +75,10 @@ def _cmd_build_dictset(args) -> int:
 
 
 def _load_set(path: str):
-    from .format import load_dictset
-
     return load_dictset(Path(path).read_bytes())
 
 
 def _cmd_compress(args) -> int:
-    from .format import FLAG_IMAGE, compress_bytes
-    from .image import read_pgm, residual_transform
-
     dset = _load_set(args.set)
     data = Path(args.input).read_bytes()
     if args.image:
@@ -101,9 +97,6 @@ def _cmd_compress(args) -> int:
 
 
 def _cmd_decompress(args) -> int:
-    from .format import FLAG_IMAGE, ContainerHeader, decompress_bytes
-    from .image import residual_inverse, write_pgm
-
     dset = _load_set(args.set)
     buf = Path(args.input).read_bytes()
     header = ContainerHeader.unpack(buf)
@@ -118,6 +111,8 @@ def _cmd_decompress(args) -> int:
 
 
 def _cmd_bench_synthetic(args) -> int:
+    # imported here: ricemarlin.bench alone pulls in csv and statistics,
+    # about 10 ms of a CLI call that needs neither
     from .bench import rows_to_csv, synthetic_study
 
     rows = synthetic_study(

@@ -13,7 +13,6 @@ dictionary gives chapters with equal levels one shared set.
 from __future__ import annotations
 
 import heapq
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, repeat
@@ -24,7 +23,9 @@ import numpy as np
 
 from .bitpack import loc_bytes
 from .errors import BuildError
-from .source import ALPHABET_SIZE, SymbolDistribution, _validate_shift, entropy
+from .source import (
+    ALPHABET_SIZE, SymbolDistribution, SyntheticFamily, _validate_shift, entropy, make_distribution,
+)
 
 if TYPE_CHECKING:
     from .decoder import DecoderTable
@@ -298,21 +299,19 @@ def grow_chapter(coding: np.ndarray, level: int, size: int) -> Growth:
 # ---------------------------------------------------------------------------
 # codeword layout
 
-def _hall_violation(sorted_kvals: list[int], levels: list[int], k: int, o: int) -> int | None:
-    """The lowest level in ``levels`` at which the Hall condition fails, or None.
-
-    The condition: words needing low exclusion levels fit the slots offering
-    them.  ``sorted_kvals`` are a word set's child counts in ascending order.
-    """
+def _misfits(kvals_desc: list[int], levels: list[int], k: int, o: int) -> tuple[list, list]:
+    """The one rule for whether a word set fits ``levels``: the fill order of
+    the next-chapter values, by decreasing level and then value, and in it
+    every value whose run fails.  The i-th value takes the i-th run of
+    2^(K-O) words by decreasing child count, ``kvals_desc``, as the words left
+    that may feed it are always the head of what is left; it fails when the
+    run's last word has fewer children than its level.  The last failing
+    value's level is the lowest at which Hall's condition fails."""
     cap = 1 << (k - o)
-    for level in sorted(set(levels)):
-        if level == 0:
-            continue
-        short = bisect_left(sorted_kvals, level)  # words with k < level
-        roomy = cap * sum(1 for v in levels if v < level)
-        if short > roomy:
-            return level
-    return None
+    # stable, so values of one level stay in the descending order given
+    fill = sorted(reversed(range(1 << o)), key=levels.__getitem__, reverse=True)
+    ends = kvals_desc[cap - 1 :: cap]  # the fewest children in each run
+    return fill, [v for v, end in zip(fill, ends) if end < levels[v]]
 
 
 def assign_codewords(growth: Growth, levels: list[int], k: int, o: int) -> list[int]:
@@ -321,23 +320,22 @@ def assign_codewords(growth: Growth, levels: list[int], k: int, o: int) -> list[
     Offset low O bits select the next chapter; a word may only feed chapters
     whose exclusion level its child count covers.  Slot groups are filled from
     the highest exclusion level downward, preferring words with the largest
-    child counts, then the most probable; overflow demotes words to lower
-    slots (level 0 always fits).  Returns word indices in codeword-offset order.
+    child counts, then the most probable, as :func:`_misfits` states; overflow
+    demotes words to lower slots.  Returns word indices in codeword-offset order.
     """
     words, kvals, raws, *_ = growth
     cap = 1 << (k - o)
     order = sorted(range(len(words)), key=lambda i: (-kvals[i], -raws[i], words[i]))
+    fill, misfits = _misfits(sorted(kvals, reverse=True), levels, k, o)
+    if misfits:
+        v = misfits[0]
+        raise BuildError(
+            f"cannot place {cap} words on next-chapter value {v} "
+            f"(exclusion level {levels[v]})"
+        )
     layout: list[int] = [-1] * (1 << k)
-    # by child count first: the eligible words left are always the head of
-    # what is left, so the i-th slot value takes the i-th run of cap words
-    for i, v in enumerate(sorted(range(1 << o), key=lambda v: (-levels[v], -v))):
-        take = order[i * cap : (i + 1) * cap]
-        if len(take) < cap or kvals[take[-1]] < levels[v]:
-            raise BuildError(
-                f"cannot place {cap} words on next-chapter value {v} "
-                f"(exclusion level {levels[v]})"
-            )
-        layout[v :: 1 << o] = take
+    for i, v in enumerate(fill):
+        layout[v :: 1 << o] = order[i * cap : (i + 1) * cap]
     return layout
 
 
@@ -384,10 +382,6 @@ class MarlinDictionary:
     def levels(self) -> tuple[int, ...]:
         """Exclusion level of every chapter, read off its word set."""
         return tuple(self.word_sets[s].level for s in self.chapter_sets)
-
-    @cached_property
-    def max_word_len(self) -> int:
-        return max([int(lw.lengths.max()) for lw in self.word_sets], default=1)
 
     @property
     def shift(self) -> int:
@@ -460,7 +454,7 @@ class MarlinDictionary:
         coding = alphabet.coding_probs
         levels = [min(c, nq - 1) for c in range(1 << o)]
         grown: dict[int, Growth] = {}
-        sorted_kvals: dict[int, list[int]] = {}
+        kvals_desc: dict[int, list[int]] = {}
         # a demotion only lowers levels, which adds room below every level
         # and adds no level a set fitting before could fail at, so a set that
         # fits keeps fitting
@@ -473,10 +467,10 @@ class MarlinDictionary:
                 # a word set is grown only once the check reaches its level
                 if lvl not in grown:
                     grown[lvl] = grow_chapter(coding, lvl, 1 << k)
-                    sorted_kvals[lvl] = sorted(grown[lvl].kvals)
-                failing = _hall_violation(sorted_kvals[lvl], levels, k, o)
-                if failing is not None:
-                    return max(lvl, failing)
+                    kvals_desc[lvl] = sorted(grown[lvl].kvals, reverse=True)
+                _, misfits = _misfits(kvals_desc[lvl], levels, k, o)
+                if misfits:
+                    return max(lvl, levels[misfits[-1]])
                 fits.add(lvl)
             return None
 
@@ -596,16 +590,8 @@ class MarlinDictionary:
                 raise error(f"word set {s} misses a single-symbol word")
             if nk != size - n1:
                 raise error(f"word set {s} is not prefix-closed over most probable successors")
-        # the words at offsets v, v + 2^O, ... feed chapter v; one with fewer
-        # children than that chapter's level would trap the walk
-        feeding = stats[:, 2].reshape(len(sets), -1, self.n_chapters).min(axis=1)
-        for s, fewest in enumerate(feeding.tolist()):
-            for v, (have, level) in enumerate(zip(fewest, self.levels)):
-                if have < level:
-                    raise error(
-                        f"unsafe word set {s}: a word with fewer than {level} "
-                        f"children feeds chapter {v}"
-                    )
+        for s, lw in enumerate(sets):
+            _check_feeding(s, lw.kvals, self.levels, error)
         # a block's first codeword is read with a zero window, in chapter 0
         if self.levels[0]:
             raise error(f"chapter 0 has level {self.levels[0]}, but every block starts there")
@@ -652,6 +638,20 @@ class MarlinDictionary:
     def emission_probs(self, c: int, dist: SymbolDistribution) -> np.ndarray:
         """Per-word emission probabilities of chapter ``c`` under its own level."""
         return self._chain(dist).emission_probs(c, self.levels[c])
+
+
+def _check_feeding(s: int, kvals: np.ndarray, levels: tuple, error: type[Exception]) -> None:
+    """Raise ``error`` if word set ``s`` can trap the walk, naming the lowest
+    chapter it traps.  The words at offsets v, v + 2^O, ... feed chapter v;
+    after a word with k children, longest match lets rank k come next, which
+    no word of chapter v starts with when k is below its level."""
+    chapters = np.arange(len(kvals)) & (len(levels) - 1)
+    trapped = chapters[kvals < np.array(levels)[chapters]]
+    if len(trapped):
+        v = int(trapped.min())
+        raise error(
+            f"unsafe word set {s}: a word with fewer than {levels[v]} children feeds chapter {v}"
+        )
 
 
 def _validate_block_n(block_n: int, error: type[Exception] = ValueError) -> None:
@@ -722,14 +722,9 @@ class _ParseChain:
         # rows depend on the word set and the exclusion level only; identical
         # chapters share them
         for s, (r1, base, kv, lengths) in enumerate(per_set):
-            slots = np.arange(len(kv)) & omask
-            targets = index[slots, np.searchsorted(evals, kv)]
-            if (targets < 0).any():
-                v = int(slots[np.argmax(targets < 0)])
-                raise BuildError(
-                    f"unsafe word set {s}: a word with fewer than {dct.levels[v]} "
-                    f"children feeds chapter {v}"
-                )
+            # on capped counts the rule leaves every word a state to lead to
+            _check_feeding(s, kv, dct.levels, BuildError)
+            targets = index[np.arange(len(kv)) & omask, np.searchsorted(evals, kv)]
             # weights summed in word order per (first rank, target) cell and
             # per first rank, then over first ranks >= e for every row e; only
             # the states some word leads to get a column
@@ -938,6 +933,17 @@ RAW_INDEX = 255  # reserved: block stored verbatim
 MAX_SET_SIZE = 255
 
 
+def _validate_set_size(n: int, error: type[Exception] = BuildError) -> None:
+    """Raise ``error`` unless ``n`` dictionaries, indexed below ``RAW_INDEX``, make a set."""
+    if n < 1:
+        raise error("a dictionary set must contain at least one dictionary")
+    if n > MAX_SET_SIZE:
+        raise error(
+            f"at most {MAX_SET_SIZE} dictionaries fit (index {RAW_INDEX} is "
+            "the raw-block sentinel)"
+        )
+
+
 @dataclass
 class DictionarySet:
     """An ordered collection of dictionaries sharing (K, O).
@@ -950,13 +956,7 @@ class DictionarySet:
 
     def __post_init__(self):
         self.dictionaries = tuple(self.dictionaries)
-        if not self.dictionaries:
-            raise BuildError("a dictionary set must contain at least one dictionary")
-        if len(self.dictionaries) > MAX_SET_SIZE:
-            raise BuildError(
-                f"at most {MAX_SET_SIZE} dictionaries fit (index {RAW_INDEX} is "
-                "the raw-block sentinel)"
-            )
+        _validate_set_size(len(self.dictionaries))
         k, o = self.dictionaries[0].k, self.dictionaries[0].o
         if any(d.k != k or d.o != o for d in self.dictionaries):
             raise BuildError("all dictionaries in a set must share (K, O)")
@@ -1035,20 +1035,14 @@ def build_dictionary_set(config: dict | None = None) -> DictionarySet:
     ``config`` overrides keys of :func:`default_set_config`; any other key
     raises ``ValueError`` before any build.
     """
-    from .source import SyntheticFamily, make_distribution
-
     cfg, config = default_set_config(), config or {}
     unknown = sorted(map(repr, set(config) - set(cfg)))
     if unknown:
         raise ValueError(f"unknown dictionary-set config keys: {', '.join(unknown)}")
     cfg.update(config)
-    grid = cfg["grid"]
-    if not grid:
-        raise BuildError("dictionary-set grid is empty")
-    if len(grid) > MAX_SET_SIZE:
-        raise BuildError(f"grid of {len(grid)} exceeds the {MAX_SET_SIZE}-entry cap")
+    _validate_set_size(len(cfg["grid"]))
     # every grid point is checked before the first build
-    dists = [make_distribution(SyntheticFamily(f, x)) for f, x in grid]
+    dists = [make_distribution(SyntheticFamily(f, x)) for f, x in cfg["grid"]]
     return DictionarySet(
         [best_dictionary_for(d, cfg["k"], cfg["o"], block_n=cfg["block_n"]) for d in dists]
     )

@@ -214,6 +214,12 @@ class EncoderMatrix:
         return self.cell_units.take(cell.take(ends.nonzero()[0]))
 
 
+def _validate_dict_index(dict_index: int) -> None:
+    """Raise ``ValueError`` unless a coded block can carry ``dict_index``."""
+    if not 0 <= dict_index < RAW_INDEX:
+        raise ValueError(f"dictionary index {dict_index} is not in [0, {RAW_INDEX})")
+
+
 def pack_reminders(message: bytes, s: int) -> bytes:
     """Concatenated S low bits of each byte, most significant reminder bit first."""
     _validate_shift(s)
@@ -225,8 +231,7 @@ def encode_block(dct: MarlinDictionary, message: bytes, dict_index: int = 0) -> 
     back to a raw block when escapes overflow the one-byte counter or
     compression would not save a byte.  ``dict_index`` labels a coded block
     and must be below ``RAW_INDEX``, which marks a raw one."""
-    if not 0 <= dict_index < RAW_INDEX:
-        raise ValueError(f"dictionary index {dict_index} is not in [0, {RAW_INDEX})")
+    _validate_dict_index(dict_index)
     n = len(message)
     if n == 0:
         return CompressedBlock(dict_index=RAW_INDEX, n=0, raw=b"")

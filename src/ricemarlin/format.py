@@ -24,9 +24,10 @@ from .dictionary import (
     QuotientAlphabet,
     _validate_block_n,
     _validate_ko,
+    _validate_set_size,
     link_word_sets,
 )
-from .encoder import CompressedBlock, encode_block
+from .encoder import CompressedBlock, _validate_dict_index, encode_block
 from .decoder import decode_block
 from .errors import CorruptBlockError, FormatError
 from .image import BLOCK_EDGE, block_geometry
@@ -55,6 +56,7 @@ def serialize_block(block: CompressedBlock) -> bytearray:
         out = bytearray([RAW_INDEX])
         out += block.raw
         return out
+    _validate_dict_index(block.dict_index)
     if len(block.escapes) > 255:
         raise ValueError("a block cannot carry more than 255 escapes")
     lb = loc_bytes(block.n)
@@ -352,8 +354,7 @@ def load_dictset(buf: bytes) -> DictionarySet:
         raise FormatError("dictionary-set checksum mismatch: the file is truncated or damaged")
     r = _Reader(data[:-4], "dictionary-set file", FormatError)
     _, _, k, o, count = r.unpack("<4sBBBB")
-    if count == 0:
-        raise FormatError("a dictionary set must contain at least one dictionary")
+    _validate_set_size(count, FormatError)
     _validate_ko(k, o, FormatError)
     parts = []
     for _ in range(count):

@@ -73,6 +73,11 @@ def words_of(lw) -> list[tuple[int, ...]]:
     return [tuple(ranks[a:b]) for a, b in pairwise(lw.offsets.tolist())]
 
 
+def max_word_len(dct: MarlinDictionary) -> int:
+    """The length of the longest word in any of ``dct``'s word sets, 1 for none."""
+    return max([int(lw.lengths.max()) for lw in dct.word_sets], default=1)
+
+
 def chapter_words(dct: MarlinDictionary, c: int) -> list[tuple[int, ...]]:
     """Words of chapter ``c`` in codeword-offset order, as tuples of ranks."""
     return words_of(dct.word_sets[dct.chapter_sets[c]])

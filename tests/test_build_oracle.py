@@ -7,7 +7,9 @@ first whose bound cannot beat the best dictionary found so far.  This file
 keeps the eager chapter loop and the exhaustive (S, threshold) search as the
 reference, asserts that both build byte-identical dictionary sets and that
 every candidate's efficiency stays within its own bound, and counts the
-candidates the pruned search builds.  The reference grows and lays out
+candidates the pruned search builds.  The eager loop checks a layout by
+Hall's condition, counted level by level, against the library's one fit
+rule, which fills next-chapter values run by run.  The reference grows and lays out
 chapters with scalar copies of the library's ``grow_chapter`` and
 ``assign_codewords``: a heap of numpy-scalar priorities filled one push at a
 time, and a layout that scans every word for every slot value.
@@ -124,15 +126,25 @@ def oracle_assign_codewords(growth: Growth, levels: list[int], k: int, o: int) -
     return layout
 
 
-def _eager_assignable(kvals, levels, k, o):
+def hall_violation(sorted_kvals: list[int], levels: list[int], k: int, o: int) -> int | None:
+    """The lowest level in ``levels`` at which the Hall condition fails, or None.
+
+    The condition: words needing low exclusion levels fit the slots offering
+    them.  ``sorted_kvals`` are a word set's child counts in ascending order.
+    """
     cap = 1 << (k - o)
-    ks = sorted(kvals)
     for level in sorted(set(levels)):
         if level == 0:
             continue
-        if bisect_left(ks, level) > cap * sum(1 for v in levels if v < level):
-            return False
-    return True
+        short = bisect_left(sorted_kvals, level)  # words with k < level
+        roomy = cap * sum(1 for v in levels if v < level)
+        if short > roomy:
+            return level
+    return None
+
+
+def _eager_assignable(kvals, levels, k, o):
+    return hall_violation(sorted(kvals), levels, k, o) is None
 
 
 def eager_from_alphabet(dist, k, o, alphabet, block_n=4096):
@@ -412,3 +424,27 @@ def test_grow_and_assign_match_scalar_copies(draw):
         levels[max(i for i, v in enumerate(levels) if v == top)] = top - 1
     assert _outcome(D.assign_codewords, got, levels, k, o) == _outcome(
         oracle_assign_codewords, want, levels, k, o)
+
+
+@st.composite
+def _fit_draws(draw):
+    k = draw(st.integers(1, 7))
+    o = draw(st.integers(0, k))
+    top = draw(st.integers(0, 6))
+    kvals = draw(st.lists(st.integers(0, top), min_size=1 << k, max_size=1 << k))
+    levels = draw(st.lists(st.integers(0, top), min_size=1 << o, max_size=1 << o))
+    return kvals, levels, k, o
+
+
+# 600 draws take about 2 s
+@hypothesis.seed(2018)
+@settings(max_examples=600, derandomize=True, database=None, deadline=None)
+@given(_fit_draws())
+def test_fit_rule_fails_where_hall_fails(draw):
+    # the fill order is the scalar layout's, and its last misfit sits at the
+    # lowest level whose slots the scalar Hall count overfills
+    kvals, levels, k, o = draw
+    fill, misfits = D._misfits(sorted(kvals, reverse=True), levels, k, o)
+    assert fill == sorted(range(1 << o), key=lambda v: (-levels[v], -v))
+    lowest = levels[misfits[-1]] if misfits else None
+    assert lowest == hall_violation(sorted(kvals), levels, k, o)

@@ -20,7 +20,9 @@ from ricemarlin.dictionary import _ParseChain
 from ricemarlin.errors import BuildError, EntropyTargetError
 from ricemarlin.source import FAMILIES
 
-from conftest import THRESHOLDS, _built, _geometries, _with_edge_draws, words_of
+from conftest import (
+    THRESHOLDS, _built, _geometries, _with_edge_draws, max_word_len, words_of,
+)
 
 
 def _word_tails(words, coding):
@@ -113,7 +115,7 @@ def test_chain_matches_oracle_on_grid_set(grid_set):
 
 def test_chain_matches_oracle_on_long_words(long_word_set):
     # words up to 237 ranks: the tails are products of up to 236 factors
-    assert max(d.max_word_len for d in long_word_set.dictionaries) == 237
+    assert max(map(max_word_len, long_word_set.dictionaries)) == 237
     for dct in long_word_set.dictionaries:
         assert_same_chain(dct)
 

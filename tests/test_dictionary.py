@@ -5,7 +5,7 @@ import pytest
 
 from conftest import (
     A, B, C, D, WORKED_CHAPTER_0, WORKED_CHAPTER_1, abcd_distribution, chapter_words,
-    codewords, excluded, select, skewed_distribution, unsafe_copy,
+    codewords, excluded, max_word_len, select, skewed_distribution, unsafe_copy, words_of,
 )
 from ricemarlin import (
     BuildError,
@@ -273,6 +273,27 @@ def test_chain_of_an_unsafe_dictionary_names_the_word_set(worked_dictionary, abc
         efficiency(unsafe_copy(worked_dictionary), abcd_dist)
 
 
+def test_check_and_chain_name_the_same_unsafe_chapter():
+    # levels (0, 1, 1, 0): swapping offsets 0 <-> 2 and 4 <-> 5 of word set 0
+    # puts childless words at offsets 2 and 5, which feed chapters 2 and 1.
+    # Both checks name the lowest, chapter 1; the chain named the chapter of
+    # the first such word, 2
+    dist = make_distribution(SyntheticFamily("laplacian", 0.5))
+    dct = MarlinDictionary.build(dist, k=6, o=2, shift=3, threshold=2**-10)
+    assert dct.levels == (0, 1, 1, 0)
+    first, *rest = dct.word_sets
+    words = [bytes(w) for w in words_of(first)]
+    words[0], words[2], words[4], words[5] = words[2], words[0], words[5], words[4]
+    assert first.kvals[[0, 4]].tolist() == [0, 0]
+    (swapped,) = rd.link_word_lists([first.level], [words])
+    unsafe = MarlinDictionary(dct.k, dct.o, dct.alphabet, (swapped, *rest), dct.chapter_sets)
+    named = "^unsafe word set 0: a word with fewer than 1 children feeds chapter 1$"
+    with pytest.raises(BuildError, match=named):
+        unsafe.check(BuildError)
+    with pytest.raises(BuildError, match=named):
+        efficiency(unsafe, dist)
+
+
 # ---------------------------------------------------------------------------
 # ABR estimate and efficiency
 
@@ -287,7 +308,7 @@ def test_abr_point_mass_is_k_over_longest_chain():
 def test_abr_point_mass_with_explicit_alphabet():
     # keep all 256 quotients via threshold 0 at K=9 (2^9 > 256)
     dct = MarlinDictionary.build(point_mass(0), k=9, o=0, shift=0, threshold=0.0)
-    max_len = dct.max_word_len
+    max_len = max_word_len(dct)
     assert max_len == (1 << 9) - 256 + 1
     abr = abr_estimate(dct, point_mass(0), 4096)
     assert abr == pytest.approx(9 / max_len, abs=1e-12)
@@ -486,8 +507,9 @@ def test_default_set_config_quality(default_set):
     assert len(loaded) == 58
 
 
-def test_build_set_rejects_empty_grid():
-    with pytest.raises(BuildError):
+def test_build_set_rejects_empty_grid(monkeypatch):
+    monkeypatch.setattr(rd, "best_dictionary_for", lambda *args, **kw: pytest.fail("built"))
+    with pytest.raises(BuildError, match="^a dictionary set must contain at least one dictionary$"):
         build_dictionary_set({"grid": []})
 
 
@@ -521,9 +543,10 @@ def test_build_set_checks_every_grid_point_before_building(monkeypatch, grid, er
         build_dictionary_set({"grid": grid})
 
 
-def test_build_set_rejects_oversized_grid():
+def test_build_set_rejects_oversized_grid(monkeypatch):
+    monkeypatch.setattr(rd, "best_dictionary_for", lambda *args, **kw: pytest.fail("built"))
     grid = [("laplacian", 0.5)] * 256
-    with pytest.raises(BuildError):
+    with pytest.raises(BuildError, match=r"^at most 255 dictionaries fit \(index 255 is the raw"):
         build_dictionary_set({"grid": grid})
 
 

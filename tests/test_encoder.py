@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import A, B, C, D, chapter_words, codewords
+from conftest import A, B, C, D, chapter_words, codewords, max_word_len
 from ricemarlin import (
     EncoderMatrix,
     MarlinDictionary,
@@ -64,7 +64,7 @@ def test_matrix_chain_dictionary_emits_every_max_length():
     # all mass on one quotient: growth follows the single deepest chain
     dct = MarlinDictionary.build(point_mass(0), k=3, o=0, shift=6, threshold=0.0)
     m = EncoderMatrix(dct)
-    max_len = dct.max_word_len
+    max_len = max_word_len(dct)
     assert max_len == (1 << 3) - len(dct.alphabet) + 1
     assert len(m.walk([0] * (3 * max_len))) == 3
 

@@ -66,6 +66,7 @@ from conftest import (
     excluded,
     from_tables_copy,
     level_one_start,
+    max_word_len,
     select,
     unsafe_copy,
 )
@@ -89,6 +90,18 @@ def test_serialize_raw_block():
 def test_serialize_simple_block():
     blk = CompressedBlock(dict_index=4, n=1, quotient_stream=bytes([0xAB]))
     assert serialize_block(blk) == bytes([0x04, 0x00, 0xAB])
+
+
+@pytest.mark.parametrize("index", [-1, RAW_INDEX, 300])
+def test_serialize_rejects_an_index_a_coded_block_cannot_carry(tiny_set, index):
+    # encode_block refuses these indexes; a coded block given one in memory
+    # wrote 255 as the raw-block byte, which parses as a raw block, and
+    # failed on -1 and 300 with bytearray's own range error
+    msg = make_distribution(SyntheticFamily("laplacian", 0.5)).sample(1000, seed=3)
+    block = encode_block(tiny_set[1], msg, dict_index=1)
+    assert not block.is_raw
+    with pytest.raises(ValueError, match=rf"^dictionary index {index} is not in \[0, 255\)$"):
+        serialize_block(dataclasses.replace(block, dict_index=index))
 
 
 def test_escape_section_width_scales_with_message_size(tiny_set):
@@ -735,7 +748,7 @@ def test_hostile_parents_raise_format_error_naming_the_word_set(
         data = save_dictset(grid_set)
     elif which == "long-words":
         d, data = 0, save_dictset(long_word_set)
-        assert long_word_set[0].max_word_len == 237
+        assert max_word_len(long_word_set[0]) == 237
     elif which == "k3":
         d, data = 0, save_dictset(DictionarySet([worked_dictionary]))
     else:
@@ -911,7 +924,7 @@ def test_resigned_table_mutations_raise_format_error_or_reload():
         {"grid": [("laplacian", 0.02), ("laplacian", 0.5), ("poisson", 0.3)],
          "k": 8, "o": 4, "block_n": 4096}
     )
-    assert dset[0].max_word_len == 237 and all(len(d.word_sets) == 2 for d in dset)
+    assert max_word_len(dset[0]) == 237 and all(len(d.word_sets) == 2 for d in dset)
     data = save_dictset(dset)
     msg = make_distribution(SyntheticFamily("laplacian", 0.5)).sample(3000, seed=9)
     rng = np.random.default_rng(2027)

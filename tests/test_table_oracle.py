@@ -28,7 +28,7 @@ from ricemarlin import (
 from ricemarlin.dictionary import link_word_lists
 from ricemarlin.encoder import STEP_TABLE_CAP
 
-from conftest import abcd_distribution, from_tables_copy, padded_rows, words_of
+from conftest import abcd_distribution, from_tables_copy, max_word_len, padded_rows, words_of
 
 
 def reference_links(words: list[tuple[int, ...]]) -> tuple[list[int], list[int], bool]:
@@ -191,7 +191,7 @@ def test_tables_match_oracle_on_grid_set(grid_set):
 
 
 def test_tables_match_oracle_on_long_words(long_word_set):
-    assert [d.max_word_len for d in long_word_set.dictionaries] == [237, 93, 4]
+    assert [max_word_len(d) for d in long_word_set.dictionaries] == [237, 93, 4]
     loaded = load_dictset(save_dictset(long_word_set))
     for dct in long_word_set.dictionaries + loaded.dictionaries:
         assert len(dct.word_sets) == 2
