@@ -68,16 +68,29 @@ def block_geometry(width: int, height: int) -> list[tuple[int, int]]:
     return out
 
 
-def _row_blocks(rows: np.ndarray) -> list[np.ndarray]:
-    """One block row as (blocks, rows, cols) views: the full blocks, then the right edge."""
-    bh, w = rows.shape
-    full = w - w % BLOCK_EDGE
-    views = []
-    if full:
-        views.append(rows[:, :full].reshape(bh, -1, BLOCK_EDGE).transpose(1, 0, 2))
-    if full < w:
-        views.append(rows[None, :, full:])
-    return views
+# Bands of block rows bound the scratch of both transforms: the inverse's
+# uint16 lanes then take 1 KiB per column whatever the height, and images of up
+# to 512 rows still run in one pass.
+_BAND_ROWS = 8 * BLOCK_EDGE
+
+
+def _block_runs(band: np.ndarray, flat: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Each run of equal blocks in ``band`` (whole block rows, the last may be
+    short) paired with its bytes in ``flat``, the band serialized block by
+    block, both as (block rows, blocks, rows, cols) views."""
+    rows, w = band.shape
+    tall, full = rows - rows % BLOCK_EDGE, w - w % BLOCK_EDGE
+    runs = []
+    for y0, y1 in ((0, tall), (tall, rows)):
+        if y1 > y0:
+            bh = min(y1 - y0, BLOCK_EDGE)
+            cuts = flat[y0 * w : y1 * w].reshape((y1 - y0) // bh, bh * w)
+            for x0, x1 in ((0, full), (full, w)):
+                if x1 > x0:
+                    bw = min(x1 - x0, BLOCK_EDGE)
+                    blocks = band[y0:y1, x0:x1].reshape(len(cuts), bh, -1, bw).swapaxes(1, 2)
+                    runs.append((blocks, cuts[:, bh * x0 : bh * x1].reshape(blocks.shape)))
+    return runs
 
 
 def residual_transform(img: np.ndarray) -> bytes:
@@ -86,15 +99,17 @@ def residual_transform(img: np.ndarray) -> bytes:
     img = np.asarray(img, dtype=np.uint8)
     h, w = img.shape
     out = np.empty(h * w, dtype=np.uint8)
-    pos = 0
-    for y0 in range(0, h, BLOCK_EDGE):
-        for blk in _row_blocks(img[y0 : y0 + BLOCK_EDGE]):
-            res = out[pos : pos + blk.size].reshape(blk.shape)
-            pos += blk.size
-            # uint8 arithmetic wraps mod 256
-            np.subtract(blk[:, 1:], blk[:, :-1], out=res[:, 1:])
-            np.subtract(blk[:, 0, 1:], blk[:, 0, :-1], out=res[:, 0, 1:])
-            res[:, 0, 0] = blk[:, 0, 0]
+    scratch = np.empty((min(h, _BAND_ROWS), w), dtype=np.uint8)
+    for y0 in range(0, h, _BAND_ROWS):
+        band = img[y0 : y0 + _BAND_ROWS]
+        res = scratch[: len(band)]
+        # uint8 arithmetic wraps mod 256: the pixel above, on a block's first
+        # row the pixel to the left, at a block's origin nothing
+        np.subtract(band[1:], band[:-1], out=res[1:])
+        np.subtract(band[::BLOCK_EDGE, 1:], band[::BLOCK_EDGE, :-1], out=res[::BLOCK_EDGE, 1:])
+        res[::BLOCK_EDGE, ::BLOCK_EDGE] = band[::BLOCK_EDGE, ::BLOCK_EDGE]
+        for blocks, cut in _block_runs(res, out[y0 * w : y0 * w + res.size]):
+            cut[...] = blocks
     return out.tobytes()
 
 
@@ -107,12 +122,23 @@ def residual_inverse(data: bytes, width: int, height: int) -> np.ndarray:
         )
     img = np.empty((height, width), dtype=np.uint8)
     res = np.frombuffer(data, dtype=np.uint8)
-    pos = 0
-    for y0 in range(0, height, BLOCK_EDGE):
-        for blk in _row_blocks(img[y0 : y0 + BLOCK_EDGE]):
-            blk[...] = res[pos : pos + blk.size].reshape(blk.shape)
-            pos += blk.size
-            # uint8 sums wrap mod 256: first rows run left to right, then columns down
-            np.cumsum(blk[:, 0], axis=1, dtype=np.uint8, out=blk[:, 0])
-            np.cumsum(blk, axis=1, dtype=np.uint8, out=blk)
+    full, wide = width - width % BLOCK_EDGE, -(-width // 4) * 4
+    # one 16-bit lane per pixel, four to a uint64 word, zero past the last
+    # column; rows past a short last block row only ever sum into themselves
+    lanes = np.zeros((-(-min(height, _BAND_ROWS) // BLOCK_EDGE) * BLOCK_EDGE, wide), np.uint16)
+    for y0 in range(0, height, _BAND_ROWS):
+        rows = min(_BAND_ROWS, height - y0)
+        band = lanes[:rows, :width]
+        for blocks, cut in _block_runs(band, res[y0 * width : (y0 + rows) * width]):
+            blocks[...] = cut
+        first = band[::BLOCK_EDGE]  # each block's first row sums left to right
+        for row in (first[:, :full].reshape(len(first), -1, BLOCK_EDGE), first[:, full:]):
+            np.add.accumulate(row, axis=-1, out=row)
+        # Then every column sums down its block, four per word.  A lane reaches
+        # at most 64*255 + 63*255 = 32385 < 2**16, so none carries into the
+        # next, and its low byte is the pixel mod 256.
+        pad = -(-rows // BLOCK_EDGE) * BLOCK_EDGE
+        words = lanes[:pad].view(np.uint64).reshape(pad // BLOCK_EDGE, BLOCK_EDGE, wide // 4)
+        np.add.accumulate(words, axis=1, out=words)
+        np.copyto(img[y0 : y0 + rows], band, casting="unsafe")
     return img

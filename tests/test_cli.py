@@ -256,6 +256,19 @@ def test_image_mode_roundtrip(tmp_path, set_path):
     assert comp.stat().st_size < src.stat().st_size / 2
 
 
+def test_image_mode_roundtrip_without_columns(tmp_path, set_path):
+    # 0x128 has two block rows and no block in either
+    src = tmp_path / "img.pgm"
+    src.write_bytes(b"P5\n0 128\n255\n")
+    comp = tmp_path / "img.rm"
+    out = tmp_path / "img_restored.pgm"
+    assert main(
+        ["compress", str(src), str(comp), "--set", str(set_path), "--image"]
+    ) == EXIT_OK
+    assert main(["decompress", str(comp), str(out), "--set", str(set_path)]) == EXIT_OK
+    assert out.read_bytes() == src.read_bytes()
+
+
 @pytest.mark.parametrize(
     "header", [b"P5\n-3 4\n255\n", b"P5\n-1 -1\n255\n", b"P5\n2 2\n0\n",
                b"P5\n1_0 1\n255\n", b"P5\n1 +2\n255\n", b"P5\n0 0 255"],

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -136,12 +138,15 @@ def oracle_inverse(data, width, height):
 
 EDGE_SHAPES = [(1, 1), (1, 65), (65, 1), (63, 63), (64, 64), (64, 65), (65, 64),
                (128, 128), (129, 200), (0, 5), (5, 0)]
+# no columns above one block row; widths of 1, 2 and 3 mod 4 (the inverse sums
+# four 16-bit lanes per word); a height over two 512-row bands, the last short
+LANE_SHAPES = [(0, 128), (65, 70), (66, 130), (67, 200), (130, 1100)]
 # (width, height) of the benchmark's images; no side is a multiple of 64
 BENCH_SHAPES = [(97, 251), (150, 150), (200, 75), (130, 190), (257, 66),
                 (70, 70), (180, 110), (115, 140), (220, 90), (83, 160)]
 
 
-@pytest.mark.parametrize("width, height", EDGE_SHAPES + BENCH_SHAPES)
+@pytest.mark.parametrize("width, height", EDGE_SHAPES + BENCH_SHAPES + LANE_SHAPES)
 def test_residuals_match_per_block_oracle(width, height):
     rng = np.random.default_rng([width, height])
     img = rng.integers(0, 256, (height, width), dtype=np.uint8)
@@ -150,9 +155,11 @@ def test_residuals_match_per_block_oracle(width, height):
     field = rng.integers(0, 256, width * height, dtype=np.uint8).tobytes()
     got = residual_inverse(field, width, height)
     want = oracle_inverse(field, width, height)
-    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.dtype == want.dtype and got.shape == want.shape and got.flags.c_contiguous
     assert np.array_equal(got, want)
     assert np.array_equal(residual_inverse(data, width, height), img)
+    top = bytes([255]) * (width * height)  # the largest lane sums, on every full block
+    assert np.array_equal(residual_inverse(top, width, height), oracle_inverse(top, width, height))
 
 
 @pytest.mark.parametrize("size", [0, 5, 7])
@@ -160,3 +167,22 @@ def test_residual_inverse_rejects_data_of_another_size(size):
     # short data used to end in numpy's ValueError, extra bytes were dropped
     with pytest.raises(FormatError, match="3x2 image needs 6"):
         residual_inverse(bytes(size), 3, 2)
+
+
+def test_transforms_keep_their_scratch_to_a_band():
+    # an unbanded inverse holds a uint16 copy of the whole image (3x its bytes)
+    img = np.random.default_rng(2048).integers(0, 256, (2048, 2048), dtype=np.uint8)
+    data = residual_transform(img)
+
+    def peak(transform, *args):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            transform(*args)
+            return (tracemalloc.get_traced_memory()[1] - base) / img.nbytes
+        finally:
+            tracemalloc.stop()
+
+    assert peak(residual_inverse, data, 2048, 2048) <= 2.0
+    assert peak(residual_transform, img) <= 2.5
