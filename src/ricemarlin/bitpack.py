@@ -1,6 +1,10 @@
 """MSB-first bit fields, the layout of both a block's codeword units and its
 reminders: fixed-width fields, most significant bit first, the last byte
-zero-padded."""
+zero-padded.
+
+Fields of 1, 2 and 4 bits are read a byte at a time through a 256-row table,
+fields of 3, 5, 6 and 7 bits a group of 8 at a time through a strided 64-bit
+word, bytes as they are, and wider fields through strided 32-bit words."""
 
 from __future__ import annotations
 
@@ -21,11 +25,16 @@ def loc_bytes(n: int) -> int:
 
 
 # field i of a group of 8 sits (7 - i) * w bits above the group's last bit,
-# for w in 1..7
-_FIELD_SHIFTS = {w: np.arange(7 * w, -1, -w, dtype=np.uint64) for w in range(1, 8)}
+# for w in 3, 5, 6 and 7
+_FIELD_SHIFTS = {w: np.arange(7 * w, -1, -w, dtype=np.uint64) for w in (3, 5, 6, 7)}
 # row b holds the low w bits of byte b, MSB first, for w in 1..7
 _BYTE_BITS = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1)
 _LOW_BITS = {w: np.ascontiguousarray(_BYTE_BITS[:, 8 - w :]) for w in range(1, 8)}
+# row b holds the 8 // w fields of byte b, MSB first, for w in 1, 2 and 4
+_BYTE_FIELDS = {
+    w: (_BYTE_BITS.reshape(256, 8 // w, w) @ (1 << np.arange(w - 1, -1, -1))).astype(np.uint8)
+    for w in (1, 2, 4)
+}
 
 # field i of a group of 8 starts at the group's byte (i * w) >> 3; the
 # big-endian 32-bit word there holds it (32 - w - (i * w & 7)) bits up,
@@ -67,13 +76,16 @@ def unpack_units(buf: bytes, width: int, count: int) -> np.ndarray:
         return np.zeros(count, dtype=np.uint8 if width <= 8 else np.uint32)
     if width == 8:
         return np.frombuffer(buf, dtype=np.uint8, count=count)
+    if width in _BYTE_FIELDS:
+        whole = np.frombuffer(buf, dtype=np.uint8, count=(count * width + 7) // 8)
+        return _BYTE_FIELDS[width].take(whole, axis=0).reshape(-1)[:count]
     if width < 8:
         return _unpack_narrow(buf, width, count)
     return _unpack_wide(buf, width, count)
 
 
 def _unpack_narrow(buf: bytes, width: int, count: int) -> np.ndarray:
-    """``count`` MSB-first fields of 1 <= ``width`` <= 7 bits, as uint8.
+    """``count`` MSB-first fields of 3, 5, 6 or 7 bits, as uint8.
 
     Every 8 fields fill exactly ``width`` bytes.  With ``8 - width`` zero
     bytes in front of the section, the big-endian 64-bit word that starts

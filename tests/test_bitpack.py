@@ -1,5 +1,8 @@
+import hypothesis
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ricemarlin.bitpack import (
     loc_bytes,
@@ -9,6 +12,7 @@ from ricemarlin.bitpack import (
     unpack_units,
 )
 from ricemarlin.errors import CorruptBlockError
+from test_decode_oracle import oracle_unpack_units
 
 
 def test_loc_bytes_boundaries():
@@ -65,9 +69,44 @@ def test_pack_units_matches_bit_matrix(width):
         assert pack_units(vals.astype(narrow), width) == oracle_pack_units(vals, width), n
 
 
-def test_unpack_units_truncated():
-    with pytest.raises(CorruptBlockError):
-        unpack_units(b"\x00", 8, 2)
+@pytest.mark.parametrize("width", range(1, 25))
+def test_unpack_units_truncated(width):
+    # a section one byte short of count * width bits, at every width's reader
+    for count in (1, 2, 7, 8, 9, 4096):
+        short = bytes((count * width + 7) // 8 - 1)
+        with pytest.raises(CorruptBlockError):
+            unpack_units(short, width, count)
+
+
+# Arbitrary sections against the bit-matrix oracle: the padding bits of the
+# last byte and the bytes after the section may be set, which sections packed
+# by pack_units never have.  300 examples take about 1 s (pytest --durations
+# on a shared 2-vCPU host).
+@hypothesis.seed(2018)
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(
+    width=st.integers(1, 24),
+    count=st.one_of(st.integers(0, 40), st.integers(0, 4100)),
+    extra=st.integers(-2, 9),
+    fill=st.sampled_from(["random", "ones"]),
+    kind=st.sampled_from(["bytes", "bytearray", "memoryview"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_unpack_units_reads_any_section_as_the_oracle(width, count, extra, fill, kind, seed):
+    # extra < 0 cuts the section short; extra > 0 leaves bytes after it
+    need = (count * width + 7) // 8
+    size = max(need + extra, 0)
+    rng = np.random.default_rng(seed)
+    data = rng.bytes(size + 6) if fill == "random" else b"\xff" * (size + 6)
+    section = {"bytes": data[3 : 3 + size], "bytearray": bytearray(data[3 : 3 + size]),
+               "memoryview": memoryview(data)[3 : 3 + size]}[kind]
+    if size < need:
+        with pytest.raises(CorruptBlockError):
+            unpack_units(section, width, count)
+        return
+    got = unpack_units(section, width, count)
+    assert got.dtype == (np.uint8 if width <= 8 else np.uint32)
+    assert np.array_equal(got, oracle_unpack_units(bytes(section), width, count))
 
 
 def test_pack_low_bits_worked_example():

@@ -11,6 +11,7 @@ import pytest
 
 from ricemarlin import (
     DecoderTable,
+    DictionarySet,
     MarlinDictionary,
     SymbolDistribution,
     SyntheticFamily,
@@ -175,6 +176,23 @@ def test_decode_matches_oracle_on_built_set(oracle_set):
                 want = oracle_decode_quotients(oracle, block.quotient_stream, n)
                 assert got.dtype == np.uint8 and np.array_equal(got, want)
             assert decode_block(oracle_set, block) == oracle_decode_block(oracle, block, n) == msg
+
+
+def test_decode_matches_oracle_at_table_shifts():
+    # the oracle set builds at S = 0, 0, 3 and 5; these blocks carry reminders
+    # of 1, 2 and 4 bits, the widths read through the per-byte field table
+    dist = make_distribution(SyntheticFamily("laplacian", 0.5))
+    dset = DictionarySet([MarlinDictionary.build(dist, k=8, o=4, shift=s, threshold=2**-10)
+                          for s in (1, 2, 4)])
+    for i, dct in enumerate(dset.dictionaries):
+        oracle = OracleTable(dct)
+        for n in SIZES:
+            msg = dist.sample(n, seed=n)
+            block = encode_block(dct, msg, dict_index=i)
+            assert block.is_raw == (n == 1)  # one byte is cheaper raw
+            if not block.is_raw:
+                assert len(block.reminders) == (n * dct.shift + 7) // 8
+            assert decode_block(dset, block) == oracle_decode_block(oracle, block, n) == msg
 
 
 def test_decode_matches_oracle_on_acceptance_grid(grid_distributions, grid_set):
